@@ -8,7 +8,6 @@ remote scoring service plugs in through the same interface; see ``live``.
 from __future__ import annotations
 
 from importlib import resources
-from pathlib import Path
 from typing import Protocol
 
 from .corpus import ATTRIBUTE_NAMES, Comment
@@ -65,15 +64,6 @@ class LexiconAttributeScorer:
         root = resources.files("recaudit").joinpath("data/lexicons")
         lexicons = {
             name: _parse_lexicon(root.joinpath(f"{name}.txt").read_text(encoding="utf-8"))
-            for name in ATTRIBUTE_NAMES
-        }
-        return cls(lexicons)
-
-    @classmethod
-    def from_directory(cls, directory: str | Path) -> "LexiconAttributeScorer":
-        directory = Path(directory)
-        lexicons = {
-            name: _parse_lexicon((directory / f"{name}.txt").read_text(encoding="utf-8"))
             for name in ATTRIBUTE_NAMES
         }
         return cls(lexicons)

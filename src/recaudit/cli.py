@@ -2,10 +2,11 @@
 
 Subcommands: simulate, snowball, harvest, train, score, trends, calibrate,
 bubble, topics, validate. Every subcommand writes its artifacts under the
-configured output directory plus a run manifest with input/output digests;
-re-running a subcommand whose outputs are still digest-valid is a no-op
-unless --overwrite is passed. Exit codes: 0 success, 1 usage or config
-error, 2 data or invariant error, 3 source fetch failure.
+configured output directory plus a run manifest with config, input and
+output digests; re-running a subcommand under the same config while those
+inputs and outputs are still digest-valid is a no-op unless --overwrite is
+passed. Exit codes: 0 success, 1 usage or config error, 2 data or invariant
+error, 3 source fetch failure.
 """
 
 from __future__ import annotations
@@ -86,6 +87,12 @@ def _out(config: PipelineConfig) -> Path:
     return Path(config.out_dir)
 
 
+def _require(path: Path, hint: str) -> Path:
+    if not path.exists():
+        raise ConfigError(f"{path} does not exist; run `{hint}` first")
+    return path
+
+
 def _text_hyper(config: PipelineConfig, seed: int) -> TextHyper:
     return TextHyper(
         dim=config.text_dim,
@@ -100,6 +107,8 @@ def _text_hyper(config: PipelineConfig, seed: int) -> TextHyper:
 
 def _load_platform(config: PipelineConfig) -> SimulatedPlatform:
     out = _out(config)
+    for name in ("channels.jsonl", "videos.jsonl", "ground_truth.jsonl"):
+        _require(out / name, "simulate")
     channels = tuple(corpus.read_jsonl(out / "channels.jsonl", corpus.ChannelRecord))
     videos = tuple(corpus.read_jsonl(out / "videos.jsonl", corpus.VideoRecord))
     truth = store.read_ground_truth(out / "ground_truth.jsonl")
@@ -131,28 +140,28 @@ def _source(config: PipelineConfig):
     return _load_platform(config)
 
 
-def _read_snapshots(config: PipelineConfig) -> list[corpus.DailySnapshot]:
-    snap_dir = _out(config) / "snapshots"
-    if not snap_dir.exists():
-        raise ConfigError(f"no snapshots under {snap_dir}; run `harvest` first")
-    snaps = []
-    for path in sorted(snap_dir.glob("*.jsonl")):
-        snaps.extend(corpus.read_jsonl(path, corpus.DailySnapshot))
-    if not snaps:
-        raise ConfigError(f"no snapshots under {snap_dir}")
+def _records(path: Path, cls) -> tuple:
+    """Every record in one JSONL file; none when the file does not exist."""
+    return tuple(corpus.read_jsonl(path, cls)) if path.exists() else ()
+
+
+def _snapshots_under(out: Path) -> list[corpus.DailySnapshot]:
+    paths = sorted((out / "snapshots").glob("*.jsonl"))
+    snaps = [s for path in paths for s in corpus.read_jsonl(path, corpus.DailySnapshot)]
     return sorted(snaps, key=lambda s: s.date)
+
+
+def _read_snapshots(config: PipelineConfig) -> list[corpus.DailySnapshot]:
+    snaps = _snapshots_under(_out(config))
+    if not snaps:
+        raise ConfigError(f"no snapshots under {_out(config) / 'snapshots'}; run `harvest` first")
+    return snaps
 
 
 def _read_videos(config: PipelineConfig) -> dict[str, corpus.VideoRecord]:
     out = _out(config)
-    records: dict[str, corpus.VideoRecord] = {}
-    paths = [out / "videos.jsonl"]
-    if (out / "videos").exists():
-        paths.extend(sorted((out / "videos").glob("*.jsonl")))
-    for path in paths:
-        if Path(path).exists():
-            for video in corpus.read_jsonl(path, corpus.VideoRecord):
-                records[video.video_id] = video
+    paths = [out / "videos.jsonl", *sorted((out / "videos").glob("*.jsonl"))]
+    records = {video.video_id: video for path in paths for video in _records(path, corpus.VideoRecord)}
     if not records:
         raise ConfigError(f"no video records under {out}")
     return records
@@ -187,10 +196,7 @@ def _cmd_simulate(config: PipelineConfig, args) -> tuple[list, list]:
         "video_dates": {vid: day.isoformat() for vid, day in sorted(platform.video_dates.items())},
         "comments_disabled": sorted(platform.comments_disabled),
     }
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "platform_state.json").write_text(
-        json.dumps(state, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    store.write_json(out / "platform_state.json", state)
     outputs = [
         "channels.jsonl",
         "videos.jsonl",
@@ -230,10 +236,7 @@ def _cmd_snowball(config: PipelineConfig, args) -> tuple[list, list]:
         "dead_channels": list(result.dead_channels),
         "communities": {str(cid): members for cid, members in partition.communities().items()},
     }
-    (out / "snowball").mkdir(parents=True, exist_ok=True)
-    (out / "snowball" / "clusters.json").write_text(
-        json.dumps(clusters_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    store.write_json(out / "snowball" / "clusters.json", clusters_doc)
     outputs = [out / "snowball" / "channels.txt", out / "snowball" / "clusters.json"]
 
     anchors = [a.strip() for a in config.cluster_anchors.split(",") if a.strip()]
@@ -325,17 +328,8 @@ def _cmd_train(config: PipelineConfig, args) -> tuple[list, list]:
     model_path = out / "ensemble.bin"
     store.save_ensemble(model_path, ensemble)
     weights_path = out / "ensemble_weights.json"
-    weights_path.write_text(
-        json.dumps(ensemble.relative_weights(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    store.write_json(weights_path, ensemble.relative_weights())
     return [labeled_path], [model_path, weights_path]
-
-
-def _require(path: Path, hint: str) -> Path:
-    if not path.exists():
-        raise ConfigError(f"{path} does not exist; run `{hint}` first")
-    return path
 
 
 def _cmd_score(config: PipelineConfig, args) -> tuple[list, list]:
@@ -407,7 +401,7 @@ def _cmd_trends(config: PipelineConfig, args) -> tuple[list, list]:
         "mean_coverage": sum(p.coverage for p in series.points) / len(series.points),
     }
     summary_path = out / "trends_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    store.write_json(summary_path, summary)
     return [out / "likelihoods.jsonl"], [csv_path, summary_path]
 
 
@@ -438,7 +432,7 @@ def _cmd_calibrate(config: PipelineConfig, args) -> tuple[list, list]:
         "populated_bins": sum(1 for b in curve.bins if b.n),
     }
     summary_path = out / "calibration_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    store.write_json(summary_path, summary)
     return [out / "likelihoods.jsonl", labels_path], [csv_path, summary_path]
 
 
@@ -477,7 +471,7 @@ def _cmd_bubble(config: PipelineConfig, args) -> tuple[list, list]:
         "total_edges": sum(sum(row) for row in matrix.edge_counts),
     }
     summary_path = out / "bubble_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    store.write_json(summary_path, summary)
     return [out / "likelihoods.jsonl"], [csv_path, summary_path]
 
 
@@ -519,23 +513,15 @@ def _cmd_topics(config: PipelineConfig, args) -> tuple[list, list]:
 
 def _cmd_validate(config: PipelineConfig, args) -> tuple[list, list]:
     out = _out(config)
-    channels = tuple(corpus.read_jsonl(out / "channels.jsonl", corpus.ChannelRecord)) if (out / "channels.jsonl").exists() else ()
-    videos = tuple(corpus.read_jsonl(out / "videos.jsonl", corpus.VideoRecord)) if (out / "videos.jsonl").exists() else ()
-    labeled = tuple(corpus.read_jsonl(out / "labeled.jsonl", corpus.LabeledExample)) if (out / "labeled.jsonl").exists() else ()
-    snapshots: list[corpus.DailySnapshot] = []
-    snap_dir = out / "snapshots"
-    if snap_dir.exists():
-        for path in sorted(snap_dir.glob("*.jsonl")):
-            snapshots.extend(corpus.read_jsonl(path, corpus.DailySnapshot))
     bag = corpus.Corpus(
-        channels=channels, videos=videos, snapshots=tuple(snapshots), labeled=labeled
+        channels=_records(out / "channels.jsonl", corpus.ChannelRecord),
+        videos=_records(out / "videos.jsonl", corpus.VideoRecord),
+        snapshots=tuple(_snapshots_under(out)),
+        labeled=_records(out / "labeled.jsonl", corpus.LabeledExample),
     )
     violations = corpus.validate_corpus(bag, max_rank=config.harvest_k)
     report_path = out / "validation.json"
-    report_path.write_text(
-        json.dumps([vars(v) for v in violations], indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    store.write_json(report_path, [vars(v) for v in violations])
     for v in violations:
         logger.error("%s", v)
     if violations:
@@ -603,14 +589,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         config = _effective_config(args)
         manifest_path = _manifest_path(config, args)
-        if not args.overwrite and store.outputs_are_current(manifest_path):
+        config_digest = _config_digest(config)
+        if not args.overwrite and store.outputs_are_current(manifest_path, config_digest):
             print(f"{args.command}: outputs are current, skipping (see {manifest_path})")
             return 0
         with store.output_lock(manifest_path):
             inputs, outputs = _COMMANDS[args.command](config, args)
             manifest = store.build_manifest(
                 command=args.command,
-                config_digest=_config_digest(config),
+                config_digest=config_digest,
                 seed=args.seed,
                 inputs=inputs,
                 outputs=outputs,

@@ -13,12 +13,17 @@ the representation itself (a 5-element attribute vector, say) do raise.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
+import functools
 import json
+import os
+import typing
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional
 
 ATTRIBUTE_NAMES = (
     "toxicity",
@@ -109,8 +114,8 @@ class RecommendationEdge:
 @dataclass(frozen=True)
 class DailySnapshot:
     date: dt.date
-    edges: tuple[RecommendationEdge, ...]
-    retained_video_ids: frozenset[str]
+    edges: tuple[RecommendationEdge, ...] = ()
+    retained_video_ids: frozenset[str] = frozenset()
     coverage: float = 1.0
 
     def __post_init__(self):
@@ -258,113 +263,87 @@ def _validate_snapshot(snap: DailySnapshot, max_rank: int) -> list[Violation]:
 # ---------------------------------------------------------------------------
 # JSON Lines codec. One record per line, one file per type, snake_case field
 # names exactly as the dataclass definitions. decode(encode(x)) == x.
+# Each dataclass's fields and type hints are read once: dates travel as ISO
+# strings, frozensets as sorted lists, tuples as lists, nested dataclasses as
+# objects and None as null. A missing key takes the field's default; unknown
+# keys are ignored, since live API payloads carry extra fields.
 # ---------------------------------------------------------------------------
 
 
+def _converters(hint) -> tuple[Optional[Callable], Optional[Callable]]:
+    """(encode, decode) for the non-null values of one type hint; (None, None) keeps them as is."""
+    if hint is dt.date:
+        return dt.date.isoformat, dt.date.fromisoformat
+    if dataclasses.is_dataclass(hint):
+        return _codec(hint)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:  # Optional[T]
+        return _converters(next(a for a in args if a is not type(None)))
+    if origin is frozenset:
+        return sorted, frozenset
+    if origin is tuple:
+        enc, dec = _converters(args[0])
+        return (list, tuple) if enc is None else (lambda v: list(map(enc, v)), lambda v: tuple(map(dec, v)))
+    return None, None
+
+
+@functools.cache
+def _codec(cls) -> tuple[Callable, Callable]:
+    """(encode, decode) for one dataclass, built once from its fields and type hints."""
+    hints = typing.get_type_hints(cls)
+    names = dict.fromkeys(f.name for f in dataclasses.fields(cls))  # ordered, with set-like keys
+    pairs = {name: _converters(hints[name]) for name in names}
+    converted = [(name, enc, dec) for name, (enc, dec) in pairs.items() if enc is not None]
+
+    def encode(obj) -> dict:
+        doc = {name: getattr(obj, name) for name in names}
+        for name, enc, _ in converted:
+            doc[name] = None if doc[name] is None else enc(doc[name])
+        return doc
+
+    def decode(data: dict):
+        kwargs = dict(data) if data.keys() <= names.keys() else {k: data[k] for k in names if k in data}
+        for name, _, dec in converted:
+            if kwargs.get(name) is not None:
+                kwargs[name] = dec(kwargs[name])
+        return cls(**kwargs)
+
+    return encode, decode
+
+
 def encode_record(obj) -> dict:
-    if isinstance(obj, ChannelRecord):
-        return {
-            "channel_id": obj.channel_id,
-            "title": obj.title,
-            "subscriber_count": obj.subscriber_count,
-            "last_video_id": obj.last_video_id,
-        }
-    if isinstance(obj, Comment):
-        return {
-            "text": obj.text,
-            "attribute_scores": list(obj.attribute_scores)
-            if obj.attribute_scores is not None
-            else None,
-        }
-    if isinstance(obj, VideoRecord):
-        return {
-            "video_id": obj.video_id,
-            "channel_id": obj.channel_id,
-            "title": obj.title,
-            "description": obj.description,
-            "tags": list(obj.tags),
-            "transcript": obj.transcript,
-            "view_count": obj.view_count,
-            "comments": [encode_record(c) for c in obj.comments],
-        }
-    if isinstance(obj, RecommendationEdge):
-        return {
-            "date": obj.date.isoformat(),
-            "source_video_id": obj.source_video_id,
-            "recommended_video_id": obj.recommended_video_id,
-            "rank": obj.rank,
-        }
-    if isinstance(obj, DailySnapshot):
-        return {
-            "date": obj.date.isoformat(),
-            "edges": [encode_record(e) for e in obj.edges],
-            "retained_video_ids": sorted(obj.retained_video_ids),
-            "coverage": obj.coverage,
-        }
-    if isinstance(obj, LabeledExample):
-        return {
-            "video": encode_record(obj.video),
-            "label": obj.label,
-            "provenance": obj.provenance,
-        }
-    raise TypeError(f"no codec for {type(obj).__name__}")
+    return _codec(type(obj))[0](obj)
 
 
 def decode_record(cls, data: dict):
-    if cls is ChannelRecord:
-        return ChannelRecord(
-            channel_id=data["channel_id"],
-            title=data.get("title", ""),
-            subscriber_count=data.get("subscriber_count", 0),
-            last_video_id=data.get("last_video_id"),
-        )
-    if cls is Comment:
-        scores = data.get("attribute_scores")
-        return Comment(
-            text=data["text"],
-            attribute_scores=tuple(scores) if scores is not None else None,
-        )
-    if cls is VideoRecord:
-        return VideoRecord(
-            video_id=data["video_id"],
-            channel_id=data["channel_id"],
-            title=data.get("title", ""),
-            description=data.get("description", ""),
-            tags=tuple(data.get("tags", ())),
-            transcript=data.get("transcript"),
-            view_count=data.get("view_count", 0),
-            comments=tuple(decode_record(Comment, c) for c in data.get("comments", ())),
-        )
-    if cls is RecommendationEdge:
-        return RecommendationEdge(
-            date=dt.date.fromisoformat(data["date"]),
-            source_video_id=data["source_video_id"],
-            recommended_video_id=data["recommended_video_id"],
-            rank=data["rank"],
-        )
-    if cls is DailySnapshot:
-        return DailySnapshot(
-            date=dt.date.fromisoformat(data["date"]),
-            edges=tuple(decode_record(RecommendationEdge, e) for e in data.get("edges", ())),
-            retained_video_ids=frozenset(data.get("retained_video_ids", ())),
-            coverage=data.get("coverage", 1.0),
-        )
-    if cls is LabeledExample:
-        return LabeledExample(
-            video=decode_record(VideoRecord, data["video"]),
-            label=data["label"],
-            provenance=data.get("provenance", ""),
-        )
-    raise TypeError(f"no codec for {cls.__name__}")
+    return _codec(cls)[1](data)
+
+
+@contextmanager
+def atomic_output(path: str | Path) -> Iterator[BinaryIO]:
+    """Open ``path`` for writing bytes; it changes all at once or not at all.
+
+    The bytes go to a temporary file beside ``path`` that replaces it only
+    when the block exits cleanly, so a crash or an exception midway leaves
+    the previous file as it was and no temporary file behind. Every artifact
+    is written through here.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_jsonl(path: str | Path, records: Iterable) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_output(path) as fh:
         for rec in records:
-            fh.write(json.dumps(encode_record(rec), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+            line = json.dumps(encode_record(rec), ensure_ascii=False, sort_keys=True)
+            fh.write(line.encode("utf-8") + b"\n")
 
 
 def read_jsonl(path: str | Path, cls) -> Iterator:

@@ -15,6 +15,7 @@ partial object; a future schema_version is refused outright.
 from __future__ import annotations
 
 import datetime as dt
+import fcntl
 import hashlib
 import json
 import os
@@ -26,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from .corpus import atomic_output
 from .ensemble import FirstLayer, StandardizationStats, TrainedEnsemble
 from .errors import ArtifactCorruptError, ArtifactVersionError, ConfigError, HarvestExistsError
 from .metrics import CalibrationCurve, FilterBubbleMatrix, TrendSeries
@@ -72,9 +74,7 @@ def save_bundle(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.nd
         },
         sort_keys=True,
     ).encode("utf-8")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
+    with atomic_output(path) as fh:
         fh.write(_MAGIC + b"\n" + header + b"\n" + payload)
 
 
@@ -198,21 +198,6 @@ def load_ensemble(path: str | Path) -> TrainedEnsemble:
     )
 
 
-def save_text_model(path: str | Path, model: TextModel) -> None:
-    meta: dict = {}
-    arrays: dict[str, np.ndarray] = {}
-    _text_model_parts(model, "model", meta, arrays)
-    save_bundle(path, "text_model", meta, arrays)
-
-
-def load_text_model(path: str | Path) -> TextModel:
-    meta, arrays = load_bundle(path, "text_model")
-    model = _text_model_from_parts("model", meta, arrays)
-    if model is None:
-        raise ArtifactCorruptError(f"{path}: empty text model")
-    return model
-
-
 # ---------------------------------------------------------------------------
 # Run manifests
 # ---------------------------------------------------------------------------
@@ -229,9 +214,7 @@ class RunManifest:
     outputs: dict[str, str]
 
     def write(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(vars(self), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_json(path, vars(self))
 
     @staticmethod
     def read(path: str | Path) -> "RunManifest":
@@ -256,19 +239,17 @@ def build_manifest(
     )
 
 
-def outputs_are_current(manifest_path: str | Path) -> bool:
-    """True when a previous run's outputs all exist with matching digests."""
-    manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        return False
+def outputs_are_current(manifest_path: str | Path, config_digest: str) -> bool:
+    """True when a previous run under this config recorded outputs, and every
+    input and output it recorded still exists with the same digest."""
     try:
         manifest = RunManifest.read(manifest_path)
-    except (json.JSONDecodeError, TypeError):
+    except (OSError, json.JSONDecodeError, TypeError):
         return False
-    for path, digest in manifest.outputs.items():
-        if not Path(path).exists() or sha256_file(path) != digest:
-            return False
-    return bool(manifest.outputs)
+    if manifest.config_digest != config_digest or not manifest.outputs:
+        return False
+    recorded = {**manifest.inputs, **manifest.outputs}
+    return all(Path(path).exists() and sha256_file(path) == digest for path, digest in recorded.items())
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +284,7 @@ def write_trends_csv(path: str | Path, series: TrendSeries, window_days: int) ->
                 ]
             )
         )
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_calibration_csv(path: str | Path, curve: CalibrationCurve) -> None:
@@ -314,7 +295,7 @@ def write_calibration_csv(path: str | Path, curve: CalibrationCurve) -> None:
                 [_fmt(b.lower), _fmt(b.upper), str(b.n), str(b.k), _fmt(b.proportion), _fmt(b.ci_low), _fmt(b.ci_high)]
             )
         )
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_calibration_csv(path: str | Path, alpha: float = 0.05) -> CalibrationCurve:
@@ -354,7 +335,7 @@ def write_bubble_csv(path: str | Path, matrix: FilterBubbleMatrix) -> None:
                     ]
                 )
             )
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_topics(json_path: str | Path, csv_path: str | Path, report: TopicReport) -> None:
@@ -367,7 +348,7 @@ def write_topics(json_path: str | Path, csv_path: str | Path, report: TopicRepor
         }
         for row in report.rows
     ]
-    _write_text(json_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(json_path, doc)
     lines = ["topic,pct_recommendations,pct_videos,top_words"]
     for row in report.rows:
         lines.append(
@@ -375,13 +356,17 @@ def write_topics(json_path: str | Path, csv_path: str | Path, report: TopicRepor
                 [str(row.topic), _fmt(row.pct_recommendations), _fmt(row.pct_videos), " ".join(row.top_words)]
             )
         )
-    _write_text(csv_path, "\n".join(lines) + "\n")
+    _write_lines(csv_path, lines)
 
 
-def _write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+def _write_lines(path: str | Path, lines: list[str]) -> None:
+    with atomic_output(path) as fh:
+        fh.write("".join(line + "\n" for line in lines).encode("utf-8"))
+
+
+def write_json(path: str | Path, doc) -> None:
+    """``doc`` as indented JSON with sorted keys, the form of every JSON artifact."""
+    _write_lines(path, [json.dumps(doc, indent=2, sort_keys=True)])
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +379,7 @@ def write_likelihoods(path: str | Path, likelihoods: dict[str, Optional[float]])
         json.dumps({"video_id": vid, "likelihood": like}, sort_keys=True)
         for vid, like in sorted(likelihoods.items())
     ]
-    _write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    _write_lines(path, lines)
 
 
 def read_likelihoods(path: str | Path) -> dict[str, Optional[float]]:
@@ -411,7 +396,7 @@ def write_ground_truth(path: str | Path, truth: dict[str, int]) -> None:
         json.dumps({"video_id": vid, "label": label}, sort_keys=True)
         for vid, label in sorted(truth.items())
     ]
-    _write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    _write_lines(path, lines)
 
 
 def read_ground_truth(path: str | Path) -> dict[str, int]:
@@ -424,7 +409,7 @@ def read_ground_truth(path: str | Path) -> dict[str, int]:
 
 
 def write_seed_list(path: str | Path, channel_ids: list[str]) -> None:
-    _write_text(path, "\n".join(channel_ids) + ("\n" if channel_ids else ""))
+    _write_lines(path, channel_ids)
 
 
 def read_seed_list(path: str | Path) -> list[str]:
@@ -450,15 +435,28 @@ def ensure_snapshot_writable(path: Path, overwrite: bool) -> None:
 
 @contextmanager
 def output_lock(path: str | Path):
+    """Hold the single-writer lock on ``path`` for the duration of the block.
+
+    The lock is an flock on ``<path>.lock``. The kernel drops it when its
+    holder exits, so the file a killed run leaves behind, with that run's PID
+    in it, is taken over by the next run rather than blocking it.
+    """
     lock_path = Path(str(path) + ".lock")
     lock_path.parent.mkdir(parents=True, exist_ok=True)
+    while True:
+        fd = os.open(lock_path, os.O_CREAT | os.O_WRONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise ConfigError(f"{path} is locked by another writer ({lock_path})") from None
+        if os.fstat(fd).st_nlink:
+            break
+        os.close(fd)  # the previous holder removed this file as we opened it
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ConfigError(f"{path} is locked by another writer ({lock_path})") from None
-    try:
+        os.ftruncate(fd, 0)
         os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
         yield
     finally:
         lock_path.unlink(missing_ok=True)
+        os.close(fd)

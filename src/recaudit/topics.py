@@ -1,5 +1,5 @@
-"""Topic-side analysis: TFIDF weighting, per-class discriminating words, and
-NMF topic modeling with per-topic recommendation/video shares.
+"""Topic-side analysis: TFIDF weighting and NMF topic modeling with
+per-topic recommendation/video shares.
 
 Matrices are dense numpy arrays; corpora here are desk scale (the documents
 are the comment sections of videos flagged conspiratorial).
@@ -57,34 +57,6 @@ def tfidf(corpus: Sequence[Sequence[str]]) -> TfidfMatrix:
         matrix=tf * idf,
         terms=terms,
         doc_frequency=tuple(int(x) for x in df),
-    )
-
-
-def discriminating_words(
-    positive: Sequence[Sequence[str]],
-    negative: Sequence[Sequence[str]],
-    top_k: int = 15,
-    min_doc_count: int = 5,
-) -> tuple[list[str], list[str]]:
-    """Terms that most separate the two corpora, one ranked list per class.
-
-    Scores a term by its mean tf-idf over one class minus its mean over the
-    other, on a tf-idf fit of the combined corpus. Terms appearing in fewer
-    than ``min_doc_count`` documents are excluded. Ties break alphabetically,
-    so identical corpora degenerate to alphabetical order.
-    """
-    if not positive or not negative:
-        raise ValueError("both corpora must be non-empty")
-    fitted = tfidf(list(positive) + list(negative))
-    pos = fitted.matrix[: len(positive)]
-    neg = fitted.matrix[len(positive) :]
-    score = pos.mean(axis=0) - neg.mean(axis=0)
-    eligible = [i for i, df in enumerate(fitted.doc_frequency) if df >= min_doc_count]
-    pos_rank = sorted(eligible, key=lambda i: (-score[i], fitted.terms[i]))
-    neg_rank = sorted(eligible, key=lambda i: (score[i], fitted.terms[i]))
-    return (
-        [fitted.terms[i] for i in pos_rank[:top_k]],
-        [fitted.terms[i] for i in neg_rank[:top_k]],
     )
 
 

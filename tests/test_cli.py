@@ -73,6 +73,29 @@ class TestPipeline:
         assert run(cfg, "simulate", "--overwrite") == 0
         assert "skipping" not in capsys.readouterr().out
 
+    def test_changed_config_reruns(self, workspace, capsys):
+        tmp, cfg = workspace
+        for argv in (["simulate"], ["harvest", "--date", "2019-05-01"], ["train"], ["score"]):
+            assert run(cfg, *argv) == 0
+        assert run(cfg, "trends") == 0
+        capsys.readouterr()
+        assert run(cfg, "trends", "--threshold", "0.9") == 0
+        assert "skipping" not in capsys.readouterr().out
+        summary = json.loads((tmp / "out" / "trends_summary.json").read_text())
+        assert summary["threshold"] == 0.9
+
+    def test_changed_input_reruns(self, workspace, capsys):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        for argv in (["simulate"], ["harvest", "--date", "2019-05-01"], ["train"], ["score"]):
+            assert run(cfg, *argv) == 0
+        first = (out / "likelihoods.jsonl").read_bytes()
+        assert run(cfg, "train", "--seed", "5", "--overwrite") == 0
+        capsys.readouterr()
+        assert run(cfg, "score") == 0
+        assert "skipping" not in capsys.readouterr().out
+        assert (out / "likelihoods.jsonl").read_bytes() != first
+
 
 class TestErrors:
     def test_missing_config_file_is_usage_error(self, tmp_path):
@@ -130,6 +153,12 @@ class TestErrors:
         assert run(cfg, "simulate") == 0
         assert run(cfg, "harvest", "--date", "2019-05-01") == 0
         assert run(cfg, "score") == 1  # points at `train` as the missing step
+
+    @pytest.mark.parametrize("argv", [["harvest", "--date", "2019-05-01"], ["snowball"]])
+    def test_collecting_before_simulate_is_usage_error(self, workspace, capsys, argv):
+        tmp, cfg = workspace
+        assert run(cfg, *argv) == 1
+        assert "run `simulate` first" in capsys.readouterr().err
 
     def test_validate_reports_violations_with_exit_2(self, workspace):
         tmp, cfg = workspace

@@ -148,7 +148,7 @@ class TestTopRecommended:
 
 
 def _sample_records():
-    comment = Comment(text="great vid", attribute_scores=(0.1, 0, 0.2, 0, 0, 0.5, 1.0))
+    comment = Comment(text="très bien ✓", attribute_scores=(0.1, 0, 0.2, 0, 0, 0.5, 1.0))
     video = make_video(
         "v1",
         channel_id="c1",
@@ -159,18 +159,19 @@ def _sample_records():
         view_count=123,
         comments=[comment, Comment(text="plain")],
     )
+    untranscribed = make_video("v9", channel_id="c2", title="日本語のタイトル", transcript=None)
     return [
-        ChannelRecord(channel_id="c1", title="Chan", subscriber_count=5, last_video_id="v1"),
+        ChannelRecord(channel_id="c1", title="Chaîne", subscriber_count=5, last_video_id="v1"),
         comment,
         video,
         make_edge("v1", "v2", rank=3),
         DailySnapshot(
             date=DAY,
-            edges=(make_edge("v1", "v2"),),
-            retained_video_ids=frozenset({"v2"}),
+            edges=(make_edge("v1", "v3"), make_edge("v1", "v2", rank=2)),
+            retained_video_ids=frozenset(["v3", "v2"]),
             coverage=0.5,
         ),
-        LabeledExample(video=video, label=1, provenance="curated"),
+        LabeledExample(video=untranscribed, label=1, provenance="curated"),
     ]
 
 
@@ -192,3 +193,79 @@ class TestCodec:
     def test_comment_round_trip_property(self, text, scores):
         comment = Comment(text=text, attribute_scores=scores)
         assert decode_record(Comment, encode_record(comment)) == comment
+
+
+# The exact JSONL line of each record in _sample_records(): keys sorted,
+# non-ASCII text written as is, frozensets as sorted lists, dates as ISO.
+GOLDEN_LINES = {
+    "ChannelRecord": '{"channel_id": "c1", "last_video_id": "v1", "subscriber_count": 5, "title": "Chaîne"}',
+    "Comment": '{"attribute_scores": [0.1, 0.0, 0.2, 0.0, 0.0, 0.5, 1.0], "text": "très bien ✓"}',
+    "VideoRecord": (
+        '{"channel_id": "c1", "comments": [{"attribute_scores": [0.1, 0.0, 0.2, 0.0, 0.0, 0.5, 1.0],'
+        ' "text": "très bien ✓"}, {"attribute_scores": null, "text": "plain"}], "description": "Desc",'
+        ' "tags": ["a", "b"], "title": "Title", "transcript": "hello world", "video_id": "v1",'
+        ' "view_count": 123}'
+    ),
+    "RecommendationEdge": (
+        '{"date": "2019-06-01", "rank": 3, "recommended_video_id": "v2", "source_video_id": "v1"}'
+    ),
+    "DailySnapshot": (
+        '{"coverage": 0.5, "date": "2019-06-01", "edges": [{"date": "2019-06-01", "rank": 1,'
+        ' "recommended_video_id": "v3", "source_video_id": "v1"}, {"date": "2019-06-01", "rank": 2,'
+        ' "recommended_video_id": "v2", "source_video_id": "v1"}], "retained_video_ids": ["v2", "v3"]}'
+    ),
+    "LabeledExample": (
+        '{"label": 1, "provenance": "curated", "video": {"channel_id": "c2", "comments": [],'
+        ' "description": "", "tags": [], "title": "日本語のタイトル", "transcript": null, "video_id": "v9",'
+        ' "view_count": 0}}'
+    ),
+}
+
+# Lines with every defaulted key left out and one key no record type has.
+SPARSE_LINES = [
+    (ChannelRecord, '{"channel_id": "c1", "extra": 1}', ChannelRecord(channel_id="c1")),
+    (Comment, '{"text": "hi", "extra": 1}', Comment(text="hi")),
+    (
+        VideoRecord,
+        '{"video_id": "v1", "channel_id": "c1", "extra": 1}',
+        VideoRecord(video_id="v1", channel_id="c1"),
+    ),
+    (
+        DailySnapshot,
+        '{"date": "2019-06-01", "extra": 1}',
+        DailySnapshot(date=DAY, edges=(), retained_video_ids=frozenset()),
+    ),
+    (
+        LabeledExample,
+        '{"video": {"video_id": "v1", "channel_id": "c1", "extra": 1}, "label": 0, "extra": 1}',
+        LabeledExample(video=VideoRecord(video_id="v1", channel_id="c1"), label=0),
+    ),
+]
+
+
+class TestCodecBytes:
+    @pytest.mark.parametrize("record", _sample_records(), ids=lambda r: type(r).__name__)
+    def test_exact_jsonl_line(self, tmp_path, record):
+        path = tmp_path / "one.jsonl"
+        write_jsonl(path, [record])
+        assert path.read_bytes() == (GOLDEN_LINES[type(record).__name__] + "\n").encode("utf-8")
+        assert list(read_jsonl(path, type(record))) == [record]
+
+    @pytest.mark.parametrize(
+        "cls, line, expected", SPARSE_LINES, ids=[cls.__name__ for cls, _, _ in SPARSE_LINES]
+    )
+    def test_missing_keys_default_and_unknown_keys_ignored(self, tmp_path, cls, line, expected):
+        path = tmp_path / "sparse.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        assert list(read_jsonl(path, cls)) == [expected]
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "videos.jsonl"
+        write_jsonl(path, [make_video("v1")])
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_jsonl(path, [make_video("v2"), object()])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["videos.jsonl"]

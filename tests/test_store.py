@@ -1,5 +1,8 @@
 import datetime as dt
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,22 +101,6 @@ class TestBundle:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-class TestTextModelBundle:
-    def test_round_trip_predictions_and_bytes(self, tmp_path):
-        from recaudit.store import load_text_model, save_text_model
-        from recaudit.textmodel import predict_proba, train_text_classifier
-
-        examples = [("hoax aliens secret", 1), ("cooking pasta", 0)] * 4
-        model = train_text_classifier(examples, TextHyper(dim=4, epochs=5, min_count=1, seed=1))
-        p1, p2 = tmp_path / "m1.bin", tmp_path / "m2.bin"
-        save_text_model(p1, model)
-        loaded = load_text_model(p1)
-        for text in ["hoax aliens", "cooking", "unseen words", ""]:
-            assert predict_proba(loaded, text) == predict_proba(model, text)
-        save_text_model(p2, loaded)
-        assert p1.read_bytes() == p2.read_bytes()
-
-
 class TestEnsembleBundle:
     def test_round_trip_predictions_identical(self, tmp_path, small_ensemble):
         labeled, ensemble = small_ensemble
@@ -138,7 +125,7 @@ class TestManifests:
         manifest = build_manifest("demo", "cfg", 1, [], [out])
         mpath = tmp_path / "demo.json"
         manifest.write(mpath)
-        assert outputs_are_current(mpath)
+        assert outputs_are_current(mpath, "cfg")
 
     def test_stale_after_output_changes(self, tmp_path):
         out = tmp_path / "thing.txt"
@@ -147,17 +134,36 @@ class TestManifests:
         mpath = tmp_path / "demo.json"
         manifest.write(mpath)
         out.write_text("tampered")
-        assert not outputs_are_current(mpath)
+        assert not outputs_are_current(mpath, "cfg")
 
     def test_missing_manifest_or_outputs(self, tmp_path):
-        assert not outputs_are_current(tmp_path / "nope.json")
+        assert not outputs_are_current(tmp_path / "nope.json", "cfg")
         out = tmp_path / "thing.txt"
         out.write_text("payload")
         manifest = build_manifest("demo", "cfg", None, [], [out])
         mpath = tmp_path / "demo.json"
         manifest.write(mpath)
         out.unlink()
-        assert not outputs_are_current(mpath)
+        assert not outputs_are_current(mpath, "cfg")
+
+    def test_stale_under_another_config(self, tmp_path):
+        out = tmp_path / "thing.txt"
+        out.write_text("payload")
+        mpath = tmp_path / "demo.json"
+        build_manifest("demo", "cfg", 1, [], [out]).write(mpath)
+        assert not outputs_are_current(mpath, "other-cfg")
+
+    def test_stale_after_input_changes(self, tmp_path):
+        source, out = tmp_path / "in.txt", tmp_path / "thing.txt"
+        source.write_text("input")
+        out.write_text("payload")
+        mpath = tmp_path / "demo.json"
+        build_manifest("demo", "cfg", 1, [source], [out]).write(mpath)
+        assert outputs_are_current(mpath, "cfg")
+        source.write_text("edited")
+        assert not outputs_are_current(mpath, "cfg")
+        source.unlink()
+        assert not outputs_are_current(mpath, "cfg")
 
 
 class TestSidecars:
@@ -254,3 +260,13 @@ class TestLock:
         # Released after the context exits.
         with output_lock(target):
             pass
+
+    def test_lock_of_exited_process_is_taken_over(self, tmp_path):
+        target = tmp_path / "out.csv"
+        lock = tmp_path / "out.csv.lock"
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait()
+        lock.write_text(str(dead.pid))
+        with output_lock(target):
+            assert lock.read_text() == str(os.getpid())
+        assert not lock.exists()

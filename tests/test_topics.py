@@ -7,7 +7,6 @@ import pytest
 from recaudit.topics import (
     NmfResult,
     TopicModel,
-    discriminating_words,
     fit_topic_model,
     nmf,
     tfidf,
@@ -45,43 +44,6 @@ class TestTfidf:
             tfidf([])
         with pytest.raises(ValueError):
             tfidf([[], []])
-
-
-class TestDiscriminatingWords:
-    def planted(self):
-        positive = [["hoax", "filler", str(i % 3)] for i in range(8)]
-        negative = [["pleasant", "filler", str(i % 3)] for i in range(8)]
-        return positive, negative
-
-    def test_planted_token_ranks_first(self):
-        positive, negative = self.planted()
-        pos_words, neg_words = discriminating_words(positive, negative, top_k=3, min_doc_count=2)
-        assert pos_words[0] == "hoax"
-        assert neg_words[0] == "pleasant"
-
-    def test_identical_corpora_degenerate_to_alphabetical(self):
-        docs = [["a", "b"], ["b", "c"], ["c", "a"], ["a", "c"], ["b", "a"]]
-        pos_words, neg_words = discriminating_words(docs, docs, top_k=3, min_doc_count=1)
-        assert pos_words == sorted(pos_words)
-        assert pos_words == neg_words
-
-    def test_top_k_larger_than_vocabulary(self):
-        positive, negative = self.planted()
-        pos_words, _ = discriminating_words(positive, negative, top_k=100, min_doc_count=1)
-        assert set(pos_words) == {"hoax", "pleasant", "filler", "0", "1", "2"}
-
-    def test_antisymmetry(self):
-        positive, negative = self.planted()
-        pos_a, neg_a = discriminating_words(positive, negative, top_k=4, min_doc_count=1)
-        pos_b, neg_b = discriminating_words(negative, positive, top_k=4, min_doc_count=1)
-        assert pos_a == neg_b
-        assert neg_a == pos_b
-
-    def test_min_doc_count_excludes_rare_terms(self):
-        positive = [["hoax", "unicorn"]] + [["hoax"]] * 5
-        negative = [["bland"]] * 6
-        pos_words, _ = discriminating_words(positive, negative, top_k=5, min_doc_count=2)
-        assert "unicorn" not in pos_words
 
 
 class TestNmf:
