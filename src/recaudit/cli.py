@@ -105,14 +105,19 @@ def _text_hyper(config: PipelineConfig, seed: int) -> TextHyper:
     )
 
 
+# The simulated platform on disk: required files, then an optional state file.
+_PLATFORM_FILES = ("channels.jsonl", "videos.jsonl", "ground_truth.jsonl")
+_PLATFORM_STATE = "platform_state.json"
+
+
 def _load_platform(config: PipelineConfig) -> SimulatedPlatform:
     out = _out(config)
-    for name in ("channels.jsonl", "videos.jsonl", "ground_truth.jsonl"):
+    for name in _PLATFORM_FILES:
         _require(out / name, "simulate")
     channels = tuple(corpus.read_jsonl(out / "channels.jsonl", corpus.ChannelRecord))
     videos = tuple(corpus.read_jsonl(out / "videos.jsonl", corpus.VideoRecord))
     truth = store.read_ground_truth(out / "ground_truth.jsonl")
-    state_path = out / "platform_state.json"
+    state_path = out / _PLATFORM_STATE
     video_dates: dict[str, dt.date] = {}
     disabled: frozenset[str] = frozenset()
     if state_path.exists():
@@ -145,8 +150,17 @@ def _records(path: Path, cls) -> tuple:
     return tuple(corpus.read_jsonl(path, cls)) if path.exists() else ()
 
 
+def _snapshot_paths(out: Path) -> list[Path]:
+    return sorted((out / "snapshots").glob("*.jsonl"))
+
+
+def _video_paths(out: Path) -> list[Path]:
+    """The simulator's video file plus one file per live harvest day."""
+    return [out / "videos.jsonl", *sorted((out / "videos").glob("*.jsonl"))]
+
+
 def _snapshots_under(out: Path) -> list[corpus.DailySnapshot]:
-    paths = sorted((out / "snapshots").glob("*.jsonl"))
+    paths = _snapshot_paths(out)
     snaps = [s for path in paths for s in corpus.read_jsonl(path, corpus.DailySnapshot)]
     return sorted(snaps, key=lambda s: s.date)
 
@@ -160,19 +174,49 @@ def _read_snapshots(config: PipelineConfig) -> list[corpus.DailySnapshot]:
 
 def _read_videos(config: PipelineConfig) -> dict[str, corpus.VideoRecord]:
     out = _out(config)
-    paths = [out / "videos.jsonl", *sorted((out / "videos").glob("*.jsonl"))]
-    records = {video.video_id: video for path in paths for video in _records(path, corpus.VideoRecord)}
+    records = {
+        video.video_id: video for path in _video_paths(out) for video in _records(path, corpus.VideoRecord)
+    }
     if not records:
         raise ConfigError(f"no video records under {out}")
     return records
 
 
+def _labels_path(config: PipelineConfig, args) -> Path:
+    return Path(args.labels) if getattr(args, "labels", None) else _out(config) / "ground_truth.jsonl"
+
+
+def _inputs(config: PipelineConfig, args) -> list[Path]:
+    """Every file this invocation of the subcommand reads, listed before it
+    runs. The manifest records their digests, and the rerun skip requires
+    this list to name the same files as the recorded one, so a newly
+    harvested day, another label file or a re-simulated platform makes a
+    stage stale."""
+    out = _out(config)
+    snapshots, videos = _snapshot_paths(out), _video_paths(out)
+    likelihoods = out / "likelihoods.jsonl"
+    calibration = [out / "calibration.csv"] if config.trends_calibrated else []
+    platform = [] if config.source == "live" else [out / n for n in (*_PLATFORM_FILES, _PLATFORM_STATE)]
+    return {
+        "simulate": [],
+        "snowball": [Path(config.snowball_seeds_path), *platform],
+        "harvest": [out / "seeds.txt", *platform],
+        "train": [out / "labeled.jsonl"],
+        "score": [out / "ensemble.bin", *snapshots, *videos],
+        "trends": [likelihoods, *calibration, *snapshots, *videos],
+        "calibrate": [likelihoods, _labels_path(config, args)],
+        "bubble": [likelihoods, *snapshots],
+        "topics": [likelihoods, *snapshots, *videos],
+        "validate": [out / "channels.jsonl", out / "videos.jsonl", out / "labeled.jsonl", *snapshots],
+    }[args.command]
+
+
 # ---------------------------------------------------------------------------
-# Subcommand implementations. Each returns (inputs, outputs) for the manifest.
+# Subcommand implementations. Each returns its outputs for the manifest.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(config: PipelineConfig, args) -> tuple[list, list]:
+def _cmd_simulate(config: PipelineConfig, args) -> list[Path]:
     out = _out(config)
     spec = PlatformSpec(
         n_channels=config.sim_channels,
@@ -205,10 +249,10 @@ def _cmd_simulate(config: PipelineConfig, args) -> tuple[list, list]:
         "seeds.txt",
         "platform_state.json",
     ]
-    return [], [out / name for name in outputs]
+    return [out / name for name in outputs]
 
 
-def _cmd_snowball(config: PipelineConfig, args) -> tuple[list, list]:
+def _cmd_snowball(config: PipelineConfig, args) -> list[Path]:
     out = _out(config)
     source = _source(config)
     seeds_path = Path(config.snowball_seeds_path)
@@ -255,10 +299,10 @@ def _cmd_snowball(config: PipelineConfig, args) -> tuple[list, list]:
         )
         store.write_seed_list(out / "seeds.txt", selected)
         outputs.append(out / "seeds.txt")
-    return [seeds_path], outputs
+    return outputs
 
 
-def _cmd_harvest(config: PipelineConfig, args) -> tuple[list, list]:
+def _cmd_harvest(config: PipelineConfig, args) -> list[Path]:
     if not args.date:
         raise ConfigError("harvest requires --date YYYY-MM-DD")
     day = dt.date.fromisoformat(args.date)
@@ -291,7 +335,7 @@ def _cmd_harvest(config: PipelineConfig, args) -> tuple[list, list]:
 
     if result.failures:
         logger.warning("harvest %s: %d channels failed", day, len(result.failures))
-    return [out / "seeds.txt"], outputs
+    return outputs
 
 
 def _enrich_video(source, video: corpus.VideoRecord, limit: int, scorer) -> corpus.VideoRecord:
@@ -313,7 +357,7 @@ def _enrich_video(source, video: corpus.VideoRecord, limit: int, scorer) -> corp
     return replace(video, comments=tuple(scored))
 
 
-def _cmd_train(config: PipelineConfig, args) -> tuple[list, list]:
+def _cmd_train(config: PipelineConfig, args) -> list[Path]:
     out = _out(config)
     labeled_path = _require(out / "labeled.jsonl", "simulate")
     labeled = list(corpus.read_jsonl(labeled_path, corpus.LabeledExample))
@@ -329,10 +373,10 @@ def _cmd_train(config: PipelineConfig, args) -> tuple[list, list]:
     store.save_ensemble(model_path, ensemble)
     weights_path = out / "ensemble_weights.json"
     store.write_json(weights_path, ensemble.relative_weights())
-    return [labeled_path], [model_path, weights_path]
+    return [model_path, weights_path]
 
 
-def _cmd_score(config: PipelineConfig, args) -> tuple[list, list]:
+def _cmd_score(config: PipelineConfig, args) -> list[Path]:
     out = _out(config)
     model_path = _require(out / "ensemble.bin", "train")
     ensemble = store.load_ensemble(model_path)
@@ -354,7 +398,7 @@ def _cmd_score(config: PipelineConfig, args) -> tuple[list, list]:
             likelihoods[vid] = None
     path = out / "likelihoods.jsonl"
     store.write_likelihoods(path, likelihoods)
-    return [model_path], [path]
+    return [path]
 
 
 def _trend_series(config: PipelineConfig) -> TrendSeries:
@@ -386,7 +430,7 @@ def _trend_series(config: PipelineConfig) -> TrendSeries:
     return TrendSeries(points=tuple(points))
 
 
-def _cmd_trends(config: PipelineConfig, args) -> tuple[list, list]:
+def _cmd_trends(config: PipelineConfig, args) -> list[Path]:
     out = _out(config)
     series = _trend_series(config)
     csv_path = out / "trends.csv"
@@ -402,14 +446,13 @@ def _cmd_trends(config: PipelineConfig, args) -> tuple[list, list]:
     }
     summary_path = out / "trends_summary.json"
     store.write_json(summary_path, summary)
-    return [out / "likelihoods.jsonl"], [csv_path, summary_path]
+    return [csv_path, summary_path]
 
 
-def _cmd_calibrate(config: PipelineConfig, args) -> tuple[list, list]:
+def _cmd_calibrate(config: PipelineConfig, args) -> list[Path]:
     out = _out(config)
     likelihoods = store.read_likelihoods(_require(out / "likelihoods.jsonl", "score"))
-    labels_path = Path(args.labels) if args.labels else out / "ground_truth.jsonl"
-    truth = store.read_ground_truth(_require(labels_path, "simulate"))
+    truth = store.read_ground_truth(_require(_labels_path(config, args), "simulate"))
     pairs = [
         (like, truth[vid])
         for vid, like in sorted(likelihoods.items())
@@ -433,7 +476,7 @@ def _cmd_calibrate(config: PipelineConfig, args) -> tuple[list, list]:
     }
     summary_path = out / "calibration_summary.json"
     store.write_json(summary_path, summary)
-    return [out / "likelihoods.jsonl", labels_path], [csv_path, summary_path]
+    return [csv_path, summary_path]
 
 
 def _parse_periods(config: PipelineConfig, snapshots) -> list[Period]:
@@ -453,7 +496,7 @@ def _parse_periods(config: PipelineConfig, snapshots) -> list[Period]:
     return [Period(s, e) for s, e in zip(bounds, ends) if s <= e]
 
 
-def _cmd_bubble(config: PipelineConfig, args) -> tuple[list, list]:
+def _cmd_bubble(config: PipelineConfig, args) -> list[Path]:
     out = _out(config)
     snapshots = _read_snapshots(config)
     likelihoods = store.read_likelihoods(_require(out / "likelihoods.jsonl", "score"))
@@ -472,10 +515,10 @@ def _cmd_bubble(config: PipelineConfig, args) -> tuple[list, list]:
     }
     summary_path = out / "bubble_summary.json"
     store.write_json(summary_path, summary)
-    return [out / "likelihoods.jsonl"], [csv_path, summary_path]
+    return [csv_path, summary_path]
 
 
-def _cmd_topics(config: PipelineConfig, args) -> tuple[list, list]:
+def _cmd_topics(config: PipelineConfig, args) -> list[Path]:
     out = _out(config)
     snapshots = _read_snapshots(config)
     likelihoods = store.read_likelihoods(_require(out / "likelihoods.jsonl", "score"))
@@ -508,10 +551,10 @@ def _cmd_topics(config: PipelineConfig, args) -> tuple[list, list]:
     json_path = out / "topics.json"
     csv_path = out / "topics.csv"
     store.write_topics(json_path, csv_path, report)
-    return [out / "likelihoods.jsonl"], [json_path, csv_path]
+    return [json_path, csv_path]
 
 
-def _cmd_validate(config: PipelineConfig, args) -> tuple[list, list]:
+def _cmd_validate(config: PipelineConfig, args) -> list[Path]:
     out = _out(config)
     bag = corpus.Corpus(
         channels=_records(out / "channels.jsonl", corpus.ChannelRecord),
@@ -526,7 +569,7 @@ def _cmd_validate(config: PipelineConfig, args) -> tuple[list, list]:
         logger.error("%s", v)
     if violations:
         raise CorpusViolationError(f"{len(violations)} corpus violations; see {report_path}")
-    return [], [report_path]
+    return [report_path]
 
 
 _COMMANDS = {
@@ -590,11 +633,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         config = _effective_config(args)
         manifest_path = _manifest_path(config, args)
         config_digest = _config_digest(config)
-        if not args.overwrite and store.outputs_are_current(manifest_path, config_digest):
+        inputs = _inputs(config, args)
+        if not args.overwrite and store.outputs_are_current(manifest_path, config_digest, inputs):
             print(f"{args.command}: outputs are current, skipping (see {manifest_path})")
             return 0
         with store.output_lock(manifest_path):
-            inputs, outputs = _COMMANDS[args.command](config, args)
+            outputs = _COMMANDS[args.command](config, args)
             manifest = store.build_manifest(
                 command=args.command,
                 config_digest=config_digest,

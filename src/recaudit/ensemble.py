@@ -21,7 +21,14 @@ import numpy as np
 
 from .corpus import LabeledExample, VideoRecord
 from .errors import DegenerateTrainingError, UnclassifiableVideoError
-from .textmodel import TextHyper, TextModel, predict_proba, train_text_classifier
+from .textmodel import (
+    TextFeatures,
+    TextHyper,
+    TextModel,
+    featurize,
+    predict_proba,
+    train_text_classifier,
+)
 
 MODULE_NAMES = ("transcript", "snippet", "comments", "attributes")
 
@@ -33,13 +40,17 @@ _SPLIT_RETRIES = 1000
 # ---------------------------------------------------------------------------
 
 
-def score_comments(model: TextModel, comments: Sequence) -> Optional[float]:
-    """Median per-comment score; the even-count median is the mean of the two
-    middle values. None marks the modality absent (no comments)."""
-    if not comments:
+def score_comments(model: TextModel, texts: Sequence[str | TextFeatures]) -> Optional[float]:
+    """Median per-comment score over the comment texts; the even-count median
+    is the mean of the two middle values. None marks the modality absent (no
+    comments)."""
+    if not texts:
         return None
-    scores = [predict_proba(model, c.text) for c in comments]
-    return float(np.median(scores))
+    return float(np.median([predict_proba(model, t) for t in texts]))
+
+
+# Attribute index pairs (i < j) in row-major order, for the product medians.
+_PAIR_I, _PAIR_J = np.triu_indices(7, k=1)
 
 
 def attribute_features(vectors: Sequence[Sequence[float]]) -> Optional[np.ndarray]:
@@ -57,8 +68,34 @@ def attribute_features(vectors: Sequence[Sequence[float]]) -> Optional[np.ndarra
         raise ValueError(f"attribute vectors must have 7 entries, got {V.shape[1]}")
     medians = np.median(V, axis=0)
     stds = np.std(V, axis=0)
-    products = [np.median(V[:, i] * V[:, j]) for i in range(7) for j in range(i + 1, 7)]
-    return np.concatenate([medians, stds, np.array(products)])
+    products = np.median(V[:, _PAIR_I] * V[:, _PAIR_J], axis=0)
+    return np.concatenate([medians, stds, products])
+
+
+@dataclass(frozen=True)
+class VideoFeatures:
+    """What a video gives the first layer before any model is fit: the
+    features of each text modality and the 35-D attribute summary. None of it
+    depends on the split, so ``train_ensemble`` computes it once per video."""
+
+    transcript: Optional[TextFeatures]
+    snippet: TextFeatures
+    comments: tuple[TextFeatures, ...]
+    attributes: Optional[np.ndarray]
+
+
+def video_features(video: VideoRecord, hyper: TextHyper) -> VideoFeatures:
+    """Featurize a video's texts with ``hyper.ngram`` and ``hyper.buckets``
+    and summarize its comment attribute vectors."""
+    def text(value: str) -> TextFeatures:
+        return featurize(value, hyper.ngram, hyper.buckets)
+
+    return VideoFeatures(
+        transcript=None if video.transcript is None else text(video.transcript),
+        snippet=text(video.snippet()),
+        comments=tuple(text(c.text) for c in video.comments),
+        attributes=attribute_features([c.attribute_scores for c in video.comments]),
+    )
 
 
 @dataclass(frozen=True)
@@ -161,21 +198,26 @@ class FirstLayer:
     attribute_head: Optional[tuple[np.ndarray, float]]
 
     def score(self, video: VideoRecord) -> ModuleScores:
+        models = [self.transcript_model, self.snippet_model, self.comments_model]
+        # A layer's text models are fit with one TextHyper, so they share
+        # the ngram and buckets the features depend on.
+        hyper = next((m.hyper for m in models if m is not None), TextHyper())
+        return self.score_features(video_features(video, hyper))
+
+    def score_features(self, feats: VideoFeatures) -> ModuleScores:
         transcript = None
-        if self.transcript_model is not None and video.transcript is not None:
-            transcript = predict_proba(self.transcript_model, video.transcript)
+        if self.transcript_model is not None and feats.transcript is not None:
+            transcript = predict_proba(self.transcript_model, feats.transcript)
         snippet = None
         if self.snippet_model is not None:
-            snippet = predict_proba(self.snippet_model, video.snippet())
+            snippet = predict_proba(self.snippet_model, feats.snippet)
         comments = None
         if self.comments_model is not None:
-            comments = score_comments(self.comments_model, video.comments)
+            comments = score_comments(self.comments_model, feats.comments)
         attributes = None
-        if self.attribute_head is not None:
-            feats = attribute_features([c.attribute_scores for c in video.comments])
-            if feats is not None:
-                coef, bias = self.attribute_head
-                attributes = _sigmoid(float(feats @ coef) + bias)
+        if self.attribute_head is not None and feats.attributes is not None:
+            coef, bias = self.attribute_head
+            attributes = _sigmoid(float(feats.attributes @ coef) + bias)
         return ModuleScores(transcript, snippet, comments, attributes)
 
 
@@ -243,32 +285,24 @@ def classify_video(ensemble: TrainedEnsemble, video: VideoRecord) -> float:
 
 
 def _train_first_layer(
-    examples: Sequence[LabeledExample], hyper: TextHyper, seed: int
+    examples: Sequence[tuple[VideoFeatures, int]], hyper: TextHyper, seed: int
 ) -> FirstLayer:
-    """Fit the four modules on one training side. A module whose training
-    slice is single-class or empty is disabled for this layer."""
+    """Fit the four modules on one training side, given as (features, label)
+    pairs. A module whose training slice is single-class or empty is disabled
+    for this layer."""
 
-    def text_model(pairs: list[tuple[str, int]], module_seed: int) -> Optional[TextModel]:
+    def text_model(pairs: list[tuple[TextFeatures, int]], module_seed: int) -> Optional[TextModel]:
         try:
             return train_text_classifier(pairs, replace(hyper, seed=module_seed))
         except DegenerateTrainingError:
             return None
 
-    transcript_pairs = [
-        (ex.video.transcript, ex.label) for ex in examples if ex.video.transcript is not None
-    ]
-    snippet_pairs = [(ex.video.snippet(), ex.label) for ex in examples]
-    comment_pairs = [
-        (comment.text, ex.label) for ex in examples for comment in ex.video.comments
-    ]
+    transcript_pairs = [(f.transcript, y) for f, y in examples if f.transcript is not None]
+    snippet_pairs = [(f.snippet, y) for f, y in examples]
+    comment_pairs = [(comment, y) for f, y in examples for comment in f.comments]
 
-    attr_rows = []
-    attr_labels = []
-    for ex in examples:
-        feats = attribute_features([c.attribute_scores for c in ex.video.comments])
-        if feats is not None:
-            attr_rows.append(feats)
-            attr_labels.append(ex.label)
+    attr_rows = [f.attributes for f, _ in examples if f.attributes is not None]
+    attr_labels = [y for f, y in examples if f.attributes is not None]
     attribute_head = None
     if attr_rows and len(set(attr_labels)) == 2:
         try:
@@ -313,7 +347,8 @@ def train_ensemble(
     held-out side, standardize those scores (stats from the held-out side),
     and fit the stacking logistic on them. The final stacking coefficients
     and standardization stats are means over repetitions; the shipped first
-    layer is retrained once on the full labeled set.
+    layer is retrained once on the full labeled set. Each video is featurized
+    once, up front; the repetitions and the refit reuse those features.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -325,6 +360,8 @@ def train_ensemble(
     ) < 10:
         raise DegenerateTrainingError("need at least 10 examples per class")
 
+    features = [video_features(ex.video, text_hyper) for ex in labeled]
+    examples = [(f, ex.label) for f, ex in zip(features, labeled)]
     coef_sum = np.zeros(len(MODULE_NAMES))
     bias_sum = 0.0
     stat_sums = [[0.0, 0.0, 0] for _ in MODULE_NAMES]  # mean sum, std sum, count
@@ -333,9 +370,9 @@ def train_ensemble(
         rng = np.random.default_rng([seed, rep])
         train_idx, held_idx = _split_indices(rng, labels, split)
         layer = _train_first_layer(
-            [labeled[i] for i in train_idx], text_hyper, seed=seed * repeats + rep
+            [examples[i] for i in train_idx], text_hyper, seed=seed * repeats + rep
         )
-        held_scores = [layer.score(labeled[i].video) for i in held_idx]
+        held_scores = [layer.score_features(features[i]) for i in held_idx]
         held_labels = labels[held_idx]
 
         rep_stats: list[Optional[tuple[float, float]]] = []
@@ -360,7 +397,7 @@ def train_ensemble(
     final_stats = tuple(
         (s[0] / s[2], s[1] / s[2]) if s[2] else None for s in stat_sums
     )
-    final_layer = _train_first_layer(labeled, text_hyper, seed=seed * repeats + repeats)
+    final_layer = _train_first_layer(examples, text_hyper, seed=seed * repeats + repeats)
     return TrainedEnsemble(
         first_layer=final_layer,
         stats=StandardizationStats(stats=final_stats),

@@ -13,6 +13,7 @@ proportional to the corpus.
 from __future__ import annotations
 
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -76,18 +77,45 @@ def build_vocabulary(token_lists: list[list[str]], min_count: int, buckets: int)
     return Vocabulary(words=words, buckets=buckets, min_count=min_count)
 
 
-def featurize(tokens: list[str], vocab: Vocabulary, ngram: int) -> list[int]:
-    """Feature ids for a token list: in-vocabulary word indices plus hashed
-    n-gram bucket ids (offset past the word block). Out-of-vocabulary single
-    words are dropped; n-grams are hashed whether or not their words are known.
-    """
-    ids = [vocab.index[tok] for tok in tokens if tok in vocab.index]
+@dataclass(frozen=True)
+class TextFeatures:
+    """What a text contributes to any vocabulary: its tokens and the bucket of
+    each of its n-grams (before the word-block offset). Neither depends on
+    which texts a model is trained on, so a training run computes them once
+    per text and every fit reuses them. The text itself is kept because it
+    sets the canonical training order."""
+
+    text: str
+    tokens: tuple[str, ...]
+    ngram_buckets: np.ndarray  # (n_ngrams,) int64, each in [0, buckets)
+
+
+def featurize(text: str, ngram: int, buckets: int) -> TextFeatures:
+    """Tokenize a text and hash its n-grams into ``buckets``. Tokens are
+    interned, so features kept for many texts hold one copy of each word."""
+    tokens = tuple(map(sys.intern, tokenize(text)))
+    hashes = []
     if ngram >= 2:
-        offset = len(vocab.words)
         for i in range(len(tokens) - ngram + 1):
             key = _NGRAM_SEP.join(t.encode("utf-8") for t in tokens[i : i + ngram])
-            ids.append(offset + fnv1a64(key) % vocab.buckets)
-    return ids
+            hashes.append(fnv1a64(key) % buckets)
+    return TextFeatures(text, tokens, np.array(hashes, dtype=np.int64))
+
+
+def feature_ids(features: TextFeatures, vocab: Vocabulary) -> np.ndarray:
+    """Feature ids under a vocabulary: in-vocabulary word indices plus the
+    n-gram bucket ids offset past the word block. Out-of-vocabulary single
+    words are dropped; n-grams count whether or not their words are known.
+    """
+    index = vocab.index
+    words = np.array([index[tok] for tok in features.tokens if tok in index], dtype=np.int64)
+    return np.concatenate([words, features.ngram_buckets + len(vocab.words)])
+
+
+def _as_features(text: str | TextFeatures, hyper: TextHyper) -> TextFeatures:
+    if isinstance(text, TextFeatures):
+        return text
+    return featurize(text, hyper.ngram, hyper.buckets)
 
 
 @dataclass
@@ -101,12 +129,12 @@ class TextModel:
     bias: np.ndarray  # (2,)
     epoch_losses: tuple[float, ...] = ()
 
-    def doc_vector(self, ids: list[int]) -> np.ndarray:
+    def doc_vector(self, ids: np.ndarray) -> np.ndarray:
         """Mean embedding over feature ids; the zero vector when none are given."""
         h = np.zeros(self.hyper.dim)
-        if not ids:
+        if len(ids) == 0:
             return h
-        for fid in ids:
+        for fid in ids.tolist():
             row = self.row_index.get(fid)
             if row is not None:
                 h += self.embedding[row]
@@ -114,27 +142,30 @@ class TextModel:
 
 
 def _softmax2(z: np.ndarray) -> np.ndarray:
-    z = z - z.max()
+    # The max and the sum of two entries, written out: the same values as
+    # z.max() and e.sum() without a reduction call on every SGD step.
+    z = z - max(z[0], z[1])
     e = np.exp(z)
-    return e / e.sum()
+    return e / (e[0] + e[1])
 
 
-def predict_ids(model: TextModel, ids: list[int]) -> float:
+def predict_ids(model: TextModel, ids: np.ndarray) -> float:
     p = _softmax2(model.head @ model.doc_vector(ids) + model.bias)
     return float(p[1])
 
 
-def predict_proba(model: TextModel, text: str) -> float:
+def predict_proba(model: TextModel, text: str | TextFeatures) -> float:
     """Probability that the text belongs to the positive class.
 
     Class probabilities sum to one by softmax; an empty or all-unknown
-    document scores from the bias alone.
+    document scores from the bias alone. The text may be given already
+    featurized with the model's ``ngram`` and ``buckets``.
     """
-    return predict_ids(model, featurize(tokenize(text), model.vocab, model.hyper.ngram))
+    return predict_ids(model, feature_ids(_as_features(text, model.hyper), model.vocab))
 
 
 def train_text_classifier(
-    examples: list[tuple[str, int]],
+    examples: list[tuple[str | TextFeatures, int]],
     hyper: TextHyper = TextHyper(),
     track_loss: bool = False,
 ) -> TextModel:
@@ -144,7 +175,10 @@ def train_text_classifier(
     order before the seed-derived per-epoch shuffle, so permuting the input
     yields an identical model. The learning rate decays linearly to zero over
     all steps. With ``track_loss`` the mean corpus loss is evaluated after
-    each epoch and kept on the model.
+    each epoch and kept on the model. Texts may be given already featurized
+    with ``hyper.ngram`` and ``hyper.buckets``, so that a caller fitting many
+    models on overlapping texts tokenizes and hashes each text only once;
+    only the ``min_count`` vocabulary is built per fit.
     """
     if not examples:
         raise DegenerateTrainingError("no training examples")
@@ -154,41 +188,44 @@ def train_text_classifier(
     if len(labels) < 2:
         raise DegenerateTrainingError("need at least one example per class")
 
-    ordered = sorted(examples, key=lambda ex: (ex[0], ex[1]))
-    token_lists = [tokenize(text) for text, _ in ordered]
-    vocab = build_vocabulary(token_lists, hyper.min_count, hyper.buckets)
-    featurized = [featurize(toks, vocab, hyper.ngram) for toks in token_lists]
-    ys = [label for _, label in ordered]
+    docs = sorted(
+        ((_as_features(text, hyper), label) for text, label in examples),
+        key=lambda doc: (doc[0].text, doc[1]),
+    )
+    vocab = build_vocabulary([f.tokens for f, _ in docs], hyper.min_count, hyper.buckets)
+    featurized = [feature_ids(f, vocab) for f, _ in docs]
+    ys = [label for _, label in docs]
 
-    observed = sorted({fid for ids in featurized for fid in ids})
-    row_index = {fid: row for row, fid in enumerate(observed)}
-    id_rows = [np.array([row_index[f] for f in ids], dtype=np.intp) for ids in featurized]
+    observed = np.unique(np.concatenate(featurized))
+    row_index = dict(zip(observed.tolist(), range(len(observed))))
+    id_rows = [np.searchsorted(observed, ids) for ids in featurized]
 
     rng = np.random.default_rng(hyper.seed)
     embedding = np.zeros((len(observed), hyper.dim))
     head = rng.normal(0.0, 1.0 / np.sqrt(hyper.dim), size=(2, hyper.dim))
     bias = np.zeros(2)
 
-    n = len(ordered)
+    n = len(docs)
     total_steps = hyper.epochs * n
     step = 0
     epoch_losses: list[float] = []
     for _ in range(hyper.epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             rows, y = id_rows[i], ys[i]
             lr = hyper.lr * (1.0 - step / total_steps)
             step += 1
             if rows.size:
-                h = embedding[rows].mean(axis=0)
+                h = embedding[rows].sum(axis=0) / rows.size
             else:
                 h = np.zeros(hyper.dim)
-            p = _softmax2(head @ h + bias)
-            dz = p.copy()
+            dz = _softmax2(head @ h + bias)
             dz[y] -= 1.0
             dh = head.T @ dz
-            head -= lr * np.outer(dz, h)
+            head -= lr * (dz[:, None] * h)
             bias -= lr * dz
             if rows.size:
+                # A row listed twice is updated twice, in order; an indexed
+                # += would apply only one of the updates.
                 np.add.at(embedding, rows, -lr / rows.size * dh)
         if track_loss:
             model = TextModel(vocab, hyper, row_index, embedding, head, bias)
@@ -222,7 +259,7 @@ def loss_and_grads(model: TextModel, examples: list[tuple[str, int]]):
     total = 0.0
     n = len(examples)
     for text, y in examples:
-        ids = featurize(tokenize(text), model.vocab, model.hyper.ngram)
+        ids = feature_ids(_as_features(text, model.hyper), model.vocab).tolist()
         rows = np.array([model.row_index[f] for f in ids if f in model.row_index], dtype=np.intp)
         denom = max(len(ids), 1)
         h = model.embedding[rows].sum(axis=0) / denom if rows.size else np.zeros(model.hyper.dim)

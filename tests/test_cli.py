@@ -97,6 +97,71 @@ class TestPipeline:
         assert (out / "likelihoods.jsonl").read_bytes() != first
 
 
+class TestInputSetStaleness:
+    """A stage reruns when the set of files it would read differs from the
+    set its manifest recorded, not only when a recorded file changed."""
+
+    def test_score_reruns_after_a_new_harvest_day(self, workspace, capsys):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        for argv in (["simulate"], ["harvest", "--date", "2019-05-01"], ["train"], ["score"]):
+            assert run(cfg, *argv) == 0
+        assert run(cfg, "harvest", "--date", "2019-05-02") == 0
+        capsys.readouterr()
+        assert run(cfg, "score") == 0
+        assert "skipping" not in capsys.readouterr().out
+        new_day = corpus.read_jsonl(out / "snapshots" / "2019-05-02.jsonl", DailySnapshot)
+        scored = {json.loads(line)["video_id"] for line in (out / "likelihoods.jsonl").read_text().splitlines()}
+        assert {e.recommended_video_id for s in new_day for e in s.edges} <= scored
+
+    @pytest.mark.parametrize("stage", ["trends", "bubble", "topics", "validate"])
+    def test_snapshot_readers_rerun_after_a_new_harvest_day(self, workspace, capsys, stage):
+        tmp, cfg = workspace
+        for argv in (["simulate"], ["harvest", "--date", "2019-05-01"], ["train"], ["score"], [stage]):
+            assert run(cfg, *argv) == 0
+        assert run(cfg, "harvest", "--date", "2019-05-02") == 0
+        capsys.readouterr()
+        assert run(cfg, stage) == 0
+        assert "skipping" not in capsys.readouterr().out
+        manifest = json.loads((tmp / "out" / "manifests" / f"{stage}.json").read_text())
+        assert any(p.endswith("2019-05-02.jsonl") for p in manifest["inputs"])
+
+    def test_harvest_is_stale_after_the_platform_is_resimulated(self, workspace, capsys):
+        tmp, cfg = workspace
+        assert run(cfg, "simulate") == 0
+        assert run(cfg, "harvest", "--date", "2019-05-01") == 0
+        assert run(cfg, "simulate", "--seed", "99", "--overwrite") == 0
+        capsys.readouterr()
+        # The snapshot came from the old platform: not current, and not
+        # replaced without --overwrite.
+        assert run(cfg, "harvest", "--date", "2019-05-01") == 2
+        assert "skipping" not in capsys.readouterr().out
+        assert run(cfg, "harvest", "--date", "2019-05-01", "--overwrite") == 0
+
+    def test_unchanged_inputs_still_skip(self, workspace, capsys):
+        tmp, cfg = workspace
+        for argv in (["simulate"], ["harvest", "--date", "2019-05-01"], ["train"], ["score"]):
+            assert run(cfg, *argv) == 0
+        capsys.readouterr()
+        assert run(cfg, "score") == 0
+        assert "skipping" in capsys.readouterr().out
+
+    def test_calibrate_reruns_with_other_labels(self, workspace, capsys):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        for argv in (["simulate"], ["harvest", "--date", "2019-05-01"], ["train"], ["score"], ["calibrate"]):
+            assert run(cfg, *argv) == 0
+        first = (out / "calibration.csv").read_text()
+        # Every label flipped: the curve must change.
+        truth = [json.loads(line) for line in (out / "ground_truth.jsonl").read_text().splitlines()]
+        other = tmp / "other.jsonl"
+        other.write_text("".join(json.dumps({**d, "label": 1 - d["label"]}) + "\n" for d in truth))
+        capsys.readouterr()
+        assert run(cfg, "calibrate", "--labels", str(other)) == 0
+        assert "skipping" not in capsys.readouterr().out
+        assert (out / "calibration.csv").read_text() != first
+
+
 class TestErrors:
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.txt")]) == 1

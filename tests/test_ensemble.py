@@ -1,7 +1,11 @@
+import dataclasses
+import datetime as dt
+import hashlib
+
 import numpy as np
 import pytest
 
-from recaudit.corpus import Comment
+from recaudit import store
 from recaudit.ensemble import (
     MODULE_NAMES,
     ModuleScores,
@@ -13,6 +17,7 @@ from recaudit.ensemble import (
     score_comments,
     train_ensemble,
     train_logistic,
+    video_features,
     _train_first_layer,
     _split_indices,
 )
@@ -48,8 +53,8 @@ def _comment_model():
 class TestScoreComments:
     def test_median_via_real_model(self):
         model = _comment_model()
-        loud = Comment(text="alarm alarm alarm")
-        quiet = Comment(text="calm calm calm")
+        loud = "alarm alarm alarm"
+        quiet = "calm calm calm"
         single = score_comments(model, [loud])
         assert single > 0.5
         # Median of three: the middle value, which must equal the score of
@@ -59,11 +64,9 @@ class TestScoreComments:
 
     def test_even_count_is_mean_of_middle_pair(self):
         model = _comment_model()
-        a = score_comments(model, [Comment(text="alarm alarm alarm")])
-        b = score_comments(model, [Comment(text="calm calm calm")])
-        both = score_comments(
-            model, [Comment(text="alarm alarm alarm"), Comment(text="calm calm calm")]
-        )
+        a = score_comments(model, ["alarm alarm alarm"])
+        b = score_comments(model, ["calm calm calm"])
+        both = score_comments(model, ["alarm alarm alarm", "calm calm calm"])
         assert both == pytest.approx((a + b) / 2, abs=1e-12)
 
     def test_zero_comments_is_absent(self):
@@ -71,21 +74,17 @@ class TestScoreComments:
 
     def test_permutation_invariant(self):
         model = _comment_model()
-        comments = [
-            Comment(text="alarm alarm alarm"),
-            Comment(text="calm calm calm"),
-            Comment(text="alarm calm alarm"),
-        ]
+        comments = ["alarm alarm alarm", "calm calm calm", "alarm calm alarm"]
         assert score_comments(model, comments) == score_comments(model, comments[::-1])
 
     def test_single_outlier_bounded_influence(self):
         model = _comment_model()
-        base = [Comment(text="calm calm calm")] * 3
-        spiked = base + [Comment(text="alarm alarm alarm")]
+        base = ["calm calm calm"] * 3
+        spiked = base + ["alarm alarm alarm"]
         calm_score = score_comments(model, base)
         assert abs(score_comments(model, spiked) - calm_score) < 0.5
         # Median of 3 identical values ignores one outlier entirely.
-        assert score_comments(model, base[:2] + [Comment(text="alarm alarm alarm")]) == calm_score
+        assert score_comments(model, base[:2] + ["alarm alarm alarm"]) == calm_score
 
 
 def one_hot(i, value=1.0):
@@ -117,7 +116,25 @@ class TestAttributeFeatures:
 
     def test_no_scored_comments_is_absent(self):
         assert attribute_features([]) is None
+        assert attribute_features([None]) is None
         assert attribute_features([None, None]) is None
+
+    @staticmethod
+    def per_pair_reference(vectors):
+        """Reference: one np.median call per attribute pair."""
+        V = np.vstack([np.asarray(v, dtype=float) for v in vectors if v is not None])
+        products = [np.median(V[:, i] * V[:, j]) for i in range(7) for j in range(i + 1, 7)]
+        return np.concatenate([np.median(V, axis=0), np.std(V, axis=0), np.array(products)])
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 7, 10])
+    def test_matches_per_pair_medians_bit_for_bit(self, count):
+        rng = np.random.default_rng(count)
+        vectors = [tuple(rng.random(7)) for _ in range(count)]
+        # None vectors (unscored comments) are mixed in and must be skipped.
+        mixed = [None] + vectors[: count // 2] + [None] + vectors[count // 2 :]
+        for given in (vectors, mixed):
+            got = attribute_features(given)
+            assert got.tobytes() == self.per_pair_reference(given).tobytes()
 
     def test_population_std(self):
         out = attribute_features([one_hot(0, 0.0), one_hot(0, 1.0)])
@@ -176,6 +193,10 @@ class TestTrainLogistic:
             train_logistic([[np.nan], [1.0]], [0, 1])
 
 
+def _pairs(labeled, indices):
+    return [(video_features(labeled[i].video, HYPER), labeled[i].label) for i in indices]
+
+
 class TestTrainEnsemble:
     def test_repeats_one_equals_that_repetitions_model(self, labeled_fixture):
         ensemble = train_ensemble(labeled_fixture, repeats=1, split=0.6, seed=7, text_hyper=HYPER)
@@ -183,7 +204,7 @@ class TestTrainEnsemble:
         labels = np.array([ex.label for ex in labeled_fixture])
         rng = np.random.default_rng([7, 0])
         train_idx, held_idx = _split_indices(rng, labels, 0.6)
-        layer = _train_first_layer([labeled_fixture[i] for i in train_idx], HYPER, seed=7 * 1 + 0)
+        layer = _train_first_layer(_pairs(labeled_fixture, train_idx), HYPER, seed=7 * 1 + 0)
         held_scores = [layer.score(labeled_fixture[i].video) for i in held_idx]
         rep_stats = []
         for m in range(4):
@@ -226,7 +247,7 @@ class TestTrainEnsemble:
         labels = np.array([ex.label for ex in labeled_fixture])
         rng = np.random.default_rng([7, 0])
         train_idx, held_idx = _split_indices(rng, labels, 0.6)
-        layer = _train_first_layer([labeled_fixture[i] for i in train_idx], HYPER, seed=7)
+        layer = _train_first_layer(_pairs(labeled_fixture, train_idx), HYPER, seed=7)
         held_scores = [layer.score(labeled_fixture[i].video) for i in held_idx]
         for m in range(4):
             values = np.array(
@@ -237,6 +258,27 @@ class TestTrainEnsemble:
             z = (values - values.mean()) / values.std()
             assert abs(z.mean()) < 1e-9
             assert abs(z.var() - 1.0) < 1e-9
+
+
+# sha256 of the bundle saved below. Any change to the training arithmetic,
+# down to the order of two additions, changes it.
+GOLDEN_BUNDLE_SHA256 = "6432293ee33a9e20baf8f88e7cdc9b5cf41c0e63f9d1b42b26f5d571c56cb79c"
+
+
+def test_golden_ensemble_bundle(tmp_path):
+    """The criterion-4 shape at 100 labels and 2 repeats, date pinned, saves
+    to exactly the recorded bytes."""
+    platform = generate_platform(
+        PlatformSpec(n_channels=50, videos_per_channel=10, base_rate=0.5,
+                     comments_per_video=4, seed=404)
+    )
+    labeled = generate_labeled_set(platform, 100, seed=11)
+    ensemble = train_ensemble(
+        labeled, repeats=2, split=0.6, seed=17, text_hyper=TextHyper(dim=8, epochs=8)
+    )
+    path = tmp_path / "ensemble.bin"
+    store.save_ensemble(path, dataclasses.replace(ensemble, trained_date=dt.date(2000, 1, 1)))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_BUNDLE_SHA256
 
 
 class TestClassifyVideo:

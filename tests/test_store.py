@@ -165,6 +165,18 @@ class TestManifests:
         source.unlink()
         assert not outputs_are_current(mpath, "cfg")
 
+    def test_stale_when_the_input_set_differs(self, tmp_path):
+        source, extra, out = tmp_path / "in.txt", tmp_path / "new.txt", tmp_path / "thing.txt"
+        source.write_text("input")
+        out.write_text("payload")
+        mpath = tmp_path / "demo.json"
+        build_manifest("demo", "cfg", 1, [source], [out]).write(mpath)
+        # A listed file that does not exist is not read, so it is not missed.
+        assert outputs_are_current(mpath, "cfg", [source, extra])
+        extra.write_text("a new day")
+        assert not outputs_are_current(mpath, "cfg", [source, extra])
+        assert not outputs_are_current(mpath, "cfg", [])
+
 
 class TestSidecars:
     def test_likelihoods_round_trip_with_nulls(self, tmp_path):

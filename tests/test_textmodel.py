@@ -6,6 +6,7 @@ from recaudit.textmodel import (
     TextHyper,
     Vocabulary,
     build_vocabulary,
+    feature_ids,
     featurize,
     fnv1a64,
     loss_and_grads,
@@ -38,17 +39,20 @@ class TestFeaturize:
     def vocab(self, *words):
         return Vocabulary(words=tuple(sorted(words)), buckets=64, min_count=1)
 
+    def ids(self, text, vocab):
+        return feature_ids(featurize(text, 2, 64), vocab).tolist()
+
     def test_empty_tokens(self):
-        assert featurize([], self.vocab("a"), 2) == []
+        assert self.ids("", self.vocab("a")) == []
 
     def test_single_token_no_bigram(self):
-        ids = featurize(["a"], self.vocab("a", "b"), 2)
+        ids = self.ids("a", self.vocab("a", "b"))
         assert len(ids) == 1
         assert ids[0] < 2
 
     def test_three_tokens_three_words_two_bigrams(self):
         vocab = self.vocab("a", "b", "c")
-        ids = featurize(["a", "b", "c"], vocab, 2)
+        ids = self.ids("a b c", vocab)
         word_ids = [i for i in ids if i < 3]
         ngram_ids = [i for i in ids if i >= 3]
         assert len(word_ids) == 3 and len(ngram_ids) == 2
@@ -56,8 +60,16 @@ class TestFeaturize:
 
     def test_oov_words_dropped_but_ngrams_hashed(self):
         vocab = self.vocab("a")
-        ids = featurize(["a", "zzz"], vocab, 2)
+        ids = self.ids("a zzz", vocab)
         assert len(ids) == 2  # one word id, one bigram id
+
+    def test_ngram_buckets_do_not_depend_on_the_vocabulary(self):
+        feats = featurize("a b c", 2, 64)
+        assert feats.tokens == ("a", "b", "c")
+        small = feature_ids(feats, self.vocab("a")).tolist()
+        large = feature_ids(feats, self.vocab("a", "b", "c")).tolist()
+        assert [i - 1 for i in small[1:]] == feats.ngram_buckets.tolist()
+        assert [i - 3 for i in large[3:]] == feats.ngram_buckets.tolist()
 
     def test_min_count_threshold(self):
         vocab = build_vocabulary([["a", "a", "b"]], min_count=2, buckets=8)
@@ -98,6 +110,15 @@ class TestTraining:
         assert np.array_equal(forward.embedding, backward.embedding)
         assert np.array_equal(forward.head, backward.head)
         assert np.array_equal(forward.bias, backward.bias)
+
+    def test_prefeaturized_texts_give_the_identical_model(self):
+        featurized = [(featurize(t, HYPER.ngram, HYPER.buckets), y) for t, y in TOY]
+        raw = train_text_classifier(TOY, HYPER)
+        cached = train_text_classifier(featurized, HYPER)
+        assert raw.vocab == cached.vocab and raw.row_index == cached.row_index
+        assert np.array_equal(raw.embedding, cached.embedding)
+        assert np.array_equal(raw.head, cached.head)
+        assert predict_proba(raw, POS_DOCS[0]) == predict_proba(cached, featurized[0][0])
 
     def test_duplicated_corpus_has_identical_mean_gradients(self):
         model = train_text_classifier(TOY, HYPER)
