@@ -197,9 +197,10 @@ def _inputs(config: PipelineConfig, args) -> list[Path]:
     likelihoods = out / "likelihoods.jsonl"
     calibration = [out / "calibration.csv"] if config.trends_calibrated else []
     platform = [] if config.source == "live" else [out / n for n in (*_PLATFORM_FILES, _PLATFORM_STATE)]
+    manual = [Path(config.manual_additions_path)] if config.manual_additions_path else []
     return {
         "simulate": [],
-        "snowball": [Path(config.snowball_seeds_path), *platform],
+        "snowball": [Path(config.snowball_seeds_path), *manual, *platform],
         "harvest": [out / "seeds.txt", *platform],
         "train": [out / "labeled.jsonl"],
         "score": [out / "ensemble.bin", *snapshots, *videos],

@@ -239,20 +239,18 @@ def build_manifest(
     )
 
 
-def outputs_are_current(
-    manifest_path: str | Path, config_digest: str, inputs: Optional[list[str | Path]] = None
-) -> bool:
-    """True when a previous run under this config recorded outputs, and every
-    input and output it recorded still exists with the same digest. When
-    ``inputs`` lists the files a new run would read, the recorded inputs must
-    also be exactly the existing ones among them."""
+def outputs_are_current(manifest_path: str | Path, config_digest: str, inputs: list[str | Path]) -> bool:
+    """True when a previous run under this config recorded outputs, every
+    input and output it recorded still exists with the same digest, and the
+    recorded inputs are exactly the existing files among ``inputs``, the
+    files a new run would read."""
     try:
         manifest = RunManifest.read(manifest_path)
     except (OSError, json.JSONDecodeError, TypeError):
         return False
     if manifest.config_digest != config_digest or not manifest.outputs:
         return False
-    if inputs is not None and set(manifest.inputs) != {str(p) for p in inputs if Path(p).exists()}:
+    if set(manifest.inputs) != {str(p) for p in inputs if Path(p).exists()}:
         return False
     recorded = {**manifest.inputs, **manifest.outputs}
     return all(Path(path).exists() and sha256_file(path) == digest for path, digest in recorded.items())

@@ -1,9 +1,12 @@
 import datetime as dt
 import json
+import os
+import sys
+from typing import Optional
 
 import pytest
 
-from recaudit import corpus
+from recaudit import cli, corpus
 from recaudit.cli import main
 from recaudit.corpus import DailySnapshot
 from conftest import make_edge
@@ -160,6 +163,102 @@ class TestInputSetStaleness:
         assert run(cfg, "calibrate", "--labels", str(other)) == 0
         assert "skipping" not in capsys.readouterr().out
         assert (out / "calibration.csv").read_text() != first
+
+    def test_snowball_reruns_after_the_manual_additions_change(self, workspace, monkeypatch, capsys):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        _configure_snowball(tmp, out, monkeypatch, ["UCextra1"])
+        assert run(cfg, "snowball") == 0
+        assert "UCextra1" in (out / "seeds.txt").read_text().splitlines()
+        (tmp / "additions.txt").write_text("UCextra2\n")
+        capsys.readouterr()
+        assert run(cfg, "snowball") == 0
+        assert "skipping" not in capsys.readouterr().out
+        seeds = (out / "seeds.txt").read_text().splitlines()
+        assert "UCextra2" in seeds and "UCextra1" not in seeds
+
+
+def _configure_snowball(tmp, out, monkeypatch, additions):
+    """Snowball from three simulated channels and pick the first one's
+    cluster, plus the given manual additions."""
+    initial = (out / "seeds.txt").read_text().splitlines()[:3]
+    (tmp / "initial.txt").write_text("\n".join(initial) + "\n")
+    (tmp / "additions.txt").write_text("".join(f"{c}\n" for c in additions))
+    monkeypatch.setenv("RECAUDIT_SNOWBALL_SEEDS_PATH", str(tmp / "initial.txt"))
+    monkeypatch.setenv("RECAUDIT_SNOWBALL_TARGET", "6")
+    monkeypatch.setenv("RECAUDIT_SNOWBALL_K", "5")
+    monkeypatch.setenv("RECAUDIT_CLUSTER_ANCHORS", initial[0])
+    monkeypatch.setenv("RECAUDIT_MANUAL_ADDITIONS_PATH", str(tmp / "additions.txt"))
+
+
+# Files opened for reading while a stage's command runs, or None between
+# stages. An audit hook sees every open, whichever API the code uses.
+_reading: Optional[list[str]] = None
+
+
+def _record_reads(event, args):
+    if event != "open" or _reading is None:
+        return
+    path, mode, flags = args
+    read_only = ("r" in mode and "+" not in mode) if mode else flags & os.O_ACCMODE == os.O_RDONLY
+    if read_only and not isinstance(path, int):
+        _reading.append(os.path.abspath(os.fsdecode(path)))
+
+
+sys.addaudithook(_record_reads)
+
+
+class TestListedInputs:
+    """The rerun skip trusts `cli._inputs` to name every file a stage reads;
+    a file read but not listed could change without making the stage stale."""
+
+    def test_every_file_a_stage_reads_is_listed(self, workspace, monkeypatch):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        reads: dict[str, list[str]] = {}
+
+        def recorded(name, command):
+            def run_recorded(config, args):
+                global _reading
+                _reading = reads.setdefault(name, [])
+                try:
+                    return command(config, args)
+                finally:
+                    _reading = None
+
+            return run_recorded
+
+        for name, command in list(cli._COMMANDS.items()):
+            monkeypatch.setitem(cli._COMMANDS, name, recorded(name, command))
+
+        labels = tmp / "labels.jsonl"
+        stages = [
+            ("simulate", ["simulate"]),
+            ("harvest-2019-05-01", ["harvest", "--date", "2019-05-01"]),
+            ("harvest-2019-05-02", ["harvest", "--date", "2019-05-02"]),
+            ("train", ["train"]),
+            ("score", ["score"]),
+            ("calibrate", ["calibrate", "--labels", str(labels)]),
+            ("trends", ["trends"]),
+            ("bubble", ["bubble"]),
+            ("topics", ["topics"]),
+            ("validate", ["validate"]),
+            ("snowball", ["snowball"]),
+        ]
+        for manifest_name, argv in stages:
+            if argv[0] == "calibrate":
+                labels.write_bytes((out / "ground_truth.jsonl").read_bytes())
+            if argv[0] == "trends":
+                monkeypatch.setenv("RECAUDIT_TRENDS_CALIBRATED", "true")
+            if argv[0] == "snowball":
+                _configure_snowball(tmp, out, monkeypatch, ["UCextra1"])
+            assert run(cfg, *argv) == 0, argv
+            opened = {p for p in reads.pop(argv[0]) if p.startswith(str(tmp))}
+            manifest = json.loads((out / "manifests" / f"{manifest_name}.json").read_text())
+            listed = {os.path.abspath(p) for p in manifest["inputs"]}
+            assert opened <= listed, (argv, sorted(opened - listed))
+            assert opened or argv[0] == "simulate", argv
 
 
 class TestErrors:

@@ -125,7 +125,7 @@ class TestManifests:
         manifest = build_manifest("demo", "cfg", 1, [], [out])
         mpath = tmp_path / "demo.json"
         manifest.write(mpath)
-        assert outputs_are_current(mpath, "cfg")
+        assert outputs_are_current(mpath, "cfg", [])
 
     def test_stale_after_output_changes(self, tmp_path):
         out = tmp_path / "thing.txt"
@@ -134,24 +134,24 @@ class TestManifests:
         mpath = tmp_path / "demo.json"
         manifest.write(mpath)
         out.write_text("tampered")
-        assert not outputs_are_current(mpath, "cfg")
+        assert not outputs_are_current(mpath, "cfg", [])
 
     def test_missing_manifest_or_outputs(self, tmp_path):
-        assert not outputs_are_current(tmp_path / "nope.json", "cfg")
+        assert not outputs_are_current(tmp_path / "nope.json", "cfg", [])
         out = tmp_path / "thing.txt"
         out.write_text("payload")
         manifest = build_manifest("demo", "cfg", None, [], [out])
         mpath = tmp_path / "demo.json"
         manifest.write(mpath)
         out.unlink()
-        assert not outputs_are_current(mpath, "cfg")
+        assert not outputs_are_current(mpath, "cfg", [])
 
     def test_stale_under_another_config(self, tmp_path):
         out = tmp_path / "thing.txt"
         out.write_text("payload")
         mpath = tmp_path / "demo.json"
         build_manifest("demo", "cfg", 1, [], [out]).write(mpath)
-        assert not outputs_are_current(mpath, "other-cfg")
+        assert not outputs_are_current(mpath, "other-cfg", [])
 
     def test_stale_after_input_changes(self, tmp_path):
         source, out = tmp_path / "in.txt", tmp_path / "thing.txt"
@@ -159,11 +159,11 @@ class TestManifests:
         out.write_text("payload")
         mpath = tmp_path / "demo.json"
         build_manifest("demo", "cfg", 1, [source], [out]).write(mpath)
-        assert outputs_are_current(mpath, "cfg")
+        assert outputs_are_current(mpath, "cfg", [source])
         source.write_text("edited")
-        assert not outputs_are_current(mpath, "cfg")
+        assert not outputs_are_current(mpath, "cfg", [source])
         source.unlink()
-        assert not outputs_are_current(mpath, "cfg")
+        assert not outputs_are_current(mpath, "cfg", [source])
 
     def test_stale_when_the_input_set_differs(self, tmp_path):
         source, extra, out = tmp_path / "in.txt", tmp_path / "new.txt", tmp_path / "thing.txt"
