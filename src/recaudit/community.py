@@ -89,22 +89,9 @@ def modularity(graph: ChannelGraph, partition: Partition) -> float:
     missing = [n for n in graph.nodes if n not in partition.assignment]
     if missing:
         raise ValueError(f"partition does not cover nodes: {missing[:5]}")
-    m = graph.total_edge_weight()
-    if m == 0:
+    if graph.total_edge_weight() == 0:
         raise UndefinedModularityError("modularity is undefined on a graph with no edges")
-    two_m = 2.0 * m
-    internal: dict[int, float] = {}
-    degsum: dict[int, float] = {}
-    for node in graph.nodes:
-        cid = partition.assignment[node]
-        degsum[cid] = degsum.get(cid, 0.0) + graph.degree(node)
-        for nbr, w in graph.neighbors(node).items():
-            if partition.assignment[nbr] == cid:
-                internal[cid] = internal.get(cid, 0.0) + w  # counts each edge twice
-    q = 0.0
-    for cid, dsum in degsum.items():
-        q += internal.get(cid, 0.0) / two_m - (dsum / two_m) ** 2
-    return q
+    return _work_modularity(_WorkGraph({n: graph.neighbors(n) for n in graph.nodes}), partition.assignment)
 
 
 # ---------------------------------------------------------------------------

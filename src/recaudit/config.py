@@ -36,7 +36,7 @@ class PipelineConfig:
     sim_comments_disabled_rate: float = 0.0
     sim_transcript_missing_rate: float = 0.1
     sim_seed: int = 0
-    sim_labeled_count: int = 400
+    sim_labeled_count: int = 300
 
     # snowball
     snowball_seeds_path: str = "seeds.txt"

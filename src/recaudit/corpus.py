@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional
 
+from .errors import ArtifactCorruptError
+
 ATTRIBUTE_NAMES = (
     "toxicity",
     "spam",
@@ -346,9 +348,20 @@ def write_jsonl(path: str | Path, records: Iterable) -> None:
             fh.write(line.encode("utf-8") + b"\n")
 
 
-def read_jsonl(path: str | Path, cls) -> Iterator:
+def read_json_lines(path: str | Path, decode: Callable) -> Iterator:
+    """``decode`` of the JSON document on each non-blank line. A line that
+    does not parse or decode raises :class:`ArtifactCorruptError` naming
+    ``path:line``."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                yield decode_record(cls, json.loads(line))
+                try:
+                    value = decode(json.loads(line))
+                except (ValueError, TypeError, KeyError, AttributeError) as exc:
+                    raise ArtifactCorruptError(f"{path}:{number}: {exc}") from exc
+                yield value
+
+
+def read_jsonl(path: str | Path, cls) -> Iterator:
+    yield from read_json_lines(path, _codec(cls)[1])

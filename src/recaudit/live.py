@@ -24,6 +24,7 @@ from .errors import (
     ChannelStalledError,
     CommentsDisabledError,
     ConfigError,
+    RecauditError,
     ScorerUnavailableError,
     TransientFetchError,
     VideoNotFoundError,
@@ -51,13 +52,23 @@ class LiveAdapter:
             raise ConfigError(f"{BASE_URL_ENV} is not set")
         return cls(base_url=base, api_key=os.environ.get(API_KEY_ENV, ""), **overrides)
 
-    def _get(self, path: str, params: dict | None = None) -> requests.Response:
+    def _get(
+        self, path: str, params: dict | None = None, errors: dict[int, RecauditError] | None = None
+    ):
+        """GET ``path`` and return its JSON body, or raise a typed error.
+
+        A status in ``errors`` raises its error. 429 and 5xx are retried with
+        exponential backoff, or after ``Retry-After`` seconds when a 429
+        names them; 401 is a configuration error. Any other non-2xx status,
+        or a body that is not JSON, raises :class:`TransientFetchError`.
+        """
         url = self.base_url.rstrip("/") + path
         headers = {}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
+            delay = self.backoff * 2**attempt
             try:
                 # cookies={} keeps each request cookie-free.
                 resp = requests.get(
@@ -66,40 +77,46 @@ class LiveAdapter:
             except requests.RequestException as exc:
                 last_error = exc
             else:
-                if resp.status_code < 500:
-                    return resp
-                last_error = TransientFetchError(f"{url} returned {resp.status_code}")
+                status = resp.status_code
+                if errors and status in errors:
+                    raise errors[status]
+                if status == 401:
+                    raise ConfigError(f"{url} returned 401: check {API_KEY_ENV}")
+                if 200 <= status < 300:
+                    try:
+                        return resp.json()
+                    except ValueError:
+                        raise TransientFetchError(f"{url} returned {status} with a non-JSON body") from None
+                if status != 429 and status < 500:
+                    raise TransientFetchError(f"{url} returned {status}")
+                last_error = TransientFetchError(f"{url} returned {status}")
+                retry_after = resp.headers.get("Retry-After", "")
+                if status == 429 and retry_after.isdigit():
+                    delay = int(retry_after)
             if attempt < self.max_retries:
-                time.sleep(self.backoff * 2**attempt)
+                time.sleep(delay)
         raise TransientFetchError(f"GET {url} failed after {self.max_retries + 1} attempts: {last_error}")
 
     def fetch_last_video(self, channel_id: str) -> VideoRecord:
-        resp = self._get(f"/channels/{channel_id}/last-video")
-        if resp.status_code == 404:
-            raise ChannelNotFoundError(channel_id)
-        if resp.status_code == 204:
-            raise ChannelStalledError(channel_id)
-        resp.raise_for_status()
-        return decode_record(VideoRecord, resp.json())
+        body = self._get(
+            f"/channels/{channel_id}/last-video",
+            errors={404: ChannelNotFoundError(channel_id), 204: ChannelStalledError(channel_id)},
+        )
+        return decode_record(VideoRecord, body)
 
     def fetch_video(self, video_id: str) -> VideoRecord:
-        resp = self._get(f"/videos/{video_id}")
-        if resp.status_code == 404:
-            raise VideoNotFoundError(video_id)
-        resp.raise_for_status()
-        return decode_record(VideoRecord, resp.json())
+        body = self._get(f"/videos/{video_id}", errors={404: VideoNotFoundError(video_id)})
+        return decode_record(VideoRecord, body)
 
     def fetch_watch_next(self, video_id: str, k: int) -> list[str]:
         if k < 1:
             raise ValueError("k must be at least 1")
-        resp = self._get(f"/videos/{video_id}/watch-next", params={"k": k})
-        if resp.status_code == 404:
-            raise VideoNotFoundError(video_id)
-        resp.raise_for_status()
-        ids = resp.json()["video_ids"]
+        body = self._get(
+            f"/videos/{video_id}/watch-next", params={"k": k}, errors={404: VideoNotFoundError(video_id)}
+        )
         seen: set[str] = set()
         out = []
-        for vid in ids:
+        for vid in body["video_ids"]:
             if vid != video_id and vid not in seen:
                 out.append(vid)
                 seen.add(vid)
@@ -108,13 +125,11 @@ class LiveAdapter:
     def fetch_comments(self, video_id: str, n: int) -> list[Comment]:
         if n < 1:
             raise ValueError("n must be at least 1")
-        resp = self._get(f"/videos/{video_id}/comments", params={"n": n})
-        if resp.status_code == 404:
-            raise VideoNotFoundError(video_id)
-        if resp.status_code == 403:
-            raise CommentsDisabledError(video_id)
-        resp.raise_for_status()
-        payload = resp.json()
+        payload = self._get(
+            f"/videos/{video_id}/comments",
+            params={"n": n},
+            errors={404: VideoNotFoundError(video_id), 403: CommentsDisabledError(video_id)},
+        )
         if payload.get("disabled"):
             raise CommentsDisabledError(video_id)
         return [decode_record(Comment, c) for c in payload["comments"]][:n]

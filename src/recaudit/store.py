@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .corpus import atomic_output
+from .corpus import atomic_output, read_json_lines
 from .ensemble import FirstLayer, StandardizationStats, TrainedEnsemble
 from .errors import ArtifactCorruptError, ArtifactVersionError, ConfigError, HarvestExistsError
 from .metrics import CalibrationCurve, FilterBubbleMatrix, TrendSeries
@@ -135,7 +135,7 @@ def _text_model_from_parts(prefix: str, meta: dict, arrays: dict) -> Optional[Te
     if info is None:
         return None
     hyper = TextHyper(**info["hyper"])
-    vocab = Vocabulary(words=tuple(info["words"]), buckets=hyper.buckets, min_count=hyper.min_count)
+    vocab = Vocabulary(tuple(info["words"]))
     observed = arrays[f"{prefix}.observed_ids"]
     return TextModel(
         vocab=vocab,
@@ -387,12 +387,7 @@ def write_likelihoods(path: str | Path, likelihoods: dict[str, Optional[float]])
 
 
 def read_likelihoods(path: str | Path) -> dict[str, Optional[float]]:
-    out: dict[str, Optional[float]] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            doc = json.loads(line)
-            out[doc["video_id"]] = doc["likelihood"]
-    return out
+    return dict(read_json_lines(path, lambda doc: (doc["video_id"], doc["likelihood"])))
 
 
 def write_ground_truth(path: str | Path, truth: dict[str, int]) -> None:
@@ -404,12 +399,7 @@ def write_ground_truth(path: str | Path, truth: dict[str, int]) -> None:
 
 
 def read_ground_truth(path: str | Path) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            doc = json.loads(line)
-            out[doc["video_id"]] = int(doc["label"])
-    return out
+    return dict(read_json_lines(path, lambda doc: (doc["video_id"], int(doc["label"]))))
 
 
 def write_seed_list(path: str | Path, channel_ids: list[str]) -> None:

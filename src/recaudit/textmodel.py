@@ -12,6 +12,7 @@ proportional to the corpus.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 import unicodedata
@@ -56,25 +57,18 @@ class TextHyper:
 @dataclass(frozen=True)
 class Vocabulary:
     words: tuple[str, ...]
-    buckets: int
-    min_count: int
     index: dict[str, int] = field(compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "index", {w: i for i, w in enumerate(self.words)})
 
-    @property
-    def size(self) -> int:
-        return len(self.words) + self.buckets
 
-
-def build_vocabulary(token_lists: list[list[str]], min_count: int, buckets: int) -> Vocabulary:
+def build_vocabulary(token_lists: list[list[str]], min_count: int) -> Vocabulary:
     counts: dict[str, int] = {}
     for tokens in token_lists:
         for tok in tokens:
             counts[tok] = counts.get(tok, 0) + 1
-    words = tuple(sorted(w for w, c in counts.items() if c >= min_count))
-    return Vocabulary(words=words, buckets=buckets, min_count=min_count)
+    return Vocabulary(tuple(sorted(w for w, c in counts.items() if c >= min_count)))
 
 
 @dataclass(frozen=True)
@@ -129,17 +123,6 @@ class TextModel:
     bias: np.ndarray  # (2,)
     epoch_losses: tuple[float, ...] = ()
 
-    def doc_vector(self, ids: np.ndarray) -> np.ndarray:
-        """Mean embedding over feature ids; the zero vector when none are given."""
-        h = np.zeros(self.hyper.dim)
-        if len(ids) == 0:
-            return h
-        for fid in ids.tolist():
-            row = self.row_index.get(fid)
-            if row is not None:
-                h += self.embedding[row]
-        return h / len(ids)
-
 
 def _softmax2(z: np.ndarray) -> np.ndarray:
     # The max and the sum of two entries, written out: the same values as
@@ -149,9 +132,29 @@ def _softmax2(z: np.ndarray) -> np.ndarray:
     return e / (e[0] + e[1])
 
 
-def predict_ids(model: TextModel, ids: np.ndarray) -> float:
-    p = _softmax2(model.head @ model.doc_vector(ids) + model.bias)
-    return float(p[1])
+def _forward(model: TextModel, rows, n_ids: int, y: int):
+    """One document through the model, for label ``y``.
+
+    ``rows`` are the document's embedding rows in feature-id order and
+    ``n_ids`` its number of feature ids; an id with no row is a zero row,
+    which adds nothing to the sum but counts in the mean. Returns the
+    document vector ``h``, the class probabilities ``p``, the cross-entropy
+    of ``y``, and its gradients ``dz = p - onehot(y)`` with respect to the
+    logits and ``dh = head.T @ dz`` with respect to ``h``. Training,
+    scoring and ``loss_and_grads`` all run this one pass.
+    """
+    h = model.embedding[rows].sum(axis=0) / n_ids if len(rows) else np.zeros(model.hyper.dim)
+    p = _softmax2(model.head @ h + model.bias)
+    dz = p.copy()
+    dz[y] -= 1.0
+    return h, p, -math.log(max(p[y], 1e-300)), dz, model.head.T @ dz
+
+
+def _document(model: TextModel, text: str | TextFeatures) -> tuple[list[int], int]:
+    """A text's embedding rows under a trained model, and its number of feature ids."""
+    ids = feature_ids(_as_features(text, model.hyper), model.vocab).tolist()
+    row_index = model.row_index
+    return [row_index[fid] for fid in ids if fid in row_index], len(ids)
 
 
 def predict_proba(model: TextModel, text: str | TextFeatures) -> float:
@@ -161,7 +164,8 @@ def predict_proba(model: TextModel, text: str | TextFeatures) -> float:
     document scores from the bias alone. The text may be given already
     featurized with the model's ``ngram`` and ``buckets``.
     """
-    return predict_ids(model, feature_ids(_as_features(text, model.hyper), model.vocab))
+    rows, n_ids = _document(model, text)
+    return float(_forward(model, rows, n_ids, 1)[1][1])  # p does not depend on the label
 
 
 def train_text_classifier(
@@ -192,18 +196,24 @@ def train_text_classifier(
         ((_as_features(text, hyper), label) for text, label in examples),
         key=lambda doc: (doc[0].text, doc[1]),
     )
-    vocab = build_vocabulary([f.tokens for f, _ in docs], hyper.min_count, hyper.buckets)
+    vocab = build_vocabulary([f.tokens for f, _ in docs], hyper.min_count)
     featurized = [feature_ids(f, vocab) for f, _ in docs]
     ys = [label for _, label in docs]
 
     observed = np.unique(np.concatenate(featurized))
-    row_index = dict(zip(observed.tolist(), range(len(observed))))
+    # Every training id has a row, so a document's rows number its ids.
     id_rows = [np.searchsorted(observed, ids) for ids in featurized]
 
     rng = np.random.default_rng(hyper.seed)
-    embedding = np.zeros((len(observed), hyper.dim))
-    head = rng.normal(0.0, 1.0 / np.sqrt(hyper.dim), size=(2, hyper.dim))
-    bias = np.zeros(2)
+    model = TextModel(
+        vocab=vocab,
+        hyper=hyper,
+        row_index=dict(zip(observed.tolist(), range(len(observed)))),
+        embedding=np.zeros((len(observed), hyper.dim)),
+        head=rng.normal(0.0, 1.0 / np.sqrt(hyper.dim), size=(2, hyper.dim)),
+        bias=np.zeros(2),
+    )
+    embedding, head, bias = model.embedding, model.head, model.bias  # updated in place
 
     n = len(docs)
     total_steps = hyper.epochs * n
@@ -211,16 +221,10 @@ def train_text_classifier(
     epoch_losses: list[float] = []
     for _ in range(hyper.epochs):
         for i in rng.permutation(n).tolist():
-            rows, y = id_rows[i], ys[i]
+            rows = id_rows[i]
             lr = hyper.lr * (1.0 - step / total_steps)
             step += 1
-            if rows.size:
-                h = embedding[rows].sum(axis=0) / rows.size
-            else:
-                h = np.zeros(hyper.dim)
-            dz = _softmax2(head @ h + bias)
-            dz[y] -= 1.0
-            dh = head.T @ dz
+            h, _, _, dz, dh = _forward(model, rows, rows.size, ys[i])
             head -= lr * (dz[:, None] * h)
             bias -= lr * dz
             if rows.size:
@@ -228,30 +232,19 @@ def train_text_classifier(
                 # += would apply only one of the updates.
                 np.add.at(embedding, rows, -lr / rows.size * dh)
         if track_loss:
-            model = TextModel(vocab, hyper, row_index, embedding, head, bias)
-            losses = [
-                -np.log(max(_p if y == 1 else 1.0 - _p, 1e-300))
-                for (_p, y) in ((predict_ids(model, ids), y) for ids, y in zip(featurized, ys))
-            ]
+            losses = [_forward(model, rows, rows.size, y)[2] for rows, y in zip(id_rows, ys)]
             epoch_losses.append(float(np.mean(losses)))
-
-    return TextModel(
-        vocab=vocab,
-        hyper=hyper,
-        row_index=row_index,
-        embedding=embedding,
-        head=head,
-        bias=bias,
-        epoch_losses=tuple(epoch_losses),
-    )
+    model.epoch_losses = tuple(epoch_losses)
+    return model
 
 
-def loss_and_grads(model: TextModel, examples: list[tuple[str, int]]):
+def loss_and_grads(model: TextModel, examples: list[tuple[str | TextFeatures, int]]):
     """Mean cross-entropy over ``examples`` with analytic gradients.
 
     Returns ``(loss, d_embedding, d_head, d_bias)`` where ``d_embedding``
-    aligns with ``model.embedding`` rows. Shares the forward conventions of
-    training, so finite differences of this loss check the training gradients.
+    aligns with ``model.embedding`` rows. Each example runs the forward pass
+    and gradients the SGD step uses, so finite differences of this loss
+    check the training gradients themselves.
     """
     d_emb = np.zeros_like(model.embedding)
     d_head = np.zeros_like(model.head)
@@ -259,16 +252,11 @@ def loss_and_grads(model: TextModel, examples: list[tuple[str, int]]):
     total = 0.0
     n = len(examples)
     for text, y in examples:
-        ids = feature_ids(_as_features(text, model.hyper), model.vocab).tolist()
-        rows = np.array([model.row_index[f] for f in ids if f in model.row_index], dtype=np.intp)
-        denom = max(len(ids), 1)
-        h = model.embedding[rows].sum(axis=0) / denom if rows.size else np.zeros(model.hyper.dim)
-        p = _softmax2(model.head @ h + model.bias)
-        total += -np.log(max(p[y], 1e-300))
-        dz = p.copy()
-        dz[y] -= 1.0
-        d_head += np.outer(dz, h) / n
+        rows, n_ids = _document(model, text)
+        h, _, loss, dz, dh = _forward(model, rows, n_ids, y)
+        total += loss
+        d_head += dz[:, None] * h / n
         d_bias += dz / n
-        if rows.size:
-            np.add.at(d_emb, rows, (model.head.T @ dz) / (denom * n))
+        if rows:
+            np.add.at(d_emb, rows, dh / (n_ids * n))
     return total / n, d_emb, d_head, d_bias

@@ -339,6 +339,37 @@ class TestErrors:
         assert any("rank 99" in v["message"] for v in report)
 
 
+class TestCorruptArtifacts:
+    @pytest.mark.parametrize("damage", ["truncate", "drop_field"])
+    def test_corrupt_snapshot_line_is_a_data_error_naming_the_file(self, workspace, capsys, damage):
+        tmp, cfg = workspace
+        assert run(cfg, "simulate") == 0
+        assert run(cfg, "harvest", "--date", "2019-05-01") == 0
+        snap = tmp / "out" / "snapshots" / "2019-05-01.jsonl"
+        line = snap.read_text().splitlines()[0]
+        if damage == "truncate":
+            line = line[: len(line) // 2]
+        else:
+            doc = json.loads(line)
+            del doc["date"]
+            line = json.dumps(doc)
+        snap.write_text(line + "\n")
+        for stage in ("validate", "trends"):
+            capsys.readouterr()
+            assert run(cfg, stage) == 2
+            assert f"{snap}:1:" in capsys.readouterr().err
+
+
+class TestDefaultConfig:
+    def test_collection_runs_with_no_config(self, tmp_path, monkeypatch):
+        for name in list(os.environ):
+            if name.startswith("RECAUDIT_"):
+                monkeypatch.delenv(name)
+        assert main(["simulate", "--out", str(tmp_path)]) == 0
+        assert main(["harvest", "--date", "2019-05-01", "--out", str(tmp_path)]) == 0
+        assert main(["validate", "--out", str(tmp_path)]) == 0
+
+
 class TestCalibratedTrends:
     def test_calibrated_mode_reuses_calibration_curve(self, workspace, monkeypatch):
         tmp, cfg = workspace

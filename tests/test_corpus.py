@@ -18,6 +18,8 @@ from recaudit.corpus import (
     write_jsonl,
 )
 
+from recaudit.errors import ArtifactCorruptError
+
 from conftest import make_edge, make_video
 
 DAY = dt.date(2019, 6, 1)
@@ -258,6 +260,14 @@ class TestCodecBytes:
         path = tmp_path / "sparse.jsonl"
         path.write_text(line + "\n", encoding="utf-8")
         assert list(read_jsonl(path, cls)) == [expected]
+
+    @pytest.mark.parametrize("bad", ['{"date": "2019-06', "{}", '{"date": "June"}', "[1, 2]"])
+    def test_bad_line_is_corruption_naming_path_and_line(self, tmp_path, bad):
+        path = tmp_path / "snap.jsonl"
+        write_jsonl(path, [DailySnapshot(date=DAY)])
+        path.write_text(path.read_text() + bad + "\n", encoding="utf-8")
+        with pytest.raises(ArtifactCorruptError, match=f"{path}:2: "):
+            list(read_jsonl(path, DailySnapshot))
 
 
 class TestAtomicWrite:

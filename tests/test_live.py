@@ -1,14 +1,17 @@
 """The live adapter is best-effort glue; these tests run it against a local
 HTTP stub to pin down URL shapes, error typing and retry behavior."""
 
+import datetime as dt
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, urlparse
 
 import pytest
 
 from recaudit.corpus import Comment
+from recaudit.crawler import daily_harvest
 from recaudit.errors import (
     ChannelNotFoundError,
     CommentsDisabledError,
@@ -17,7 +20,7 @@ from recaudit.errors import (
     TransientFetchError,
     VideoNotFoundError,
 )
-from recaudit.live import BASE_URL_ENV, HttpAttributeScorer, LiveAdapter
+from recaudit.live import API_KEY_ENV, BASE_URL_ENV, HttpAttributeScorer, LiveAdapter
 
 VIDEO_DOC = {
     "video_id": "v1",
@@ -33,22 +36,41 @@ VIDEO_DOC = {
 
 class _Handler(BaseHTTPRequestHandler):
     flaky_hits = 0
+    burst_hits = 0
 
     def log_message(self, *args):
         pass
 
-    def _send(self, code, doc=None):
+    def _send(self, code, doc=None, body=None, headers=()):
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
+        for name, value in headers:
+            self.send_header(name, value)
         self.end_headers()
         if doc is not None:
             self.wfile.write(json.dumps(doc).encode())
+        if body is not None:
+            self.wfile.write(body)
 
     def do_GET(self):
         url = urlparse(self.path)
         query = parse_qs(url.query)
-        if url.path == "/channels/c1/last-video":
+        if url.path in ("/channels/c1/last-video", "/channels/good/last-video"):
             self._send(200, VIDEO_DOC)
+        elif url.path == "/channels/limited/last-video":
+            self._send(429, headers=[("Retry-After", "0")])
+        elif url.path == "/channels/garbled/last-video":
+            self._send(200, body=b"<html>busy</html>")
+        elif url.path == "/channels/burst/last-video":
+            _Handler.burst_hits += 1
+            if _Handler.burst_hits == 1:
+                self._send(429, headers=[("Retry-After", "0")])
+            else:
+                self._send(200, VIDEO_DOC)
+        elif url.path == "/videos/locked":
+            self._send(401)
+        elif url.path == "/videos/teapot":
+            self._send(418)
         elif url.path == "/channels/missing/last-video":
             self._send(404)
         elif url.path == "/videos/v1":
@@ -129,6 +151,38 @@ class TestLiveAdapter:
         with pytest.raises(TransientFetchError):
             adapter._get("/flaky")
         assert _Handler.flaky_hits == 2  # initial try plus one retry
+
+    def test_rate_limit_is_retried_after_retry_after(self, adapter, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        _Handler.burst_hits = 0
+        assert adapter.fetch_last_video("burst").video_id == "v1"
+        assert _Handler.burst_hits == 2
+        assert sleeps == [0]  # Retry-After, not the adapter's 0.01 s backoff
+
+    def test_persistent_rate_limit_and_garbled_body_are_transient(self, adapter):
+        with pytest.raises(TransientFetchError, match="429"):
+            adapter.fetch_last_video("limited")
+        with pytest.raises(TransientFetchError, match="/channels/garbled/last-video returned 200"):
+            adapter.fetch_last_video("garbled")
+
+    def test_unauthorized_names_the_api_key(self, adapter):
+        with pytest.raises(ConfigError, match=API_KEY_ENV):
+            adapter.fetch_video("locked")
+
+    def test_other_status_is_transient_with_url_and_status(self, adapter):
+        with pytest.raises(TransientFetchError, match="/videos/teapot returned 418"):
+            adapter.fetch_video("teapot")
+
+    def test_harvest_skips_failing_channels_and_keeps_the_good_one(self, adapter):
+        result = daily_harvest(adapter, ["limited", "garbled", "good"], dt.date(2019, 5, 1), k=3)
+        assert [(e.source_video_id, e.recommended_video_id) for e in result.snapshot.edges] == [
+            ("v1", "v2"),
+            ("v1", "v3"),
+            ("v1", "v4"),
+        ]
+        assert [channel for channel, _ in result.failures] == ["limited", "garbled"]
+        assert all(reason.startswith("TransientFetchError") for _, reason in result.failures)
 
     def test_unreachable_host_is_transient(self):
         dead = LiveAdapter(base_url="http://127.0.0.1:9", timeout=0.2, max_retries=0)

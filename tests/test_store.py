@@ -190,6 +190,14 @@ class TestSidecars:
         write_ground_truth(path, {"v1": 1, "v2": 0})
         assert read_ground_truth(path) == {"v1": 1, "v2": 0}
 
+    @pytest.mark.parametrize("reader", [read_likelihoods, read_ground_truth])
+    @pytest.mark.parametrize("bad", ['{"video_id": "v2", "lab', '{"video_id": "v2"}', '["v2", 1]'])
+    def test_bad_line_is_corruption_naming_path_and_line(self, tmp_path, reader, bad):
+        path = tmp_path / "sidecar.jsonl"
+        path.write_text('{"video_id": "v1", "likelihood": 0.5, "label": 1}\n\n' + bad + "\n")
+        with pytest.raises(ArtifactCorruptError, match=f"{path}:3: "):
+            reader(path)
+
     def test_seed_list_round_trip(self, tmp_path):
         path = tmp_path / "seeds.txt"
         write_seed_list(path, ["chan2", "chan1"])

@@ -37,7 +37,7 @@ class TestTokenize:
 
 class TestFeaturize:
     def vocab(self, *words):
-        return Vocabulary(words=tuple(sorted(words)), buckets=64, min_count=1)
+        return Vocabulary(words=tuple(sorted(words)))
 
     def ids(self, text, vocab):
         return feature_ids(featurize(text, 2, 64), vocab).tolist()
@@ -72,7 +72,7 @@ class TestFeaturize:
         assert [i - 3 for i in large[3:]] == feats.ngram_buckets.tolist()
 
     def test_min_count_threshold(self):
-        vocab = build_vocabulary([["a", "a", "b"]], min_count=2, buckets=8)
+        vocab = build_vocabulary([["a", "a", "b"]], min_count=2)
         assert vocab.words == ("a",)
 
     def test_fnv_reference_value(self):
@@ -144,6 +144,21 @@ class TestPredict:
         z = model.bias
         expected = float(np.exp(z[1] - z.max()) / np.exp(z - z.max()).sum())
         assert predict_proba(model, "") == pytest.approx(expected, abs=1e-15)
+
+    def test_unseen_ids_count_in_the_denominator(self):
+        model = train_text_classifier(TOY, HYPER)
+        text = "hoax aliens cooking"  # the bigram "aliens cooking" never occurs in TOY
+        ids = feature_ids(featurize(text, HYPER.ngram, HYPER.buckets), model.vocab).tolist()
+        known = [model.row_index[i] for i in ids if i in model.row_index]
+        assert 0 < len(known) < len(ids)
+        known_sum = sum(model.embedding[row] for row in known)
+
+        def positive(h):
+            z = model.head @ h + model.bias
+            return float(np.exp(z[1] - z.max()) / np.exp(z - z.max()).sum())
+
+        assert predict_proba(model, text) == pytest.approx(positive(known_sum / len(ids)), rel=1e-12)
+        assert predict_proba(model, text) != pytest.approx(positive(known_sum / len(known)), rel=1e-6)
 
     def test_token_order_invariance_with_unigrams(self):
         hyper = TextHyper(dim=8, epochs=10, ngram=1, min_count=1, seed=0)
