@@ -169,9 +169,11 @@ def daily_harvest(
     """One day's crawl: every seed channel's last video and its watch-next list.
 
     Per-channel failures are recorded and skipped; the snapshot's coverage is
-    the share of seed channels that answered. The retained set is the
-    ``retain`` most recommended videos of the day. The edge multiset does not
-    depend on seed processing order.
+    the share of seed channels that answered. A :class:`ConfigError`, such as
+    a rejected API key, would fail every channel alike, so it aborts the
+    harvest instead. The retained set is the ``retain`` most recommended
+    videos of the day. The edge multiset does not depend on seed processing
+    order.
     """
     if k < 1 or retain < 1:
         raise ValueError("k and retain must be at least 1")
@@ -184,6 +186,8 @@ def daily_harvest(
         try:
             video = source.fetch_last_video(channel_id)
             recommended = source.fetch_watch_next(video.video_id, k)
+        except ConfigError:
+            raise
         except RecauditError as exc:
             failures.append((channel_id, f"{type(exc).__name__}: {exc}"))
             logger.warning("harvest %s: skipping channel %s (%s)", date, channel_id, exc)

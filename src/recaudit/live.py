@@ -58,9 +58,10 @@ class LiveAdapter:
         """GET ``path`` and return its JSON body, or raise a typed error.
 
         A status in ``errors`` raises its error. 429 and 5xx are retried with
-        exponential backoff, or after ``Retry-After`` seconds when a 429
-        names them; 401 is a configuration error. Any other non-2xx status,
-        or a body that is not JSON, raises :class:`TransientFetchError`.
+        exponential backoff, or after ``Retry-After`` seconds (at most
+        ``timeout``) when a 429 names them; 401 is a configuration error.
+        Any other non-2xx status, or a body that is not JSON, raises
+        :class:`TransientFetchError`.
         """
         url = self.base_url.rstrip("/") + path
         headers = {}
@@ -90,12 +91,20 @@ class LiveAdapter:
                 if status != 429 and status < 500:
                     raise TransientFetchError(f"{url} returned {status}")
                 last_error = TransientFetchError(f"{url} returned {status}")
-                retry_after = resp.headers.get("Retry-After", "")
-                if status == 429 and retry_after.isdigit():
-                    delay = int(retry_after)
+                if status == 429:
+                    delay = self._retry_after(resp, delay)
             if attempt < self.max_retries:
                 time.sleep(delay)
         raise TransientFetchError(f"GET {url} failed after {self.max_retries + 1} attempts: {last_error}")
+
+    def _retry_after(self, resp, default: float) -> float:
+        """The wait a 429 asks for in ``Retry-After`` seconds, capped at the
+        request timeout; ``default`` when the header gives no whole number."""
+        try:
+            seconds = int(resp.headers.get("Retry-After", ""))
+        except ValueError:
+            return default
+        return min(max(seconds, 0), self.timeout)
 
     def fetch_last_video(self, channel_id: str) -> VideoRecord:
         body = self._get(

@@ -10,6 +10,7 @@ from urllib.parse import parse_qs, urlparse
 
 import pytest
 
+from recaudit.cli import main
 from recaudit.corpus import Comment
 from recaudit.crawler import daily_harvest
 from recaudit.errors import (
@@ -59,6 +60,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, VIDEO_DOC)
         elif url.path == "/channels/limited/last-video":
             self._send(429, headers=[("Retry-After", "0")])
+        elif url.path == "/channels/patient/last-video":
+            self._send(429, headers=[("Retry-After", "3600")])
+        elif url.path == "/channels/superscript/last-video":
+            # The server writes byte 0xB2; the client decodes it as latin-1 '²'.
+            self._send(429, headers=[("Retry-After", "\u00b2")])
+        elif url.path == "/channels/revoked/last-video":
+            self._send(401)
         elif url.path == "/channels/garbled/last-video":
             self._send(200, body=b"<html>busy</html>")
         elif url.path == "/channels/burst/last-video":
@@ -160,6 +168,20 @@ class TestLiveAdapter:
         assert _Handler.burst_hits == 2
         assert sleeps == [0]  # Retry-After, not the adapter's 0.01 s backoff
 
+    def test_long_retry_after_is_capped_at_the_timeout(self, adapter, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        with pytest.raises(TransientFetchError, match="429"):
+            adapter.fetch_last_video("patient")
+        assert sleeps == [adapter.timeout]
+
+    def test_unparseable_retry_after_falls_back_to_backoff(self, adapter, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        with pytest.raises(TransientFetchError, match="429"):
+            adapter.fetch_last_video("superscript")
+        assert sleeps == [adapter.backoff]
+
     def test_persistent_rate_limit_and_garbled_body_are_transient(self, adapter):
         with pytest.raises(TransientFetchError, match="429"):
             adapter.fetch_last_video("limited")
@@ -183,6 +205,20 @@ class TestLiveAdapter:
         ]
         assert [channel for channel, _ in result.failures] == ["limited", "garbled"]
         assert all(reason.startswith("TransientFetchError") for _, reason in result.failures)
+
+    def test_unauthorized_aborts_the_harvest(self, adapter):
+        with pytest.raises(ConfigError, match=API_KEY_ENV):
+            daily_harvest(adapter, ["good", "revoked"], dt.date(2019, 5, 1), k=3)
+
+    def test_unauthorized_harvest_exits_1_and_writes_no_snapshot(
+        self, stub_server, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("RECAUDIT_SOURCE", "live")
+        monkeypatch.setenv(BASE_URL_ENV, stub_server)
+        (tmp_path / "seeds.txt").write_text("good\nrevoked\n")
+        assert main(["harvest", "--date", "2019-05-01", "--out", str(tmp_path)]) == 1
+        assert API_KEY_ENV in capsys.readouterr().err
+        assert not (tmp_path / "snapshots").exists()
 
     def test_unreachable_host_is_transient(self):
         dead = LiveAdapter(base_url="http://127.0.0.1:9", timeout=0.2, max_retries=0)
