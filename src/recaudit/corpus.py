@@ -268,25 +268,47 @@ def _validate_snapshot(snap: DailySnapshot, max_rank: int) -> list[Violation]:
 # Each dataclass's fields and type hints are read once: dates travel as ISO
 # strings, frozensets as sorted lists, tuples as lists, nested dataclasses as
 # objects and None as null. A missing key takes the field's default; unknown
-# keys are ignored, since live API payloads carry extra fields.
+# keys are ignored, since live API payloads carry extra fields. A value whose
+# JSON type does not fit its field's hint raises TypeError: a float field
+# takes an int, an Optional one takes null, a tuple or frozenset a list. The
+# elements of a list are not checked; the record constructors convert or
+# reject the ones they use.
 # ---------------------------------------------------------------------------
 
+# The JSON value types each hint accepts; a hint not listed accepts any.
+_JSON_TYPES = {
+    str: frozenset({str}),
+    int: frozenset({int}),
+    float: frozenset({float, int}),
+    bool: frozenset({bool}),
+    dt.date: frozenset({str}),
+}
+_ANY_JSON = frozenset({str, int, float, bool, list, dict, type(None)})
 
-def _converters(hint) -> tuple[Optional[Callable], Optional[Callable]]:
-    """(encode, decode) for the non-null values of one type hint; (None, None) keeps them as is."""
+
+def _converters(hint) -> tuple[Optional[Callable], Optional[Callable], frozenset]:
+    """(encode, decode) for the non-null values of one type hint, plus the
+    JSON types its values may have; a None converter keeps values as is."""
     if hint is dt.date:
-        return dt.date.isoformat, dt.date.fromisoformat
+        return dt.date.isoformat, dt.date.fromisoformat, _JSON_TYPES[hint]
     if dataclasses.is_dataclass(hint):
-        return _codec(hint)
+        return (*_codec(hint), frozenset({dict}))
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Union:  # Optional[T]
-        return _converters(next(a for a in args if a is not type(None)))
+        enc, dec, types = _converters(next(a for a in args if a is not type(None)))
+        return enc, dec, types | {type(None)}
     if origin is frozenset:
-        return sorted, frozenset
+        return sorted, frozenset, frozenset({list})
     if origin is tuple:
-        enc, dec = _converters(args[0])
-        return (list, tuple) if enc is None else (lambda v: list(map(enc, v)), lambda v: tuple(map(dec, v)))
-    return None, None
+        enc, dec, _ = _converters(args[0])
+        if enc is None:
+            return list, tuple, frozenset({list})
+        return lambda v: list(map(enc, v)), lambda v: tuple(map(dec, v)), frozenset({list})
+    return None, None, _JSON_TYPES.get(hint, _ANY_JSON)
+
+
+def _describe(hint) -> str:
+    return hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
 
 
 @functools.cache
@@ -294,8 +316,9 @@ def _codec(cls) -> tuple[Callable, Callable]:
     """(encode, decode) for one dataclass, built once from its fields and type hints."""
     hints = typing.get_type_hints(cls)
     names = dict.fromkeys(f.name for f in dataclasses.fields(cls))  # ordered, with set-like keys
-    pairs = {name: _converters(hints[name]) for name in names}
-    converted = [(name, enc, dec) for name, (enc, dec) in pairs.items() if enc is not None]
+    triples = {name: _converters(hints[name]) for name in names}
+    converted = [(name, enc, dec) for name, (enc, dec, _) in triples.items() if enc is not None]
+    accepted = {name: types for name, (_, _, types) in triples.items()}
 
     def encode(obj) -> dict:
         doc = {name: getattr(obj, name) for name in names}
@@ -305,6 +328,9 @@ def _codec(cls) -> tuple[Callable, Callable]:
 
     def decode(data: dict):
         kwargs = dict(data) if data.keys() <= names.keys() else {k: data[k] for k in names if k in data}
+        for name, value in kwargs.items():
+            if type(value) not in accepted[name]:
+                raise TypeError(f"{name} is {type(value).__name__}, not {_describe(hints[name])}")
         for name, _, dec in converted:
             if kwargs.get(name) is not None:
                 kwargs[name] = dec(kwargs[name])

@@ -8,19 +8,21 @@ unit variance, so a missing modality contributes exactly zero to the stacked
 logit. Training repeats a 60/40 split: the 60% side fits the four modules,
 the 40% side is scored, standardized and used to fit the stacking logistic;
 the stacking coefficients reported are the element-wise mean over all
-repetitions.
+repetitions. The repetitions run in parallel, on every available CPU.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .corpus import LabeledExample, VideoRecord
 from .errors import DegenerateTrainingError, UnclassifiableVideoError
+from .parallel import run_tasks
 from .textmodel import (
     TextFeatures,
     TextHyper,
@@ -333,6 +335,41 @@ def _split_indices(
     raise DegenerateTrainingError("could not draw a split with both classes on both sides")
 
 
+def _repeat(
+    examples: Sequence[tuple[VideoFeatures, int]],
+    labels: np.ndarray,
+    rep: int,
+    split: float,
+    seed: int,
+    repeats: int,
+    text_hyper: TextHyper,
+    l2: float,
+) -> tuple[np.ndarray, float, list[Optional[tuple[float, float]]]]:
+    """Repetition ``rep``: fit the first layer on the ``split`` side, score
+    the held-out side, standardize those scores (stats from the held-out
+    side) and fit the stacking logistic on them. Returns the stacking
+    coefficients, bias and this repetition's standardization stats."""
+    rng = np.random.default_rng([seed, rep])
+    train_idx, held_idx = _split_indices(rng, labels, split)
+    layer = _train_first_layer(
+        [examples[i] for i in train_idx], text_hyper, seed=seed * repeats + rep
+    )
+    held_scores = [layer.score_features(examples[i][0]) for i in held_idx]
+
+    rep_stats: list[Optional[tuple[float, float]]] = []
+    for m in range(len(MODULE_NAMES)):
+        values = [s.as_tuple()[m] for s in held_scores if s.as_tuple()[m] is not None]
+        if len(values) >= 2 and float(np.std(values)) > 0:
+            rep_stats.append((float(np.mean(values)), float(np.std(values))))
+        else:
+            rep_stats.append(None)
+    stats = StandardizationStats(stats=tuple(rep_stats))
+
+    Z = np.vstack([stats.standardize(s) for s in held_scores])
+    coef, bias = train_logistic(Z, labels[held_idx], l2=l2)
+    return coef, bias, rep_stats
+
+
 def train_ensemble(
     labeled: Sequence[LabeledExample],
     repeats: int = 100,
@@ -343,12 +380,15 @@ def train_ensemble(
 ) -> TrainedEnsemble:
     """Run the repeated-split protocol and average the stacking models.
 
-    Per repetition: fit the first layer on the ``split`` side, score the
-    held-out side, standardize those scores (stats from the held-out side),
-    and fit the stacking logistic on them. The final stacking coefficients
-    and standardization stats are means over repetitions; the shipped first
-    layer is retrained once on the full labeled set. Each video is featurized
-    once, up front; the repetitions and the refit reuse those features.
+    Each repetition (:func:`_repeat`) fits a stacking logistic on held-out
+    scores. The final stacking coefficients and standardization stats are
+    means over repetitions; the shipped first layer is refit once on the
+    full labeled set. Each video is featurized once, up front; the
+    repetitions and the refit reuse those features. They are independent
+    tasks, run on every available CPU by :func:`parallel.run_tasks` and
+    summed in repetition order, so the ensemble does not depend on the CPU
+    count. A task's cost is the size of its training side, so the refit, the
+    costliest, always runs in the calling process.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -360,32 +400,19 @@ def train_ensemble(
     ) < 10:
         raise DegenerateTrainingError("need at least 10 examples per class")
 
-    features = [video_features(ex.video, text_hyper) for ex in labeled]
-    examples = [(f, ex.label) for f, ex in zip(features, labeled)]
+    examples = [(video_features(ex.video, text_hyper), ex.label) for ex in labeled]
+    tasks = [partial(_train_first_layer, examples, text_hyper, seed=seed * repeats + repeats)]
+    tasks += [
+        partial(_repeat, examples, labels, rep, split, seed, repeats, text_hyper, l2)
+        for rep in range(repeats)
+    ]
+    costs = [len(examples)] + [split * len(examples)] * repeats
+    final_layer, *repeat_results = run_tasks(tasks, costs)
+
     coef_sum = np.zeros(len(MODULE_NAMES))
     bias_sum = 0.0
     stat_sums = [[0.0, 0.0, 0] for _ in MODULE_NAMES]  # mean sum, std sum, count
-
-    for rep in range(repeats):
-        rng = np.random.default_rng([seed, rep])
-        train_idx, held_idx = _split_indices(rng, labels, split)
-        layer = _train_first_layer(
-            [examples[i] for i in train_idx], text_hyper, seed=seed * repeats + rep
-        )
-        held_scores = [layer.score_features(features[i]) for i in held_idx]
-        held_labels = labels[held_idx]
-
-        rep_stats: list[Optional[tuple[float, float]]] = []
-        for m in range(len(MODULE_NAMES)):
-            values = [s.as_tuple()[m] for s in held_scores if s.as_tuple()[m] is not None]
-            if len(values) >= 2 and float(np.std(values)) > 0:
-                rep_stats.append((float(np.mean(values)), float(np.std(values))))
-            else:
-                rep_stats.append(None)
-        stats = StandardizationStats(stats=tuple(rep_stats))
-
-        Z = np.vstack([stats.standardize(s) for s in held_scores])
-        coef, bias = train_logistic(Z, held_labels, l2=l2)
+    for coef, bias, rep_stats in repeat_results:
         coef_sum += coef
         bias_sum += bias
         for m, entry in enumerate(rep_stats):
@@ -397,7 +424,6 @@ def train_ensemble(
     final_stats = tuple(
         (s[0] / s[2], s[1] / s[2]) if s[2] else None for s in stat_sums
     )
-    final_layer = _train_first_layer(examples, text_hyper, seed=seed * repeats + repeats)
     return TrainedEnsemble(
         first_layer=final_layer,
         stats=StandardizationStats(stats=final_stats),

@@ -15,6 +15,8 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import requests
 
@@ -53,14 +55,21 @@ class LiveAdapter:
         return cls(base_url=base, api_key=os.environ.get(API_KEY_ENV, ""), **overrides)
 
     def _get(
-        self, path: str, params: dict | None = None, errors: dict[int, RecauditError] | None = None
+        self,
+        path: str,
+        params: dict | None = None,
+        errors: dict[int, RecauditError] | None = None,
+        decode: Callable = lambda body: body,
     ):
-        """GET ``path`` and return its JSON body, or raise a typed error.
+        """GET ``path`` and return ``decode`` of its JSON body, or raise a
+        typed error.
 
         A status in ``errors`` raises its error. 429 and 5xx are retried with
         exponential backoff, or after ``Retry-After`` seconds (at most
         ``timeout``) when a 429 names them; 401 is a configuration error.
-        Any other non-2xx status, or a body that is not JSON, raises
+        Any other non-2xx status, a body that is not JSON, or one that
+        ``decode`` rejects with a ``TypeError``, ``KeyError``, ``ValueError``
+        or ``AttributeError`` (a body of the wrong shape) raises
         :class:`TransientFetchError`.
         """
         url = self.base_url.rstrip("/") + path
@@ -85,9 +94,15 @@ class LiveAdapter:
                     raise ConfigError(f"{url} returned 401: check {API_KEY_ENV}")
                 if 200 <= status < 300:
                     try:
-                        return resp.json()
+                        body = resp.json()
                     except ValueError:
                         raise TransientFetchError(f"{url} returned {status} with a non-JSON body") from None
+                    try:
+                        return decode(body)
+                    except (TypeError, KeyError, ValueError, AttributeError) as exc:
+                        raise TransientFetchError(
+                            f"{url} returned {status} with a body of the wrong shape: {exc!r}"
+                        ) from exc
                 if status != 429 and status < 500:
                     raise TransientFetchError(f"{url} returned {status}")
                 last_error = TransientFetchError(f"{url} returned {status}")
@@ -107,25 +122,31 @@ class LiveAdapter:
         return min(max(seconds, 0), self.timeout)
 
     def fetch_last_video(self, channel_id: str) -> VideoRecord:
-        body = self._get(
+        return self._get(
             f"/channels/{channel_id}/last-video",
             errors={404: ChannelNotFoundError(channel_id), 204: ChannelStalledError(channel_id)},
+            decode=partial(decode_record, VideoRecord),
         )
-        return decode_record(VideoRecord, body)
 
     def fetch_video(self, video_id: str) -> VideoRecord:
-        body = self._get(f"/videos/{video_id}", errors={404: VideoNotFoundError(video_id)})
-        return decode_record(VideoRecord, body)
+        return self._get(
+            f"/videos/{video_id}",
+            errors={404: VideoNotFoundError(video_id)},
+            decode=partial(decode_record, VideoRecord),
+        )
 
     def fetch_watch_next(self, video_id: str, k: int) -> list[str]:
         if k < 1:
             raise ValueError("k must be at least 1")
-        body = self._get(
-            f"/videos/{video_id}/watch-next", params={"k": k}, errors={404: VideoNotFoundError(video_id)}
+        ids = self._get(
+            f"/videos/{video_id}/watch-next",
+            params={"k": k},
+            errors={404: VideoNotFoundError(video_id)},
+            decode=lambda body: _strings(body["video_ids"]),
         )
         seen: set[str] = set()
         out = []
-        for vid in body["video_ids"]:
+        for vid in ids:
             if vid != video_id and vid not in seen:
                 out.append(vid)
                 seen.add(vid)
@@ -134,14 +155,24 @@ class LiveAdapter:
     def fetch_comments(self, video_id: str, n: int) -> list[Comment]:
         if n < 1:
             raise ValueError("n must be at least 1")
-        payload = self._get(
+        comments = self._get(
             f"/videos/{video_id}/comments",
             params={"n": n},
             errors={404: VideoNotFoundError(video_id), 403: CommentsDisabledError(video_id)},
+            decode=lambda body: (
+                None if body.get("disabled") else [decode_record(Comment, c) for c in body["comments"]]
+            ),
         )
-        if payload.get("disabled"):
+        if comments is None:
             raise CommentsDisabledError(video_id)
-        return [decode_record(Comment, c) for c in payload["comments"]][:n]
+        return comments[:n]
+
+
+def _strings(values) -> list[str]:
+    """``values`` if it is a list of strings; TypeError otherwise."""
+    if type(values) is not list or not all(type(v) is str for v in values):
+        raise TypeError(f"expected a list of strings, got {values!r:.80}")
+    return values
 
 
 @dataclass

@@ -1,0 +1,133 @@
+"""Run a fixed list of independent tasks on every CPU this process may use.
+
+The main process runs one share of the tasks itself; each other share runs
+in a helper forked from it, which inherits the tasks' inputs and sends back
+only its results. Which process runs which task depends only on the task
+costs and the CPU count, never on timing, so the main process makes the
+same calls on every run. Results come back in task order, so a caller that
+combines them in that order gets the same bytes on any number of CPUs.
+
+Helpers are forked, not spawned, so they share the inputs without pickling
+them and start without importing anything. That is safe because the program
+starts no threads of its own, and numpy's BLAS stops its thread pool across
+a fork.
+
+A helper exits as soon as the main process does, however that ends: it
+watches a pipe whose only write end the main process holds, and the kernel
+closes that end when the main process dies. So a helper never outlives the
+run that started it, nor keeps a lock that run held.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import signal
+import threading
+import traceback
+from typing import Callable, Sequence
+
+
+def available_cpus() -> int:
+    """The number of CPUs in this process's affinity mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def assign(costs: Sequence[float], processes: int) -> list[list[int]]:
+    """Task indices per process: each task, costliest first, goes to the
+    least-loaded process, the lowest-numbered one on a tie. So process 0,
+    whose share :func:`run_tasks` runs itself, gets the costliest task."""
+    loads = [0.0] * processes
+    shares: list[list[int]] = [[] for _ in range(processes)]
+    for task in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        least = loads.index(min(loads))
+        shares[least].append(task)
+        loads[least] += costs[task]
+    return shares
+
+
+def run_tasks(tasks: Sequence[Callable[[], object]], costs: Sequence[float]) -> list:
+    """Each task's result, in task order. The tasks are spread by
+    :func:`assign` over one process per available CPU, at most one per task.
+    An exception a task raises in a helper is raised here, with the helper's
+    traceback as a note."""
+    shares = assign(costs, max(1, min(available_cpus(), len(tasks))))
+    results: list = [None] * len(tasks)
+    helpers: list[tuple[int, int, list[int]]] = []  # (pid, result pipe, share)
+    running: set[int] = set()  # helpers not yet reaped
+    watch_r, watch_w = os.pipe()
+    try:
+        for share in shares[1:]:
+            pid, result_r = _start_helper(tasks, share, watch_r, watch_w)
+            helpers.append((pid, result_r, share))
+            running.add(pid)
+        for task in shares[0]:
+            results[task] = tasks[task]()
+        for pid, result_r, share in helpers:
+            with os.fdopen(result_r, "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            running.discard(pid)
+            ok, values = _payload(pid, data, status)
+            if not ok:
+                raise values
+            for task, value in zip(share, values):
+                results[task] = value
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in [watch_r, watch_w, *(result_r for _, result_r, _ in helpers)]:
+            os.close(fd)
+    return results
+
+
+def _start_helper(tasks, share: list[int], watch_r: int, watch_w: int) -> tuple[int, int]:
+    """Fork a helper that runs ``share`` and writes ``(ok, results or
+    exception)`` to the pipe whose read end is returned with its pid."""
+    result_r, result_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(result_r)
+        os.close(result_w)
+        raise
+    if pid:
+        os.close(result_w)
+        return pid, result_r
+    status = 1
+    try:  # the helper never returns into its caller's frames
+        os.close(result_r)
+        os.close(watch_w)
+        threading.Thread(target=_exit_when_closed, args=(watch_r,), daemon=True).start()
+        try:
+            payload = (True, [tasks[task]() for task in share])
+        except BaseException as exc:
+            trace = "".join(traceback.format_exception(exc))
+            exc.add_note(f"raised in helper process {os.getpid()}:\n{trace}")
+            payload = (False, exc)
+        with os.fdopen(result_w, "wb") as fh:
+            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _exit_when_closed(fd: int) -> None:
+    """Block until every write end of the pipe is closed, then exit. Nothing
+    is ever written to it, so that is when the main process ends."""
+    while os.read(fd, 1):
+        pass
+    os._exit(1)
+
+
+def _payload(pid: int, data: bytes, status: int) -> tuple[bool, object]:
+    """A reaped helper's ``(ok, results or exception)``. A helper exits 0
+    only after it has written all of it."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise RuntimeError(f"helper process {pid} ended with exit code {code} before sending its results")
+    return pickle.loads(data)

@@ -21,13 +21,14 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .corpus import atomic_output, read_json_lines
+from .corpus import atomic_output, decode_record, read_json_lines
 from .ensemble import FirstLayer, StandardizationStats, TrainedEnsemble
 from .errors import ArtifactCorruptError, ArtifactVersionError, ConfigError, HarvestExistsError
 from .metrics import CalibrationCurve, FilterBubbleMatrix, TrendSeries
@@ -386,8 +387,21 @@ def write_likelihoods(path: str | Path, likelihoods: dict[str, Optional[float]])
     _write_lines(path, lines)
 
 
+@dataclass(frozen=True)
+class _Likelihood:
+    video_id: str
+    likelihood: Optional[float]
+
+
+@dataclass(frozen=True)
+class _Label:
+    video_id: str
+    label: int
+
+
 def read_likelihoods(path: str | Path) -> dict[str, Optional[float]]:
-    return dict(read_json_lines(path, lambda doc: (doc["video_id"], doc["likelihood"])))
+    lines = read_json_lines(path, partial(decode_record, _Likelihood))
+    return {line.video_id: line.likelihood for line in lines}
 
 
 def write_ground_truth(path: str | Path, truth: dict[str, int]) -> None:
@@ -399,7 +413,7 @@ def write_ground_truth(path: str | Path, truth: dict[str, int]) -> None:
 
 
 def read_ground_truth(path: str | Path) -> dict[str, int]:
-    return dict(read_json_lines(path, lambda doc: (doc["video_id"], int(doc["label"]))))
+    return {line.video_id: line.label for line in read_json_lines(path, partial(decode_record, _Label))}
 
 
 def write_seed_list(path: str | Path, channel_ids: list[str]) -> None:

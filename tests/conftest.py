@@ -1,9 +1,41 @@
 import datetime as dt
+import glob
+import os
 
 import pytest
 
 from recaudit.corpus import ChannelRecord, Comment, RecommendationEdge, VideoRecord
 from recaudit.sources import SimulatedPlatform
+
+
+def processes() -> list[tuple[int, str, int, int]]:
+    """(pid, state, parent pid, process group) of every process listed in
+    /proc; empty where there is no /proc. State "Z" is a zombie: a process
+    that has ended but that its parent has not yet reaped."""
+    out = []
+    for path in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(path) as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # the process ended while we looked
+        out.append((int(path.split("/")[2]), fields[0], int(fields[1]), int(fields[2])))
+    return out
+
+
+def _children() -> set[int]:
+    return {pid for pid, _, ppid, _ in processes() if ppid == os.getpid()}
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_processes():
+    """Fail a test that leaves behind a child process it started, running or
+    ended but not reaped, such as a training helper that was never stopped."""
+    before = _children()
+    yield
+    leaked = _children() - before
+    if leaked:
+        pytest.fail(f"test left child processes behind: {sorted(leaked)}")
 
 
 def make_video(video_id, channel_id="chan", comments=(), transcript=None, **kwargs):

@@ -1,7 +1,11 @@
 import datetime as dt
 import json
 import os
+import signal
+import subprocess
 import sys
+import time
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -9,7 +13,8 @@ import pytest
 from recaudit import cli, corpus
 from recaudit.cli import main
 from recaudit.corpus import DailySnapshot
-from conftest import make_edge
+from recaudit.parallel import available_cpus
+from conftest import make_edge, processes
 
 CFG = """
 sim.channels = 10
@@ -358,6 +363,67 @@ class TestCorruptArtifacts:
             capsys.readouterr()
             assert run(cfg, stage) == 2
             assert f"{snap}:1:" in capsys.readouterr().err
+
+
+    def test_wrongly_typed_likelihood_is_a_data_error_naming_the_line(self, workspace, capsys):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        assert run(cfg, "harvest", "--date", "2019-05-01") == 0
+        assert run(cfg, "train") == 0
+        assert run(cfg, "score") == 0
+        path = out / "likelihoods.jsonl"
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc["likelihood"] = "high"
+        lines[1] = json.dumps(doc, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(cfg, "trends") == 2
+        err = capsys.readouterr().err
+        assert f"{path}:2:" in err and "likelihood" in err
+
+
+class TestCrashSafety:
+    def test_killed_train_leaves_no_helper_and_a_free_lock(self, workspace):
+        """SIGKILL a `train` mid-fit: every process it started ends within
+        2 s, so the flock they inherited is free and the next `train` runs."""
+        tmp, cfg = workspace
+        assert run(cfg, "simulate") == 0
+        slow = tmp / "slow.txt"
+        slow.write_text(cfg.read_text().replace("ensemble.repeats = 2", "ensemble.repeats = 1000"))
+        lock = tmp / "out" / "manifests" / "train.json.lock"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "recaudit.cli", "train", "--config", str(slow)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,  # its process group then holds it and its helpers
+        )
+        try:
+            def group():
+                return {pid for pid, state, _, pgrp in processes() if pgrp == proc.pid and state != "Z"}
+
+            deadline = time.monotonic() + 60
+            want = 2 if available_cpus() > 1 else 1  # train and its helper
+            while not (lock.exists() and len(group()) >= want):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            time.sleep(0.5)  # into the fit
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 2
+            while group() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert group() == set()
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+        assert lock.exists()  # left by the killed run, and taken over
+        assert run(cfg, "train") == 0
+        assert not lock.exists()
 
 
 class TestDefaultConfig:

@@ -270,6 +270,35 @@ class TestCodecBytes:
             list(read_jsonl(path, DailySnapshot))
 
 
+    @pytest.mark.parametrize(
+        "cls, line",
+        [
+            (DailySnapshot, '{"date": "2019-06-01", "coverage": "high"}'),
+            (DailySnapshot, '{"date": 20190601}'),
+            (DailySnapshot, '{"date": "2019-06-01", "retained_video_ids": "v2"}'),
+            (DailySnapshot, '{"date": "2019-06-01", "edges": [{"date": "2019-06-01", "rank": "1",'
+                            ' "recommended_video_id": "v2", "source_video_id": "v1"}]}'),
+            (VideoRecord, '{"video_id": "v1", "channel_id": "c1", "tags": "a b"}'),
+            (VideoRecord, '{"video_id": "v1", "channel_id": "c1", "view_count": 1.5}'),
+            (VideoRecord, '{"video_id": "v1", "channel_id": null}'),
+            (LabeledExample, '{"video": {"video_id": "v1", "channel_id": "c1"}, "label": true}'),
+            (LabeledExample, '{"video": ["v1", "c1"], "label": 1}'),
+        ],
+    )
+    def test_wrongly_typed_value_is_corruption(self, tmp_path, cls, line):
+        path = tmp_path / "typed.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ArtifactCorruptError, match=f"{path}:1: "):
+            list(read_jsonl(path, cls))
+
+    def test_float_takes_an_int_and_optional_takes_null(self, tmp_path):
+        path = tmp_path / "typed.jsonl"
+        path.write_text('{"date": "2019-06-01", "coverage": 1}\n', encoding="utf-8")
+        assert list(read_jsonl(path, DailySnapshot)) == [DailySnapshot(date=DAY, coverage=1.0)]
+        path.write_text('{"text": "hi", "attribute_scores": null}\n', encoding="utf-8")
+        assert list(read_jsonl(path, Comment)) == [Comment(text="hi")]
+
+
 class TestAtomicWrite:
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "videos.jsonl"

@@ -1,11 +1,12 @@
 import dataclasses
 import datetime as dt
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
-from recaudit import store
+from recaudit import ensemble as ensemble_module, parallel, store
 from recaudit.ensemble import (
     MODULE_NAMES,
     ModuleScores,
@@ -279,6 +280,110 @@ def test_golden_ensemble_bundle(tmp_path):
     path = tmp_path / "ensemble.bin"
     store.save_ensemble(path, dataclasses.replace(ensemble, trained_date=dt.date(2000, 1, 1)))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_BUNDLE_SHA256
+
+
+# ---------------------------------------------------------------------------
+# The protocol's tasks on several processes
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_labeled():
+    platform = generate_platform(
+        PlatformSpec(n_channels=12, videos_per_channel=10, base_rate=0.5,
+                     comments_per_video=2, seed=5)
+    )
+    return generate_labeled_set(platform, 40, seed=6)
+
+
+SMALL_HYPER = TextHyper(dim=4, epochs=3, min_count=1, seed=0)
+
+
+def _bundle_bytes(ensemble, path):
+    store.save_ensemble(path, dataclasses.replace(ensemble, trained_date=dt.date(2000, 1, 1)))
+    return path.read_bytes()
+
+
+def test_bundle_bytes_do_not_depend_on_the_cpu_count(small_labeled, tmp_path, monkeypatch):
+    bundles = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
+        ensemble = train_ensemble(small_labeled, repeats=5, seed=3, text_hyper=SMALL_HYPER)
+        bundles.append(_bundle_bytes(ensemble, tmp_path / f"{cpus}.bin"))
+    assert bundles[0] == bundles[1] == bundles[2]
+
+
+def test_helper_exception_surfaces_with_its_type(small_labeled, monkeypatch):
+    main_pid = os.getpid()
+    real = ensemble_module.train_logistic
+
+    def failing_in_helpers(features, labels, **kwargs):
+        if os.getpid() != main_pid and np.shape(features)[1] == len(MODULE_NAMES):
+            raise ArithmeticError("stacking fit failed")
+        return real(features, labels, **kwargs)
+
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    monkeypatch.setattr(ensemble_module, "train_logistic", failing_in_helpers)
+    with pytest.raises(ArithmeticError, match="stacking fit failed") as info:
+        train_ensemble(small_labeled, repeats=3, seed=3, text_hyper=SMALL_HYPER)
+    assert any("raised in helper process" in note for note in info.value.__notes__)
+
+
+def test_exception_in_the_main_share_stops_the_helpers(small_labeled, monkeypatch):
+    main_pid = os.getpid()
+    real = ensemble_module._train_first_layer
+
+    def failing_in_main(examples, hyper, seed):
+        if os.getpid() == main_pid:
+            raise ArithmeticError("refit failed")
+        return real(examples, hyper, seed)
+
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 3)
+    monkeypatch.setattr(ensemble_module, "_train_first_layer", failing_in_main)
+    with pytest.raises(ArithmeticError, match="refit failed"):
+        train_ensemble(small_labeled, repeats=4, seed=3, text_hyper=SMALL_HYPER)
+    # The autouse leak check then finds no helper left running.
+
+
+class TestFixedAssignment:
+    def test_costliest_first_to_the_least_loaded(self):
+        # The refit (cost 10) and repetitions (cost 6) on two processes.
+        assert parallel.assign([10] + [6] * 5, 2) == [[0, 3, 5], [1, 2, 4]]
+        assert parallel.assign([10] + [6] * 4, 3) == [[0], [1, 3], [2, 4]]
+        assert parallel.assign([6, 10, 6], 1) == [[1, 0, 2]]
+
+    def test_results_in_task_order_with_the_first_share_in_this_process(self, monkeypatch):
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        tasks = [lambda i=i: (i, os.getpid()) for i in range(5)]
+        results = parallel.run_tasks(tasks, [10, 6, 6, 6, 6])
+        assert [i for i, _ in results] == list(range(5))
+        pids = [pid for _, pid in results]
+        assert pids[0] == pids[3] == os.getpid()
+        assert pids[1] == pids[2] == pids[4] != os.getpid()
+
+    def test_same_map_on_every_call_and_the_refit_stays_here(
+        self, small_labeled, tmp_path, monkeypatch
+    ):
+        log = tmp_path / "tasks.log"
+        real = ensemble_module._train_first_layer
+
+        def logged(examples, hyper, seed):
+            task = "refit" if len(examples) == len(small_labeled) else f"fit{seed}"
+            with open(log, "a") as fh:
+                fh.write(f"{task} {os.getpid()}\n")
+            return real(examples, hyper, seed)
+
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        monkeypatch.setattr(ensemble_module, "_train_first_layer", logged)
+        maps = []
+        for _ in range(2):
+            log.unlink(missing_ok=True)
+            train_ensemble(small_labeled, repeats=4, seed=3, text_hyper=SMALL_HYPER)
+            runs = dict(line.split() for line in log.read_text().splitlines())
+            assert runs["refit"] == str(os.getpid())
+            maps.append({task: pid == str(os.getpid()) for task, pid in runs.items()})
+        assert maps[0] == maps[1]
+        assert set(maps[0].values()) == {True, False}  # both processes did work
 
 
 class TestClassifyVideo:

@@ -69,6 +69,18 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(401)
         elif url.path == "/channels/garbled/last-video":
             self._send(200, body=b"<html>busy</html>")
+        elif url.path == "/channels/odd/last-video":
+            self._send(200, {"title": "x"})
+        elif url.path == "/channels/unlisted/last-video":
+            self._send(200, {**VIDEO_DOC, "video_id": "nolist"})
+        elif url.path == "/videos/nolist/watch-next":
+            self._send(200, {"ids": ["v2"]})
+        elif url.path == "/videos/numbered/watch-next":
+            self._send(200, {"video_ids": [2, 3]})
+        elif url.path == "/videos/odd/comments":
+            self._send(200, {"comments": "none"})
+        elif url.path == "/videos/listed/comments":
+            self._send(200, [{"text": "a"}])
         elif url.path == "/channels/burst/last-video":
             _Handler.burst_hits += 1
             if _Handler.burst_hits == 1:
@@ -205,6 +217,26 @@ class TestLiveAdapter:
         ]
         assert [channel for channel, _ in result.failures] == ["limited", "garbled"]
         assert all(reason.startswith("TransientFetchError") for _, reason in result.failures)
+
+    def test_body_of_the_wrong_shape_is_transient_naming_the_url(self, adapter):
+        with pytest.raises(TransientFetchError, match="/channels/odd/last-video returned 200"):
+            adapter.fetch_last_video("odd")
+        with pytest.raises(TransientFetchError, match="/videos/nolist/watch-next .*wrong shape"):
+            adapter.fetch_watch_next("nolist", 3)
+        with pytest.raises(TransientFetchError, match="/videos/numbered/watch-next"):
+            adapter.fetch_watch_next("numbered", 3)
+        for video_id in ("odd", "listed"):
+            with pytest.raises(TransientFetchError, match=f"/videos/{video_id}/comments"):
+                adapter.fetch_comments(video_id, 5)
+
+    def test_harvest_skips_bodies_of_the_wrong_shape_and_keeps_the_good_one(self, adapter):
+        result = daily_harvest(adapter, ["odd", "good"], dt.date(2019, 5, 1), k=3)
+        assert [e.recommended_video_id for e in result.snapshot.edges] == ["v2", "v3", "v4"]
+        assert [channel for channel, _ in result.failures] == ["odd"]
+        assert result.failures[0][1].startswith("TransientFetchError")
+        result = daily_harvest(adapter, ["unlisted", "good"], dt.date(2019, 5, 1), k=3)
+        assert len(result.snapshot.edges) == 3
+        assert [channel for channel, _ in result.failures] == ["unlisted"]
 
     def test_unauthorized_aborts_the_harvest(self, adapter):
         with pytest.raises(ConfigError, match=API_KEY_ENV):

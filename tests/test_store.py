@@ -198,6 +198,26 @@ class TestSidecars:
         with pytest.raises(ArtifactCorruptError, match=f"{path}:3: "):
             reader(path)
 
+    @pytest.mark.parametrize("reader", [read_likelihoods, read_ground_truth])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"video_id": 2, "likelihood": 0.5, "label": 1}',
+            '{"video_id": "v2", "likelihood": "high", "label": "1"}',
+            '{"video_id": "v2", "likelihood": [0.5], "label": true}',
+        ],
+    )
+    def test_wrongly_typed_value_is_corruption(self, tmp_path, reader, bad):
+        path = tmp_path / "sidecar.jsonl"
+        path.write_text('{"video_id": "v1", "likelihood": 1, "label": 1}\n' + bad + "\n")
+        with pytest.raises(ArtifactCorruptError, match=f"{path}:2: "):
+            reader(path)
+
+    def test_integer_likelihood_reads_as_a_number(self, tmp_path):
+        path = tmp_path / "likes.jsonl"
+        path.write_text('{"video_id": "v1", "likelihood": 1}\n{"video_id": "v2", "likelihood": null}\n')
+        assert read_likelihoods(path) == {"v1": 1, "v2": None}
+
     def test_seed_list_round_trip(self, tmp_path):
         path = tmp_path / "seeds.txt"
         write_seed_list(path, ["chan2", "chan1"])
