@@ -8,7 +8,9 @@ NFC at construction so that downstream tokenization is deterministic.
 Range invariants (non-negative counts, rank bounds, retained-set consistency)
 are deliberately NOT enforced in constructors: bad data must be representable
 so that ``validate_corpus`` can report it. Shape invariants that would break
-the representation itself (a 5-element attribute vector, say) do raise.
+the representation itself (a 5-element attribute vector, say) do raise, and
+so does an attribute score outside [0, 1] or not finite, which would
+otherwise reach the classifier's features unnoticed.
 """
 
 from __future__ import annotations
@@ -74,6 +76,9 @@ class Comment:
                 raise ValueError(
                     f"attribute_scores must have {len(ATTRIBUTE_NAMES)} entries, got {len(scores)}"
                 )
+            bad = [s for s in scores if not 0.0 <= s <= 1.0]  # NaN fails too
+            if bad:
+                raise ValueError(f"attribute scores outside [0, 1]: {bad}")
             object.__setattr__(self, "attribute_scores", scores)
 
 

@@ -3,7 +3,9 @@ seed selection, and the daily recommendation harvest.
 
 Snowball bookkeeping is incremental: admitting a channel only fetches that
 channel's own last-video recommendations, while occurrence counters carry
-forward, which reaches the same counts as recounting everything each round.
+forward, which reaches the same counts as recounting everything each round,
+and the next admission is read off a lazily pruned heap of those counts
+rather than a scan of every outsider.
 All tie-breaks are lexicographic on channel or video key so runs against the
 same source state are identical.
 """
@@ -11,6 +13,7 @@ same source state are identical.
 from __future__ import annotations
 
 import datetime as dt
+import heapq
 import logging
 from dataclasses import dataclass
 
@@ -72,6 +75,10 @@ def snowball_channels(
             member_set.add(ch)
 
     counts: dict[str, int] = {}
+    # (-count, channel) for every count a channel has reached. A channel's
+    # latest entry sorts before its older ones, so once members' entries are
+    # popped the smallest entry is the next admission, with its current count.
+    ranked: list[tuple[int, str]] = []
     edge_weights: dict[tuple[str, str], int] = {}
     nodes: set[str] = set(members)
     dead: list[str] = []
@@ -90,7 +97,8 @@ def snowball_channels(
             except _SKIPPABLE as exc:
                 logger.warning("skipping recommended video %s: %s", rec_id, exc)
                 continue
-            counts[rec_channel] = counts.get(rec_channel, 0) + 1
+            count = counts[rec_channel] = counts.get(rec_channel, 0) + 1
+            heapq.heappush(ranked, (-count, rec_channel))
             nodes.add(rec_channel)
             if rec_channel != channel_id:
                 pair = (min(channel_id, rec_channel), max(channel_id, rec_channel))
@@ -101,11 +109,12 @@ def snowball_channels(
 
     under_target = False
     while len(members) < target_count:
-        outsiders = [(ch, c) for ch, c in counts.items() if ch not in member_set]
-        if not outsiders:
+        while ranked and ranked[0][1] in member_set:
+            heapq.heappop(ranked)
+        if not ranked:
             under_target = True
             break
-        admitted = min(outsiders, key=lambda item: (-item[1], item[0]))[0]
+        admitted = heapq.heappop(ranked)[1]
         members.append(admitted)
         member_set.add(admitted)
         expand(admitted)

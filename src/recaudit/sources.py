@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import datetime as dt
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence
 
@@ -192,16 +193,107 @@ class PlatformSpec:
     seed: int = 0
 
 
-def _draw_words(
-    rng: np.random.Generator, pools: Sequence[tuple[Sequence[str], float]], n: int
-) -> list[str]:
-    probs = np.array([weight for _, weight in pools], dtype=float)
-    probs /= probs.sum()
+class _PCG64Stream:
+    """The scalar draws of ``np.random.default_rng(seed)``, replayed in plain
+    Python from the generator's raw 64-bit PCG64 words.
+
+    numpy's ``Generator`` turns each word into a draw by fixed rules, and
+    these methods apply the same rules, so every value equals what the
+    ``Generator`` method of the same name returns at the same point of the
+    stream, without numpy's per-call overhead. ``tests/test_sources.py``
+    checks them against ``Generator`` itself, so a numpy release that changes
+    its rules fails there.
+    """
+
+    _BLOCK = 4096  # words fetched per ``random_raw`` call
+
+    def __init__(self, seed: int):
+        self._bits = np.random.default_rng(seed).bit_generator
+        self._words: list[int] = []
+        self._next = 0
+        self._half: Optional[int] = None  # the unused high half of a split word
+
+    def _word(self) -> int:
+        if self._next == len(self._words):
+            self._words = self._bits.random_raw(self._BLOCK).tolist()
+            self._next = 0
+        self._next += 1
+        return self._words[self._next - 1]
+
+    def _uint32(self) -> int:
+        # A word splits into two uint32s, low half first; the high half waits
+        # for the next bounded draw, whatever doubles are drawn meanwhile.
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def random(self) -> float:
+        """``Generator.random()``: the word's top 53 bits, scaled to [0, 1)."""
+        return (self._word() >> 11) * 2.0**-53
+
+    def integers(self, low: int, high: int) -> int:
+        """``Generator.integers(low, high)``: Lemire's bounded draw on uint32s
+        (Lemire 2019, "Fast Random Integer Generation in an Interval")."""
+        n = high - low
+        if n == 1:
+            return low  # numpy draws nothing for a one-value range
+        if not 1 <= n < 2**32:
+            raise ValueError(f"range of {n} values is outside [1, 2**32)")
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = 2**32 % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return low + (m >> 32)
+
+    def choice(self, cdf: Sequence[float]) -> int:
+        """``Generator.choice(len(p), p=p)``, given the normalized cumsum of ``p``."""
+        return bisect_right(cdf, self.random())
+
+
+# Word pools and the normalized cumsum of their weights.
+_Pools = tuple[tuple[Sequence[str], ...], list[float]]
+
+
+def _word_pools(*weighted: tuple[Sequence[str], float]) -> _Pools:
+    """The pools, with the cdf ``Generator.choice(len(pools), p=weights)`` searches."""
+    p = np.array([weight for _, weight in weighted], dtype=float)
+    p /= p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return tuple(words for words, _ in weighted), cdf.tolist()
+
+
+_POOLS = {
+    1: _word_pools((_CONSPIRACY_WORDS, 0.7), (_FILLER_WORDS, 0.3)),
+    0: _word_pools((_NEUTRAL_WORDS, 0.7), (_FILLER_WORDS, 0.3)),
+}
+_COMMENT_EXTRAS = {1: _CONSPIRACY_COMMENT_EXTRAS, 0: _NEUTRAL_COMMENT_EXTRAS}
+
+
+def _draw_words(rng: _PCG64Stream, pools: _Pools, n: int) -> list[str]:
+    words, cdf = pools
     out = []
     for _ in range(n):
-        pool = pools[rng.choice(len(pools), p=probs)][0]
-        out.append(pool[rng.integers(len(pool))])
+        pool = words[rng.choice(cdf)]
+        out.append(pool[rng.integers(0, len(pool))])
     return out
+
+
+def _scored_comment(scorer: LexiconAttributeScorer, text: str) -> Comment:
+    """One comment carrying its attribute scores, constructed once.
+
+    The scores are set on the new record the way its own ``__post_init__``
+    sets derived fields; ``score_comment_attributes`` has already checked
+    them against the rule the constructor applies.
+    """
+    comment = Comment(text=text)
+    object.__setattr__(comment, "attribute_scores", score_comment_attributes(scorer, comment))
+    return comment
 
 
 def generate_platform(spec: PlatformSpec) -> SimulatedPlatform:
@@ -211,8 +303,11 @@ def generate_platform(spec: PlatformSpec) -> SimulatedPlatform:
     from one word pool, the rest from another, with shared filler words in
     both. Comments also carry attribute scores from the bundled lexicon
     scorer, so the attribute modality is populated and mildly class-separable.
+
+    Every draw comes from ``np.random.default_rng(spec.seed)``'s stream, in
+    the order of the loops below, so one seed always gives the same platform.
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = _PCG64Stream(spec.seed)
     scorer = LexiconAttributeScorer.bundled()
     share = spec.conspiratorial_share if spec.conspiratorial_share is not None else spec.base_rate
     q = spec.homophily if spec.homophily is not None else spec.base_rate
@@ -230,12 +325,7 @@ def generate_platform(spec: PlatformSpec) -> SimulatedPlatform:
         for i in range(spec.videos_per_channel):
             video_id = f"vid{c:04d}x{i:03d}"
             label = 1 if rng.random() < share else 0
-            if label == 1:
-                pools = [(_CONSPIRACY_WORDS, 0.7), (_FILLER_WORDS, 0.3)]
-                extras = _CONSPIRACY_COMMENT_EXTRAS
-            else:
-                pools = [(_NEUTRAL_WORDS, 0.7), (_FILLER_WORDS, 0.3)]
-                extras = _NEUTRAL_COMMENT_EXTRAS
+            pools = _POOLS[label]
             title = " ".join(_draw_words(rng, pools, 6))
             description = " ".join(_draw_words(rng, pools, 20))
             tags = tuple(_draw_words(rng, pools, 4))
@@ -245,14 +335,12 @@ def generate_platform(spec: PlatformSpec) -> SimulatedPlatform:
                 else " ".join(_draw_words(rng, pools, 60))
             )
             comments = []
-            for _ in range(int(rng.integers(max(1, spec.comments_per_video - 2), spec.comments_per_video + 3))):
-                words = _draw_words(rng, pools, int(rng.integers(4, 12)))
+            for _ in range(rng.integers(max(1, spec.comments_per_video - 2), spec.comments_per_video + 3)):
+                words = _draw_words(rng, pools, rng.integers(4, 12))
                 if rng.random() < 0.5:
-                    words.append(extras[rng.integers(len(extras))])
-                comment = Comment(text=" ".join(words))
-                comments.append(
-                    Comment(text=comment.text, attribute_scores=score_comment_attributes(scorer, comment))
-                )
+                    extras = _COMMENT_EXTRAS[label]
+                    words.append(extras[rng.integers(0, len(extras))])
+                comments.append(_scored_comment(scorer, " ".join(words)))
             video = VideoRecord(
                 video_id=video_id,
                 channel_id=channel_id,
@@ -260,7 +348,7 @@ def generate_platform(spec: PlatformSpec) -> SimulatedPlatform:
                 description=description,
                 tags=tags,
                 transcript=transcript,
-                view_count=int(rng.integers(100, 1_000_000)),
+                view_count=rng.integers(100, 1_000_000),
                 comments=tuple(comments),
             )
             videos.append(video)
@@ -273,7 +361,7 @@ def generate_platform(spec: PlatformSpec) -> SimulatedPlatform:
             ChannelRecord(
                 channel_id=channel_id,
                 title=f"Channel {c}",
-                subscriber_count=int(rng.integers(1_000, 10_000_000)),
+                subscriber_count=rng.integers(1_000, 10_000_000),
                 last_video_id=last_video_id,
             )
         )

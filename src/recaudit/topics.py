@@ -23,9 +23,6 @@ class TfidfMatrix:
     terms: tuple[str, ...]
     doc_frequency: tuple[int, ...]
 
-    def term_index(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.terms)}
-
 
 def count_matrix(corpus: Sequence[Sequence[str]]) -> tuple[np.ndarray, tuple[str, ...]]:
     """Raw term-count matrix over the sorted vocabulary of the corpus."""

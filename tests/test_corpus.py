@@ -43,6 +43,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             Comment(text="hi", attribute_scores=(0.1, 0.2))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, 1.5])
+    def test_comment_rejects_score_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            Comment(text="hi", attribute_scores=(0.0, 0.0, 0.0, bad, 0.0, 0.0, 1.0))
+
     def test_missing_transcript_distinct_from_empty(self):
         absent = make_video("v1", transcript=None)
         empty = make_video("v2", transcript="")

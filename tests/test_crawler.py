@@ -6,7 +6,7 @@ import pytest
 from recaudit.community import ChannelGraph, Partition, cluster_channels
 from recaudit.corpus import VideoRecord
 from recaudit.crawler import daily_harvest, select_seed_cluster, snowball_channels
-from recaudit.errors import ConfigError
+from recaudit.errors import ChannelStalledError, ConfigError, RecauditError
 from recaudit.sources import PlatformSpec, generate_platform
 
 DAY = dt.date(2019, 4, 2)
@@ -41,6 +41,49 @@ def scripted_platform(recs_by_channel):
             return VideoRecord(video_id=video_id, channel_id=video_id[2:])
 
     return Scripted()
+
+
+class _Stalling:
+    """A platform whose ``stalled`` channels answer with ChannelStalledError."""
+
+    def __init__(self, platform, stalled):
+        self.platform, self.stalled = platform, stalled
+
+    def fetch_last_video(self, channel_id):
+        if channel_id in self.stalled:
+            raise ChannelStalledError(channel_id)
+        return self.platform.fetch_last_video(channel_id)
+
+    def fetch_watch_next(self, video_id, k):
+        return self.platform.fetch_watch_next(video_id, k)
+
+    def fetch_video(self, video_id):
+        return self.platform.fetch_video(video_id)
+
+
+def _scan_snowball(source, initial, target, k):
+    """Snowball admission by scanning every outsider's count each round:
+    (channels, under_target, dead_channels)."""
+    members, counts, dead = list(dict.fromkeys(initial)), Counter(), []
+
+    def expand(channel):
+        try:
+            recs = source.fetch_watch_next(source.fetch_last_video(channel).video_id, k)
+        except RecauditError:
+            dead.append(channel)
+            return
+        for rec in recs:
+            counts[source.fetch_video(rec).channel_id] += 1
+
+    for channel in members:
+        expand(channel)
+    while len(members) < target:
+        outsiders = [(ch, c) for ch, c in counts.items() if ch not in members]
+        if not outsiders:
+            return tuple(members), True, tuple(dead)
+        members.append(min(outsiders, key=lambda item: (-item[1], item[0]))[0])
+        expand(members[-1])
+    return tuple(members), False, tuple(dead)
 
 
 class TestSnowball:
@@ -125,6 +168,25 @@ class TestSnowball:
         # expansion, and recorded so callers can prune it.
         assert result.channels == ("s1", "s2", "gone")
         assert "gone" in result.dead_channels
+
+    @pytest.mark.parametrize(
+        "seed, target, dead",
+        [(1, 25, 0), (2, 60, 0), (3, 30, 6), (4, 60, 6)],
+        ids=["reaches-target", "under-target", "dead-channels", "dead-and-under-target"],
+    )
+    def test_admission_order_matches_a_full_outsider_scan(self, seed, target, dead):
+        platform = generate_platform(
+            PlatformSpec(n_channels=40, videos_per_channel=3, base_rate=0.3, seed=seed)
+        )
+        ids = platform.channel_ids()
+        source = _Stalling(platform, stalled=set(ids[-dead:]) if dead else set())
+        initial = ids[:4]
+        result = snowball_channels(source, initial, target_count=target, k=6)
+        assert (result.channels, result.under_target, result.dead_channels) == _scan_snowball(
+            source, initial, target, k=6
+        )
+        assert result.under_target == (target > len(ids))
+        assert bool(result.dead_channels) == bool(dead)
 
     def test_argument_validation(self):
         platform = scripted_platform({"s1": []})

@@ -1,8 +1,11 @@
+import datetime as dt
+
 import numpy as np
 import pytest
 
+from recaudit import sources
 from recaudit.attributes import LexiconAttributeScorer, score_comment_attributes
-from recaudit.corpus import ATTRIBUTE_NAMES, ChannelRecord, Comment
+from recaudit.corpus import ATTRIBUTE_NAMES, ChannelRecord, Comment, VideoRecord
 from recaudit.errors import (
     ChannelNotFoundError,
     ChannelStalledError,
@@ -208,3 +211,147 @@ class TestGenerator:
         a = generate_labeled_set(platform, 60, seed=4)
         b = generate_labeled_set(platform, 60, seed=4)
         assert [ex.video.video_id for ex in a] == [ex.video.video_id for ex in b]
+
+
+# ---------------------------------------------------------------------------
+# generate_platform replays numpy's Generator draws from the raw PCG64 words.
+# The per-call numpy code below is the reference it must match draw for draw.
+# ---------------------------------------------------------------------------
+
+NUMPY_CHANGED = "numpy's Generator internals changed: the PCG64 replay no longer matches"
+
+
+def _reference_draw_words(rng, pools, n):
+    probs = np.array([weight for _, weight in pools], dtype=float)
+    probs /= probs.sum()
+    out = []
+    for _ in range(n):
+        pool = pools[rng.choice(len(pools), p=probs)][0]
+        out.append(pool[rng.integers(len(pool))])
+    return out
+
+
+def _reference_platform(spec):
+    """generate_platform as one numpy Generator call per draw."""
+    rng = np.random.default_rng(spec.seed)
+    scorer = LexiconAttributeScorer.bundled()
+    share = spec.conspiratorial_share if spec.conspiratorial_share is not None else spec.base_rate
+    q = spec.homophily if spec.homophily is not None else spec.base_rate
+    channels, videos = [], []
+    ground_truth, video_dates, disabled = {}, {}, set()
+    day0 = dt.date(2019, 1, 1)
+    for c in range(spec.n_channels):
+        channel_id = f"chan{c:04d}"
+        last_video_id = None
+        for i in range(spec.videos_per_channel):
+            video_id = f"vid{c:04d}x{i:03d}"
+            label = 1 if rng.random() < share else 0
+            if label == 1:
+                pools = [(sources._CONSPIRACY_WORDS, 0.7), (sources._FILLER_WORDS, 0.3)]
+                extras = sources._CONSPIRACY_COMMENT_EXTRAS
+            else:
+                pools = [(sources._NEUTRAL_WORDS, 0.7), (sources._FILLER_WORDS, 0.3)]
+                extras = sources._NEUTRAL_COMMENT_EXTRAS
+            title = " ".join(_reference_draw_words(rng, pools, 6))
+            description = " ".join(_reference_draw_words(rng, pools, 20))
+            tags = tuple(_reference_draw_words(rng, pools, 4))
+            transcript = (
+                None
+                if rng.random() < spec.transcript_missing_rate
+                else " ".join(_reference_draw_words(rng, pools, 60))
+            )
+            comments = []
+            for _ in range(int(rng.integers(max(1, spec.comments_per_video - 2), spec.comments_per_video + 3))):
+                words = _reference_draw_words(rng, pools, int(rng.integers(4, 12)))
+                if rng.random() < 0.5:
+                    words.append(extras[rng.integers(len(extras))])
+                comment = Comment(text=" ".join(words))
+                comments.append(
+                    Comment(text=comment.text, attribute_scores=score_comment_attributes(scorer, comment))
+                )
+            videos.append(
+                VideoRecord(
+                    video_id=video_id,
+                    channel_id=channel_id,
+                    title=title,
+                    description=description,
+                    tags=tags,
+                    transcript=transcript,
+                    view_count=int(rng.integers(100, 1_000_000)),
+                    comments=tuple(comments),
+                )
+            )
+            ground_truth[video_id] = label
+            video_dates[video_id] = day0 + dt.timedelta(days=i)
+            if rng.random() < spec.comments_disabled_rate:
+                disabled.add(video_id)
+            last_video_id = video_id
+        channels.append(
+            ChannelRecord(
+                channel_id=channel_id,
+                title=f"Channel {c}",
+                subscriber_count=int(rng.integers(1_000, 10_000_000)),
+                last_video_id=last_video_id,
+            )
+        )
+    return SimulatedPlatform(
+        channels=tuple(channels),
+        videos=tuple(videos),
+        ground_truth=ground_truth,
+        homophily=q,
+        base_rate=spec.base_rate,
+        seed=spec.seed,
+        video_dates=video_dates,
+        comments_disabled=frozenset(disabled),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PlatformSpec(n_channels=120, videos_per_channel=10, base_rate=0.3, seed=11),
+        PlatformSpec(n_channels=50, videos_per_channel=10, base_rate=0.5, comments_per_video=4, seed=0),
+        PlatformSpec(n_channels=15, videos_per_channel=6, base_rate=0.2, comments_disabled_rate=0.3, seed=5),
+        PlatformSpec(n_channels=12, videos_per_channel=5, base_rate=0.6, comments_per_video=1, seed=99),
+    ],
+    ids=["audit", "train", "comments-disabled", "one-comment"],
+)
+def test_replay_matches_numpy_generator(spec):
+    replayed, reference = generate_platform(spec), _reference_platform(spec)
+    assert replayed.channels == reference.channels, NUMPY_CHANGED
+    assert replayed.videos == reference.videos, NUMPY_CHANGED
+    assert replayed.ground_truth == reference.ground_truth, NUMPY_CHANGED
+    assert replayed.video_dates == reference.video_dates, NUMPY_CHANGED
+    assert replayed.comments_disabled == reference.comments_disabled, NUMPY_CHANGED
+    assert (replayed.homophily, replayed.base_rate, replayed.seed) == (
+        reference.homophily,
+        reference.base_rate,
+        reference.seed,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 999_899, 2**31 + 1, 2**32 - 1])
+def test_stream_integers_match_generator(n):
+    # Doubles drawn between bounded draws must leave the buffered uint32
+    # half where numpy leaves it, so the two kinds are interleaved. With
+    # n = 2**31 + 1 about half the bounded draws are rejected and redrawn.
+    stream, rng = sources._PCG64Stream(7), np.random.default_rng(7)
+    for i in range(2000):
+        assert stream.integers(3, 3 + n) == rng.integers(3, 3 + n), NUMPY_CHANGED
+        if i % 3 == 0:
+            assert stream.random() == rng.random(), NUMPY_CHANGED
+    assert stream.random() == rng.random(), NUMPY_CHANGED
+
+
+def test_stream_choice_matches_generator():
+    words, cdf = sources._POOLS[1]
+    stream, rng = sources._PCG64Stream(3), np.random.default_rng(3)
+    p = np.array([0.7, 0.3])
+    for _ in range(2000):
+        assert stream.choice(cdf) == rng.choice(len(words), p=p), NUMPY_CHANGED
+
+
+@pytest.mark.parametrize("low, high", [(0, 2**32 + 1), (5, 5 + 2**32), (0, 0), (4, 3)])
+def test_stream_rejects_ranges_it_cannot_replay(low, high):
+    with pytest.raises(ValueError, match="outside"):
+        sources._PCG64Stream(0).integers(low, high)

@@ -19,13 +19,13 @@ from conftest import make_edge, make_video
 class TestTfidf:
     def test_ubiquitous_term_weights_zero(self):
         fitted = tfidf([["common", "alpha"], ["common", "beta"]])
-        col = fitted.term_index()["common"]
+        col = fitted.terms.index("common")
         assert np.all(fitted.matrix[:, col] == 0.0)
 
     def test_hand_computed_weight(self):
         # Term "rare" fills half of doc 1 and is absent from doc 2.
         fitted = tfidf([["rare", "other"], ["other", "thing"]])
-        col = fitted.term_index()["rare"]
+        col = fitted.terms.index("rare")
         assert fitted.matrix[0, col] == pytest.approx(0.5 * math.log(2), abs=1e-12)
 
     def test_non_negative(self):
