@@ -122,7 +122,6 @@ def _text_model_parts(model: Optional[TextModel], prefix: str, meta: dict, array
     meta[prefix] = {
         "words": list(model.vocab.words),
         "hyper": vars(model.hyper).copy(),
-        "epoch_losses": list(model.epoch_losses),
     }
     observed = sorted(model.row_index, key=model.row_index.get)
     arrays[f"{prefix}.observed_ids"] = np.array(observed, dtype=np.int64)
@@ -145,7 +144,6 @@ def _text_model_from_parts(prefix: str, meta: dict, arrays: dict) -> Optional[Te
         embedding=arrays[f"{prefix}.embedding"],
         head=arrays[f"{prefix}.head"],
         bias=arrays[f"{prefix}.bias"],
-        epoch_losses=tuple(info["epoch_losses"]),
     )
 
 

@@ -121,7 +121,6 @@ class TextModel:
     embedding: np.ndarray  # (n_observed_ids, dim)
     head: np.ndarray  # (2, dim)
     bias: np.ndarray  # (2,)
-    epoch_losses: tuple[float, ...] = ()
 
 
 def _softmax2(z: np.ndarray) -> np.ndarray:
@@ -171,18 +170,16 @@ def predict_proba(model: TextModel, text: str | TextFeatures) -> float:
 def train_text_classifier(
     examples: list[tuple[str | TextFeatures, int]],
     hyper: TextHyper = TextHyper(),
-    track_loss: bool = False,
 ) -> TextModel:
     """Fit the classifier by SGD on cross-entropy.
 
     Deterministic given ``hyper.seed``: examples are brought to a canonical
     order before the seed-derived per-epoch shuffle, so permuting the input
     yields an identical model. The learning rate decays linearly to zero over
-    all steps. With ``track_loss`` the mean corpus loss is evaluated after
-    each epoch and kept on the model. Texts may be given already featurized
-    with ``hyper.ngram`` and ``hyper.buckets``, so that a caller fitting many
-    models on overlapping texts tokenizes and hashes each text only once;
-    only the ``min_count`` vocabulary is built per fit.
+    all steps. Texts may be given already featurized with ``hyper.ngram``
+    and ``hyper.buckets``, so that a caller fitting many models on
+    overlapping texts tokenizes and hashes each text only once; only the
+    ``min_count`` vocabulary is built per fit.
     """
     if not examples:
         raise DegenerateTrainingError("no training examples")
@@ -218,7 +215,6 @@ def train_text_classifier(
     n = len(docs)
     total_steps = hyper.epochs * n
     step = 0
-    epoch_losses: list[float] = []
     for _ in range(hyper.epochs):
         for i in rng.permutation(n).tolist():
             rows = id_rows[i]
@@ -231,10 +227,6 @@ def train_text_classifier(
                 # A row listed twice is updated twice, in order; an indexed
                 # += would apply only one of the updates.
                 np.add.at(embedding, rows, -lr / rows.size * dh)
-        if track_loss:
-            losses = [_forward(model, rows, rows.size, y)[2] for rows, y in zip(id_rows, ys)]
-            epoch_losses.append(float(np.mean(losses)))
-    model.epoch_losses = tuple(epoch_losses)
     return model
 
 

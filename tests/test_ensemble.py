@@ -263,7 +263,7 @@ class TestTrainEnsemble:
 
 # sha256 of the bundle saved below. Any change to the training arithmetic,
 # down to the order of two additions, changes it.
-GOLDEN_BUNDLE_SHA256 = "6432293ee33a9e20baf8f88e7cdc9b5cf41c0e63f9d1b42b26f5d571c56cb79c"
+GOLDEN_BUNDLE_SHA256 = "1af297ef7097f2ed98c27b1e10ff5a6fe288868b2a0c9df331989328a1b32aa5"
 
 
 def test_golden_ensemble_bundle(tmp_path):

@@ -117,6 +117,24 @@ class TestEnsembleBundle:
         save_ensemble(p2, load_ensemble(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_bundle_with_epoch_losses_loads_and_scores_the_same(self, tmp_path, small_ensemble):
+        # Bundles saved before the per-epoch loss was dropped carry an
+        # "epoch_losses" list in each text model's meta; the loader ignores it.
+        labeled, ensemble = small_ensemble
+        new, old = tmp_path / "new.bin", tmp_path / "old.bin"
+        save_ensemble(new, ensemble)
+        meta, arrays = load_bundle(new, "ensemble")
+        for key in ("transcript_model", "snippet_model", "comments_model"):
+            if meta[key] is not None:
+                meta[key]["epoch_losses"] = [0.69, 0.41]
+        save_bundle(old, "ensemble", meta, arrays)
+        loaded = load_ensemble(old)
+        for ex in labeled[:15]:
+            assert classify_video(loaded, ex.video) == classify_video(ensemble, ex.video)
+        resaved = tmp_path / "resaved.bin"
+        save_ensemble(resaved, loaded)
+        assert resaved.read_bytes() == new.read_bytes()
+
 
 class TestManifests:
     def test_outputs_current_after_write(self, tmp_path):
