@@ -1,8 +1,7 @@
 """Comment-attribute scoring: the seven-property scorer abstraction.
 
 The offline stand-in scores each property with a keyword lexicon (capped sum
-of matched-token weights), shipped as data files so CI needs no network. A
-remote scoring service plugs in through the same interface; see ``live``.
+of matched-token weights), shipped as data files so CI needs no network.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from .textmodel import tokenize
 
 class AttributeScorer(Protocol):
     """Scores one comment on the fixed seven attributes, each in [0, 1]."""
-
-    attribute_names: tuple[str, ...]
 
     def score(self, comment: Comment) -> tuple[float, ...]: ...
 
@@ -49,8 +46,6 @@ def _parse_lexicon(text: str) -> dict[str, float]:
 class LexiconAttributeScorer:
     """Deterministic offline scorer: per attribute, the capped sum of weights
     of lexicon tokens found in the comment. Empty text scores all zeros."""
-
-    attribute_names = ATTRIBUTE_NAMES
 
     def __init__(self, lexicons: dict[str, dict[str, float]]):
         missing = set(ATTRIBUTE_NAMES) - set(lexicons)

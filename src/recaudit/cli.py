@@ -37,7 +37,6 @@ from .errors import (
     DegenerateTrainingError,
     HarvestExistsError,
     RecauditError,
-    ScorerUnavailableError,
     TransientFetchError,
     UnclassifiableVideoError,
     VideoNotFoundError,
@@ -72,7 +71,6 @@ _FETCH_ERRORS = (
     ChannelNotFoundError,
     ChannelStalledError,
     CommentsDisabledError,
-    ScorerUnavailableError,
     TransientFetchError,
     VideoNotFoundError,
 )
@@ -341,7 +339,7 @@ def _cmd_harvest(config: PipelineConfig, args) -> list[Path]:
 
 def _enrich_video(source, video: corpus.VideoRecord, limit: int, scorer) -> corpus.VideoRecord:
     comments = list(video.comments[:limit])
-    if not comments and source.supports_comments:
+    if not comments:
         try:
             comments = source.fetch_comments(video.video_id, limit)
         except CommentsDisabledError:
@@ -349,11 +347,8 @@ def _enrich_video(source, video: corpus.VideoRecord, limit: int, scorer) -> corp
     scored = []
     for comment in comments:
         if comment.attribute_scores is None:
-            try:
-                scores = score_comment_attributes(scorer, comment)
-                comment = corpus.Comment(text=comment.text, attribute_scores=scores)
-            except ScorerUnavailableError:
-                pass
+            scores = score_comment_attributes(scorer, comment)
+            comment = corpus.Comment(text=comment.text, attribute_scores=scores)
         scored.append(comment)
     return replace(video, comments=tuple(scored))
 
@@ -595,11 +590,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=(fn.__doc__ or "").strip() or name)
         p.add_argument("--config", default=None, help="key-value config file")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--date", default=None, help="day to operate on (YYYY-MM-DD)")
         p.add_argument("--threshold", type=float, default=None, help="decision threshold override")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--overwrite", action="store_true", help="replace existing outputs")
         p.add_argument("--json-errors", action="store_true", help="emit machine-readable errors")
+        if name == "harvest":
+            p.add_argument("--date", default=None, help="day to crawl (YYYY-MM-DD)")
         if name == "calibrate":
             p.add_argument("--labels", default=None, help="human label JSONL (video_id, label)")
     return parser
@@ -620,7 +616,8 @@ def _effective_config(args) -> PipelineConfig:
 
 
 def _manifest_path(config: PipelineConfig, args) -> Path:
-    name = args.command if not args.date else f"{args.command}-{args.date}"
+    date = getattr(args, "date", None)
+    name = f"{args.command}-{date}" if date else args.command
     return _out(config) / "manifests" / f"{name}.json"
 
 

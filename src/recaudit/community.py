@@ -50,21 +50,12 @@ class ChannelGraph:
     def neighbors(self, node: str) -> dict[str, float]:
         return dict(self._adj[node])
 
-    def weight(self, a: str, b: str) -> float:
-        return self._adj.get(a, {}).get(b, 0.0)
-
-    def degree(self, node: str) -> float:
-        return sum(self._adj[node].values())
-
     def total_edge_weight(self) -> float:
         """m: the sum of undirected edge weights."""
         return sum(sum(nbrs.values()) for nbrs in self._adj.values()) / 2.0
 
     def __len__(self) -> int:
         return len(self._adj)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ChannelGraph) and self._adj == other._adj
 
 
 @dataclass(frozen=True)
@@ -189,7 +180,7 @@ def _aggregate(g: _WorkGraph, com: dict) -> tuple[_WorkGraph, dict]:
     return _WorkGraph(adj), new_id
 
 
-def cluster_channels(graph: ChannelGraph, tol: float = CONVERGENCE_TOL) -> Partition:
+def cluster_channels(graph: ChannelGraph) -> Partition:
     """Louvain community detection over the channel graph.
 
     Deterministic for a fixed input; modularity never decreases across
@@ -215,7 +206,7 @@ def cluster_channels(graph: ChannelGraph, tol: float = CONVERGENCE_TOL) -> Parti
         work, new_id = _aggregate(work, com)
         membership = {orig: new_id[cid] for orig, cid in membership.items()}
         com = {n: n for n in work.adj}
-        if q_now - q_prev < tol:
+        if q_now - q_prev < CONVERGENCE_TOL:
             break
         q_prev = q_now
 

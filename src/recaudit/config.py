@@ -102,6 +102,8 @@ class PipelineConfig:
             "metrics.bubble_bins": self.bubble_bins,
             "topics.k": self.topics_k,
             "topics.top_words": self.topics_top_words,
+            "topics.report_top": self.topics_report_top,
+            "topics.max_iter": self.topics_max_iter,
             "text.dim": self.text_dim,
             "text.epochs": self.text_epochs,
             "text.buckets": self.text_buckets,
@@ -184,17 +186,3 @@ def load_config(path: Optional[str | Path] = None, env: Optional[dict] = None) -
     config = PipelineConfig(**values)
     config.validate()
     return config
-
-
-def default_config_text() -> str:
-    """A commented config file holding every default."""
-    lines = [
-        "# recaudit pipeline configuration (key = value; '#' starts a comment)",
-        "# Environment overrides: RECAUDIT_<KEY> with dots as underscores.",
-        "",
-    ]
-    for f in dataclasses.fields(PipelineConfig):
-        default = f.default
-        rendered = "" if default is None else str(default)
-        lines.append(f"{f.name.replace('_', '.', 1)} = {rendered}")
-    return "\n".join(lines) + "\n"

@@ -379,10 +379,10 @@ def write_jsonl(path: str | Path, records: Iterable) -> None:
             fh.write(line.encode("utf-8") + b"\n")
 
 
-def read_json_lines(path: str | Path, decode: Callable) -> Iterator:
-    """``decode`` of the JSON document on each non-blank line. A line that
-    does not parse or decode raises :class:`ArtifactCorruptError` naming
-    ``path:line``."""
+def read_jsonl(path: str | Path, cls) -> Iterator:
+    """The ``cls`` record on each non-blank line. A line that does not parse
+    or decode raises :class:`ArtifactCorruptError` naming ``path:line``."""
+    decode = _codec(cls)[1]
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
@@ -392,7 +392,3 @@ def read_json_lines(path: str | Path, decode: Callable) -> Iterator:
                 except (ValueError, TypeError, KeyError, AttributeError) as exc:
                     raise ArtifactCorruptError(f"{path}:{number}: {exc}") from exc
                 yield value
-
-
-def read_jsonl(path: str | Path, cls) -> Iterator:
-    yield from read_json_lines(path, _codec(cls)[1])

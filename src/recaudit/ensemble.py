@@ -395,6 +395,9 @@ def train_ensemble(
     if not 0.0 < split < 1.0:
         raise ValueError("split must lie in (0, 1)")
     labels = np.array([ex.label for ex in labeled])
+    non_binary = sorted(set(labels.tolist()) - {0, 1})
+    if non_binary:
+        raise DegenerateTrainingError(f"labels must be 0 or 1, got {non_binary}")
     if len(labeled) == 0 or min(
         int((labels == 0).sum()), int((labels == 1).sum())
     ) < 10:

@@ -29,10 +29,6 @@ class TransientFetchError(RecauditError):
     """A fetch failed in a way that is worth retrying."""
 
 
-class ScorerUnavailableError(RecauditError):
-    """The comment-attribute scoring service could not be reached."""
-
-
 class DegenerateTrainingError(RecauditError):
     """Training input cannot produce a usable model (single class, too few examples)."""
 

@@ -20,14 +20,13 @@ from typing import Callable
 
 import requests
 
-from .corpus import ATTRIBUTE_NAMES, Comment, VideoRecord, decode_record
+from .corpus import Comment, VideoRecord, decode_record
 from .errors import (
     ChannelNotFoundError,
     ChannelStalledError,
     CommentsDisabledError,
     ConfigError,
     RecauditError,
-    ScorerUnavailableError,
     TransientFetchError,
     VideoNotFoundError,
 )
@@ -44,15 +43,12 @@ class LiveAdapter:
     max_retries: int = 2
     backoff: float = 0.5
 
-    supports_comments: bool = True
-    supports_transcripts: bool = True
-
     @classmethod
-    def from_env(cls, **overrides) -> "LiveAdapter":
+    def from_env(cls) -> "LiveAdapter":
         base = os.environ.get(BASE_URL_ENV, "")
         if not base:
             raise ConfigError(f"{BASE_URL_ENV} is not set")
-        return cls(base_url=base, api_key=os.environ.get(API_KEY_ENV, ""), **overrides)
+        return cls(base_url=base, api_key=os.environ.get(API_KEY_ENV, ""))
 
     def _get(
         self,
@@ -174,35 +170,3 @@ def _strings(values) -> list[str]:
         raise TypeError(f"expected a list of strings, got {values!r:.80}")
     return values
 
-
-@dataclass
-class HttpAttributeScorer:
-    """Adapter for a remote comment-attribute scoring service.
-
-    Degrades to :class:`~recaudit.errors.ScorerUnavailableError` on any
-    failure so the caller can mark the modality absent.
-    """
-
-    base_url: str
-    api_key: str = ""
-    timeout: float = 10.0
-
-    attribute_names = ATTRIBUTE_NAMES
-
-    def score(self, comment: Comment) -> tuple[float, ...]:
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            resp = requests.post(
-                self.base_url.rstrip("/") + "/score",
-                json={"text": comment.text},
-                headers=headers,
-                timeout=self.timeout,
-                cookies={},
-            )
-            resp.raise_for_status()
-            payload = resp.json()
-            return tuple(float(payload[name]) for name in ATTRIBUTE_NAMES)
-        except (requests.RequestException, KeyError, ValueError) as exc:
-            raise ScorerUnavailableError(str(exc)) from exc

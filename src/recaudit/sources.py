@@ -32,9 +32,6 @@ from .errors import (
 class RecommendationSource(Protocol):
     """Uniform access to a platform's channels, videos and watch-next lists."""
 
-    supports_comments: bool
-    supports_transcripts: bool
-
     def fetch_last_video(self, channel_id: str) -> VideoRecord: ...
 
     def fetch_watch_next(self, video_id: str, k: int) -> list[str]: ...
@@ -65,9 +62,6 @@ class SimulatedPlatform:
     seed: int
     video_dates: dict[str, dt.date] = field(default_factory=dict)
     comments_disabled: frozenset[str] = frozenset()
-
-    supports_comments: bool = True
-    supports_transcripts: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.homophily <= 1.0:
@@ -378,34 +372,22 @@ def generate_platform(spec: PlatformSpec) -> SimulatedPlatform:
     )
 
 
-def generate_labeled_set(
-    platform: SimulatedPlatform,
-    count: int,
-    seed: int = 0,
-    balanced: bool = True,
-    provenance: str = "synthetic ground truth",
-) -> list[LabeledExample]:
-    """Sample labeled examples from the platform's ground truth."""
+def generate_labeled_set(platform: SimulatedPlatform, count: int, seed: int = 0) -> list[LabeledExample]:
+    """Sample a balanced labeled set from the platform's ground truth: half
+    the examples conspiratorial, the rest not."""
     rng = np.random.default_rng(seed)
     pos = [v for v in platform.videos if platform.ground_truth[v.video_id] == 1]
     neg = [v for v in platform.videos if platform.ground_truth[v.video_id] != 1]
-    if balanced:
-        half = count // 2
-        if len(pos) < half or len(neg) < count - half:
-            raise ValueError(
-                f"cannot draw a balanced set of {count} from {len(pos)} positive "
-                f"and {len(neg)} negative videos"
-            )
-        picks = [(v, 1) for v in _sample(rng, pos, half)] + [
-            (v, 0) for v in _sample(rng, neg, count - half)
-        ]
-    else:
-        pool = [(v, platform.ground_truth[v.video_id]) for v in platform.videos]
-        if len(pool) < count:
-            raise ValueError(f"platform has only {len(pool)} videos")
-        idx = rng.choice(len(pool), size=count, replace=False)
-        picks = [pool[i] for i in sorted(idx)]
-    return [LabeledExample(video=v, label=lab, provenance=provenance) for v, lab in picks]
+    half = count // 2
+    if len(pos) < half or len(neg) < count - half:
+        raise ValueError(
+            f"cannot draw a balanced set of {count} from {len(pos)} positive "
+            f"and {len(neg)} negative videos"
+        )
+    picks = [(v, 1) for v in _sample(rng, pos, half)] + [
+        (v, 0) for v in _sample(rng, neg, count - half)
+    ]
+    return [LabeledExample(video=v, label=lab, provenance="synthetic ground truth") for v, lab in picks]
 
 
 def _sample(rng: np.random.Generator, items: list, n: int) -> list:

@@ -21,14 +21,19 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .corpus import atomic_output, decode_record, read_json_lines
+from .corpus import (
+    CONSPIRATORIAL,
+    NON_CONSPIRATORIAL,
+    atomic_output,
+    read_jsonl,
+    write_jsonl,
+)
 from .ensemble import FirstLayer, StandardizationStats, TrainedEnsemble
 from .errors import ArtifactCorruptError, ArtifactVersionError, ConfigError, HarvestExistsError
 from .metrics import CalibrationCurve, FilterBubbleMatrix, TrendSeries
@@ -377,14 +382,6 @@ def write_json(path: str | Path, doc) -> None:
 # ---------------------------------------------------------------------------
 
 
-def write_likelihoods(path: str | Path, likelihoods: dict[str, Optional[float]]) -> None:
-    lines = [
-        json.dumps({"video_id": vid, "likelihood": like}, sort_keys=True)
-        for vid, like in sorted(likelihoods.items())
-    ]
-    _write_lines(path, lines)
-
-
 @dataclass(frozen=True)
 class _Likelihood:
     video_id: str
@@ -396,22 +393,25 @@ class _Label:
     video_id: str
     label: int
 
+    def __post_init__(self):
+        if self.label not in (CONSPIRATORIAL, NON_CONSPIRATORIAL):
+            raise ValueError(f"label {self.label} is not 0 or 1")
+
+
+def write_likelihoods(path: str | Path, likelihoods: dict[str, Optional[float]]) -> None:
+    write_jsonl(path, (_Likelihood(vid, like) for vid, like in sorted(likelihoods.items())))
+
 
 def read_likelihoods(path: str | Path) -> dict[str, Optional[float]]:
-    lines = read_json_lines(path, partial(decode_record, _Likelihood))
-    return {line.video_id: line.likelihood for line in lines}
+    return {line.video_id: line.likelihood for line in read_jsonl(path, _Likelihood)}
 
 
 def write_ground_truth(path: str | Path, truth: dict[str, int]) -> None:
-    lines = [
-        json.dumps({"video_id": vid, "label": label}, sort_keys=True)
-        for vid, label in sorted(truth.items())
-    ]
-    _write_lines(path, lines)
+    write_jsonl(path, (_Label(vid, label) for vid, label in sorted(truth.items())))
 
 
 def read_ground_truth(path: str | Path) -> dict[str, int]:
-    return {line.video_id: line.label for line in read_json_lines(path, partial(decode_record, _Label))}
+    return {line.video_id: line.label for line in read_jsonl(path, _Label)}
 
 
 def write_seed_list(path: str | Path, channel_ids: list[str]) -> None:

@@ -21,7 +21,6 @@ from .textmodel import tokenize
 class TfidfMatrix:
     matrix: np.ndarray  # (docs, terms), non-negative
     terms: tuple[str, ...]
-    doc_frequency: tuple[int, ...]
 
 
 def count_matrix(corpus: Sequence[Sequence[str]]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -50,11 +49,7 @@ def tfidf(corpus: Sequence[Sequence[str]]) -> TfidfMatrix:
     tf = np.divide(counts, lengths, out=np.zeros_like(counts), where=lengths > 0)
     df = (counts > 0).sum(axis=0)
     idf = np.log(len(corpus) / df)
-    return TfidfMatrix(
-        matrix=tf * idf,
-        terms=terms,
-        doc_frequency=tuple(int(x) for x in df),
-    )
+    return TfidfMatrix(matrix=tf * idf, terms=terms)
 
 
 @dataclass(frozen=True)

@@ -401,6 +401,49 @@ class TestCorruptArtifacts:
         err = capsys.readouterr().err
         assert f"{path}:1:" in err and "attribute scores" in err
 
+    def test_non_binary_ground_truth_label_is_a_data_error_naming_the_line(self, workspace, capsys):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        assert run(cfg, "harvest", "--date", "2019-05-01") == 0
+        assert run(cfg, "train") == 0
+        assert run(cfg, "score") == 0
+        path = out / "ground_truth.jsonl"
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[0])
+        doc["label"] = 2
+        lines[0] = json.dumps(doc, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(cfg, "calibrate") == 2
+        err = capsys.readouterr().err
+        assert f"{path}:1:" in err and "label 2" in err
+
+    def test_non_binary_training_label_is_a_data_error_naming_the_label(self, workspace, capsys):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        path = out / "labeled.jsonl"
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        docs[0]["label"] = 2
+        path.write_text("".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs))
+        capsys.readouterr()
+        assert run(cfg, "train") == 2
+        assert "labels must be 0 or 1, got [2]" in capsys.readouterr().err
+        # The record itself still loads, so that validate can report it.
+        assert run(cfg, "validate") == 2
+        report = json.loads((out / "validation.json").read_text())
+        assert any(v["kind"] == "labeled" and "label 2" in v["message"] for v in report)
+
+
+class TestDateOption:
+    @pytest.mark.parametrize("command", sorted(set(cli._COMMANDS) - {"harvest"}))
+    def test_only_harvest_accepts_date(self, workspace, capsys, command):
+        tmp, cfg = workspace
+        assert run(cfg, command, "--date", "2019-01-01") == 1
+        assert "--date" in capsys.readouterr().err
+        assert not (tmp / "out" / "manifests").exists()
+
 
 class TestCrashSafety:
     def test_killed_train_leaves_no_helper_and_a_free_lock(self, workspace):

@@ -65,7 +65,7 @@ class TestGraph:
 
     def test_parallel_edges_merge_weights(self):
         g = ChannelGraph([("a", "b", 1), ("a", "b", 2)])
-        assert g.weight("a", "b") == 3
+        assert g.neighbors("a")["b"] == 3
         assert g.total_edge_weight() == 3
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from recaudit.config import PipelineConfig, default_config_text, load_config
+from recaudit.config import load_config
 from recaudit.errors import ConfigError
 
 
@@ -72,7 +72,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(env={"RECAUDIT_SOURCE": "carrier-pigeon"})
 
-    def test_default_text_round_trips(self, tmp_path):
-        path = tmp_path / "default.txt"
-        path.write_text(default_config_text())
-        assert load_config(path, env={}) == PipelineConfig()
+    @pytest.mark.parametrize(
+        "name, value",
+        [("TOPICS_REPORT_TOP", "-1"), ("TOPICS_REPORT_TOP", "0"), ("TOPICS_MAX_ITER", "0")],
+    )
+    def test_topic_counts_must_be_positive(self, name, value):
+        key = name.lower().replace("_", ".", 1)
+        with pytest.raises(ConfigError, match=f"{key} must be at least 1"):
+            load_config(env={f"RECAUDIT_{name}": value})

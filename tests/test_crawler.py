@@ -17,9 +17,6 @@ def scripted_platform(recs_by_channel):
     other channels' videos (one video per channel, id == 'v-<channel>')."""
 
     class Scripted:
-        supports_comments = True
-        supports_transcripts = True
-
         def __init__(self):
             self.channels = set(recs_by_channel)
             for recs in recs_by_channel.values():
@@ -149,14 +146,14 @@ class TestSnowball:
     def test_graph_counts_co_occurrences(self):
         platform = scripted_platform({"s1": ["X", "X", "Y"], "X": [], "Y": []})
         result = snowball_channels(platform, ["s1"], target_count=3, k=5)
-        assert result.graph.weight("s1", "X") == 2
-        assert result.graph.weight("s1", "Y") == 1
+        assert result.graph.neighbors("s1")["X"] == 2
+        assert result.graph.neighbors("s1")["Y"] == 1
 
     def test_binary_weights_flag_flattens_counts(self):
         platform = scripted_platform({"s1": ["X", "X", "Y"], "X": [], "Y": []})
         result = snowball_channels(platform, ["s1"], target_count=3, k=5, binary_weights=True)
-        assert result.graph.weight("s1", "X") == 1
-        assert result.graph.weight("s1", "Y") == 1
+        assert result.graph.neighbors("s1")["X"] == 1
+        assert result.graph.neighbors("s1")["Y"] == 1
 
     def test_dead_channels_skipped(self):
         platform = scripted_platform({"s1": ["gone"], "s2": ["s1"]})

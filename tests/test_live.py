@@ -11,17 +11,16 @@ from urllib.parse import parse_qs, urlparse
 import pytest
 
 from recaudit.cli import main
-from recaudit.corpus import Comment
+from recaudit.corpus import ATTRIBUTE_NAMES, Comment, DailySnapshot, VideoRecord, read_jsonl
 from recaudit.crawler import daily_harvest
 from recaudit.errors import (
     ChannelNotFoundError,
     CommentsDisabledError,
     ConfigError,
-    ScorerUnavailableError,
     TransientFetchError,
     VideoNotFoundError,
 )
-from recaudit.live import API_KEY_ENV, BASE_URL_ENV, HttpAttributeScorer, LiveAdapter
+from recaudit.live import API_KEY_ENV, BASE_URL_ENV, LiveAdapter
 
 VIDEO_DOC = {
     "video_id": "v1",
@@ -109,23 +108,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(503)
         else:
             self._send(404)
-
-    def do_POST(self):
-        if self.path == "/scoring/score":
-            self._send(
-                200,
-                {
-                    "toxicity": 0.1,
-                    "spam": 0.0,
-                    "unsubstantial": 0.2,
-                    "threat": 0.0,
-                    "incoherent": 0.0,
-                    "profanity": 0.3,
-                    "inflammatory": 0.0,
-                },
-            )
-        else:
-            self._send(500)
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +234,30 @@ class TestLiveAdapter:
         assert API_KEY_ENV in capsys.readouterr().err
         assert not (tmp_path / "snapshots").exists()
 
+    def test_live_harvest_writes_the_snapshot_and_scored_videos(
+        self, stub_server, tmp_path, monkeypatch, caplog
+    ):
+        monkeypatch.setenv("RECAUDIT_SOURCE", "live")
+        monkeypatch.setenv(BASE_URL_ENV, stub_server)
+        (tmp_path / "seeds.txt").write_text("good\n")
+        assert main(["harvest", "--date", "2019-05-01", "--out", str(tmp_path)]) == 0
+        (snapshot,) = read_jsonl(tmp_path / "snapshots" / "2019-05-01.jsonl", DailySnapshot)
+        assert [(e.source_video_id, e.recommended_video_id, e.rank) for e in snapshot.edges] == [
+            ("v1", "v2", 1),
+            ("v1", "v3", 2),
+            ("v1", "v4", 3),
+        ]
+        # v1 is fetched with its comment, which the bundled lexicon scores;
+        # v2 to v4 answer 404 and are skipped with a warning.
+        (video,) = read_jsonl(tmp_path / "videos" / "2019-05-01.jsonl", VideoRecord)
+        assert video.video_id == "v1"
+        (comment,) = video.comments
+        assert comment.text == "hello"
+        assert len(comment.attribute_scores) == len(ATTRIBUTE_NAMES) == 7
+        assert all(0.0 <= s <= 1.0 for s in comment.attribute_scores)
+        skipped = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert [m.split(":")[0] for m in skipped] == [f"could not fetch video {v}" for v in ("v2", "v3", "v4")]
+
     def test_unreachable_host_is_transient(self):
         dead = LiveAdapter(base_url="http://127.0.0.1:9", timeout=0.2, max_retries=0)
         with pytest.raises(TransientFetchError):
@@ -263,15 +269,3 @@ class TestLiveAdapter:
             LiveAdapter.from_env()
         monkeypatch.setenv(BASE_URL_ENV, "http://example.invalid")
         assert LiveAdapter.from_env().base_url == "http://example.invalid"
-
-
-class TestHttpAttributeScorer:
-    def test_scores_parse_in_fixed_order(self, stub_server):
-        scorer = HttpAttributeScorer(base_url=f"{stub_server}/scoring")
-        scores = scorer.score(Comment(text="whatever"))
-        assert scores == (0.1, 0.0, 0.2, 0.0, 0.0, 0.3, 0.0)
-
-    def test_failure_degrades_to_unavailable(self, stub_server):
-        scorer = HttpAttributeScorer(base_url=f"{stub_server}/nowhere")
-        with pytest.raises(ScorerUnavailableError):
-            scorer.score(Comment(text="whatever"))

@@ -173,8 +173,6 @@ class TestAttributeScorer:
 
     def test_range_contract_enforced_on_scorer_output(self):
         class Broken:
-            attribute_names = ATTRIBUTE_NAMES
-
             def score(self, comment):
                 return (2.0, 0, 0, 0, 0, 0, 0)
 
