@@ -312,11 +312,10 @@ def _cmd_harvest(config: PipelineConfig, args) -> list[Path]:
     store.ensure_snapshot_writable(snap_path, args.overwrite)
 
     result = daily_harvest(source, seeds, day, k=config.harvest_k, retain=config.harvest_retain)
-    corpus.write_jsonl(snap_path, [result.snapshot])
     outputs = [snap_path]
-
     if config.source == "live":
         # Persist the records behind this snapshot; the simulator's are already on disk.
+        # The snapshot is written last, so an error here leaves none to block the rerun.
         scorer = LexiconAttributeScorer.bundled()
         wanted = sorted(
             {e.source_video_id for e in result.snapshot.edges}
@@ -331,6 +330,7 @@ def _cmd_harvest(config: PipelineConfig, args) -> list[Path]:
         videos_path = out / "videos" / f"{day.isoformat()}.jsonl"
         corpus.write_jsonl(videos_path, fetched)
         outputs.append(videos_path)
+    corpus.write_jsonl(snap_path, [result.snapshot])
 
     if result.failures:
         logger.warning("harvest %s: %d channels failed", day, len(result.failures))
@@ -410,11 +410,12 @@ def _trend_series(config: PipelineConfig) -> TrendSeries:
     points = []
     for snap in snapshots:
         raw = raw_frequency(snap.edges, likelihoods, config.threshold)
-        weighted = (
-            weighted_frequency(snap.edges, likelihoods, views, config.threshold)
-            if all(e.source_video_id in views for e in snap.edges)
-            else None
-        )
+        weighted = None
+        if all(e.source_video_id in views for e in snap.edges):
+            try:
+                weighted = weighted_frequency(snap.edges, likelihoods, views, config.threshold)
+            except ValueError as exc:  # a negative view count in the video records
+                raise CorpusViolationError(str(exc)) from exc
         points.append(
             TrendPoint(
                 date=snap.date,

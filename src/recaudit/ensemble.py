@@ -1,11 +1,13 @@
 """The video-level conspiracy classifier: four per-modality scoring modules
 stacked under a logistic layer.
 
-Modules score the transcript, the snippet (title + description + tags), the
-comment texts (median of per-comment scores), and a 35-D summary of the
-comment attribute vectors. Module scores are standardized to zero mean and
-unit variance, so a missing modality contributes exactly zero to the stacked
-logit. Training repeats a 60/40 split: the 60% side fits the four modules,
+The modules form one table, ``MODULE_NAMES``. The first three are the same
+text model fit on different texts of a video: the transcript (none or one),
+the snippet (title + description + tags; always one) and the comments (one
+per comment). Each scores the median over its texts. The fourth scores a
+35-D summary of the comment attribute vectors. Module scores are
+standardized to zero mean and unit variance, so a missing modality
+contributes exactly zero to the stacked logit. Training repeats a 60/40 split: the 60% side fits the four modules,
 the 40% side is scored, standardized and used to fit the stacking logistic;
 the stacking coefficients reported are the element-wise mean over all
 repetitions. The repetitions run in parallel, on every available CPU.
@@ -33,6 +35,7 @@ from .textmodel import (
 )
 
 MODULE_NAMES = ("transcript", "snippet", "comments", "attributes")
+TEXT_MODULE_NAMES = MODULE_NAMES[:3]  # the modules scored by a text model
 
 _SPLIT_RETRIES = 1000
 
@@ -42,10 +45,11 @@ _SPLIT_RETRIES = 1000
 # ---------------------------------------------------------------------------
 
 
-def score_comments(model: TextModel, texts: Sequence[str | TextFeatures]) -> Optional[float]:
-    """Median per-comment score over the comment texts; the even-count median
+def score_texts(model: TextModel, texts: Sequence[str | TextFeatures]) -> Optional[float]:
+    """One text module's score: the median of the model's scores over the
+    texts. The median of one score is that score, and the even-count median
     is the mean of the two middle values. None marks the modality absent (no
-    comments)."""
+    texts)."""
     if not texts:
         return None
     return float(np.median([predict_proba(model, t) for t in texts]))
@@ -77,41 +81,29 @@ def attribute_features(vectors: Sequence[Sequence[float]]) -> Optional[np.ndarra
 @dataclass(frozen=True)
 class VideoFeatures:
     """What a video gives the first layer before any model is fit: the
-    features of each text modality and the 35-D attribute summary. None of it
-    depends on the split, so ``train_ensemble`` computes it once per video."""
+    features of each text module's texts and the 35-D attribute summary. None
+    of it depends on the split, so ``train_ensemble`` computes it once per
+    video."""
 
-    transcript: Optional[TextFeatures]
-    snippet: TextFeatures
-    comments: tuple[TextFeatures, ...]
+    texts: tuple[tuple[TextFeatures, ...], ...]  # aligned with TEXT_MODULE_NAMES
     attributes: Optional[np.ndarray]
 
 
 def video_features(video: VideoRecord, hyper: TextHyper) -> VideoFeatures:
     """Featurize a video's texts with ``hyper.ngram`` and ``hyper.buckets``
     and summarize its comment attribute vectors."""
-    def text(value: str) -> TextFeatures:
-        return featurize(value, hyper.ngram, hyper.buckets)
+    def featurized(texts) -> tuple[TextFeatures, ...]:
+        return tuple(featurize(t, hyper.ngram, hyper.buckets) for t in texts)
 
+    transcript = () if video.transcript is None else (video.transcript,)
     return VideoFeatures(
-        transcript=None if video.transcript is None else text(video.transcript),
-        snippet=text(video.snippet()),
-        comments=tuple(text(c.text) for c in video.comments),
+        texts=(
+            featurized(transcript),
+            featurized([video.snippet()]),
+            featurized(c.text for c in video.comments),
+        ),
         attributes=attribute_features([c.attribute_scores for c in video.comments]),
     )
-
-
-@dataclass(frozen=True)
-class ModuleScores:
-    transcript: Optional[float]
-    snippet: Optional[float]
-    comments: Optional[float]
-    attributes: Optional[float]
-
-    def as_tuple(self) -> tuple[Optional[float], ...]:
-        return (self.transcript, self.snippet, self.comments, self.attributes)
-
-    def availability(self) -> tuple[bool, bool, bool, bool]:
-        return tuple(s is not None for s in self.as_tuple())
 
 
 # ---------------------------------------------------------------------------
@@ -194,33 +186,30 @@ def _sigmoid(z: float) -> float:
 
 @dataclass
 class FirstLayer:
-    transcript_model: Optional[TextModel]
-    snippet_model: Optional[TextModel]
-    comments_model: Optional[TextModel]
+    """The fitted modules. A None entry is a disabled module: it scores None
+    for every video, which standardizes to zero."""
+
+    text_models: tuple[Optional[TextModel], ...]  # aligned with TEXT_MODULE_NAMES
     attribute_head: Optional[tuple[np.ndarray, float]]
 
-    def score(self, video: VideoRecord) -> ModuleScores:
-        models = [self.transcript_model, self.snippet_model, self.comments_model]
+    def score(self, video: VideoRecord) -> tuple[Optional[float], ...]:
         # A layer's text models are fit with one TextHyper, so they share
         # the ngram and buckets the features depend on.
-        hyper = next((m.hyper for m in models if m is not None), TextHyper())
+        hyper = next((m.hyper for m in self.text_models if m is not None), TextHyper())
         return self.score_features(video_features(video, hyper))
 
-    def score_features(self, feats: VideoFeatures) -> ModuleScores:
-        transcript = None
-        if self.transcript_model is not None and feats.transcript is not None:
-            transcript = predict_proba(self.transcript_model, feats.transcript)
-        snippet = None
-        if self.snippet_model is not None:
-            snippet = predict_proba(self.snippet_model, feats.snippet)
-        comments = None
-        if self.comments_model is not None:
-            comments = score_comments(self.comments_model, feats.comments)
+    def score_features(self, feats: VideoFeatures) -> tuple[Optional[float], ...]:
+        """Module scores aligned with MODULE_NAMES; None where the module is
+        disabled or the video lacks its modality."""
+        scores = [
+            None if model is None else score_texts(model, texts)
+            for model, texts in zip(self.text_models, feats.texts)
+        ]
         attributes = None
         if self.attribute_head is not None and feats.attributes is not None:
             coef, bias = self.attribute_head
             attributes = _sigmoid(float(feats.attributes @ coef) + bias)
-        return ModuleScores(transcript, snippet, comments, attributes)
+        return (*scores, attributes)
 
 
 @dataclass(frozen=True)
@@ -235,9 +224,9 @@ class StandardizationStats:
             if entry is not None and entry[1] <= 0:
                 raise ValueError("standardization std must be positive")
 
-    def standardize(self, scores: ModuleScores) -> np.ndarray:
+    def standardize(self, scores: Sequence[Optional[float]]) -> np.ndarray:
         out = np.zeros(len(MODULE_NAMES))
-        for i, value in enumerate(scores.as_tuple()):
+        for i, value in enumerate(scores):
             if value is not None and self.stats[i] is not None:
                 mean, std = self.stats[i]
                 out[i] = (value - mean) / std
@@ -275,7 +264,7 @@ def classify_video(ensemble: TrainedEnsemble, video: VideoRecord) -> float:
     with all four modalities absent cannot be classified at all.
     """
     scores = ensemble.first_layer.score(video)
-    if not any(scores.availability()):
+    if all(s is None for s in scores):
         raise UnclassifiableVideoError(video.video_id)
     z = ensemble.stats.standardize(scores)
     return _sigmoid(float(z @ ensemble.stacking_coef) + ensemble.stacking_bias)
@@ -293,15 +282,12 @@ def _train_first_layer(
     pairs. A module whose training slice is single-class or empty is disabled
     for this layer."""
 
-    def text_model(pairs: list[tuple[TextFeatures, int]], module_seed: int) -> Optional[TextModel]:
+    def text_model(m: int) -> Optional[TextModel]:
+        pairs = [(text, y) for f, y in examples for text in f.texts[m]]
         try:
-            return train_text_classifier(pairs, replace(hyper, seed=module_seed))
+            return train_text_classifier(pairs, replace(hyper, seed=seed * 4 + m))
         except DegenerateTrainingError:
             return None
-
-    transcript_pairs = [(f.transcript, y) for f, y in examples if f.transcript is not None]
-    snippet_pairs = [(f.snippet, y) for f, y in examples]
-    comment_pairs = [(comment, y) for f, y in examples for comment in f.comments]
 
     attr_rows = [f.attributes for f, _ in examples if f.attributes is not None]
     attr_labels = [y for f, y in examples if f.attributes is not None]
@@ -313,9 +299,7 @@ def _train_first_layer(
             attribute_head = None
 
     return FirstLayer(
-        transcript_model=text_model(transcript_pairs, seed * 4 + 0),
-        snippet_model=text_model(snippet_pairs, seed * 4 + 1),
-        comments_model=text_model(comment_pairs, seed * 4 + 2),
+        text_models=tuple(text_model(m) for m in range(len(TEXT_MODULE_NAMES))),
         attribute_head=attribute_head,
     )
 
@@ -358,7 +342,7 @@ def _repeat(
 
     rep_stats: list[Optional[tuple[float, float]]] = []
     for m in range(len(MODULE_NAMES)):
-        values = [s.as_tuple()[m] for s in held_scores if s.as_tuple()[m] is not None]
+        values = [s[m] for s in held_scores if s[m] is not None]
         if len(values) >= 2 and float(np.std(values)) > 0:
             rep_stats.append((float(np.mean(values)), float(np.std(values))))
         else:
@@ -412,26 +396,20 @@ def train_ensemble(
     costs = [len(examples)] + [split * len(examples)] * repeats
     final_layer, *repeat_results = run_tasks(tasks, costs)
 
-    coef_sum = np.zeros(len(MODULE_NAMES))
-    bias_sum = 0.0
-    stat_sums = [[0.0, 0.0, 0] for _ in MODULE_NAMES]  # mean sum, std sum, count
-    for coef, bias, rep_stats in repeat_results:
-        coef_sum += coef
-        bias_sum += bias
-        for m, entry in enumerate(rep_stats):
-            if entry is not None:
-                stat_sums[m][0] += entry[0]
-                stat_sums[m][1] += entry[1]
-                stat_sums[m][2] += 1
-
-    final_stats = tuple(
-        (s[0] / s[2], s[1] / s[2]) if s[2] else None for s in stat_sums
-    )
+    coefs, biases, rep_stats = zip(*repeat_results)
+    final_stats = []
+    for m in range(len(MODULE_NAMES)):
+        entries = [s[m] for s in rep_stats if s[m] is not None]
+        if entries:
+            means, stds = zip(*entries)
+            final_stats.append((sum(means) / len(entries), sum(stds) / len(entries)))
+        else:
+            final_stats.append(None)
     return TrainedEnsemble(
         first_layer=final_layer,
-        stats=StandardizationStats(stats=final_stats),
-        stacking_coef=coef_sum / repeats,
-        stacking_bias=bias_sum / repeats,
+        stats=StandardizationStats(stats=tuple(final_stats)),
+        stacking_coef=sum(coefs) / repeats,
+        stacking_bias=sum(biases) / repeats,
         seed=seed,
         repeats=repeats,
         split=split,

@@ -22,7 +22,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .corpus import (
     read_jsonl,
     write_jsonl,
 )
-from .ensemble import FirstLayer, StandardizationStats, TrainedEnsemble
+from .ensemble import TEXT_MODULE_NAMES, FirstLayer, StandardizationStats, TrainedEnsemble
 from .errors import ArtifactCorruptError, ArtifactVersionError, ConfigError, HarvestExistsError
 from .metrics import CalibrationCurve, FilterBubbleMatrix, TrendSeries
 from .textmodel import TextHyper, TextModel, Vocabulary
@@ -165,9 +165,8 @@ def save_ensemble(path: str | Path, ensemble: TrainedEnsemble) -> None:
     }
     arrays: dict[str, np.ndarray] = {"stacking_coef": ensemble.stacking_coef}
     layer = ensemble.first_layer
-    _text_model_parts(layer.transcript_model, "transcript_model", meta, arrays)
-    _text_model_parts(layer.snippet_model, "snippet_model", meta, arrays)
-    _text_model_parts(layer.comments_model, "comments_model", meta, arrays)
+    for name, model in zip(TEXT_MODULE_NAMES, layer.text_models):
+        _text_model_parts(model, f"{name}_model", meta, arrays)
     if layer.attribute_head is not None:
         coef, bias = layer.attribute_head
         arrays["attribute_head.coef"] = coef
@@ -181,9 +180,9 @@ def load_ensemble(path: str | Path) -> TrainedEnsemble:
     if meta["has_attribute_head"]:
         attribute_head = (arrays["attribute_head.coef"], float(meta["attribute_head.bias"]))
     layer = FirstLayer(
-        transcript_model=_text_model_from_parts("transcript_model", meta, arrays),
-        snippet_model=_text_model_from_parts("snippet_model", meta, arrays),
-        comments_model=_text_model_from_parts("comments_model", meta, arrays),
+        text_models=tuple(
+            _text_model_from_parts(f"{name}_model", meta, arrays) for name in TEXT_MODULE_NAMES
+        ),
         attribute_head=attribute_head,
     )
     stats = StandardizationStats(
@@ -273,37 +272,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_csv(path: str | Path, header: str, rows: Iterable[Sequence]) -> None:
+    _write_lines(path, [header, *(",".join(map(_fmt, row)) for row in rows)])
+
+
 def write_trends_csv(path: str | Path, series: TrendSeries, window_days: int) -> None:
     from .metrics import rolling_mean
 
     raw_rolled = rolling_mean([(p.date, p.raw) for p in series.points], window_days)
     weighted_rolled = rolling_mean([(p.date, p.weighted) for p in series.points], window_days)
-    lines = ["date,raw_frequency,weighted_frequency,coverage,raw_rolling,weighted_rolling"]
-    for point, (_, rr), (_, wr) in zip(series.points, raw_rolled, weighted_rolled):
-        lines.append(
-            ",".join(
-                [
-                    point.date.isoformat(),
-                    _fmt(point.raw),
-                    _fmt(point.weighted),
-                    _fmt(point.coverage),
-                    _fmt(rr),
-                    _fmt(wr),
-                ]
-            )
-        )
-    _write_lines(path, lines)
+    _write_csv(
+        path,
+        "date,raw_frequency,weighted_frequency,coverage,raw_rolling,weighted_rolling",
+        (
+            (point.date, point.raw, point.weighted, point.coverage, rr, wr)
+            for point, (_, rr), (_, wr) in zip(series.points, raw_rolled, weighted_rolled)
+        ),
+    )
 
 
 def write_calibration_csv(path: str | Path, curve: CalibrationCurve) -> None:
-    lines = ["bin_lower,bin_upper,n,k,proportion,ci_low,ci_high"]
-    for b in curve.bins:
-        lines.append(
-            ",".join(
-                [_fmt(b.lower), _fmt(b.upper), str(b.n), str(b.k), _fmt(b.proportion), _fmt(b.ci_low), _fmt(b.ci_high)]
-            )
-        )
-    _write_lines(path, lines)
+    _write_csv(
+        path,
+        "bin_lower,bin_upper,n,k,proportion,ci_low,ci_high",
+        ((b.lower, b.upper, b.n, b.k, b.proportion, b.ci_low, b.ci_high) for b in curve.bins),
+    )
 
 
 def read_calibration_csv(path: str | Path, alpha: float = 0.05) -> CalibrationCurve:
@@ -328,22 +321,22 @@ def read_calibration_csv(path: str | Path, alpha: float = 0.05) -> CalibrationCu
 
 
 def write_bubble_csv(path: str | Path, matrix: FilterBubbleMatrix) -> None:
-    lines = ["period_start,period_end,bin_lower,bin_upper,proportion,edge_count"]
-    for pi, period in enumerate(matrix.periods):
-        for b in range(matrix.bin_count):
-            lines.append(
-                ",".join(
-                    [
-                        period.start.isoformat(),
-                        period.end.isoformat(),
-                        _fmt(b / matrix.bin_count),
-                        _fmt((b + 1) / matrix.bin_count),
-                        _fmt(matrix.cells[pi][b]),
-                        str(matrix.edge_counts[pi][b]),
-                    ]
-                )
+    _write_csv(
+        path,
+        "period_start,period_end,bin_lower,bin_upper,proportion,edge_count",
+        (
+            (
+                period.start,
+                period.end,
+                b / matrix.bin_count,
+                (b + 1) / matrix.bin_count,
+                matrix.cells[pi][b],
+                matrix.edge_counts[pi][b],
             )
-    _write_lines(path, lines)
+            for pi, period in enumerate(matrix.periods)
+            for b in range(matrix.bin_count)
+        ),
+    )
 
 
 def write_topics(json_path: str | Path, csv_path: str | Path, report: TopicReport) -> None:
@@ -357,14 +350,14 @@ def write_topics(json_path: str | Path, csv_path: str | Path, report: TopicRepor
         for row in report.rows
     ]
     write_json(json_path, doc)
-    lines = ["topic,pct_recommendations,pct_videos,top_words"]
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                [str(row.topic), _fmt(row.pct_recommendations), _fmt(row.pct_videos), " ".join(row.top_words)]
-            )
-        )
-    _write_lines(csv_path, lines)
+    _write_csv(
+        csv_path,
+        "topic,pct_recommendations,pct_videos,top_words",
+        (
+            (row.topic, row.pct_recommendations, row.pct_videos, " ".join(row.top_words))
+            for row in report.rows
+        ),
+    )
 
 
 def _write_lines(path: str | Path, lines: list[str]) -> None:
@@ -386,6 +379,10 @@ def write_json(path: str | Path, doc) -> None:
 class _Likelihood:
     video_id: str
     likelihood: Optional[float]
+
+    def __post_init__(self):
+        if self.likelihood is not None and not 0.0 <= self.likelihood <= 1.0:  # NaN fails too
+            raise ValueError(f"likelihood {self.likelihood} outside [0, 1]")
 
 
 @dataclass(frozen=True)

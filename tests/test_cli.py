@@ -345,6 +345,21 @@ class TestErrors:
         assert any("rank 99" in v["message"] for v in report)
 
 
+def _write_likelihoods(out, second):
+    """Write ``likelihoods.jsonl`` with 0.5 for each video the 2019-05-01
+    snapshot recommends, but ``second`` on line 2, as plain JSON so that any
+    value gets in. Returns its path."""
+    (snapshot,) = corpus.read_jsonl(out / "snapshots" / "2019-05-01.jsonl", DailySnapshot)
+    docs = [
+        {"video_id": vid, "likelihood": 0.5}
+        for vid in sorted({e.recommended_video_id for e in snapshot.edges})
+    ]
+    docs[1]["likelihood"] = second
+    path = out / "likelihoods.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    return path
+
+
 class TestCorruptArtifacts:
     @pytest.mark.parametrize("damage", ["truncate", "drop_field"])
     def test_corrupt_snapshot_line_is_a_data_error_naming_the_file(self, workspace, capsys, damage):
@@ -383,6 +398,35 @@ class TestCorruptArtifacts:
         assert run(cfg, "trends") == 2
         err = capsys.readouterr().err
         assert f"{path}:2:" in err and "likelihood" in err
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan"), float("inf")])
+    def test_likelihood_outside_unit_interval_is_a_data_error_naming_the_line(
+        self, workspace, capsys, bad
+    ):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        assert run(cfg, "harvest", "--date", "2019-05-01") == 0
+        path = _write_likelihoods(out, bad)
+        for stage in ("calibrate", "trends", "bubble"):
+            capsys.readouterr()
+            assert run(cfg, stage) == 2
+            assert f"{path}:2:" in capsys.readouterr().err
+
+    def test_negative_view_count_in_trends_is_a_data_error(self, workspace, capsys):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        assert run(cfg, "harvest", "--date", "2019-05-01") == 0
+        _write_likelihoods(out, 0.5)
+        path = out / "videos.jsonl"
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        for doc in docs:
+            doc["view_count"] = -1
+        path.write_text("".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs))
+        capsys.readouterr()
+        assert run(cfg, "trends") == 2
+        assert "negative view count" in capsys.readouterr().err
 
     @pytest.mark.parametrize("score", [float("nan"), float("inf"), 1.5])
     def test_attribute_score_outside_unit_interval_is_a_data_error(self, workspace, capsys, score):

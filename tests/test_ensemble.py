@@ -9,13 +9,12 @@ import pytest
 from recaudit import ensemble as ensemble_module, parallel, store
 from recaudit.ensemble import (
     MODULE_NAMES,
-    ModuleScores,
     StandardizationStats,
     attribute_features,
     classify_video,
     logistic_loss_and_grad,
     precision_recall,
-    score_comments,
+    score_texts,
     train_ensemble,
     train_logistic,
     video_features,
@@ -24,7 +23,7 @@ from recaudit.ensemble import (
 )
 from recaudit.errors import DegenerateTrainingError, UnclassifiableVideoError
 from recaudit.sources import PlatformSpec, generate_labeled_set, generate_platform
-from recaudit.textmodel import TextHyper, train_text_classifier
+from recaudit.textmodel import TextHyper, predict_proba, train_text_classifier
 
 from conftest import make_video
 
@@ -56,36 +55,43 @@ class TestScoreComments:
         model = _comment_model()
         loud = "alarm alarm alarm"
         quiet = "calm calm calm"
-        single = score_comments(model, [loud])
+        single = score_texts(model, [loud])
         assert single > 0.5
         # Median of three: the middle value, which must equal the score of
         # the repeated middle comment.
-        three = score_comments(model, [loud, quiet, quiet])
-        assert three == score_comments(model, [quiet])
+        three = score_texts(model, [loud, quiet, quiet])
+        assert three == score_texts(model, [quiet])
 
     def test_even_count_is_mean_of_middle_pair(self):
         model = _comment_model()
-        a = score_comments(model, ["alarm alarm alarm"])
-        b = score_comments(model, ["calm calm calm"])
-        both = score_comments(model, ["alarm alarm alarm", "calm calm calm"])
+        a = score_texts(model, ["alarm alarm alarm"])
+        b = score_texts(model, ["calm calm calm"])
+        both = score_texts(model, ["alarm alarm alarm", "calm calm calm"])
         assert both == pytest.approx((a + b) / 2, abs=1e-12)
 
+    def test_one_text_scores_exactly_its_probability(self):
+        # The transcript and snippet modules have one text each; taking the
+        # median over it must not move the score by a bit.
+        model = _comment_model()
+        for text in ("alarm alarm alarm", "calm calm calm", "alarm calm", "unseen words"):
+            assert score_texts(model, [text]) == predict_proba(model, text)
+
     def test_zero_comments_is_absent(self):
-        assert score_comments(_comment_model(), []) is None
+        assert score_texts(_comment_model(), []) is None
 
     def test_permutation_invariant(self):
         model = _comment_model()
         comments = ["alarm alarm alarm", "calm calm calm", "alarm calm alarm"]
-        assert score_comments(model, comments) == score_comments(model, comments[::-1])
+        assert score_texts(model, comments) == score_texts(model, comments[::-1])
 
     def test_single_outlier_bounded_influence(self):
         model = _comment_model()
         base = ["calm calm calm"] * 3
         spiked = base + ["alarm alarm alarm"]
-        calm_score = score_comments(model, base)
-        assert abs(score_comments(model, spiked) - calm_score) < 0.5
+        calm_score = score_texts(model, base)
+        assert abs(score_texts(model, spiked) - calm_score) < 0.5
         # Median of 3 identical values ignores one outlier entirely.
-        assert score_comments(model, base[:2] + ["alarm alarm alarm"]) == calm_score
+        assert score_texts(model, base[:2] + ["alarm alarm alarm"]) == calm_score
 
 
 def one_hot(i, value=1.0):
@@ -209,7 +215,7 @@ class TestTrainEnsemble:
         held_scores = [layer.score(labeled_fixture[i].video) for i in held_idx]
         rep_stats = []
         for m in range(4):
-            values = [s.as_tuple()[m] for s in held_scores if s.as_tuple()[m] is not None]
+            values = [s[m] for s in held_scores if s[m] is not None]
             rep_stats.append((float(np.mean(values)), float(np.std(values))))
         stats = StandardizationStats(stats=tuple(rep_stats))
         Z = np.vstack([stats.standardize(s) for s in held_scores])
@@ -231,7 +237,7 @@ class TestTrainEnsemble:
         np.testing.assert_array_equal(trained.stacking_coef, again.stacking_coef)
         assert trained.stacking_bias == again.stacking_bias
         np.testing.assert_array_equal(
-            trained.first_layer.snippet_model.embedding, again.first_layer.snippet_model.embedding
+            trained.first_layer.text_models[1].embedding, again.first_layer.text_models[1].embedding
         )
         assert trained.stats == again.stats
 
@@ -252,7 +258,7 @@ class TestTrainEnsemble:
         held_scores = [layer.score(labeled_fixture[i].video) for i in held_idx]
         for m in range(4):
             values = np.array(
-                [s.as_tuple()[m] for s in held_scores if s.as_tuple()[m] is not None]
+                [s[m] for s in held_scores if s[m] is not None]
             )
             if len(values) < 2 or values.std() == 0:
                 continue
@@ -411,7 +417,7 @@ class TestClassifyVideo:
         )
         scores = trained.first_layer.score(video)
         mean_t = trained.stats.stats[0][0]
-        forced = ModuleScores(mean_t, scores.snippet, scores.comments, scores.attributes)
+        forced = (mean_t, *scores[1:])
         z = trained.stats.standardize(forced)
         expected = 1.0 / (
             1.0 + np.exp(-(z @ trained.stacking_coef + trained.stacking_bias))
@@ -423,23 +429,22 @@ class TestClassifyVideo:
         # The snippet modality always exists, so force its model away.
         import dataclasses
 
-        hollow_layer = dataclasses.replace(trained.first_layer, snippet_model=None,
-                                           transcript_model=None, comments_model=None,
+        hollow_layer = dataclasses.replace(trained.first_layer, text_models=(None, None, None),
                                            attribute_head=None)
         hollow = dataclasses.replace(trained, first_layer=hollow_layer)
         with pytest.raises(UnclassifiableVideoError):
             classify_video(hollow, bare)
 
     def test_monotone_in_positively_weighted_scores(self, trained):
-        base = ModuleScores(0.5, 0.5, 0.5, 0.5)
+        base = (0.5, 0.5, 0.5, 0.5)
         z0 = trained.stats.standardize(base)
         logit = float(z0 @ trained.stacking_coef + trained.stacking_bias)
         for m, name in enumerate(MODULE_NAMES):
             if trained.stacking_coef[m] <= 0:
                 continue
-            bumped = list(base.as_tuple())
+            bumped = list(base)
             bumped[m] += 0.05
-            z1 = trained.stats.standardize(ModuleScores(*bumped))
+            z1 = trained.stats.standardize(bumped)
             assert float(z1 @ trained.stacking_coef + trained.stacking_bias) > logit
 
 

@@ -37,6 +37,7 @@ VIDEO_DOC = {
 class _Handler(BaseHTTPRequestHandler):
     flaky_hits = 0
     burst_hits = 0
+    revoked_paths: frozenset = frozenset()  # a test lists paths that answer 401
 
     def log_message(self, *args):
         pass
@@ -55,7 +56,9 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):
         url = urlparse(self.path)
         query = parse_qs(url.query)
-        if url.path in ("/channels/c1/last-video", "/channels/good/last-video"):
+        if url.path in _Handler.revoked_paths:
+            self._send(401)
+        elif url.path in ("/channels/c1/last-video", "/channels/good/last-video"):
             self._send(200, VIDEO_DOC)
         elif url.path == "/channels/limited/last-video":
             self._send(429, headers=[("Retry-After", "0")])
@@ -233,6 +236,26 @@ class TestLiveAdapter:
         assert main(["harvest", "--date", "2019-05-01", "--out", str(tmp_path)]) == 1
         assert API_KEY_ENV in capsys.readouterr().err
         assert not (tmp_path / "snapshots").exists()
+
+    def test_unauthorized_video_fetch_writes_nothing_and_the_rerun_succeeds(
+        self, stub_server, tmp_path, monkeypatch, capsys
+    ):
+        # good's v1 recommends v2, whose fetch answers 401 after the
+        # channel phase has already succeeded.
+        monkeypatch.setenv("RECAUDIT_SOURCE", "live")
+        monkeypatch.setenv(BASE_URL_ENV, stub_server)
+        (tmp_path / "seeds.txt").write_text("good\n")
+        argv = ["harvest", "--date", "2019-05-01", "--out", str(tmp_path)]
+        with monkeypatch.context() as revoked:
+            revoked.setattr(_Handler, "revoked_paths", frozenset({"/videos/v2"}))
+            assert main(argv) == 1
+        assert API_KEY_ENV in capsys.readouterr().err
+        assert not (tmp_path / "snapshots").exists()
+        assert not (tmp_path / "videos").exists()
+        assert not (tmp_path / "manifests" / "harvest-2019-05-01.json").exists()
+        assert main(argv) == 0
+        assert (tmp_path / "snapshots" / "2019-05-01.jsonl").exists()
+        assert (tmp_path / "videos" / "2019-05-01.jsonl").exists()
 
     def test_live_harvest_writes_the_snapshot_and_scored_videos(
         self, stub_server, tmp_path, monkeypatch, caplog

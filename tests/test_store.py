@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import json
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from recaudit.errors import ArtifactCorruptError, ArtifactVersionError, ConfigError, HarvestExistsError
-from recaudit.ensemble import classify_video, train_ensemble
+from recaudit.ensemble import MODULE_NAMES, classify_video, train_ensemble
 from recaudit.metrics import CalibrationBin, CalibrationCurve, Period, FilterBubbleMatrix, TrendPoint, TrendSeries
 from recaudit.sources import PlatformSpec, generate_labeled_set, generate_platform
 from recaudit.store import (
@@ -116,6 +117,28 @@ class TestEnsembleBundle:
         save_ensemble(p1, ensemble)
         save_ensemble(p2, load_ensemble(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("m", range(len(MODULE_NAMES)), ids=MODULE_NAMES)
+    def test_disabled_module_round_trips_and_scores_the_same(self, tmp_path, small_ensemble, m):
+        labeled, ensemble = small_ensemble
+        layer = ensemble.first_layer
+        if m < len(layer.text_models):
+            assert layer.text_models[m] is not None
+            models = list(layer.text_models)
+            models[m] = None
+            layer = dataclasses.replace(layer, text_models=tuple(models))
+        else:
+            assert layer.attribute_head is not None
+            layer = dataclasses.replace(layer, attribute_head=None)
+        disabled = dataclasses.replace(ensemble, first_layer=layer)
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_ensemble(p1, disabled)
+        loaded = load_ensemble(p1)
+        save_ensemble(p2, loaded)
+        assert p1.read_bytes() == p2.read_bytes()
+        for ex in labeled[:15]:
+            assert loaded.first_layer.score(ex.video)[m] is None
+            assert classify_video(loaded, ex.video) == classify_video(disabled, ex.video)
 
     def test_bundle_with_epoch_losses_loads_and_scores_the_same(self, tmp_path, small_ensemble):
         # Bundles saved before the per-epoch loss was dropped carry an
