@@ -608,6 +608,31 @@ class TestSimulateOutput:
         assert digests == SIMULATE_DIGESTS, "simulate output for a fixed seed changed"
 
 
+SCORED_DIGESTS = {
+    "likelihoods.jsonl": "b3ddbebcb7082f39cdf3faecae5a62567d017eb67a79a99d7eb7ff6023edbda3",
+    "trends.csv": "62006a5f8b04be87dc07e9ad33a2979a767e79fb7a90dd309e3c9b08e6195119",
+    "bubble.csv": "7ddd6a3dc725fa032661dbfed308661ccb1a062cc934f9d992139c657342eb23",
+    "topics.json": "982919a4c82f7be14b0ff71159baae519e42f9c7cdea42376dd84caf9366e289",
+}
+
+
+class TestScoredOutput:
+    def test_score_and_report_outputs_are_byte_stable(self, workspace):
+        # The likelihoods pin the text models' scoring bit for bit; the
+        # reports pin everything computed from them.
+        tmp, cfg = workspace
+        assert run(cfg, "simulate") == 0
+        for day in ("2019-05-01", "2019-05-02", "2019-05-03"):
+            assert run(cfg, "harvest", "--date", day) == 0
+        for stage in ("train", "score", "trends", "bubble", "topics"):
+            assert run(cfg, stage) == 0
+        digests = {
+            name: hashlib.sha256((tmp / "out" / name).read_bytes()).hexdigest()
+            for name in SCORED_DIGESTS
+        }
+        assert digests == SCORED_DIGESTS, "scored output for a fixed seed changed"
+
+
 class TestSeedOverride:
     def test_seed_flag_reaches_simulator(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
