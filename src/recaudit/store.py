@@ -300,23 +300,32 @@ def write_calibration_csv(path: str | Path, curve: CalibrationCurve) -> None:
 
 
 def read_calibration_csv(path: str | Path, alpha: float = 0.05) -> CalibrationCurve:
+    """The curve ``write_calibration_csv`` wrote. A row without seven fields,
+    or with a field that does not parse, raises :class:`ArtifactCorruptError`
+    naming ``path:line``."""
     from .metrics import CalibrationBin
 
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     bins = []
-    for line in lines[1:]:  # past the header row
-        lower, upper, n, k, proportion, ci_low, ci_high = line.split(",")
-        bins.append(
-            CalibrationBin(
-                lower=float(lower),
-                upper=float(upper),
-                n=int(n),
-                k=int(k),
-                proportion=float(proportion) if proportion else None,
-                ci_low=float(ci_low) if ci_low else None,
-                ci_high=float(ci_high) if ci_high else None,
+    for number, line in enumerate(lines[1:], start=2):  # past the header row
+        fields = line.split(",")
+        try:
+            if len(fields) != 7:
+                raise ValueError(f"expected 7 fields, got {len(fields)}")
+            lower, upper, n, k, proportion, ci_low, ci_high = fields
+            bins.append(
+                CalibrationBin(
+                    lower=float(lower),
+                    upper=float(upper),
+                    n=int(n),
+                    k=int(k),
+                    proportion=float(proportion) if proportion else None,
+                    ci_low=float(ci_low) if ci_low else None,
+                    ci_high=float(ci_high) if ci_high else None,
+                )
             )
-        )
+        except ValueError as exc:
+            raise ArtifactCorruptError(f"{path}:{number}: {exc}") from exc
     return CalibrationCurve(bins=tuple(bins), alpha=alpha)
 
 

@@ -555,6 +555,19 @@ class TestCalibratedTrends:
         summary = json.loads((out / "trends_summary.json").read_text())
         assert summary["calibrated"] is True
 
+    def test_malformed_calibration_row_is_a_data_error_naming_the_line(self, workspace, monkeypatch, capsys):
+        tmp, cfg = workspace
+        for argv in (["simulate"], ["harvest", "--date", "2019-05-01"], ["train"], ["score"], ["calibrate"]):
+            assert run(cfg, *argv) == 0
+        path = tmp / "out" / "calibration.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = "0.2,0.4,abc"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setenv("RECAUDIT_TRENDS_CALIBRATED", "1")
+        capsys.readouterr()
+        assert run(cfg, "trends") == 2
+        assert f"{path}:3: " in capsys.readouterr().err
+
     def test_calibrated_mode_requires_calibration_first(self, workspace, monkeypatch):
         tmp, cfg = workspace
         assert run(cfg, "simulate") == 0

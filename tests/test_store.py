@@ -315,6 +315,27 @@ class TestCsvEmitters:
         write_calibration_csv(path, curve)
         assert read_calibration_csv(path, alpha=0.05) == curve
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "0.2,0.4,abc",  # too few fields
+            "0.5,1.0,0,0,,,,",  # too many fields
+            "0.5,1.0,two,0,,,",  # a count that is not an integer
+            "0.5,1.0,2,1,half,0.1,0.9",  # a proportion that is not a number
+        ],
+    )
+    def test_malformed_calibration_row_is_corruption_naming_path_and_line(self, tmp_path, bad):
+        path = tmp_path / "cal.csv"
+        write_calibration_csv(path, CalibrationCurve(
+            bins=(CalibrationBin(0.0, 0.5, 2, 1, 0.5, 0.1, 0.9), CalibrationBin(0.5, 1.0, 0, 0, None, None, None)),
+            alpha=0.05,
+        ))
+        lines = path.read_text().splitlines()
+        lines[2] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ArtifactCorruptError, match=f"{path}:3: "):
+            read_calibration_csv(path)
+
     def test_bubble_csv_rows(self, tmp_path):
         day = dt.date(2019, 1, 1)
         matrix = FilterBubbleMatrix(
