@@ -25,7 +25,7 @@ from .attributes import LexiconAttributeScorer, score_comment_attributes
 from .community import cluster_channels, modularity
 from .config import PipelineConfig, load_config
 from .crawler import daily_harvest, select_seed_cluster, snowball_channels
-from .ensemble import classify_video, train_ensemble
+from .ensemble import classify_videos, train_ensemble
 from .errors import (
     ArtifactCorruptError,
     ArtifactVersionError,
@@ -38,7 +38,6 @@ from .errors import (
     HarvestExistsError,
     RecauditError,
     TransientFetchError,
-    UnclassifiableVideoError,
     VideoNotFoundError,
 )
 from .live import LiveAdapter
@@ -65,7 +64,6 @@ _DATA_ERRORS = (
     ArtifactVersionError,
     DegenerateTrainingError,
     HarvestExistsError,
-    UnclassifiableVideoError,
 )
 _FETCH_ERRORS = (
     ChannelNotFoundError,
@@ -382,16 +380,9 @@ def _cmd_score(config: PipelineConfig, args) -> list[Path]:
         {e.recommended_video_id for s in snapshots for e in s.edges}
         | {e.source_video_id for s in snapshots for e in s.edges}
     )
-    likelihoods: dict[str, Optional[float]] = {}
-    for vid in wanted:
-        video = videos.get(vid)
-        if video is None:
-            likelihoods[vid] = None
-            continue
-        try:
-            likelihoods[vid] = classify_video(ensemble, video)
-        except UnclassifiableVideoError:
-            likelihoods[vid] = None
+    found = [vid for vid in wanted if vid in videos]
+    scored = dict(zip(found, classify_videos(ensemble, [videos[vid] for vid in found])))
+    likelihoods = {vid: scored.get(vid) for vid in wanted}
     path = out / "likelihoods.jsonl"
     store.write_likelihoods(path, likelihoods)
     return [path]

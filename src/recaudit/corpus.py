@@ -360,6 +360,14 @@ def atomic_output(path: str | Path) -> Iterator[BinaryIO]:
     when the block exits cleanly, so a crash or an exception midway leaves
     the previous file as it was and no temporary file behind. Every artifact
     is written through here.
+
+    The write is crash-atomic but not durable across power loss: there is
+    no ``fsync``, so a file replaced just before a power cut may come back
+    empty or as it was. Every artifact but one is rebuilt by rerunning its
+    stage, and the rerun check compares each output with its recorded
+    digest, so a flush on every write would buy nothing for them. The one
+    artifact that cannot be rebuilt is a live harvest's snapshot (with its
+    video records); keeping those is left to a copy off the machine.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

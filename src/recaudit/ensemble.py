@@ -18,6 +18,7 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,14 +46,25 @@ _SPLIT_RETRIES = 1000
 # ---------------------------------------------------------------------------
 
 
-def score_texts(model: TextModel, texts: Sequence[str | TextFeatures]) -> Optional[float]:
-    """One text module's score: the median of the model's scores over the
-    texts. The median of one score is that score, and the even-count median
-    is the mean of the two middle values. None marks the modality absent (no
-    texts)."""
-    if not texts:
-        return None
-    return float(np.median([predict_proba(model, t) for t in texts]))
+def score_texts(
+    model: TextModel, groups: Sequence[Sequence[str | TextFeatures]]
+) -> list[Optional[float]]:
+    """One text module's score for each group of texts (a video's texts for
+    the module): the median of the model's scores over the group, or None
+    for an empty group, where the modality is absent. The texts of all the
+    groups are scored in one batch. Each median is ``np.median``'s: the
+    middle score of an odd count, ``(a + b) / 2`` of the two middle scores
+    of an even one."""
+    counts = np.fromiter(map(len, groups), np.int64, len(groups))
+    scores = predict_proba(model, [text for group in groups for text in group])
+    group_of = np.repeat(np.arange(len(groups)), counts)
+    ranked = scores[np.lexsort((scores, group_of))]  # each group's scores, ascending
+    present = counts > 0
+    first = (np.cumsum(counts) - counts)[present]
+    n = counts[present]
+    # For an odd count both indices are the middle one, and (a + a) / 2 == a.
+    medians = iter(((ranked[first + (n - 1) // 2] + ranked[first + n // 2]) / 2).tolist())
+    return [next(medians) if c else None for c in counts.tolist()]
 
 
 # Attribute index pairs (i < j) in row-major order, for the product medians.
@@ -89,21 +101,27 @@ class VideoFeatures:
     attributes: Optional[np.ndarray]
 
 
-def video_features(video: VideoRecord, hyper: TextHyper) -> VideoFeatures:
-    """Featurize a video's texts with ``hyper.ngram`` and ``hyper.buckets``
-    and summarize its comment attribute vectors."""
-    def featurized(texts) -> tuple[TextFeatures, ...]:
-        return tuple(featurize(t, hyper.ngram, hyper.buckets) for t in texts)
-
-    transcript = () if video.transcript is None else (video.transcript,)
-    return VideoFeatures(
-        texts=(
-            featurized(transcript),
-            featurized([video.snippet()]),
-            featurized(c.text for c in video.comments),
-        ),
-        attributes=attribute_features([c.attribute_scores for c in video.comments]),
+def video_features(videos: Sequence[VideoRecord], hyper: TextHyper) -> list[VideoFeatures]:
+    """Featurize the videos' texts with ``hyper.ngram`` and ``hyper.buckets``,
+    all in one batch, and summarize each video's comment attribute vectors."""
+    texts = [
+        (
+            () if video.transcript is None else (video.transcript,),
+            (video.snippet(),),
+            tuple(c.text for c in video.comments),
+        )
+        for video in videos
+    ]
+    featurized = iter(
+        featurize([t for modules in texts for group in modules for t in group], hyper.ngram, hyper.buckets)
     )
+    return [
+        VideoFeatures(
+            texts=tuple(tuple(islice(featurized, len(group))) for group in modules),
+            attributes=attribute_features([c.attribute_scores for c in video.comments]),
+        )
+        for video, modules in zip(videos, texts)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -192,24 +210,28 @@ class FirstLayer:
     text_models: tuple[Optional[TextModel], ...]  # aligned with TEXT_MODULE_NAMES
     attribute_head: Optional[tuple[np.ndarray, float]]
 
-    def score(self, video: VideoRecord) -> tuple[Optional[float], ...]:
+    def score(self, videos: Sequence[VideoRecord]) -> list[tuple[Optional[float], ...]]:
         # A layer's text models are fit with one TextHyper, so they share
         # the ngram and buckets the features depend on.
         hyper = next((m.hyper for m in self.text_models if m is not None), TextHyper())
-        return self.score_features(video_features(video, hyper))
+        return self.score_features(video_features(videos, hyper))
 
-    def score_features(self, feats: VideoFeatures) -> tuple[Optional[float], ...]:
-        """Module scores aligned with MODULE_NAMES; None where the module is
-        disabled or the video lacks its modality."""
-        scores = [
-            None if model is None else score_texts(model, texts)
-            for model, texts in zip(self.text_models, feats.texts)
+    def score_features(self, feats: Sequence[VideoFeatures]) -> list[tuple[Optional[float], ...]]:
+        """Each video's module scores, aligned with MODULE_NAMES; None where
+        the module is disabled or the video lacks its modality. Each text
+        module scores all the videos in one batch."""
+        columns = [
+            [None] * len(feats) if model is None else score_texts(model, [f.texts[m] for f in feats])
+            for m, model in enumerate(self.text_models)
         ]
-        attributes = None
-        if self.attribute_head is not None and feats.attributes is not None:
+        attributes = [None] * len(feats)
+        if self.attribute_head is not None:
             coef, bias = self.attribute_head
-            attributes = _sigmoid(float(feats.attributes @ coef) + bias)
-        return (*scores, attributes)
+            attributes = [
+                None if f.attributes is None else _sigmoid(float(f.attributes @ coef) + bias)
+                for f in feats
+            ]
+        return list(zip(*columns, attributes))
 
 
 @dataclass(frozen=True)
@@ -257,17 +279,31 @@ class TrainedEnsemble:
         }
 
 
-def classify_video(ensemble: TrainedEnsemble, video: VideoRecord) -> float:
-    """Conspiracy likelihood in [0, 1] for one video.
+def classify_videos(ensemble: TrainedEnsemble, videos: Sequence[VideoRecord]) -> list[Optional[float]]:
+    """Conspiracy likelihood in [0, 1] for each video, scored in one batch.
 
     Missing modalities contribute exactly zero after standardization. A video
-    with all four modalities absent cannot be classified at all.
+    with all four modalities absent cannot be classified at all: its entry is
+    None.
     """
-    scores = ensemble.first_layer.score(video)
-    if all(s is None for s in scores):
+    likelihoods: list[Optional[float]] = []
+    for scores in ensemble.first_layer.score(videos):
+        if all(s is None for s in scores):
+            likelihoods.append(None)
+            continue
+        z = ensemble.stats.standardize(scores)
+        likelihoods.append(_sigmoid(float(z @ ensemble.stacking_coef) + ensemble.stacking_bias))
+    return likelihoods
+
+
+def classify_video(ensemble: TrainedEnsemble, video: VideoRecord) -> float:
+    """Conspiracy likelihood in [0, 1] for one video: a batch of one.
+    Raises :class:`UnclassifiableVideoError` when all four modalities are
+    absent."""
+    (likelihood,) = classify_videos(ensemble, [video])
+    if likelihood is None:
         raise UnclassifiableVideoError(video.video_id)
-    z = ensemble.stats.standardize(scores)
-    return _sigmoid(float(z @ ensemble.stacking_coef) + ensemble.stacking_bias)
+    return likelihood
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +374,7 @@ def _repeat(
     layer = _train_first_layer(
         [examples[i] for i in train_idx], text_hyper, seed=seed * repeats + rep
     )
-    held_scores = [layer.score_features(examples[i][0]) for i in held_idx]
+    held_scores = layer.score_features([examples[i][0] for i in held_idx])
 
     rep_stats: list[Optional[tuple[float, float]]] = []
     for m in range(len(MODULE_NAMES)):
@@ -387,7 +423,8 @@ def train_ensemble(
     ) < 10:
         raise DegenerateTrainingError("need at least 10 examples per class")
 
-    examples = [(video_features(ex.video, text_hyper), ex.label) for ex in labeled]
+    features = video_features([ex.video for ex in labeled], text_hyper)
+    examples = [(f, ex.label) for f, ex in zip(features, labeled)]
     tasks = [partial(_train_first_layer, examples, text_hyper, seed=seed * repeats + repeats)]
     tasks += [
         partial(_repeat, examples, labels, rep, split, seed, repeats, text_hyper, l2)

@@ -128,8 +128,7 @@ def _text_model_parts(model: Optional[TextModel], prefix: str, meta: dict, array
         "words": list(model.vocab.words),
         "hyper": vars(model.hyper).copy(),
     }
-    observed = sorted(model.row_index, key=model.row_index.get)
-    arrays[f"{prefix}.observed_ids"] = np.array(observed, dtype=np.int64)
+    arrays[f"{prefix}.observed_ids"] = model.observed_ids
     arrays[f"{prefix}.embedding"] = model.embedding
     arrays[f"{prefix}.head"] = model.head
     arrays[f"{prefix}.bias"] = model.bias
@@ -145,7 +144,7 @@ def _text_model_from_parts(prefix: str, meta: dict, arrays: dict) -> Optional[Te
     return TextModel(
         vocab=vocab,
         hyper=hyper,
-        row_index={int(fid): row for row, fid in enumerate(observed)},
+        observed_ids=observed,
         embedding=arrays[f"{prefix}.embedding"],
         head=arrays[f"{prefix}.head"],
         bias=arrays[f"{prefix}.bias"],

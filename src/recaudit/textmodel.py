@@ -17,6 +17,8 @@ import re
 import sys
 import unicodedata
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -24,23 +26,16 @@ from .errors import DegenerateTrainingError
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_NGRAM_SEP = b"\x1f"
+# FNV-1a 64: the offset basis, the prime, and the byte joining an n-gram's tokens.
+_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
+_FNV_PRIME = np.uint64(0x100000001B3)
+_NGRAM_SEP = np.uint64(0x1F)
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercased NFC tokens, split on non-alphanumeric runs. Digits kept."""
     text = unicodedata.normalize("NFC", text).lower()
     return _TOKEN_RE.findall(text)
-
-
-def fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
 
 
 @dataclass(frozen=True)
@@ -84,40 +79,101 @@ class TextFeatures:
     ngram_buckets: np.ndarray  # (n_ngrams,) int64, each in [0, buckets)
 
 
-def featurize(text: str, ngram: int, buckets: int) -> TextFeatures:
-    """Tokenize a text and hash its n-grams into ``buckets``. Tokens are
-    interned, so features kept for many texts hold one copy of each word."""
-    tokens = tuple(map(sys.intern, tokenize(text)))
-    hashes = []
-    if ngram >= 2:
-        for i in range(len(tokens) - ngram + 1):
-            key = _NGRAM_SEP.join(t.encode("utf-8") for t in tokens[i : i + ngram])
-            hashes.append(fnv1a64(key) % buckets)
-    return TextFeatures(text, tokens, np.array(hashes, dtype=np.int64))
+def featurize(texts: Sequence[str], ngram: int, buckets: int) -> list[TextFeatures]:
+    """Tokenize texts and hash the n-grams of each into ``buckets``.
+
+    An n-gram's bucket is the FNV-1a 64 hash of its tokens' UTF-8 bytes,
+    joined by 0x1f, modulo ``buckets``. The n-grams of all the texts are
+    hashed together, one numpy step per byte column of each n-gram position,
+    on ``uint64`` arrays whose arithmetic wraps mod 2**64 as FNV's does. Each
+    distinct token is interned and encoded once, so features kept for many
+    texts hold one copy of each word.
+    """
+    token_lists = [tokenize(t) for t in texts]
+    flat = list(map(sys.intern, chain.from_iterable(token_lists)))
+    words = list(dict.fromkeys(flat))
+    word_ids = np.fromiter(
+        map(dict(zip(words, range(len(words)))).__getitem__, flat), np.int64, len(flat)
+    )
+    encoded = [w.encode("utf-8") for w in words]
+    word_len = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    word_start = np.cumsum(word_len) - word_len
+    data = np.frombuffer(b"".join(encoded), dtype=np.uint8).astype(np.uint64)
+
+    lengths = np.fromiter(map(len, token_lists), np.int64, len(token_lists))
+    ends = np.cumsum(lengths)
+    n_ngrams = np.maximum(lengths - ngram + 1, 0) if ngram >= 2 else 0 * lengths
+    ngram_ends = np.cumsum(n_ngrams)
+    # The flat position of each n-gram's first token.
+    starts = np.arange(n_ngrams.sum()) + np.repeat(
+        ends - lengths - (ngram_ends - n_ngrams), n_ngrams
+    )
+    h = np.full(len(starts), _FNV_OFFSET, dtype=np.uint64)
+    for k in range(ngram):
+        if k:
+            h ^= _NGRAM_SEP
+            h *= _FNV_PRIME
+        # Longest token first, so the n-grams still hashing byte column j
+        # are a prefix of the order.
+        token = word_ids[starts + k]
+        order = np.argsort(-word_len[token], kind="stable")
+        n_bytes = word_len[token][order]
+        first_byte = word_start[token][order]
+        hk = h[order]
+        columns = n_bytes[0] if n_bytes.size else 0
+        for j, active in enumerate(np.searchsorted(-n_bytes, -np.arange(columns)).tolist()):
+            hk[:active] ^= data[first_byte[:active] + j]
+            hk[:active] *= _FNV_PRIME
+        h[order] = hk
+    hashed = (h % np.uint64(buckets)).astype(np.int64)
+    return [
+        TextFeatures(text, tuple(flat[end - n : end]), hashed[ngram_end - k : ngram_end])
+        for text, n, end, k, ngram_end in zip(
+            texts, lengths.tolist(), ends.tolist(), n_ngrams.tolist(), ngram_ends.tolist()
+        )
+    ]
 
 
-def feature_ids(features: TextFeatures, vocab: Vocabulary) -> np.ndarray:
-    """Feature ids under a vocabulary: in-vocabulary word indices plus the
-    n-gram bucket ids offset past the word block. Out-of-vocabulary single
-    words are dropped; n-grams count whether or not their words are known.
+def feature_ids(
+    features: Sequence[TextFeatures], vocab: Vocabulary
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each text's feature ids under a vocabulary, all in one array, text
+    after text, and each text's number of ids. A text's ids are its
+    in-vocabulary word indices, in token order, then its n-gram bucket ids
+    offset past the word block. Out-of-vocabulary single words are dropped;
+    n-grams count whether or not their words are known.
     """
     index = vocab.index
-    words = np.array([index[tok] for tok in features.tokens if tok in index], dtype=np.int64)
-    return np.concatenate([words, features.ngram_buckets + len(vocab.words)])
+    words = [[index[tok] for tok in f.tokens if tok in index] for f in features]
+    n_words = np.fromiter(map(len, words), np.int64, len(words))
+    n_ngrams = np.fromiter((f.ngram_buckets.size for f in features), np.int64, len(features))
+    word_ids = np.fromiter(chain.from_iterable(words), np.int64)
+    ngram_ids = np.concatenate([np.empty(0, np.int64), *(f.ngram_buckets for f in features)])
+    ids = np.concatenate([word_ids, ngram_ids + len(vocab.words)])
+    # All the word ids come first; a stable sort on the text puts each
+    # text's words before its n-grams.
+    text_of = np.arange(len(features))
+    order = np.argsort(
+        np.concatenate([np.repeat(text_of, n_words), np.repeat(text_of, n_ngrams)]), kind="stable"
+    )
+    return ids[order], n_words + n_ngrams
 
 
-def _as_features(text: str | TextFeatures, hyper: TextHyper) -> TextFeatures:
-    if isinstance(text, TextFeatures):
-        return text
-    return featurize(text, hyper.ngram, hyper.buckets)
+def _as_features(texts: Sequence[str | TextFeatures], hyper: TextHyper) -> list[TextFeatures]:
+    """The texts as features; the raw strings among them are featurized in
+    one batch with ``hyper.ngram`` and ``hyper.buckets``."""
+    raw = [t for t in texts if not isinstance(t, TextFeatures)]
+    new = iter(featurize(raw, hyper.ngram, hyper.buckets) if raw else ())
+    return [t if isinstance(t, TextFeatures) else next(new) for t in texts]
 
 
 @dataclass
 class TextModel:
     vocab: Vocabulary
     hyper: TextHyper
-    # Compact embedding: feature id -> row of `embedding`; untouched ids are zero rows.
-    row_index: dict[int, int]
+    # Compact embedding: row r of `embedding` belongs to feature id
+    # observed_ids[r]; any other id is a zero row.
+    observed_ids: np.ndarray  # (n_observed_ids,) int64, ascending
     embedding: np.ndarray  # (n_observed_ids, dim)
     head: np.ndarray  # (2, dim)
     bias: np.ndarray  # (2,)
@@ -139,8 +195,9 @@ def _forward(model: TextModel, rows, n_ids: int, y: int):
     which adds nothing to the sum but counts in the mean. Returns the
     document vector ``h``, the class probabilities ``p``, the cross-entropy
     of ``y``, and its gradients ``dz = p - onehot(y)`` with respect to the
-    logits and ``dh = head.T @ dz`` with respect to ``h``. Training,
-    scoring and ``loss_and_grads`` all run this one pass.
+    logits and ``dh = head.T @ dz`` with respect to ``h``. Training and
+    ``loss_and_grads`` run this pass; :func:`predict_proba` runs it over many
+    documents at once, with the same bits.
     """
     h = model.embedding[rows].sum(axis=0) / n_ids if len(rows) else np.zeros(model.hyper.dim)
     p = _softmax2(model.head @ h + model.bias)
@@ -149,22 +206,63 @@ def _forward(model: TextModel, rows, n_ids: int, y: int):
     return h, p, -math.log(max(p[y], 1e-300)), dz, model.head.T @ dz
 
 
-def _document(model: TextModel, text: str | TextFeatures) -> tuple[list[int], int]:
-    """A text's embedding rows under a trained model, and its number of feature ids."""
-    ids = feature_ids(_as_features(text, model.hyper), model.vocab).tolist()
-    row_index = model.row_index
-    return [row_index[fid] for fid in ids if fid in row_index], len(ids)
+def _rows(model: TextModel, features: Sequence[TextFeatures]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each text's embedding rows under a trained model, in feature-id order
+    and all in one array, text after text; each text's number of rows; and
+    each text's number of feature ids, which counts the ids without a row."""
+    ids, n_ids = feature_ids(features, model.vocab)
+    observed = model.observed_ids
+    rows = np.searchsorted(observed, ids)
+    known = rows < len(observed)
+    known[known] = observed[rows[known]] == ids[known]
+    text_of = np.repeat(np.arange(len(features)), n_ids)
+    return rows[known], np.bincount(text_of[known], minlength=len(features)), n_ids
 
 
-def predict_proba(model: TextModel, text: str | TextFeatures) -> float:
-    """Probability that the text belongs to the positive class.
+# The most elements one step of predict_proba gathers: a batch of any size
+# is scored in chunks of this many embedding values.
+_GATHER_ELEMENTS = 1 << 18
+
+
+def predict_proba(model: TextModel, texts: Sequence[str | TextFeatures]) -> np.ndarray:
+    """Probability that each text belongs to the positive class.
 
     Class probabilities sum to one by softmax; an empty or all-unknown
-    document scores from the bias alone. The text may be given already
+    document scores from the bias alone. Texts may be given already
     featurized with the model's ``ngram`` and ``buckets``.
+
+    Every score has the bits :func:`_forward` gives the document alone. The
+    documents are taken shortest first, in chunks of at most
+    ``_GATHER_ELEMENTS`` gathered values (a document longer than that is a
+    chunk of its own). A chunk's rows are padded to its
+    longest document with -0.0, which leaves every sum bit for bit as it
+    was (x + -0.0 == x), and summed on the same axis order as ``_forward``;
+    the head is applied by a batched matrix-vector product, then the
+    written-out two-way softmax.
     """
-    rows, n_ids = _document(model, text)
-    return float(_forward(model, rows, n_ids, 1)[1][1])  # p does not depend on the label
+    rows, n_rows, n_ids = _rows(model, _as_features(texts, model.hyper))
+    first = np.cumsum(n_rows) - n_rows
+    order = np.argsort(n_rows, kind="stable")
+    widths = (np.maximum(n_rows[order], 1) * model.embedding.shape[1]).tolist()
+    out = np.empty(len(n_rows))
+    lo = 0
+    while lo < len(order):
+        hi = lo + 1  # past the chunk's last document, the longest
+        while hi < len(order) and (hi + 1 - lo) * widths[hi] <= _GATHER_ELEMENTS:
+            hi += 1
+        chunk = order[lo:hi]
+        lengths = n_rows[chunk]
+        at = first[chunk][:, None] + np.arange(lengths[-1])
+        pad = at >= (first[chunk] + lengths)[:, None]
+        gathered = model.embedding[rows[np.where(pad, 0, at)]]
+        gathered[pad] = -0.0
+        h = gathered.sum(axis=1) / np.maximum(n_ids[chunk], 1)[:, None]
+        h[lengths == 0] = 0.0  # as _forward: no rows is the zero vector
+        z = (model.head[None] @ h[:, :, None])[:, :, 0] + model.bias
+        e = np.exp(z - np.maximum(z[:, 0], z[:, 1])[:, None])
+        out[chunk] = e[:, 1] / (e[:, 0] + e[:, 1])
+        lo = hi
+    return out
 
 
 def train_text_classifier(
@@ -190,22 +288,22 @@ def train_text_classifier(
         raise DegenerateTrainingError("need at least one example per class")
 
     docs = sorted(
-        ((_as_features(text, hyper), label) for text, label in examples),
+        zip(_as_features([text for text, _ in examples], hyper), [label for _, label in examples]),
         key=lambda doc: (doc[0].text, doc[1]),
     )
     vocab = build_vocabulary([f.tokens for f, _ in docs], hyper.min_count)
-    featurized = [feature_ids(f, vocab) for f, _ in docs]
+    ids, n_ids = feature_ids([f for f, _ in docs], vocab)
     ys = [label for _, label in docs]
 
-    observed = np.unique(np.concatenate(featurized))
+    observed = np.unique(ids)
     # Every training id has a row, so a document's rows number its ids.
-    id_rows = [np.searchsorted(observed, ids) for ids in featurized]
+    id_rows = np.split(np.searchsorted(observed, ids), np.cumsum(n_ids)[:-1])
 
     rng = np.random.default_rng(hyper.seed)
     model = TextModel(
         vocab=vocab,
         hyper=hyper,
-        row_index=dict(zip(observed.tolist(), range(len(observed)))),
+        observed_ids=observed,
         embedding=np.zeros((len(observed), hyper.dim)),
         head=rng.normal(0.0, 1.0 / np.sqrt(hyper.dim), size=(2, hyper.dim)),
         bias=np.zeros(2),
@@ -243,12 +341,12 @@ def loss_and_grads(model: TextModel, examples: list[tuple[str | TextFeatures, in
     d_bias = np.zeros_like(model.bias)
     total = 0.0
     n = len(examples)
-    for text, y in examples:
-        rows, n_ids = _document(model, text)
-        h, _, loss, dz, dh = _forward(model, rows, n_ids, y)
+    rows, n_rows, n_ids = _rows(model, _as_features([text for text, _ in examples], model.hyper))
+    for doc_rows, doc_ids, (_, y) in zip(np.split(rows, np.cumsum(n_rows)[:-1]), n_ids.tolist(), examples):
+        h, _, loss, dz, dh = _forward(model, doc_rows, doc_ids, y)
         total += loss
         d_head += dz[:, None] * h / n
         d_bias += dz / n
-        if rows:
-            np.add.at(d_emb, rows, dh / (n_ids * n))
+        if doc_rows.size:
+            np.add.at(d_emb, doc_rows, dh / (doc_ids * n))
     return total / n, d_emb, d_head, d_bias

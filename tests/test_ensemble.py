@@ -6,12 +6,13 @@ import os
 import numpy as np
 import pytest
 
-from recaudit import ensemble as ensemble_module, parallel, store
+from recaudit import ensemble as ensemble_module, parallel, store, textmodel
 from recaudit.ensemble import (
     MODULE_NAMES,
     StandardizationStats,
     attribute_features,
     classify_video,
+    classify_videos,
     logistic_loss_and_grad,
     precision_recall,
     score_texts,
@@ -50,23 +51,28 @@ def _comment_model():
     return train_text_classifier(examples, TextHyper(dim=4, epochs=20, min_count=1, seed=0))
 
 
+def median_score(model, texts):
+    (median,) = score_texts(model, [texts])
+    return median
+
+
 class TestScoreComments:
     def test_median_via_real_model(self):
         model = _comment_model()
         loud = "alarm alarm alarm"
         quiet = "calm calm calm"
-        single = score_texts(model, [loud])
+        single = median_score(model, [loud])
         assert single > 0.5
         # Median of three: the middle value, which must equal the score of
         # the repeated middle comment.
-        three = score_texts(model, [loud, quiet, quiet])
-        assert three == score_texts(model, [quiet])
+        three = median_score(model, [loud, quiet, quiet])
+        assert three == median_score(model, [quiet])
 
     def test_even_count_is_mean_of_middle_pair(self):
         model = _comment_model()
-        a = score_texts(model, ["alarm alarm alarm"])
-        b = score_texts(model, ["calm calm calm"])
-        both = score_texts(model, ["alarm alarm alarm", "calm calm calm"])
+        a = median_score(model, ["alarm alarm alarm"])
+        b = median_score(model, ["calm calm calm"])
+        both = median_score(model, ["alarm alarm alarm", "calm calm calm"])
         assert both == pytest.approx((a + b) / 2, abs=1e-12)
 
     def test_one_text_scores_exactly_its_probability(self):
@@ -74,24 +80,24 @@ class TestScoreComments:
         # median over it must not move the score by a bit.
         model = _comment_model()
         for text in ("alarm alarm alarm", "calm calm calm", "alarm calm", "unseen words"):
-            assert score_texts(model, [text]) == predict_proba(model, text)
+            assert median_score(model, [text]) == predict_proba(model, [text])[0]
 
     def test_zero_comments_is_absent(self):
-        assert score_texts(_comment_model(), []) is None
+        assert median_score(_comment_model(), []) is None
 
     def test_permutation_invariant(self):
         model = _comment_model()
         comments = ["alarm alarm alarm", "calm calm calm", "alarm calm alarm"]
-        assert score_texts(model, comments) == score_texts(model, comments[::-1])
+        assert median_score(model, comments) == median_score(model, comments[::-1])
 
     def test_single_outlier_bounded_influence(self):
         model = _comment_model()
         base = ["calm calm calm"] * 3
         spiked = base + ["alarm alarm alarm"]
-        calm_score = score_texts(model, base)
-        assert abs(score_texts(model, spiked) - calm_score) < 0.5
+        calm_score = median_score(model, base)
+        assert abs(median_score(model, spiked) - calm_score) < 0.5
         # Median of 3 identical values ignores one outlier entirely.
-        assert score_texts(model, base[:2] + ["alarm alarm alarm"]) == calm_score
+        assert median_score(model, base[:2] + ["alarm alarm alarm"]) == calm_score
 
 
 def one_hot(i, value=1.0):
@@ -201,7 +207,8 @@ class TestTrainLogistic:
 
 
 def _pairs(labeled, indices):
-    return [(video_features(labeled[i].video, HYPER), labeled[i].label) for i in indices]
+    features = video_features([labeled[i].video for i in indices], HYPER)
+    return [(f, labeled[i].label) for f, i in zip(features, indices)]
 
 
 class TestTrainEnsemble:
@@ -212,7 +219,7 @@ class TestTrainEnsemble:
         rng = np.random.default_rng([7, 0])
         train_idx, held_idx = _split_indices(rng, labels, 0.6)
         layer = _train_first_layer(_pairs(labeled_fixture, train_idx), HYPER, seed=7 * 1 + 0)
-        held_scores = [layer.score(labeled_fixture[i].video) for i in held_idx]
+        held_scores = layer.score([labeled_fixture[i].video for i in held_idx])
         rep_stats = []
         for m in range(4):
             values = [s[m] for s in held_scores if s[m] is not None]
@@ -255,7 +262,7 @@ class TestTrainEnsemble:
         rng = np.random.default_rng([7, 0])
         train_idx, held_idx = _split_indices(rng, labels, 0.6)
         layer = _train_first_layer(_pairs(labeled_fixture, train_idx), HYPER, seed=7)
-        held_scores = [layer.score(labeled_fixture[i].video) for i in held_idx]
+        held_scores = layer.score([labeled_fixture[i].video for i in held_idx])
         for m in range(4):
             values = np.array(
                 [s[m] for s in held_scores if s[m] is not None]
@@ -415,7 +422,7 @@ class TestClassifyVideo:
             transcript=None,
             comments=video.comments,
         )
-        scores = trained.first_layer.score(video)
+        (scores,) = trained.first_layer.score([video])
         mean_t = trained.stats.stats[0][0]
         forced = (mean_t, *scores[1:])
         z = trained.stats.standardize(forced)
@@ -446,6 +453,76 @@ class TestClassifyVideo:
             bumped[m] += 0.05
             z1 = trained.stats.standardize(bumped)
             assert float(z1 @ trained.stacking_coef + trained.stacking_bias) > logit
+
+
+def _forward_scores(layer, video):
+    """One video's module scores, each text scored alone by the
+    per-document ``_forward`` pass and its median taken by ``np.median``."""
+    (feats,) = video_features([video], HYPER)
+    scores = []
+    for model, texts in zip(layer.text_models, feats.texts):
+        if model is None or not texts:
+            scores.append(None)
+            continue
+        probs = []
+        for f in texts:
+            rows, _, n_ids = textmodel._rows(model, [f])
+            probs.append(textmodel._forward(model, rows, int(n_ids[0]), 1)[1][1])
+        scores.append(float(np.median(probs)))
+    attributes = None
+    if layer.attribute_head is not None and feats.attributes is not None:
+        coef, bias = layer.attribute_head
+        attributes = ensemble_module._sigmoid(float(feats.attributes @ coef) + bias)
+    return (*scores, attributes)
+
+
+def _stripped(video, **changes):
+    fields = dict(channel_id=video.channel_id, title=video.title, description=video.description,
+                  tags=video.tags, transcript=video.transcript, comments=video.comments)
+    return make_video(video.video_id + "-stripped", **{**fields, **changes})
+
+
+class TestBatchFirstLayer:
+    """Scoring many videos in one batch gives each the bits the per-document
+    pass gives it alone."""
+
+    @pytest.fixture(scope="class")
+    def videos(self, labeled_fixture):
+        videos = [ex.video for ex in labeled_fixture]
+        with_transcript = next(v for v in videos if v.transcript is not None)
+        with_comments = next(v for v in videos if len(v.comments) >= 3)
+        return videos + [
+            _stripped(with_transcript, transcript=None),  # no transcript
+            _stripped(with_comments, comments=()),  # comments disabled
+            _stripped(with_comments, comments=with_comments.comments[:2]),  # even count
+            make_video("bare", transcript=None, comments=[]),  # the snippet alone
+        ]
+
+    def test_module_scores_equal_the_per_document_pass(self, trained, videos):
+        assert len({len(v.comments) % 2 for v in videos}) == 2  # odd and even medians
+        batch = trained.first_layer.score(videos)
+        assert batch == [_forward_scores(trained.first_layer, v) for v in videos]
+        assert batch[-3][2] is None and batch[-3][3] is None  # comments disabled
+        assert batch[-4][0] is None
+
+    def test_classify_videos_equals_one_video_at_a_time(self, trained, videos):
+        assert classify_videos(trained, videos) == [classify_video(trained, v) for v in videos]
+
+    def test_all_absent_video_is_none_in_a_batch_and_raises_alone(self, trained, videos):
+        # Without text models only the attribute head scores, so a video
+        # with no comments has every modality absent.
+        hollow_layer = dataclasses.replace(trained.first_layer, text_models=(None, None, None))
+        hollow = dataclasses.replace(trained, first_layer=hollow_layer)
+        bare, with_comments = videos[-1], videos[0]
+        assert with_comments.comments
+        likelihoods = classify_videos(hollow, [with_comments, bare, with_comments])
+        assert likelihoods[1] is None and likelihoods[0] == likelihoods[2] is not None
+        with pytest.raises(UnclassifiableVideoError):
+            classify_video(hollow, bare)
+
+    def test_no_videos(self, trained):
+        assert trained.first_layer.score([]) == []
+        assert classify_videos(trained, []) == []
 
 
 class TestPrecisionRecall:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from recaudit.errors import ArtifactCorruptError, ArtifactVersionError, ConfigError, HarvestExistsError
-from recaudit.ensemble import MODULE_NAMES, classify_video, train_ensemble
+from recaudit.ensemble import MODULE_NAMES, classify_video, classify_videos, train_ensemble
 from recaudit.metrics import CalibrationBin, CalibrationCurve, Period, FilterBubbleMatrix, TrendPoint, TrendSeries
 from recaudit.sources import PlatformSpec, generate_labeled_set, generate_platform
 from recaudit.store import (
@@ -136,9 +136,9 @@ class TestEnsembleBundle:
         loaded = load_ensemble(p1)
         save_ensemble(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
-        for ex in labeled[:15]:
-            assert loaded.first_layer.score(ex.video)[m] is None
-            assert classify_video(loaded, ex.video) == classify_video(disabled, ex.video)
+        videos = [ex.video for ex in labeled[:15]]
+        assert all(scores[m] is None for scores in loaded.first_layer.score(videos))
+        assert classify_videos(loaded, videos) == classify_videos(disabled, videos)
 
     def test_bundle_with_epoch_losses_loads_and_scores_the_same(self, tmp_path, small_ensemble):
         # Bundles saved before the per-epoch loss was dropped carry an

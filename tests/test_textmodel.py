@@ -1,9 +1,11 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from recaudit import textmodel
 from recaudit.errors import DegenerateTrainingError
 from recaudit.textmodel import (
     TextHyper,
@@ -11,7 +13,6 @@ from recaudit.textmodel import (
     build_vocabulary,
     feature_ids,
     featurize,
-    fnv1a64,
     loss_and_grads,
     predict_proba,
     tokenize,
@@ -22,6 +23,34 @@ POS_DOCS = [f"hoax aliens illuminati secret {w}" for w in "one two three four fi
 NEG_DOCS = [f"cooking recipe music travel {w}" for w in "one two three four five six seven eight nine ten".split()]
 TOY = [(t, 1) for t in POS_DOCS] + [(t, 0) for t in NEG_DOCS]
 HYPER = TextHyper(dim=8, epochs=15, min_count=1, seed=3)
+
+
+def fnv1a64(data: bytes) -> int:
+    """FNV-1a 64 one byte at a time, on Python ints: the scalar reference
+    the batched hashing in ``featurize`` must equal."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def featurize_one(text: str, ngram: int, buckets: int):
+    """One text's tokens and n-gram buckets, hashed by the scalar reference."""
+    tokens = tuple(tokenize(text))
+    keys = [b"\x1f".join(t.encode("utf-8") for t in tokens[i : i + ngram])
+            for i in range(len(tokens) - ngram + 1)] if ngram >= 2 else []
+    return tokens, [fnv1a64(key) % buckets for key in keys]
+
+
+def score(model, text):
+    return predict_proba(model, [text])[0]
+
+
+def forward_score(model, features):
+    """The positive-class probability of the per-document ``_forward`` pass."""
+    rows, _, n_ids = textmodel._rows(model, [features])
+    return textmodel._forward(model, rows, int(n_ids[0]), 1)[1][1]
 
 
 class TestTokenize:
@@ -43,7 +72,9 @@ class TestFeaturize:
         return Vocabulary(words=tuple(sorted(words)))
 
     def ids(self, text, vocab):
-        return feature_ids(featurize(text, 2, 64), vocab).tolist()
+        ids, n_ids = feature_ids(featurize([text], 2, 64), vocab)
+        assert n_ids.tolist() == [len(ids)]
+        return ids.tolist()
 
     def test_empty_tokens(self):
         assert self.ids("", self.vocab("a")) == []
@@ -67,31 +98,81 @@ class TestFeaturize:
         assert len(ids) == 2  # one word id, one bigram id
 
     def test_ngram_buckets_do_not_depend_on_the_vocabulary(self):
-        feats = featurize("a b c", 2, 64)
+        (feats,) = featurize(["a b c"], 2, 64)
         assert feats.tokens == ("a", "b", "c")
-        small = feature_ids(feats, self.vocab("a")).tolist()
-        large = feature_ids(feats, self.vocab("a", "b", "c")).tolist()
+        small = feature_ids([feats], self.vocab("a"))[0].tolist()
+        large = feature_ids([feats], self.vocab("a", "b", "c"))[0].tolist()
         assert [i - 1 for i in small[1:]] == feats.ngram_buckets.tolist()
         assert [i - 3 for i in large[3:]] == feats.ngram_buckets.tolist()
+
+    def test_batch_ids_are_each_texts_ids_in_turn(self):
+        vocab = self.vocab("a", "b", "zzz")
+        texts = ["a zzz b", "", "q", "b b a q a", "zzz"]
+        ids, n_ids = feature_ids(featurize(texts, 2, 64), vocab)
+        assert n_ids.tolist() == [len(self.ids(t, vocab)) for t in texts]
+        assert ids.tolist() == [i for t in texts for i in self.ids(t, vocab)]
 
     def test_min_count_threshold(self):
         vocab = build_vocabulary([["a", "a", "b"]], min_count=2)
         assert vocab.words == ("a",)
 
-    def test_fnv_reference_value(self):
-        # FNV-1a 64-bit of empty input is the offset basis.
+    def test_fnv_reference_values(self):
+        # FNV-1a 64-bit of empty input is the offset basis; the others are
+        # the published test vectors.
         assert fnv1a64(b"") == 0xCBF29CE484222325
+        assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+        assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+
+class TestBatchFeaturize:
+    TEXTS = [
+        "",
+        "solo",
+        "the moon landing was staged",
+        "café é 日本 日本 tokyo",  # multi-byte UTF-8
+        "x" * 65 + " short " + "日" * 30 + " z",  # tokens longer than 64 bytes
+        "a b a b a b",
+        "Hoax HOAX hoax, the_deep_state!",
+    ]
+
+    @pytest.mark.parametrize("ngram", [1, 2, 3])
+    @pytest.mark.parametrize("buckets", [64, 1000, 2**20])
+    def test_batch_equals_the_scalar_reference(self, ngram, buckets):
+        with warnings.catch_warnings():
+            # A numpy overflow warning from scalar uint64 arithmetic fails.
+            warnings.simplefilter("error")
+            batch = featurize(self.TEXTS, ngram, buckets)
+        assert [f.text for f in batch] == self.TEXTS
+        for text, feats in zip(self.TEXTS, batch):
+            tokens, buckets_ref = featurize_one(text, ngram, buckets)
+            assert feats.tokens == tokens
+            assert feats.ngram_buckets.dtype == np.int64
+            assert feats.ngram_buckets.tolist() == buckets_ref
+
+    def test_each_text_alone_equals_its_place_in_the_batch(self):
+        batch = featurize(self.TEXTS, 2, 1000)
+        for text, feats in zip(self.TEXTS, batch):
+            (alone,) = featurize([text], 2, 1000)
+            assert alone.tokens == feats.tokens
+            assert np.array_equal(alone.ngram_buckets, feats.ngram_buckets)
+
+    def test_no_texts(self):
+        assert featurize([], 2, 64) == []
+
+    def test_a_token_is_interned_once(self):
+        a, b = featurize(["shared word", "word shared"], 2, 64)
+        assert a.tokens[0] is b.tokens[1] and a.tokens[1] is b.tokens[0]
 
 
 class TestTraining:
     def test_separable_corpus_trains_to_full_accuracy(self):
         model = train_text_classifier(TOY, HYPER)
-        predictions = [(predict_proba(model, t) > 0.5) == (y == 1) for t, y in TOY]
+        predictions = [(p > 0.5) == (y == 1) for p, (_, y) in zip(predict_proba(model, [t for t, _ in TOY]), TOY)]
         assert all(predictions)
 
     def test_positive_document_scores_high(self):
         model = train_text_classifier(TOY, HYPER)
-        assert predict_proba(model, POS_DOCS[0]) > 0.9
+        assert score(model, POS_DOCS[0]) > 0.9
 
     def test_training_lowers_the_loss_on_separable_data(self):
         # Untrained, the embedding rows and the bias are zero, so every
@@ -121,13 +202,14 @@ class TestTraining:
         assert np.array_equal(forward.bias, backward.bias)
 
     def test_prefeaturized_texts_give_the_identical_model(self):
-        featurized = [(featurize(t, HYPER.ngram, HYPER.buckets), y) for t, y in TOY]
+        featurized = list(zip(featurize([t for t, _ in TOY], HYPER.ngram, HYPER.buckets), [y for _, y in TOY]))
         raw = train_text_classifier(TOY, HYPER)
         cached = train_text_classifier(featurized, HYPER)
-        assert raw.vocab == cached.vocab and raw.row_index == cached.row_index
+        assert raw.vocab == cached.vocab
+        assert np.array_equal(raw.observed_ids, cached.observed_ids)
         assert np.array_equal(raw.embedding, cached.embedding)
         assert np.array_equal(raw.head, cached.head)
-        assert predict_proba(raw, POS_DOCS[0]) == predict_proba(cached, featurized[0][0])
+        assert score(raw, POS_DOCS[0]) == score(cached, featurized[0][0])
 
     def test_duplicated_corpus_has_identical_mean_gradients(self):
         model = train_text_classifier(TOY, HYPER)
@@ -145,20 +227,21 @@ class TestPredict:
         # is the other class by construction, so it must sit inside [0, 1].
         model = train_text_classifier(TOY, HYPER)
         for text in ["hoax aliens", "cooking recipe", "unrelated words entirely", ""]:
-            p = predict_proba(model, text)
+            p = score(model, text)
             assert 0.0 <= p <= 1.0
 
     def test_empty_text_scores_from_bias_alone(self):
         model = train_text_classifier(TOY, HYPER)
         z = model.bias
         expected = float(np.exp(z[1] - z.max()) / np.exp(z - z.max()).sum())
-        assert predict_proba(model, "") == pytest.approx(expected, abs=1e-15)
+        assert score(model, "") == pytest.approx(expected, abs=1e-15)
 
     def test_unseen_ids_count_in_the_denominator(self):
         model = train_text_classifier(TOY, HYPER)
         text = "hoax aliens cooking"  # the bigram "aliens cooking" never occurs in TOY
-        ids = feature_ids(featurize(text, HYPER.ngram, HYPER.buckets), model.vocab).tolist()
-        known = [model.row_index[i] for i in ids if i in model.row_index]
+        ids = feature_ids(featurize([text], HYPER.ngram, HYPER.buckets), model.vocab)[0].tolist()
+        observed = model.observed_ids.tolist()
+        known = [observed.index(i) for i in ids if i in observed]
         assert 0 < len(known) < len(ids)
         known_sum = sum(model.embedding[row] for row in known)
 
@@ -166,15 +249,56 @@ class TestPredict:
             z = model.head @ h + model.bias
             return float(np.exp(z[1] - z.max()) / np.exp(z - z.max()).sum())
 
-        assert predict_proba(model, text) == pytest.approx(positive(known_sum / len(ids)), rel=1e-12)
-        assert predict_proba(model, text) != pytest.approx(positive(known_sum / len(known)), rel=1e-6)
+        assert score(model, text) == pytest.approx(positive(known_sum / len(ids)), rel=1e-12)
+        assert score(model, text) != pytest.approx(positive(known_sum / len(known)), rel=1e-6)
 
     def test_token_order_invariance_with_unigrams(self):
         hyper = TextHyper(dim=8, epochs=10, ngram=1, min_count=1, seed=0)
         model = train_text_classifier(TOY, hyper)
-        a = predict_proba(model, "hoax aliens cooking")
-        b = predict_proba(model, "cooking hoax aliens")
+        a, b = predict_proba(model, ["hoax aliens cooking", "cooking hoax aliens"])
         assert a == pytest.approx(b, abs=1e-15)
+
+
+class TestBatchPredict:
+    """The batched forward pass gives every document the bits the
+    per-document ``_forward`` pass gives it."""
+
+    def assert_bitwise_equal_to_forward(self, model, texts):
+        feats = featurize(texts, model.hyper.ngram, model.hyper.buckets)
+        batch = predict_proba(model, feats)
+        reference = np.array([forward_score(model, f) for f in feats])
+        assert batch.dtype == np.float64 and batch.shape == (len(texts),)
+        assert batch.tobytes() == reference.tobytes()
+
+    def test_empty_and_unseen_documents(self):
+        model = train_text_classifier(TOY, HYPER)
+        unseen = "qwerty zxcvb plugh"  # unknown words: only its two bigrams count, and have no row
+        (feats,) = featurize([unseen], HYPER.ngram, HYPER.buckets)
+        rows, n_rows, n_ids = textmodel._rows(model, [feats])
+        assert rows.size == 0 and n_rows.tolist() == [0] and n_ids.tolist() == [2]
+        texts = ["", unseen, POS_DOCS[0], "hoax aliens cooking", NEG_DOCS[3] + " " + POS_DOCS[2]]
+        self.assert_bitwise_equal_to_forward(model, texts)
+
+    def test_one_document_alone_equals_its_place_in_a_batch(self):
+        model = train_text_classifier(TOY, HYPER)
+        texts = [t for t, _ in TOY] + ["", "hoax"]
+        batch = predict_proba(model, texts)
+        alone = np.array([score(model, t) for t in texts])
+        assert batch.tobytes() == alone.tobytes()
+
+    def test_a_batch_spanning_several_chunks(self):
+        model = train_text_classifier(TOY, replace(HYPER, dim=16))
+        rng = np.random.default_rng(5)
+        words = " ".join(t for t, _ in TOY).split() + ["unseen", "other"]
+        texts = [" ".join(rng.choice(words, int(rng.integers(0, 60)))) for _ in range(1500)]
+        texts += [" ".join(rng.choice(words, 400))] * 3  # long rows pad their chunk
+        rows = textmodel._rows(model, featurize(texts, 2, model.hyper.buckets))[0]
+        assert rows.size * model.hyper.dim > 2 * textmodel._GATHER_ELEMENTS
+        self.assert_bitwise_equal_to_forward(model, texts)
+
+    def test_no_documents(self):
+        model = train_text_classifier(TOY, HYPER)
+        assert predict_proba(model, []).shape == (0,)
 
 
 class TestGradientCheck:
