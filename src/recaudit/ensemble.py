@@ -40,6 +40,11 @@ TEXT_MODULE_NAMES = MODULE_NAMES[:3]  # the modules scored by a text model
 
 _SPLIT_RETRIES = 1000
 
+# Videos FirstLayer.score featurizes and scores together: enough to spread
+# numpy's per-call cost thin, few enough that the features of a whole day's
+# videos are never held at once.
+_VIDEO_BATCH = 128
+
 
 # ---------------------------------------------------------------------------
 # Module-level scoring
@@ -211,10 +216,16 @@ class FirstLayer:
     attribute_head: Optional[tuple[np.ndarray, float]]
 
     def score(self, videos: Sequence[VideoRecord]) -> list[tuple[Optional[float], ...]]:
+        """Each video's module scores (see :meth:`score_features`), the
+        videos featurized and scored ``_VIDEO_BATCH`` at a time."""
         # A layer's text models are fit with one TextHyper, so they share
         # the ngram and buckets the features depend on.
         hyper = next((m.hyper for m in self.text_models if m is not None), TextHyper())
-        return self.score_features(video_features(videos, hyper))
+        return [
+            scores
+            for start in range(0, len(videos), _VIDEO_BATCH)
+            for scores in self.score_features(video_features(videos[start : start + _VIDEO_BATCH], hyper))
+        ]
 
     def score_features(self, feats: Sequence[VideoFeatures]) -> list[tuple[Optional[float], ...]]:
         """Each video's module scores, aligned with MODULE_NAMES; None where

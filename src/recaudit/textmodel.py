@@ -89,8 +89,9 @@ def featurize(texts: Sequence[str], ngram: int, buckets: int) -> list[TextFeatur
     distinct token is interned and encoded once, so features kept for many
     texts hold one copy of each word.
     """
-    token_lists = [tokenize(t) for t in texts]
-    flat = list(map(sys.intern, chain.from_iterable(token_lists)))
+    # Interned text by text, so each text's token copies are freed at once.
+    token_lists = [list(map(sys.intern, tokenize(t))) for t in texts]
+    flat = list(chain.from_iterable(token_lists))
     words = list(dict.fromkeys(flat))
     word_ids = np.fromiter(
         map(dict(zip(words, range(len(words)))).__getitem__, flat), np.int64, len(flat)

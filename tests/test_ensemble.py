@@ -500,6 +500,7 @@ class TestBatchFirstLayer:
 
     def test_module_scores_equal_the_per_document_pass(self, trained, videos):
         assert len({len(v.comments) % 2 for v in videos}) == 2  # odd and even medians
+        assert len(videos) > ensemble_module._VIDEO_BATCH  # more than one batch
         batch = trained.first_layer.score(videos)
         assert batch == [_forward_scores(trained.first_layer, v) for v in videos]
         assert batch[-3][2] is None and batch[-3][3] is None  # comments disabled
