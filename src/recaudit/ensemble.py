@@ -291,7 +291,8 @@ class TrainedEnsemble:
 
 
 def classify_videos(ensemble: TrainedEnsemble, videos: Sequence[VideoRecord]) -> list[Optional[float]]:
-    """Conspiracy likelihood in [0, 1] for each video, scored in one batch.
+    """Conspiracy likelihood in [0, 1] for each video, the videos scored in
+    batches (:meth:`FirstLayer.score`).
 
     Missing modalities contribute exactly zero after standardization. A video
     with all four modalities absent cannot be classified at all: its entry is

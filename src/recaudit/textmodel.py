@@ -127,6 +127,7 @@ def featurize(texts: Sequence[str], ngram: int, buckets: int) -> list[TextFeatur
             hk[:active] *= _FNV_PRIME
         h[order] = hk
     hashed = (h % np.uint64(buckets)).astype(np.int64)
+    hashed.flags.writeable = False  # the texts' bucket arrays are views of it
     return [
         TextFeatures(text, tuple(flat[end - n : end]), hashed[ngram_end - k : ngram_end])
         for text, n, end, k, ngram_end in zip(
