@@ -85,9 +85,9 @@ def featurize(texts: Sequence[str], ngram: int, buckets: int) -> list[TextFeatur
     An n-gram's bucket is the FNV-1a 64 hash of its tokens' UTF-8 bytes,
     joined by 0x1f, modulo ``buckets``. The n-grams of all the texts are
     hashed together, one numpy step per byte column of each n-gram position,
-    on ``uint64`` arrays whose arithmetic wraps mod 2**64 as FNV's does. Each
-    distinct token is interned and encoded once, so features kept for many
-    texts hold one copy of each word.
+    on ``uint64`` arrays whose arithmetic wraps mod 2**64 as FNV's does.
+    Each distinct token is encoded once. Tokens are interned, so features
+    kept for many texts hold one copy of each word.
     """
     # Interned text by text, so each text's token copies are freed at once.
     token_lists = [list(map(sys.intern, tokenize(t))) for t in texts]

@@ -149,13 +149,6 @@ class TestBatchFeaturize:
             assert feats.ngram_buckets.dtype == np.int64
             assert feats.ngram_buckets.tolist() == buckets_ref
 
-    def test_each_text_alone_equals_its_place_in_the_batch(self):
-        batch = featurize(self.TEXTS, 2, 1000)
-        for text, feats in zip(self.TEXTS, batch):
-            (alone,) = featurize([text], 2, 1000)
-            assert alone.tokens == feats.tokens
-            assert np.array_equal(alone.ngram_buckets, feats.ngram_buckets)
-
     def test_no_texts(self):
         assert featurize([], 2, 64) == []
 
