@@ -155,17 +155,22 @@ def _video_paths(out: Path) -> list[Path]:
     return [out / "videos.jsonl", *sorted((out / "videos").glob("*.jsonl"))]
 
 
-def _snapshots_under(out: Path) -> list[corpus.DailySnapshot]:
-    paths = _snapshot_paths(out)
-    snaps = [s for path in paths for s in corpus.read_jsonl(path, corpus.DailySnapshot)]
-    return sorted(snaps, key=lambda s: s.date)
+def _snapshots_under(out: Path) -> list[tuple[Path, corpus.DailySnapshot]]:
+    """Every snapshot under ``out`` with the file it is in, in date order."""
+    found = [(path, s) for path in _snapshot_paths(out) for s in corpus.read_jsonl(path, corpus.DailySnapshot)]
+    return sorted(found, key=lambda item: item[1].date)
 
 
 def _read_snapshots(config: PipelineConfig) -> list[corpus.DailySnapshot]:
-    snaps = _snapshots_under(_out(config))
-    if not snaps:
+    """The snapshots in date order. A day found twice would be counted
+    twice, so it raises :class:`CorpusViolationError` naming both files."""
+    found = _snapshots_under(_out(config))
+    if not found:
         raise ConfigError(f"no snapshots under {_out(config) / 'snapshots'}; run `harvest` first")
-    return snaps
+    for (first, a), (second, b) in zip(found, found[1:]):
+        if a.date == b.date:
+            raise CorpusViolationError(f"snapshot day {a.date} is in both {first} and {second}")
+    return [snap for _, snap in found]
 
 
 def _read_videos(config: PipelineConfig) -> dict[str, corpus.VideoRecord]:
@@ -204,7 +209,7 @@ def _inputs(config: PipelineConfig, args) -> list[Path]:
         "calibrate": [likelihoods, _labels_path(config, args)],
         "bubble": [likelihoods, *snapshots],
         "topics": [likelihoods, *snapshots, *videos],
-        "validate": [out / "channels.jsonl", out / "videos.jsonl", out / "labeled.jsonl", *snapshots],
+        "validate": [out / "channels.jsonl", *videos, out / "labeled.jsonl", *snapshots],
     }[args.command]
 
 
@@ -289,7 +294,6 @@ def _cmd_snowball(config: PipelineConfig, args) -> list[Path]:
         )
         selected = select_seed_cluster(
             partition,
-            result.graph,
             manual_additions=manual,
             cluster_id=config.cluster_id,
             anchors=anchors,
@@ -401,12 +405,10 @@ def _trend_series(config: PipelineConfig) -> TrendSeries:
     points = []
     for snap in snapshots:
         raw = raw_frequency(snap.edges, likelihoods, config.threshold)
-        weighted = None
-        if all(e.source_video_id in views for e in snap.edges):
-            try:
-                weighted = weighted_frequency(snap.edges, likelihoods, views, config.threshold)
-            except ValueError as exc:  # a negative view count in the video records
-                raise CorpusViolationError(str(exc)) from exc
+        try:
+            weighted = weighted_frequency(snap.edges, likelihoods, views, config.threshold)
+        except ValueError as exc:  # a negative view count in the video records
+            raise CorpusViolationError(str(exc)) from exc
         points.append(
             TrendPoint(
                 date=snap.date,
@@ -546,11 +548,14 @@ def _cmd_validate(config: PipelineConfig, args) -> list[Path]:
     out = _out(config)
     bag = corpus.Corpus(
         channels=_records(out / "channels.jsonl", corpus.ChannelRecord),
-        videos=_records(out / "videos.jsonl", corpus.VideoRecord),
-        snapshots=tuple(_snapshots_under(out)),
+        snapshots=tuple(snap for _, snap in _snapshots_under(out)),
         labeled=_records(out / "labeled.jsonl", corpus.LabeledExample),
     )
     violations = corpus.validate_corpus(bag, max_rank=config.harvest_k)
+    # Each video file alone: every harvest day refetches the videos it
+    # recommends, so an id recurs across the day files but not within one.
+    for path in _video_paths(out):
+        violations += corpus.validate_corpus(corpus.Corpus(videos=_records(path, corpus.VideoRecord)))
     report_path = out / "validation.json"
     store.write_json(report_path, [vars(v) for v in violations])
     for v in violations:

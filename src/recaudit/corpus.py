@@ -218,7 +218,11 @@ def validate_corpus(corpus: Corpus, max_rank: int = MAX_RANK) -> list[Violation]
                         )
                     )
 
+    days: set[dt.date] = set()
     for snap in corpus.snapshots:
+        if snap.date in days:
+            out.append(Violation("snapshot", snap.date.isoformat(), "duplicate snapshot date"))
+        days.add(snap.date)
         out.extend(_validate_snapshot(snap, max_rank))
 
     for ex in corpus.labeled:

@@ -135,7 +135,6 @@ def snowball_channels(
 
 def select_seed_cluster(
     partition: Partition,
-    graph: ChannelGraph,
     manual_additions: list[str] = (),
     cluster_id: int | None = None,
     anchors: list[str] = (),

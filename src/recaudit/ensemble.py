@@ -51,11 +51,9 @@ _VIDEO_BATCH = 128
 # ---------------------------------------------------------------------------
 
 
-def score_texts(
-    model: TextModel, groups: Sequence[Sequence[str | TextFeatures]]
-) -> list[Optional[float]]:
+def score_texts(model: TextModel, groups: Sequence[Sequence[TextFeatures]]) -> np.ndarray:
     """One text module's score for each group of texts (a video's texts for
-    the module): the median of the model's scores over the group, or None
+    the module): the median of the model's scores over the group, or NaN
     for an empty group, where the modality is absent. The texts of all the
     groups are scored in one batch. Each median is ``np.median``'s: the
     middle score of an odd count, ``(a + b) / 2`` of the two middle scores
@@ -67,9 +65,10 @@ def score_texts(
     present = counts > 0
     first = (np.cumsum(counts) - counts)[present]
     n = counts[present]
+    medians = np.full(len(groups), np.nan)
     # For an odd count both indices are the middle one, and (a + a) / 2 == a.
-    medians = iter(((ranked[first + (n - 1) // 2] + ranked[first + n // 2]) / 2).tolist())
-    return [next(medians) if c else None for c in counts.tolist()]
+    medians[present] = (ranked[first + (n - 1) // 2] + ranked[first + n // 2]) / 2
+    return medians
 
 
 # Attribute index pairs (i < j) in row-major order, for the product medians.
@@ -195,11 +194,10 @@ def train_logistic(
     return w, b
 
 
-def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
-    e = np.exp(z)
-    return e / (1.0 + e)
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function, never exponentiating a positive number."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------
@@ -209,40 +207,40 @@ def _sigmoid(z: float) -> float:
 
 @dataclass
 class FirstLayer:
-    """The fitted modules. A None entry is a disabled module: it scores None
+    """The fitted modules. A None entry is a disabled module: it scores NaN
     for every video, which standardizes to zero."""
 
     text_models: tuple[Optional[TextModel], ...]  # aligned with TEXT_MODULE_NAMES
     attribute_head: Optional[tuple[np.ndarray, float]]
 
-    def score(self, videos: Sequence[VideoRecord]) -> list[tuple[Optional[float], ...]]:
-        """Each video's module scores (see :meth:`score_features`), the
+    def score(self, videos: Sequence[VideoRecord]) -> np.ndarray:
+        """The videos' module scores (see :meth:`score_features`), the
         videos featurized and scored ``_VIDEO_BATCH`` at a time."""
         # A layer's text models are fit with one TextHyper, so they share
         # the ngram and buckets the features depend on.
         hyper = next((m.hyper for m in self.text_models if m is not None), TextHyper())
-        return [
-            scores
-            for start in range(0, len(videos), _VIDEO_BATCH)
-            for scores in self.score_features(video_features(videos[start : start + _VIDEO_BATCH], hyper))
-        ]
+        scores = np.empty((len(videos), len(MODULE_NAMES)))
+        for start in range(0, len(videos), _VIDEO_BATCH):
+            batch = video_features(videos[start : start + _VIDEO_BATCH], hyper)
+            scores[start : start + _VIDEO_BATCH] = self.score_features(batch)
+        return scores
 
-    def score_features(self, feats: Sequence[VideoFeatures]) -> list[tuple[Optional[float], ...]]:
-        """Each video's module scores, aligned with MODULE_NAMES; None where
-        the module is disabled or the video lacks its modality. Each text
-        module scores all the videos in one batch."""
-        columns = [
-            [None] * len(feats) if model is None else score_texts(model, [f.texts[m] for f in feats])
-            for m, model in enumerate(self.text_models)
-        ]
-        attributes = [None] * len(feats)
+    def score_features(self, feats: Sequence[VideoFeatures]) -> np.ndarray:
+        """The videos' module scores, one row per video and one column per
+        module of MODULE_NAMES; NaN where the module is disabled or the video
+        lacks its modality. Each text module scores all the videos in one
+        batch."""
+        scores = np.full((len(feats), len(MODULE_NAMES)), np.nan)
+        for m, model in enumerate(self.text_models):
+            if model is not None:
+                scores[:, m] = score_texts(model, [f.texts[m] for f in feats])
         if self.attribute_head is not None:
             coef, bias = self.attribute_head
-            attributes = [
-                None if f.attributes is None else _sigmoid(float(f.attributes @ coef) + bias)
-                for f in feats
-            ]
-        return list(zip(*columns, attributes))
+            present = [i for i, f in enumerate(feats) if f.attributes is not None]
+            # One dot product per video: a matrix product may round differently.
+            logits = np.array([float(feats[i].attributes @ coef) for i in present]) + bias
+            scores[present, -1] = _sigmoid(logits)
+        return scores
 
 
 @dataclass(frozen=True)
@@ -257,13 +255,12 @@ class StandardizationStats:
             if entry is not None and entry[1] <= 0:
                 raise ValueError("standardization std must be positive")
 
-    def standardize(self, scores: Sequence[Optional[float]]) -> np.ndarray:
-        out = np.zeros(len(MODULE_NAMES))
-        for i, value in enumerate(scores):
-            if value is not None and self.stats[i] is not None:
-                mean, std = self.stats[i]
-                out[i] = (value - mean) / std
-        return out
+    def standardize(self, scores: np.ndarray) -> np.ndarray:
+        """Module scores, a row per video, standardized column by column. NaN
+        (an absent score, or a module without stats) becomes 0: it adds nothing."""
+        mean, std = np.array([s or (np.nan, np.nan) for s in self.stats]).T
+        z = (scores - mean) / std
+        return np.where(np.isnan(z), 0.0, z)
 
 
 @dataclass
@@ -298,14 +295,11 @@ def classify_videos(ensemble: TrainedEnsemble, videos: Sequence[VideoRecord]) ->
     with all four modalities absent cannot be classified at all: its entry is
     None.
     """
-    likelihoods: list[Optional[float]] = []
-    for scores in ensemble.first_layer.score(videos):
-        if all(s is None for s in scores):
-            likelihoods.append(None)
-            continue
-        z = ensemble.stats.standardize(scores)
-        likelihoods.append(_sigmoid(float(z @ ensemble.stacking_coef) + ensemble.stacking_bias))
-    return likelihoods
+    scores = ensemble.first_layer.score(videos)
+    # One dot product per video: a matrix product may round differently.
+    logits = np.array([float(row @ ensemble.stacking_coef) for row in ensemble.stats.standardize(scores)])
+    likelihoods = _sigmoid(logits + ensemble.stacking_bias).tolist()
+    return [None if absent else p for absent, p in zip(np.isnan(scores).all(axis=1), likelihoods)]
 
 
 def classify_video(ensemble: TrainedEnsemble, video: VideoRecord) -> float:
@@ -340,7 +334,7 @@ def _train_first_layer(
     attr_rows = [f.attributes for f, _ in examples if f.attributes is not None]
     attr_labels = [y for f, y in examples if f.attributes is not None]
     attribute_head = None
-    if attr_rows and len(set(attr_labels)) == 2:
+    if attr_rows:
         try:
             attribute_head = train_logistic(np.vstack(attr_rows), attr_labels)
         except DegenerateTrainingError:
@@ -389,16 +383,15 @@ def _repeat(
     held_scores = layer.score_features([examples[i][0] for i in held_idx])
 
     rep_stats: list[Optional[tuple[float, float]]] = []
-    for m in range(len(MODULE_NAMES)):
-        values = [s[m] for s in held_scores if s[m] is not None]
+    for column in held_scores.T:
+        values = column[~np.isnan(column)]
         if len(values) >= 2 and float(np.std(values)) > 0:
             rep_stats.append((float(np.mean(values)), float(np.std(values))))
         else:
             rep_stats.append(None)
     stats = StandardizationStats(stats=tuple(rep_stats))
 
-    Z = np.vstack([stats.standardize(s) for s in held_scores])
-    coef, bias = train_logistic(Z, labels[held_idx], l2=l2)
+    coef, bias = train_logistic(stats.standardize(held_scores), labels[held_idx], l2=l2)
     return coef, bias, rep_stats
 
 

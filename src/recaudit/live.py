@@ -3,7 +3,8 @@
 Requests are plain GETs with no identifying cookies. Every call has a bounded
 timeout and maps failures to typed errors, so the pipeline can skip and keep
 going instead of blocking. Endpoint base URL and credentials come from the
-environment; retry count and backoff are configuration values.
+environment; the retry count and backoff are the ``LiveAdapter`` constants
+``max_retries`` and ``backoff``.
 
 This adapter is deliberately thin glue: it is excluded from the deterministic
 test oracles (the simulator covers those) and unit-tested against a local

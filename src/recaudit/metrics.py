@@ -151,19 +151,20 @@ def raw_frequency(
 
 
 def weighted_frequency(
-    edges: Iterable[RecommendationEdge],
+    edges: Sequence[RecommendationEdge],
     likelihoods: LikelihoodMap,
     source_views: Mapping[str, int],
     threshold: float = 0.5,
 ) -> Optional[float]:
-    """Raw frequency with each edge weighted by its source video's view count."""
-    scored = _classifiable(edges, likelihoods)
+    """Raw frequency with each edge weighted by its source video's view count.
+    Undefined (None) when any edge's source video has no view count, or when
+    the classifiable edges' sources have no views at all."""
+    if any(edge.source_video_id not in source_views for edge in edges):
+        return None
     numerator = 0.0
     denominator = 0.0
-    for edge, like in scored:
-        views = source_views.get(edge.source_video_id)
-        if views is None:
-            raise ValueError(f"no view count for source video {edge.source_video_id}")
+    for edge, like in _classifiable(edges, likelihoods):
+        views = source_views[edge.source_video_id]
         if views < 0:
             raise ValueError(f"negative view count for source video {edge.source_video_id}")
         denominator += views

@@ -37,7 +37,7 @@ from .corpus import (
 from .ensemble import TEXT_MODULE_NAMES, FirstLayer, StandardizationStats, TrainedEnsemble
 from .errors import ArtifactCorruptError, ArtifactVersionError, ConfigError, HarvestExistsError
 from .metrics import CalibrationCurve, FilterBubbleMatrix, TrendSeries
-from .textmodel import TextHyper, TextModel, Vocabulary
+from .textmodel import TextHyper, TextModel
 from .topics import TopicReport
 
 _MAGIC = b"RECAUDIT-BUNDLE v1"
@@ -125,7 +125,7 @@ def _text_model_parts(model: Optional[TextModel], prefix: str, meta: dict, array
         meta[prefix] = None
         return
     meta[prefix] = {
-        "words": list(model.vocab.words),
+        "words": list(model.vocab),
         "hyper": vars(model.hyper).copy(),
     }
     arrays[f"{prefix}.observed_ids"] = model.observed_ids
@@ -138,13 +138,10 @@ def _text_model_from_parts(prefix: str, meta: dict, arrays: dict) -> Optional[Te
     info = meta[prefix]
     if info is None:
         return None
-    hyper = TextHyper(**info["hyper"])
-    vocab = Vocabulary(tuple(info["words"]))
-    observed = arrays[f"{prefix}.observed_ids"]
     return TextModel(
-        vocab=vocab,
-        hyper=hyper,
-        observed_ids=observed,
+        vocab={w: i for i, w in enumerate(info["words"])},
+        hyper=TextHyper(**info["hyper"]),
+        observed_ids=arrays[f"{prefix}.observed_ids"],
         embedding=arrays[f"{prefix}.embedding"],
         head=arrays[f"{prefix}.head"],
         bias=arrays[f"{prefix}.bias"],

@@ -16,7 +16,7 @@ import math
 import re
 import sys
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
@@ -49,21 +49,13 @@ class TextHyper:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    words: tuple[str, ...]
-    index: dict[str, int] = field(compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "index", {w: i for i, w in enumerate(self.words)})
-
-
-def build_vocabulary(token_lists: list[list[str]], min_count: int) -> Vocabulary:
+def build_vocabulary(token_lists: list[list[str]], min_count: int) -> dict[str, int]:
+    """Each word seen at least ``min_count`` times -> its index in sorted order."""
     counts: dict[str, int] = {}
     for tokens in token_lists:
         for tok in tokens:
             counts[tok] = counts.get(tok, 0) + 1
-    return Vocabulary(tuple(sorted(w for w, c in counts.items() if c >= min_count)))
+    return {w: i for i, w in enumerate(sorted(w for w, c in counts.items() if c >= min_count))}
 
 
 @dataclass(frozen=True)
@@ -137,7 +129,7 @@ def featurize(texts: Sequence[str], ngram: int, buckets: int) -> list[TextFeatur
 
 
 def feature_ids(
-    features: Sequence[TextFeatures], vocab: Vocabulary
+    features: Sequence[TextFeatures], vocab: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each text's feature ids under a vocabulary, all in one array, text
     after text, and each text's number of ids. A text's ids are its
@@ -145,13 +137,12 @@ def feature_ids(
     offset past the word block. Out-of-vocabulary single words are dropped;
     n-grams count whether or not their words are known.
     """
-    index = vocab.index
-    words = [[index[tok] for tok in f.tokens if tok in index] for f in features]
+    words = [[vocab[tok] for tok in f.tokens if tok in vocab] for f in features]
     n_words = np.fromiter(map(len, words), np.int64, len(words))
     n_ngrams = np.fromiter((f.ngram_buckets.size for f in features), np.int64, len(features))
     word_ids = np.fromiter(chain.from_iterable(words), np.int64)
     ngram_ids = np.concatenate([np.empty(0, np.int64), *(f.ngram_buckets for f in features)])
-    ids = np.concatenate([word_ids, ngram_ids + len(vocab.words)])
+    ids = np.concatenate([word_ids, ngram_ids + len(vocab)])
     # All the word ids come first; a stable sort on the text puts each
     # text's words before its n-grams.
     text_of = np.arange(len(features))
@@ -161,17 +152,9 @@ def feature_ids(
     return ids[order], n_words + n_ngrams
 
 
-def _as_features(texts: Sequence[str | TextFeatures], hyper: TextHyper) -> list[TextFeatures]:
-    """The texts as features; the raw strings among them are featurized in
-    one batch with ``hyper.ngram`` and ``hyper.buckets``."""
-    raw = [t for t in texts if not isinstance(t, TextFeatures)]
-    new = iter(featurize(raw, hyper.ngram, hyper.buckets) if raw else ())
-    return [t if isinstance(t, TextFeatures) else next(new) for t in texts]
-
-
 @dataclass
 class TextModel:
-    vocab: Vocabulary
+    vocab: dict[str, int]  # word -> index, in sorted word order
     hyper: TextHyper
     # Compact embedding: row r of `embedding` belongs to feature id
     # observed_ids[r]; any other id is a zero row.
@@ -226,12 +209,12 @@ def _rows(model: TextModel, features: Sequence[TextFeatures]) -> tuple[np.ndarra
 _GATHER_ELEMENTS = 1 << 18
 
 
-def predict_proba(model: TextModel, texts: Sequence[str | TextFeatures]) -> np.ndarray:
-    """Probability that each text belongs to the positive class.
+def predict_proba(model: TextModel, features: Sequence[TextFeatures]) -> np.ndarray:
+    """Probability that each text belongs to the positive class, the texts
+    featurized with the model's ``ngram`` and ``buckets``.
 
     Class probabilities sum to one by softmax; an empty or all-unknown
-    document scores from the bias alone. Texts may be given already
-    featurized with the model's ``ngram`` and ``buckets``.
+    document scores from the bias alone.
 
     Every score has the bits :func:`_forward` gives the document alone. The
     documents are taken shortest first, in chunks of at most
@@ -242,7 +225,7 @@ def predict_proba(model: TextModel, texts: Sequence[str | TextFeatures]) -> np.n
     the head is applied by a batched matrix-vector product, then the
     written-out two-way softmax.
     """
-    rows, n_rows, n_ids = _rows(model, _as_features(texts, model.hyper))
+    rows, n_rows, n_ids = _rows(model, features)
     first = np.cumsum(n_rows) - n_rows
     order = np.argsort(n_rows, kind="stable")
     widths = (np.maximum(n_rows[order], 1) * model.embedding.shape[1]).tolist()
@@ -268,18 +251,17 @@ def predict_proba(model: TextModel, texts: Sequence[str | TextFeatures]) -> np.n
 
 
 def train_text_classifier(
-    examples: list[tuple[str | TextFeatures, int]],
+    examples: list[tuple[TextFeatures, int]],
     hyper: TextHyper = TextHyper(),
 ) -> TextModel:
-    """Fit the classifier by SGD on cross-entropy.
+    """Fit the classifier by SGD on cross-entropy, the texts featurized with
+    ``hyper.ngram`` and ``hyper.buckets``.
 
     Deterministic given ``hyper.seed``: examples are brought to a canonical
     order before the seed-derived per-epoch shuffle, so permuting the input
     yields an identical model. The learning rate decays linearly to zero over
-    all steps. Texts may be given already featurized with ``hyper.ngram``
-    and ``hyper.buckets``, so that a caller fitting many models on
-    overlapping texts tokenizes and hashes each text only once; only the
-    ``min_count`` vocabulary is built per fit.
+    all steps. A caller fitting many models on overlapping texts featurizes
+    each text once; only the ``min_count`` vocabulary is built per fit.
     """
     if not examples:
         raise DegenerateTrainingError("no training examples")
@@ -289,10 +271,7 @@ def train_text_classifier(
     if len(labels) < 2:
         raise DegenerateTrainingError("need at least one example per class")
 
-    docs = sorted(
-        zip(_as_features([text for text, _ in examples], hyper), [label for _, label in examples]),
-        key=lambda doc: (doc[0].text, doc[1]),
-    )
+    docs = sorted(examples, key=lambda doc: (doc[0].text, doc[1]))
     vocab = build_vocabulary([f.tokens for f, _ in docs], hyper.min_count)
     ids, n_ids = feature_ids([f for f, _ in docs], vocab)
     ys = [label for _, label in docs]
@@ -330,7 +309,7 @@ def train_text_classifier(
     return model
 
 
-def loss_and_grads(model: TextModel, examples: list[tuple[str | TextFeatures, int]]):
+def loss_and_grads(model: TextModel, examples: list[tuple[TextFeatures, int]]):
     """Mean cross-entropy over ``examples`` with analytic gradients.
 
     Returns ``(loss, d_embedding, d_head, d_bias)`` where ``d_embedding``
@@ -343,7 +322,7 @@ def loss_and_grads(model: TextModel, examples: list[tuple[str | TextFeatures, in
     d_bias = np.zeros_like(model.bias)
     total = 0.0
     n = len(examples)
-    rows, n_rows, n_ids = _rows(model, _as_features([text for text, _ in examples], model.hyper))
+    rows, n_rows, n_ids = _rows(model, [features for features, _ in examples])
     for doc_rows, doc_ids, (_, y) in zip(np.split(rows, np.cumsum(n_rows)[:-1]), n_ids.tolist(), examples):
         h, _, loss, dz, dh = _forward(model, doc_rows, doc_ids, y)
         total += loss

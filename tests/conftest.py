@@ -6,6 +6,7 @@ import pytest
 
 from recaudit.corpus import ChannelRecord, Comment, RecommendationEdge, VideoRecord
 from recaudit.sources import SimulatedPlatform
+from recaudit.textmodel import featurize
 
 
 def processes() -> list[tuple[int, str, int, int]]:
@@ -46,6 +47,13 @@ def make_video(video_id, channel_id="chan", comments=(), transcript=None, **kwar
         transcript=transcript,
         **kwargs,
     )
+
+
+def featurize_examples(examples, hyper):
+    """(text, label) pairs as (TextFeatures, label) pairs, the texts
+    featurized with ``hyper.ngram`` and ``hyper.buckets``."""
+    texts = [text for text, _ in examples]
+    return list(zip(featurize(texts, hyper.ngram, hyper.buckets), [label for _, label in examples]))
 
 
 def make_edge(src, rec, rank=1, day=dt.date(2019, 6, 1)):

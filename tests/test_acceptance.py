@@ -36,7 +36,7 @@ from recaudit.sources import PlatformSpec, generate_labeled_set, generate_platfo
 from recaudit.textmodel import TextHyper, loss_and_grads, train_text_classifier
 from recaudit.topics import nmf
 
-from conftest import make_edge
+from conftest import featurize_examples, make_edge
 
 
 def _report(criterion: str, passed: bool, detail: str = "") -> None:
@@ -271,9 +271,10 @@ def test_criterion_5_numerical_kernels():
     logistic_ok &= abs(gb - numeric) / max(abs(numeric), 1e-8) < 1e-4
 
     # Text-classifier gradient vs central differences on a 5-example fixture.
-    fixture = [("hoax aliens secret", 1), ("pyramids hoax", 1), ("cooking pasta", 0),
-               ("travel vlog fun", 0), ("music guitar", 0)]
-    model = train_text_classifier(fixture, TextHyper(dim=4, epochs=2, min_count=1, seed=2))
+    hyper = TextHyper(dim=4, epochs=2, min_count=1, seed=2)
+    fixture = featurize_examples([("hoax aliens secret", 1), ("pyramids hoax", 1), ("cooking pasta", 0),
+                                  ("travel vlog fun", 0), ("music guitar", 0)], hyper)
+    model = train_text_classifier(fixture, hyper)
     _, d_emb, d_head, d_bias = loss_and_grads(model, fixture)
     text_ok = True
     for r in range(min(4, model.embedding.shape[0])):

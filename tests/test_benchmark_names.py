@@ -1,0 +1,48 @@
+"""The benchmark in ``perfbench/`` binds names of ``recaudit`` that the
+program itself may not need: the functions its tracer wraps and those its
+workloads call. A change that renames or deletes one fails here, rather than
+in a benchmark run."""
+
+import dataclasses
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+_spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+_tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_tracing)
+TRACED = _tracing.TRACED
+
+# What perfbench/workloads.py's check of the `train` workload calls, beside
+# the traced names.
+WORKLOAD_NAMES = [
+    ("ensemble", "classify_video"),
+    ("ensemble", "precision_recall"),
+    ("store", "save_ensemble"),
+]
+
+
+@pytest.mark.parametrize("module, attr", [(m, a) for m, a, _ in TRACED])
+def test_every_traced_name_resolves(module, attr):
+    owner = importlib.import_module(f"recaudit.{module}")
+    if "." in attr:  # the tracer patches a method in its class's own namespace
+        cls_name, method = attr.split(".")
+        assert callable(getattr(owner, cls_name).__dict__.get(method)), attr
+    else:
+        assert callable(getattr(owner, attr, None)), attr
+
+
+@pytest.mark.parametrize("module, attr", WORKLOAD_NAMES)
+def test_every_workload_name_resolves(module, attr):
+    assert callable(getattr(importlib.import_module(f"recaudit.{module}"), attr, None)), attr
+
+
+def test_the_workload_pins_a_trained_ensemble_field():
+    from recaudit.ensemble import TrainedEnsemble
+
+    assert "trained_date" in {field.name for field in dataclasses.fields(TrainedEnsemble)}

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import hashlib
 import json
@@ -343,6 +344,65 @@ class TestErrors:
         assert run(cfg, "validate") == 2
         report = json.loads((out / "validation.json").read_text())
         assert any("rank 99" in v["message"] for v in report)
+
+
+class TestOneFilePerDay:
+    """A snapshot day in two files would be counted twice, and a live
+    harvest's video records are data that `validate` checks too."""
+
+    @staticmethod
+    def copy_a_day(tmp, cfg, *argv_after):
+        out = tmp / "out"
+        for argv in (["simulate"], ["harvest", "--date", "2019-05-01"],
+                     ["harvest", "--date", "2019-05-02"], *argv_after):
+            assert run(cfg, *argv) == 0
+        original = out / "snapshots" / "2019-05-01.jsonl"
+        copy = out / "snapshots" / "2019-05-01.bak.jsonl"
+        copy.write_bytes(original.read_bytes())
+        return original, copy
+
+    def test_a_day_in_two_snapshot_files_is_a_data_error_naming_both(self, workspace, capsys):
+        tmp, cfg = workspace
+        original, copy = self.copy_a_day(tmp, cfg, ["train"], ["score"])
+        for stage in ("score", "trends", "bubble", "topics"):
+            capsys.readouterr()
+            assert run(cfg, stage) == 2, stage
+            err = capsys.readouterr().err
+            assert str(original) in err and str(copy) in err, stage
+
+    def test_validate_reports_a_day_in_two_snapshot_files(self, workspace):
+        tmp, cfg = workspace
+        self.copy_a_day(tmp, cfg)
+        assert run(cfg, "validate") == 2
+        report = json.loads((tmp / "out" / "validation.json").read_text())
+        assert {"kind": "snapshot", "subject": "2019-05-01", "message": "duplicate snapshot date"} in report
+
+    def test_validate_reads_every_harvest_day_video_file(self, workspace):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        assert run(cfg, "harvest", "--date", "2019-05-01") == 0
+        assert run(cfg, "validate") == 0
+        (snapshot,) = corpus.read_jsonl(out / "snapshots" / "2019-05-01.jsonl", DailySnapshot)
+        source = min(e.source_video_id for e in snapshot.edges)
+        record = next(v for v in corpus.read_jsonl(out / "videos.jsonl", corpus.VideoRecord)
+                      if v.video_id == source)
+        day_file = out / "videos" / "2019-05-01.jsonl"
+        day_file.parent.mkdir()
+        corpus.write_jsonl(day_file, [dataclasses.replace(record, view_count=-5)])
+        assert run(cfg, "validate") == 2  # a new input: not skipped as current
+        report = json.loads((out / "validation.json").read_text())
+        assert {"kind": "video", "subject": source, "message": "view_count -5 < 0"} in report
+
+        # Each day refetches the videos it recommends: an id may recur
+        # across the day files, but not within one.
+        corpus.write_jsonl(day_file, [record])
+        corpus.write_jsonl(out / "videos" / "2019-05-02.jsonl", [record])
+        assert run(cfg, "validate") == 0
+        corpus.write_jsonl(out / "videos" / "2019-05-02.jsonl", [record, record])
+        assert run(cfg, "validate") == 2
+        report = json.loads((out / "validation.json").read_text())
+        assert report == [{"kind": "video", "subject": source, "message": "duplicate video_id"}]
 
 
 def _write_likelihoods(out, second):

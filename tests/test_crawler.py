@@ -197,39 +197,35 @@ class TestSnowball:
 
 class TestSelectSeedCluster:
     def fixture(self):
-        graph = ChannelGraph(
-            [("a1", "a2", 3), ("a2", "a3", 3), ("b1", "b2", 3)],
-        )
-        partition = Partition({"a1": 0, "a2": 0, "a3": 0, "b1": 1, "b2": 1})
-        return graph, partition
+        return Partition({"a1": 0, "a2": 0, "a3": 0, "b1": 1, "b2": 1})
 
     def test_members_exactly_without_additions(self):
-        graph, partition = self.fixture()
-        assert select_seed_cluster(partition, graph, cluster_id=0) == ["a1", "a2", "a3"]
+        partition = self.fixture()
+        assert select_seed_cluster(partition, cluster_id=0) == ["a1", "a2", "a3"]
 
     def test_manual_addition_already_present_not_duplicated(self):
-        graph, partition = self.fixture()
-        out = select_seed_cluster(partition, graph, manual_additions=["a1", "zz"], cluster_id=0)
+        partition = self.fixture()
+        out = select_seed_cluster(partition, manual_additions=["a1", "zz"], cluster_id=0)
         assert out == ["a1", "a2", "a3", "zz"]
 
     def test_anchor_designates_its_cluster(self):
-        graph, partition = self.fixture()
-        assert select_seed_cluster(partition, graph, anchors=["b2"]) == ["b1", "b2"]
+        partition = self.fixture()
+        assert select_seed_cluster(partition, anchors=["b2"]) == ["b1", "b2"]
 
     def test_unknown_anchor_is_config_error(self):
-        graph, partition = self.fixture()
+        partition = self.fixture()
         with pytest.raises(ConfigError):
-            select_seed_cluster(partition, graph, anchors=["nope"])
+            select_seed_cluster(partition, anchors=["nope"])
 
     def test_conflicting_anchors_rejected(self):
-        graph, partition = self.fixture()
+        partition = self.fixture()
         with pytest.raises(ConfigError):
-            select_seed_cluster(partition, graph, anchors=["a1", "b1"])
+            select_seed_cluster(partition, anchors=["a1", "b1"])
 
     def test_no_designation_rejected(self):
-        graph, partition = self.fixture()
+        partition = self.fixture()
         with pytest.raises(ConfigError):
-            select_seed_cluster(partition, graph)
+            select_seed_cluster(partition)
 
     def test_cluster_pipeline_round_trip(self):
         # Louvain output feeds straight into selection.
@@ -237,7 +233,7 @@ class TestSelectSeedCluster:
             [("a1", "a2", 5), ("a2", "a3", 5), ("a1", "a3", 5), ("z1", "z2", 5), ("a1", "z1", 1)]
         )
         partition = cluster_channels(graph)
-        selected = select_seed_cluster(partition, graph, anchors=["a2"])
+        selected = select_seed_cluster(partition, anchors=["a2"])
         assert selected == ["a1", "a2", "a3"]
 
 

@@ -24,9 +24,9 @@ from recaudit.ensemble import (
 )
 from recaudit.errors import DegenerateTrainingError, UnclassifiableVideoError
 from recaudit.sources import PlatformSpec, generate_labeled_set, generate_platform
-from recaudit.textmodel import TextHyper, predict_proba, train_text_classifier
+from recaudit.textmodel import TextHyper, featurize, predict_proba, train_text_classifier
 
-from conftest import make_video
+from conftest import featurize_examples, make_video
 
 HYPER = TextHyper(dim=8, epochs=15, min_count=2, seed=0)
 
@@ -47,12 +47,17 @@ def trained(labeled_fixture):
 def _comment_model():
     """A tiny real text model whose scores for the two training phrases land
     on predictable sides of 0.5."""
+    hyper = TextHyper(dim=4, epochs=20, min_count=1, seed=0)
     examples = [("alarm alarm alarm", 1), ("calm calm calm", 0)] * 3
-    return train_text_classifier(examples, TextHyper(dim=4, epochs=20, min_count=1, seed=0))
+    return train_text_classifier(featurize_examples(examples, hyper), hyper)
+
+
+def text_features(model, texts):
+    return featurize(texts, model.hyper.ngram, model.hyper.buckets)
 
 
 def median_score(model, texts):
-    (median,) = score_texts(model, [texts])
+    (median,) = score_texts(model, [text_features(model, texts)])
     return median
 
 
@@ -80,10 +85,10 @@ class TestScoreComments:
         # median over it must not move the score by a bit.
         model = _comment_model()
         for text in ("alarm alarm alarm", "calm calm calm", "alarm calm", "unseen words"):
-            assert median_score(model, [text]) == predict_proba(model, [text])[0]
+            assert median_score(model, [text]) == predict_proba(model, text_features(model, [text]))[0]
 
     def test_zero_comments_is_absent(self):
-        assert median_score(_comment_model(), []) is None
+        assert np.isnan(median_score(_comment_model(), []))
 
     def test_permutation_invariant(self):
         model = _comment_model()
@@ -206,6 +211,21 @@ class TestTrainLogistic:
             train_logistic([[np.nan], [1.0]], [0, 1])
 
 
+def scalar_sigmoid(z: float) -> float:
+    """The logistic function one value at a time, by two branches: the
+    reference the array ``_sigmoid`` must equal bit for bit."""
+    if z >= 0:
+        return 1.0 / (1.0 + np.exp(-z))
+    e = np.exp(z)
+    return e / (1.0 + e)
+
+
+def test_sigmoid_equals_the_scalar_reference():
+    z = np.concatenate([np.random.default_rng(4).normal(0.0, 12.0, 20_000), [0.0, -0.0, 700.0, -700.0]])
+    reference = np.array([scalar_sigmoid(v) for v in z.tolist()])
+    assert ensemble_module._sigmoid(z).tobytes() == reference.tobytes()
+
+
 def _pairs(labeled, indices):
     features = video_features([labeled[i].video for i in indices], HYPER)
     return [(f, labeled[i].label) for f, i in zip(features, indices)]
@@ -222,7 +242,7 @@ class TestTrainEnsemble:
         held_scores = layer.score([labeled_fixture[i].video for i in held_idx])
         rep_stats = []
         for m in range(4):
-            values = [s[m] for s in held_scores if s[m] is not None]
+            values = [s[m] for s in held_scores if not np.isnan(s[m])]
             rep_stats.append((float(np.mean(values)), float(np.std(values))))
         stats = StandardizationStats(stats=tuple(rep_stats))
         Z = np.vstack([stats.standardize(s) for s in held_scores])
@@ -265,7 +285,7 @@ class TestTrainEnsemble:
         held_scores = layer.score([labeled_fixture[i].video for i in held_idx])
         for m in range(4):
             values = np.array(
-                [s[m] for s in held_scores if s[m] is not None]
+                [s[m] for s in held_scores if not np.isnan(s[m])]
             )
             if len(values) < 2 or values.std() == 0:
                 continue
@@ -424,7 +444,7 @@ class TestClassifyVideo:
         )
         (scores,) = trained.first_layer.score([video])
         mean_t = trained.stats.stats[0][0]
-        forced = (mean_t, *scores[1:])
+        forced = np.array([mean_t, *scores[1:]])
         z = trained.stats.standardize(forced)
         expected = 1.0 / (
             1.0 + np.exp(-(z @ trained.stacking_coef + trained.stacking_bias))
@@ -443,13 +463,13 @@ class TestClassifyVideo:
             classify_video(hollow, bare)
 
     def test_monotone_in_positively_weighted_scores(self, trained):
-        base = (0.5, 0.5, 0.5, 0.5)
+        base = np.array([0.5, 0.5, 0.5, 0.5])
         z0 = trained.stats.standardize(base)
         logit = float(z0 @ trained.stacking_coef + trained.stacking_bias)
         for m, name in enumerate(MODULE_NAMES):
             if trained.stacking_coef[m] <= 0:
                 continue
-            bumped = list(base)
+            bumped = base.copy()
             bumped[m] += 0.05
             z1 = trained.stats.standardize(bumped)
             assert float(z1 @ trained.stacking_coef + trained.stacking_bias) > logit
@@ -462,17 +482,17 @@ def _forward_scores(layer, video):
     scores = []
     for model, texts in zip(layer.text_models, feats.texts):
         if model is None or not texts:
-            scores.append(None)
+            scores.append(np.nan)
             continue
         probs = []
         for f in texts:
             rows, _, n_ids = textmodel._rows(model, [f])
             probs.append(textmodel._forward(model, rows, int(n_ids[0]), 1)[1][1])
         scores.append(float(np.median(probs)))
-    attributes = None
+    attributes = np.nan
     if layer.attribute_head is not None and feats.attributes is not None:
         coef, bias = layer.attribute_head
-        attributes = ensemble_module._sigmoid(float(feats.attributes @ coef) + bias)
+        attributes = scalar_sigmoid(float(feats.attributes @ coef) + bias)
     return (*scores, attributes)
 
 
@@ -502,9 +522,11 @@ class TestBatchFirstLayer:
         assert len({len(v.comments) % 2 for v in videos}) == 2  # odd and even medians
         assert len(videos) > ensemble_module._VIDEO_BATCH  # more than one batch
         batch = trained.first_layer.score(videos)
-        assert batch == [_forward_scores(trained.first_layer, v) for v in videos]
-        assert batch[-3][2] is None and batch[-3][3] is None  # comments disabled
-        assert batch[-4][0] is None
+        reference = np.array([_forward_scores(trained.first_layer, v) for v in videos])
+        assert batch.shape == (len(videos), len(MODULE_NAMES))
+        assert batch.tobytes() == reference.tobytes()
+        assert np.isnan(batch[-3][2]) and np.isnan(batch[-3][3])  # comments disabled
+        assert np.isnan(batch[-4][0])
 
     def test_classify_videos_equals_one_video_at_a_time(self, trained, videos):
         assert classify_videos(trained, videos) == [classify_video(trained, v) for v in videos]
@@ -522,7 +544,7 @@ class TestBatchFirstLayer:
             classify_video(hollow, bare)
 
     def test_no_videos(self, trained):
-        assert trained.first_layer.score([]) == []
+        assert trained.first_layer.score([]).shape == (0, len(MODULE_NAMES))
         assert classify_videos(trained, []) == []
 
 

@@ -171,6 +171,17 @@ class TestWeightedFrequency:
         edges = [make_edge("s", "r")]
         assert weighted_frequency(edges, {"r": 0.9}, {"s": 0}, 0.5) is None
 
+    def test_a_source_without_a_view_count_is_undefined(self):
+        # Whether or not the edge's recommended video could be classified.
+        edges = [make_edge("s1", "r1"), make_edge("s2", "r2")]
+        for likes in ({"r1": 0.9, "r2": 0.7}, {"r1": 0.9, "r2": None}, {"r1": 0.9}):
+            assert weighted_frequency(edges, likes, {"s1": 10}, 0.5) is None
+
+    def test_negative_view_count_raises(self):
+        edges = [make_edge("s1", "r1"), make_edge("s2", "r2")]
+        with pytest.raises(ValueError, match="negative view count for source video s2"):
+            weighted_frequency(edges, {"r1": 0.9, "r2": 0.7}, {"s1": 10, "s2": -5}, 0.5)
+
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=20))
     def test_fuzz_frequencies_stay_in_unit_interval(self, likes):
         edges = [make_edge(f"s{i}", f"r{i}") for i in range(len(likes))]

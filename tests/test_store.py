@@ -137,7 +137,7 @@ class TestEnsembleBundle:
         save_ensemble(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
         videos = [ex.video for ex in labeled[:15]]
-        assert all(scores[m] is None for scores in loaded.first_layer.score(videos))
+        assert np.isnan(loaded.first_layer.score(videos)[:, m]).all()
         assert classify_videos(loaded, videos) == classify_videos(disabled, videos)
 
     def test_bundle_with_epoch_losses_loads_and_scores_the_same(self, tmp_path, small_ensemble):

@@ -9,7 +9,6 @@ from recaudit import textmodel
 from recaudit.errors import DegenerateTrainingError
 from recaudit.textmodel import (
     TextHyper,
-    Vocabulary,
     build_vocabulary,
     feature_ids,
     featurize,
@@ -18,6 +17,8 @@ from recaudit.textmodel import (
     tokenize,
     train_text_classifier,
 )
+
+from conftest import featurize_examples
 
 POS_DOCS = [f"hoax aliens illuminati secret {w}" for w in "one two three four five six seven eight nine ten".split()]
 NEG_DOCS = [f"cooking recipe music travel {w}" for w in "one two three four five six seven eight nine ten".split()]
@@ -43,8 +44,20 @@ def featurize_one(text: str, ngram: int, buckets: int):
     return tokens, [fnv1a64(key) % buckets for key in keys]
 
 
+def train(examples, hyper):
+    return train_text_classifier(featurize_examples(examples, hyper), hyper)
+
+
+def text_loss_and_grads(model, examples):
+    return loss_and_grads(model, featurize_examples(examples, model.hyper))
+
+
+def predict(model, texts):
+    return predict_proba(model, featurize(texts, model.hyper.ngram, model.hyper.buckets))
+
+
 def score(model, text):
-    return predict_proba(model, [text])[0]
+    return predict(model, [text])[0]
 
 
 def forward_score(model, features):
@@ -69,7 +82,7 @@ class TestTokenize:
 
 class TestFeaturize:
     def vocab(self, *words):
-        return Vocabulary(words=tuple(sorted(words)))
+        return {w: i for i, w in enumerate(sorted(words))}
 
     def ids(self, text, vocab):
         ids, n_ids = feature_ids(featurize([text], 2, 64), vocab)
@@ -114,7 +127,7 @@ class TestFeaturize:
 
     def test_min_count_threshold(self):
         vocab = build_vocabulary([["a", "a", "b"]], min_count=2)
-        assert vocab.words == ("a",)
+        assert vocab == {"a": 0}
 
     def test_fnv_reference_values(self):
         # FNV-1a 64-bit of empty input is the offset basis; the others are
@@ -159,12 +172,12 @@ class TestBatchFeaturize:
 
 class TestTraining:
     def test_separable_corpus_trains_to_full_accuracy(self):
-        model = train_text_classifier(TOY, HYPER)
-        predictions = [(p > 0.5) == (y == 1) for p, (_, y) in zip(predict_proba(model, [t for t, _ in TOY]), TOY)]
+        model = train(TOY, HYPER)
+        predictions = [(p > 0.5) == (y == 1) for p, (_, y) in zip(predict(model, [t for t, _ in TOY]), TOY)]
         assert all(predictions)
 
     def test_positive_document_scores_high(self):
-        model = train_text_classifier(TOY, HYPER)
+        model = train(TOY, HYPER)
         assert score(model, POS_DOCS[0]) > 0.9
 
     def test_training_lowers_the_loss_on_separable_data(self):
@@ -172,7 +185,7 @@ class TestTraining:
         # document scores 0.5 and the loss is ln 2. Each SGD run must end
         # below that, and a longer run lower still.
         losses = [
-            loss_and_grads(train_text_classifier(TOY, replace(HYPER, epochs=epochs)), TOY)[0]
+            text_loss_and_grads(train(TOY, replace(HYPER, epochs=epochs)), TOY)[0]
             for epochs in (1, 2, 4, 8, HYPER.epochs)
         ]
         assert losses[0] < math.log(2)
@@ -181,33 +194,23 @@ class TestTraining:
 
     def test_single_class_raises(self):
         with pytest.raises(DegenerateTrainingError):
-            train_text_classifier([("a doc", 1), ("other doc", 1)], HYPER)
+            train([("a doc", 1), ("other doc", 1)], HYPER)
 
     def test_empty_raises(self):
         with pytest.raises(DegenerateTrainingError):
             train_text_classifier([], HYPER)
 
     def test_input_order_does_not_change_the_model(self):
-        forward = train_text_classifier(TOY, HYPER)
-        backward = train_text_classifier(list(reversed(TOY)), HYPER)
+        forward = train(TOY, HYPER)
+        backward = train(list(reversed(TOY)), HYPER)
         assert np.array_equal(forward.embedding, backward.embedding)
         assert np.array_equal(forward.head, backward.head)
         assert np.array_equal(forward.bias, backward.bias)
 
-    def test_prefeaturized_texts_give_the_identical_model(self):
-        featurized = list(zip(featurize([t for t, _ in TOY], HYPER.ngram, HYPER.buckets), [y for _, y in TOY]))
-        raw = train_text_classifier(TOY, HYPER)
-        cached = train_text_classifier(featurized, HYPER)
-        assert raw.vocab == cached.vocab
-        assert np.array_equal(raw.observed_ids, cached.observed_ids)
-        assert np.array_equal(raw.embedding, cached.embedding)
-        assert np.array_equal(raw.head, cached.head)
-        assert score(raw, POS_DOCS[0]) == score(cached, featurized[0][0])
-
     def test_duplicated_corpus_has_identical_mean_gradients(self):
-        model = train_text_classifier(TOY, HYPER)
-        loss1, emb1, head1, bias1 = loss_and_grads(model, TOY)
-        loss2, emb2, head2, bias2 = loss_and_grads(model, TOY + TOY)
+        model = train(TOY, HYPER)
+        loss1, emb1, head1, bias1 = text_loss_and_grads(model, TOY)
+        loss2, emb2, head2, bias2 = text_loss_and_grads(model, TOY + TOY)
         assert loss1 == pytest.approx(loss2, rel=1e-12)
         np.testing.assert_allclose(emb1, emb2, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(head1, head2, rtol=1e-12, atol=1e-15)
@@ -218,19 +221,19 @@ class TestPredict:
     def test_class_probabilities_sum_to_one(self):
         # The positive probability is one softmax component; its complement
         # is the other class by construction, so it must sit inside [0, 1].
-        model = train_text_classifier(TOY, HYPER)
+        model = train(TOY, HYPER)
         for text in ["hoax aliens", "cooking recipe", "unrelated words entirely", ""]:
             p = score(model, text)
             assert 0.0 <= p <= 1.0
 
     def test_empty_text_scores_from_bias_alone(self):
-        model = train_text_classifier(TOY, HYPER)
+        model = train(TOY, HYPER)
         z = model.bias
         expected = float(np.exp(z[1] - z.max()) / np.exp(z - z.max()).sum())
         assert score(model, "") == pytest.approx(expected, abs=1e-15)
 
     def test_unseen_ids_count_in_the_denominator(self):
-        model = train_text_classifier(TOY, HYPER)
+        model = train(TOY, HYPER)
         text = "hoax aliens cooking"  # the bigram "aliens cooking" never occurs in TOY
         ids = feature_ids(featurize([text], HYPER.ngram, HYPER.buckets), model.vocab)[0].tolist()
         observed = model.observed_ids.tolist()
@@ -247,8 +250,8 @@ class TestPredict:
 
     def test_token_order_invariance_with_unigrams(self):
         hyper = TextHyper(dim=8, epochs=10, ngram=1, min_count=1, seed=0)
-        model = train_text_classifier(TOY, hyper)
-        a, b = predict_proba(model, ["hoax aliens cooking", "cooking hoax aliens"])
+        model = train(TOY, hyper)
+        a, b = predict(model, ["hoax aliens cooking", "cooking hoax aliens"])
         assert a == pytest.approx(b, abs=1e-15)
 
 
@@ -264,7 +267,7 @@ class TestBatchPredict:
         assert batch.tobytes() == reference.tobytes()
 
     def test_empty_and_unseen_documents(self):
-        model = train_text_classifier(TOY, HYPER)
+        model = train(TOY, HYPER)
         unseen = "qwerty zxcvb plugh"  # unknown words: only its two bigrams count, and have no row
         (feats,) = featurize([unseen], HYPER.ngram, HYPER.buckets)
         rows, n_rows, n_ids = textmodel._rows(model, [feats])
@@ -273,14 +276,14 @@ class TestBatchPredict:
         self.assert_bitwise_equal_to_forward(model, texts)
 
     def test_one_document_alone_equals_its_place_in_a_batch(self):
-        model = train_text_classifier(TOY, HYPER)
+        model = train(TOY, HYPER)
         texts = [t for t, _ in TOY] + ["", "hoax"]
-        batch = predict_proba(model, texts)
+        batch = predict(model, texts)
         alone = np.array([score(model, t) for t in texts])
         assert batch.tobytes() == alone.tobytes()
 
     def test_a_batch_spanning_several_chunks(self):
-        model = train_text_classifier(TOY, replace(HYPER, dim=16))
+        model = train(TOY, replace(HYPER, dim=16))
         rng = np.random.default_rng(5)
         words = " ".join(t for t, _ in TOY).split() + ["unseen", "other"]
         texts = [" ".join(rng.choice(words, int(rng.integers(0, 60)))) for _ in range(1500)]
@@ -290,14 +293,15 @@ class TestBatchPredict:
         self.assert_bitwise_equal_to_forward(model, texts)
 
     def test_no_documents(self):
-        model = train_text_classifier(TOY, HYPER)
+        model = train(TOY, HYPER)
         assert predict_proba(model, []).shape == (0,)
 
 
 class TestGradientCheck:
     def test_analytic_matches_central_differences(self):
-        fixture = TOY[:3] + TOY[-2:]  # 5 examples, both classes
-        model = train_text_classifier(fixture, TextHyper(dim=4, epochs=2, min_count=1, seed=1))
+        hyper = TextHyper(dim=4, epochs=2, min_count=1, seed=1)
+        fixture = featurize_examples(TOY[:3] + TOY[-2:], hyper)  # 5 examples, both classes
+        model = train_text_classifier(fixture, hyper)
         loss, d_emb, d_head, d_bias = loss_and_grads(model, fixture)
         eps = 1e-6
 
