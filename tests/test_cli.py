@@ -405,6 +405,89 @@ class TestOneFilePerDay:
         assert report == [{"kind": "video", "subject": source, "message": "duplicate video_id"}]
 
 
+def _read_json_lines(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+class TestDaysThatDiffer:
+    """Every simulated day has the same edges, so a reader that handed one
+    day another day's edges would leave every golden unchanged. Here the
+    three days differ, and each report is checked day by day against an
+    oracle computed with plain JSON from the snapshot files."""
+
+    def test_reports_follow_each_day_s_own_edges(self, workspace):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        days = ("2019-05-01", "2019-05-02", "2019-05-03")
+        assert run(cfg, "simulate") == 0
+        for day in days:
+            assert run(cfg, "harvest", "--date", day) == 0
+
+        # Day 2 keeps every third of its edges. Day 3 holds other edges between
+        # existing videos: the day's sources recommend only positive videos,
+        # some of which no other day recommends.
+        snaps = {day: out / "snapshots" / f"{day}.jsonl" for day in days}
+        second = json.loads(snaps[days[1]].read_text())
+        second["edges"] = second["edges"][::3]
+        third = json.loads(snaps[days[2]].read_text())
+        sources = sorted({e["source_video_id"] for e in third["edges"]})
+        positives = [d["video_id"] for d in _read_json_lines(out / "ground_truth.jsonl") if d["label"] == 1]
+        third["edges"] = [
+            {"date": days[2], "rank": rank, "source_video_id": src, "recommended_video_id": vid}
+            for i, src in enumerate(sources)
+            for rank, vid in enumerate(positives[i::len(sources)][:5], 1)
+        ]
+        for day, doc in ((days[1], second), (days[2], third)):
+            snaps[day].write_text(json.dumps(doc, sort_keys=True) + "\n")
+        edges = {day: json.loads(snaps[day].read_text())["edges"] for day in days}
+        assert len(edges[days[1]]) < len(edges[days[0]])
+
+        assert run(cfg, "train") == 0
+        assert run(cfg, "score") == 0
+        likes = {d["video_id"]: d["likelihood"] for d in _read_json_lines(out / "likelihoods.jsonl")}
+        assert set(likes) == {
+            e[end] for day in days for e in edges[day] for end in ("source_video_id", "recommended_video_id")
+        }
+        # A threshold between the videos' likelihoods, so that the share of
+        # recommendations above it differs from day to day.
+        threshold = sorted(likes.values())[len(likes) // 2]
+        assert run(cfg, "trends", "--threshold", repr(threshold)) == 0
+        assert run(cfg, "bubble", "--threshold", repr(threshold)) == 0
+
+        def raw(day_edges):
+            scored = [likes[e["recommended_video_id"]] for e in day_edges
+                      if likes.get(e["recommended_video_id"]) is not None]
+            return sum(like for like in scored if like > threshold) / len(scored) if scored else None
+
+        def coverage(day_edges):
+            return sum(likes.get(e["recommended_video_id"]) is not None for e in day_edges) / len(day_edges)
+
+        rows = [line.split(",") for line in (out / "trends.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == list(days)
+        for row, day in zip(rows, days):
+            assert float(row[1]) == pytest.approx(raw(edges[day])), day
+            assert float(row[3]) == pytest.approx(coverage(edges[day])), day
+        assert abs(float(rows[2][1]) - float(rows[0][1])) > 0.2  # the days really differ
+
+        bins = 10
+        expected = []
+        for day in days:
+            for b in range(bins):
+                cell = [e for e in edges[day]
+                        if likes.get(e["source_video_id"]) is not None
+                        and likes.get(e["recommended_video_id"]) is not None
+                        and min(int(likes[e["source_video_id"]] * bins), bins - 1) == b]
+                expected.append((day, day, raw(cell) if cell else None, len(cell)))
+        got = [
+            (start, end, float(proportion) if proportion else None, int(count))
+            for start, end, _, _, proportion, count in
+            (line.split(",") for line in (out / "bubble.csv").read_text().splitlines()[1:])
+        ]
+        assert [row[:2] for row in got] == [row[:2] for row in expected]
+        for g, e in zip(got, expected):
+            assert g[3] == e[3] and g[2] == pytest.approx(e[2]), g
+
+
 def _write_likelihoods(out, second):
     """Write ``likelihoods.jsonl`` with 0.5 for each video the 2019-05-01
     snapshot recommends, but ``second`` on line 2, as plain JSON so that any
