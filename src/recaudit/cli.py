@@ -101,19 +101,47 @@ def _text_hyper(config: PipelineConfig, seed: int) -> TextHyper:
     )
 
 
-# The simulated platform on disk: required files, then an optional state file.
-_PLATFORM_FILES = ("channels.jsonl", "videos.jsonl", "ground_truth.jsonl")
-_PLATFORM_STATE = "platform_state.json"
+# The simulated platform on disk, in the order `_source` reads it; the state
+# file is optional.
+_PLATFORM_FILES = ("channels.jsonl", "videos.jsonl", "ground_truth.jsonl", "platform_state.json")
+
+# The files of each input a stage declares in `_STAGES`, by name.
+_Inputs = dict[str, list[Path]]
 
 
-def _load_platform(config: PipelineConfig) -> SimulatedPlatform:
+def _files(config: PipelineConfig, args) -> _Inputs:
+    """The files behind every input name, listed before a stage runs. The
+    manifest records the digests of the files its stage declares, and the
+    rerun skip requires them to be the same files as the recorded ones, so
+    a newly harvested day, another label file or a re-simulated platform
+    makes a stage stale."""
     out = _out(config)
-    for name in _PLATFORM_FILES:
-        _require(out / name, "simulate")
-    channels = tuple(corpus.read_jsonl(out / "channels.jsonl", corpus.ChannelRecord))
-    videos = tuple(corpus.read_jsonl(out / "videos.jsonl", corpus.VideoRecord))
-    truth = store.read_ground_truth(out / "ground_truth.jsonl")
-    state_path = out / _PLATFORM_STATE
+    return {
+        "platform": [] if config.source == "live" else [out / name for name in _PLATFORM_FILES],
+        "seed_list": [Path(config.snowball_seeds_path)],
+        "manual_additions": [Path(config.manual_additions_path)] if config.manual_additions_path else [],
+        "seeds": [out / "seeds.txt"],
+        "labeled": [out / "labeled.jsonl"],
+        "ensemble": [out / "ensemble.bin"],
+        "snapshots": sorted((out / "snapshots").glob("*.jsonl")),
+        # The simulator's video file plus one file per live harvest day.
+        "videos": [out / "videos.jsonl", *sorted((out / "videos").glob("*.jsonl"))],
+        "likelihoods": [out / "likelihoods.jsonl"],
+        "calibration": [out / "calibration.csv"] if config.trends_calibrated else [],
+        "labels": [Path(args.labels) if getattr(args, "labels", None) else out / "ground_truth.jsonl"],
+        "channels": [out / "channels.jsonl"],
+    }
+
+
+def _source(config: PipelineConfig, paths: _Inputs):
+    if config.source == "live":
+        return LiveAdapter.from_env()
+    channels_path, videos_path, truth_path, state_path = paths["platform"]
+    for path in (channels_path, videos_path, truth_path):
+        _require(path, "simulate")
+    channels = tuple(corpus.read_jsonl(channels_path, corpus.ChannelRecord))
+    videos = tuple(corpus.read_jsonl(videos_path, corpus.VideoRecord))
+    truth = store.read_ground_truth(truth_path)
     video_dates: dict[str, dt.date] = {}
     disabled: frozenset[str] = frozenset()
     if state_path.exists():
@@ -135,36 +163,21 @@ def _load_platform(config: PipelineConfig) -> SimulatedPlatform:
     )
 
 
-def _source(config: PipelineConfig):
-    if config.source == "live":
-        return LiveAdapter.from_env()
-    return _load_platform(config)
+def _records(files: list[Path], cls) -> tuple:
+    """Every record in those of ``files`` that exist."""
+    return tuple(record for path in files if path.exists() for record in corpus.read_jsonl(path, cls))
 
 
-def _records(path: Path, cls) -> tuple:
-    """Every record in one JSONL file; none when the file does not exist."""
-    return tuple(corpus.read_jsonl(path, cls)) if path.exists() else ()
-
-
-def _snapshot_paths(out: Path) -> list[Path]:
-    return sorted((out / "snapshots").glob("*.jsonl"))
-
-
-def _video_paths(out: Path) -> list[Path]:
-    """The simulator's video file plus one file per live harvest day."""
-    return [out / "videos.jsonl", *sorted((out / "videos").glob("*.jsonl"))]
-
-
-def _snapshots_under(out: Path) -> list[tuple[Path, corpus.DailySnapshot]]:
-    """Every snapshot under ``out`` with the file it is in, in date order."""
-    found = [(path, s) for path in _snapshot_paths(out) for s in corpus.read_jsonl(path, corpus.DailySnapshot)]
+def _snapshots(files: list[Path]) -> list[tuple[Path, corpus.DailySnapshot]]:
+    """Every snapshot in ``files`` with the file it is in, in date order."""
+    found = [(path, s) for path in files for s in corpus.read_jsonl(path, corpus.DailySnapshot)]
     return sorted(found, key=lambda item: item[1].date)
 
 
-def _read_snapshots(config: PipelineConfig) -> list[corpus.DailySnapshot]:
+def _read_snapshots(config: PipelineConfig, files: list[Path]) -> list[corpus.DailySnapshot]:
     """The snapshots in date order. A day found twice would be counted
     twice, so it raises :class:`CorpusViolationError` naming both files."""
-    found = _snapshots_under(_out(config))
+    found = _snapshots(files)
     if not found:
         raise ConfigError(f"no snapshots under {_out(config) / 'snapshots'}; run `harvest` first")
     for (first, a), (second, b) in zip(found, found[1:]):
@@ -173,44 +186,16 @@ def _read_snapshots(config: PipelineConfig) -> list[corpus.DailySnapshot]:
     return [snap for _, snap in found]
 
 
-def _read_videos(config: PipelineConfig) -> dict[str, corpus.VideoRecord]:
-    out = _out(config)
-    records = {
-        video.video_id: video for path in _video_paths(out) for video in _records(path, corpus.VideoRecord)
-    }
+def _read_videos(config: PipelineConfig, files: list[Path]) -> dict[str, corpus.VideoRecord]:
+    records = {video.video_id: video for video in _records(files, corpus.VideoRecord)}
     if not records:
-        raise ConfigError(f"no video records under {out}")
+        raise ConfigError(f"no video records under {_out(config)}")
     return records
 
 
-def _labels_path(config: PipelineConfig, args) -> Path:
-    return Path(args.labels) if getattr(args, "labels", None) else _out(config) / "ground_truth.jsonl"
-
-
-def _inputs(config: PipelineConfig, args) -> list[Path]:
-    """Every file this invocation of the subcommand reads, listed before it
-    runs. The manifest records their digests, and the rerun skip requires
-    this list to name the same files as the recorded one, so a newly
-    harvested day, another label file or a re-simulated platform makes a
-    stage stale."""
-    out = _out(config)
-    snapshots, videos = _snapshot_paths(out), _video_paths(out)
-    likelihoods = out / "likelihoods.jsonl"
-    calibration = [out / "calibration.csv"] if config.trends_calibrated else []
-    platform = [] if config.source == "live" else [out / n for n in (*_PLATFORM_FILES, _PLATFORM_STATE)]
-    manual = [Path(config.manual_additions_path)] if config.manual_additions_path else []
-    return {
-        "simulate": [],
-        "snowball": [Path(config.snowball_seeds_path), *manual, *platform],
-        "harvest": [out / "seeds.txt", *platform],
-        "train": [out / "labeled.jsonl"],
-        "score": [out / "ensemble.bin", *snapshots, *videos],
-        "trends": [likelihoods, *calibration, *snapshots, *videos],
-        "calibrate": [likelihoods, _labels_path(config, args)],
-        "bubble": [likelihoods, *snapshots],
-        "topics": [likelihoods, *snapshots, *videos],
-        "validate": [out / "channels.jsonl", *videos, out / "labeled.jsonl", *snapshots],
-    }[args.command]
+def _read_likelihoods(paths: _Inputs) -> dict[str, Optional[float]]:
+    (path,) = paths["likelihoods"]
+    return store.read_likelihoods(_require(path, "score"))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +203,7 @@ def _inputs(config: PipelineConfig, args) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(config: PipelineConfig, args) -> list[Path]:
+def _cmd_simulate(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     out = _out(config)
     spec = PlatformSpec(
         n_channels=config.sim_channels,
@@ -254,10 +239,10 @@ def _cmd_simulate(config: PipelineConfig, args) -> list[Path]:
     return [out / name for name in outputs]
 
 
-def _cmd_snowball(config: PipelineConfig, args) -> list[Path]:
+def _cmd_snowball(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     out = _out(config)
-    source = _source(config)
-    seeds_path = Path(config.snowball_seeds_path)
+    source = _source(config, paths)
+    (seeds_path,) = paths["seed_list"]
     initial = store.read_seed_list(seeds_path)[: config.snowball_initial]
     result = snowball_channels(
         source,
@@ -287,11 +272,7 @@ def _cmd_snowball(config: PipelineConfig, args) -> list[Path]:
 
     anchors = [a.strip() for a in config.cluster_anchors.split(",") if a.strip()]
     if config.cluster_id is not None or anchors:
-        manual = (
-            store.read_seed_list(config.manual_additions_path)
-            if config.manual_additions_path
-            else []
-        )
+        manual = [channel for path in paths["manual_additions"] for channel in store.read_seed_list(path)]
         selected = select_seed_cluster(
             partition,
             manual_additions=manual,
@@ -303,13 +284,14 @@ def _cmd_snowball(config: PipelineConfig, args) -> list[Path]:
     return outputs
 
 
-def _cmd_harvest(config: PipelineConfig, args) -> list[Path]:
+def _cmd_harvest(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     if not args.date:
         raise ConfigError("harvest requires --date YYYY-MM-DD")
     day = dt.date.fromisoformat(args.date)
     out = _out(config)
-    source = _source(config)
-    seeds = store.read_seed_list(out / "seeds.txt")
+    source = _source(config, paths)
+    (seeds_path,) = paths["seeds"]
+    seeds = store.read_seed_list(seeds_path)
     snap_path = store.snapshot_path(out, day)
     store.ensure_snapshot_writable(snap_path, args.overwrite)
 
@@ -355,10 +337,10 @@ def _enrich_video(source, video: corpus.VideoRecord, limit: int, scorer) -> corp
     return replace(video, comments=tuple(scored))
 
 
-def _cmd_train(config: PipelineConfig, args) -> list[Path]:
+def _cmd_train(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     out = _out(config)
-    labeled_path = _require(out / "labeled.jsonl", "simulate")
-    labeled = list(corpus.read_jsonl(labeled_path, corpus.LabeledExample))
+    (labeled_path,) = paths["labeled"]
+    labeled = list(corpus.read_jsonl(_require(labeled_path, "simulate"), corpus.LabeledExample))
     ensemble = train_ensemble(
         labeled,
         repeats=config.ensemble_repeats,
@@ -374,12 +356,12 @@ def _cmd_train(config: PipelineConfig, args) -> list[Path]:
     return [model_path, weights_path]
 
 
-def _cmd_score(config: PipelineConfig, args) -> list[Path]:
+def _cmd_score(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     out = _out(config)
-    model_path = _require(out / "ensemble.bin", "train")
-    ensemble = store.load_ensemble(model_path)
-    snapshots = _read_snapshots(config)
-    videos = _read_videos(config)
+    (model_path,) = paths["ensemble"]
+    ensemble = store.load_ensemble(_require(model_path, "train"))
+    snapshots = _read_snapshots(config, paths["snapshots"])
+    videos = _read_videos(config, paths["videos"])
     wanted = sorted(
         {e.recommended_video_id for s in snapshots for e in s.edges}
         | {e.source_video_id for s in snapshots for e in s.edges}
@@ -392,15 +374,13 @@ def _cmd_score(config: PipelineConfig, args) -> list[Path]:
     return [path]
 
 
-def _trend_series(config: PipelineConfig) -> TrendSeries:
-    snapshots = _read_snapshots(config)
-    likelihoods = store.read_likelihoods(_require(_out(config) / "likelihoods.jsonl", "score"))
-    if config.trends_calibrated:
-        curve = store.read_calibration_csv(
-            _require(_out(config) / "calibration.csv", "calibrate"), alpha=config.alpha
-        )
+def _trend_series(config: PipelineConfig, paths: _Inputs) -> TrendSeries:
+    snapshots = _read_snapshots(config, paths["snapshots"])
+    likelihoods = _read_likelihoods(paths)
+    for path in paths["calibration"]:  # listed when trends.calibrated is set
+        curve = store.read_calibration_csv(_require(path, "calibrate"), alpha=config.alpha)
         likelihoods = apply_calibration(likelihoods, curve)
-    videos = _read_videos(config)
+    videos = _read_videos(config, paths["videos"])
     views = {vid: v.view_count for vid, v in videos.items()}
     points = []
     for snap in snapshots:
@@ -420,9 +400,9 @@ def _trend_series(config: PipelineConfig) -> TrendSeries:
     return TrendSeries(points=tuple(points))
 
 
-def _cmd_trends(config: PipelineConfig, args) -> list[Path]:
+def _cmd_trends(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     out = _out(config)
-    series = _trend_series(config)
+    series = _trend_series(config, paths)
     csv_path = out / "trends.csv"
     store.write_trends_csv(csv_path, series, config.window_days)
     defined = [p.raw for p in series.points if p.raw is not None]
@@ -439,10 +419,11 @@ def _cmd_trends(config: PipelineConfig, args) -> list[Path]:
     return [csv_path, summary_path]
 
 
-def _cmd_calibrate(config: PipelineConfig, args) -> list[Path]:
+def _cmd_calibrate(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     out = _out(config)
-    likelihoods = store.read_likelihoods(_require(out / "likelihoods.jsonl", "score"))
-    truth = store.read_ground_truth(_require(_labels_path(config, args), "simulate"))
+    likelihoods = _read_likelihoods(paths)
+    (labels_path,) = paths["labels"]
+    truth = store.read_ground_truth(_require(labels_path, "simulate"))
     pairs = [
         (like, truth[vid])
         for vid, like in sorted(likelihoods.items())
@@ -486,10 +467,10 @@ def _parse_periods(config: PipelineConfig, snapshots) -> list[Period]:
     return [Period(s, e) for s, e in zip(bounds, ends) if s <= e]
 
 
-def _cmd_bubble(config: PipelineConfig, args) -> list[Path]:
+def _cmd_bubble(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     out = _out(config)
-    snapshots = _read_snapshots(config)
-    likelihoods = store.read_likelihoods(_require(out / "likelihoods.jsonl", "score"))
+    snapshots = _read_snapshots(config, paths["snapshots"])
+    likelihoods = _read_likelihoods(paths)
     periods = _parse_periods(config, snapshots)
     edges = [e for s in snapshots for e in s.edges]
     matrix = filter_bubble_matrix(
@@ -508,11 +489,11 @@ def _cmd_bubble(config: PipelineConfig, args) -> list[Path]:
     return [csv_path, summary_path]
 
 
-def _cmd_topics(config: PipelineConfig, args) -> list[Path]:
+def _cmd_topics(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     out = _out(config)
-    snapshots = _read_snapshots(config)
-    likelihoods = store.read_likelihoods(_require(out / "likelihoods.jsonl", "score"))
-    videos = _read_videos(config)
+    snapshots = _read_snapshots(config, paths["snapshots"])
+    likelihoods = _read_likelihoods(paths)
+    videos = _read_videos(config, paths["videos"])
     conspiratorial = [
         videos[vid]
         for vid, like in sorted(likelihoods.items())
@@ -544,18 +525,18 @@ def _cmd_topics(config: PipelineConfig, args) -> list[Path]:
     return [json_path, csv_path]
 
 
-def _cmd_validate(config: PipelineConfig, args) -> list[Path]:
+def _cmd_validate(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     out = _out(config)
     bag = corpus.Corpus(
-        channels=_records(out / "channels.jsonl", corpus.ChannelRecord),
-        snapshots=tuple(snap for _, snap in _snapshots_under(out)),
-        labeled=_records(out / "labeled.jsonl", corpus.LabeledExample),
+        channels=_records(paths["channels"], corpus.ChannelRecord),
+        snapshots=tuple(snap for _, snap in _snapshots(paths["snapshots"])),
+        labeled=_records(paths["labeled"], corpus.LabeledExample),
     )
     violations = corpus.validate_corpus(bag, max_rank=config.harvest_k)
     # Each video file alone: every harvest day refetches the videos it
     # recommends, so an id recurs across the day files but not within one.
-    for path in _video_paths(out):
-        violations += corpus.validate_corpus(corpus.Corpus(videos=_records(path, corpus.VideoRecord)))
+    for path in paths["videos"]:
+        violations += corpus.validate_corpus(corpus.Corpus(videos=_records([path], corpus.VideoRecord)))
     report_path = out / "validation.json"
     store.write_json(report_path, [vars(v) for v in violations])
     for v in violations:
@@ -565,17 +546,19 @@ def _cmd_validate(config: PipelineConfig, args) -> list[Path]:
     return [report_path]
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "snowball": _cmd_snowball,
-    "harvest": _cmd_harvest,
-    "train": _cmd_train,
-    "score": _cmd_score,
-    "trends": _cmd_trends,
-    "calibrate": _cmd_calibrate,
-    "bubble": _cmd_bubble,
-    "topics": _cmd_topics,
-    "validate": _cmd_validate,
+# Each subcommand's function and the names of the inputs it reads, keys of
+# `_files`. `main` hands the function the files of those names only.
+_STAGES = {
+    "simulate": (_cmd_simulate, ()),
+    "snowball": (_cmd_snowball, ("seed_list", "manual_additions", "platform")),
+    "harvest": (_cmd_harvest, ("seeds", "platform")),
+    "train": (_cmd_train, ("labeled",)),
+    "score": (_cmd_score, ("ensemble", "snapshots", "videos")),
+    "trends": (_cmd_trends, ("likelihoods", "calibration", "snapshots", "videos")),
+    "calibrate": (_cmd_calibrate, ("likelihoods", "labels")),
+    "bubble": (_cmd_bubble, ("likelihoods", "snapshots")),
+    "topics": (_cmd_topics, ("likelihoods", "snapshots", "videos")),
+    "validate": (_cmd_validate, ("channels", "videos", "labeled", "snapshots")),
 }
 
 
@@ -583,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="recaudit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"recaudit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
+    for name, (fn, _) in _STAGES.items():
         p = sub.add_parser(name, help=(fn.__doc__ or "").strip() or name)
         p.add_argument("--config", default=None, help="key-value config file")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
@@ -628,12 +611,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         config = _effective_config(args)
         manifest_path = _manifest_path(config, args)
         config_digest = _config_digest(config)
-        inputs = _inputs(config, args)
+        stage, names = _STAGES[args.command]
+        files = _files(config, args)
+        paths = {name: files[name] for name in names}
+        inputs = [path for name in names for path in paths[name]]
         if not args.overwrite and store.outputs_are_current(manifest_path, config_digest, inputs):
             print(f"{args.command}: outputs are current, skipping (see {manifest_path})")
             return 0
         with store.output_lock(manifest_path):
-            outputs = _COMMANDS[args.command](config, args)
+            outputs = stage(config, args, paths)
             manifest = store.build_manifest(
                 command=args.command,
                 config_digest=config_digest,

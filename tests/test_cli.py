@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import datetime as dt
 import hashlib
@@ -14,6 +15,7 @@ import pytest
 
 from recaudit import cli, corpus
 from recaudit.cli import main
+from recaudit.config import load_config
 from recaudit.corpus import DailySnapshot
 from recaudit.parallel import available_cpus
 from conftest import make_edge, processes
@@ -217,7 +219,7 @@ sys.addaudithook(_record_reads)
 
 
 class TestListedInputs:
-    """The rerun skip trusts `cli._inputs` to name every file a stage reads;
+    """The rerun skip trusts `cli._STAGES` to name every file a stage reads;
     a file read but not listed could change without making the stage stale."""
 
     def test_every_file_a_stage_reads_is_listed(self, workspace, monkeypatch):
@@ -226,18 +228,18 @@ class TestListedInputs:
         reads: dict[str, list[str]] = {}
 
         def recorded(name, command):
-            def run_recorded(config, args):
+            def run_recorded(config, args, paths):
                 global _reading
                 _reading = reads.setdefault(name, [])
                 try:
-                    return command(config, args)
+                    return command(config, args, paths)
                 finally:
                     _reading = None
 
             return run_recorded
 
-        for name, command in list(cli._COMMANDS.items()):
-            monkeypatch.setitem(cli._COMMANDS, name, recorded(name, command))
+        for name, (command, inputs) in list(cli._STAGES.items()):
+            monkeypatch.setitem(cli._STAGES, name, (recorded(name, command), inputs))
 
         labels = tmp / "labels.jsonl"
         stages = [
@@ -266,6 +268,18 @@ class TestListedInputs:
             listed = {os.path.abspath(p) for p in manifest["inputs"]}
             assert opened <= listed, (argv, sorted(opened - listed))
             assert opened or argv[0] == "simulate", argv
+
+
+class TestStageTable:
+    """Each input a stage declares has its files, and each input with files
+    is read by some stage."""
+
+    def test_declared_inputs_are_the_inputs_with_files(self, workspace):
+        tmp, cfg = workspace
+        files = cli._files(load_config(cfg), argparse.Namespace())
+        declared = {name for _, names in cli._STAGES.values() for name in names}
+        assert declared <= set(files), sorted(declared - set(files))
+        assert set(files) <= declared, sorted(set(files) - declared)
 
 
 class TestErrors:
@@ -624,7 +638,7 @@ class TestCorruptArtifacts:
 
 
 class TestDateOption:
-    @pytest.mark.parametrize("command", sorted(set(cli._COMMANDS) - {"harvest"}))
+    @pytest.mark.parametrize("command", sorted(set(cli._STAGES) - {"harvest"}))
     def test_only_harvest_accepts_date(self, workspace, capsys, command):
         tmp, cfg = workspace
         assert run(cfg, command, "--date", "2019-01-01") == 1
