@@ -91,6 +91,7 @@ class PipelineConfig:
         counts = {
             "sim.channels": self.sim_channels,
             "sim.videos_per_channel": self.sim_videos_per_channel,
+            "snowball.initial": self.snowball_initial,
             "snowball.target": self.snowball_target,
             "snowball.k": self.snowball_k,
             "harvest.k": self.harvest_k,
@@ -120,12 +121,20 @@ class PipelineConfig:
                 raise ConfigError(f"{key} must lie in (0, 1), got {value}")
         for key, value in {
             "sim.base_rate": self.sim_base_rate,
+            "sim.homophily": self.sim_homophily,
+            "sim.share": self.sim_share,
+            "sim.comments_disabled_rate": self.sim_comments_disabled_rate,
+            "sim.transcript_missing_rate": self.sim_transcript_missing_rate,
             "threshold": self.threshold,
         }.items():
-            if not 0.0 <= value <= 1.0:
+            if value is not None and not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{key} must lie in [0, 1], got {value}")
         if self.source not in ("simulator", "live"):
             raise ConfigError(f"source must be 'simulator' or 'live', got {self.source!r}")
+        if self.topics_field not in ("comments", "snippet", "transcript"):
+            raise ConfigError(
+                f"topics.field must be 'comments', 'snippet' or 'transcript', got {self.topics_field!r}"
+            )
 
 
 _FIELD_TYPES = {f.name: f for f in dataclasses.fields(PipelineConfig)}

@@ -74,9 +74,46 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("TOPICS_REPORT_TOP", "-1"), ("TOPICS_REPORT_TOP", "0"), ("TOPICS_MAX_ITER", "0")],
+        [
+            ("TOPICS_REPORT_TOP", "-1"),
+            ("TOPICS_REPORT_TOP", "0"),
+            ("TOPICS_MAX_ITER", "0"),
+            ("SNOWBALL_INITIAL", "0"),
+        ],
     )
-    def test_topic_counts_must_be_positive(self, name, value):
+    def test_counts_must_be_positive(self, name, value):
         key = name.lower().replace("_", ".", 1)
         with pytest.raises(ConfigError, match=f"{key} must be at least 1"):
             load_config(env={f"RECAUDIT_{name}": value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("SIM_HOMOPHILY", "1.5"),
+            ("SIM_SHARE", "2"),
+            ("SIM_SHARE", "-0.1"),
+            ("SIM_TRANSCRIPT_MISSING_RATE", "-1"),
+            ("SIM_COMMENTS_DISABLED_RATE", "1.01"),
+            ("SIM_COMMENTS_DISABLED_RATE", "nan"),
+        ],
+    )
+    def test_rates_must_lie_in_the_unit_interval(self, name, value):
+        key = name.lower().replace("_", ".", 1)
+        with pytest.raises(ConfigError, match=rf"{key} must lie in \[0, 1\]"):
+            load_config(env={f"RECAUDIT_{name}": value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("SIM_HOMOPHILY", "none"),
+            ("SIM_SHARE", "none"),
+            ("SIM_SHARE", "0"),
+            ("SIM_TRANSCRIPT_MISSING_RATE", "1"),
+        ],
+    )
+    def test_rates_at_the_bounds_or_unset_are_accepted(self, name, value):
+        load_config(env={f"RECAUDIT_{name}": value})
+
+    def test_topics_field_must_name_a_text_field(self):
+        with pytest.raises(ConfigError, match="topics.field must be"):
+            load_config(env={"RECAUDIT_TOPICS_FIELD": "title"})
