@@ -423,6 +423,8 @@ def _cmd_calibrate(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     out = _out(config)
     likelihoods = _read_likelihoods(paths)
     (labels_path,) = paths["labels"]
+    if args.labels and not labels_path.exists():
+        raise ConfigError(f"label file {labels_path} does not exist")
     truth = store.read_ground_truth(_require(labels_path, "simulate"))
     pairs = [
         (like, truth[vid])
@@ -501,15 +503,21 @@ def _cmd_topics(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     ]
     if len(conspiratorial) < 2:
         raise ConfigError("fewer than two conspiratorial videos; nothing to model")
-    model = fit_topic_model(
-        conspiratorial,
-        k=config.topics_k,
-        max_iter=config.topics_max_iter,
-        tol=config.topics_tol,
-        seed=config.topics_seed,
-        field=config.topics_field,
-        use_tfidf=config.topics_use_tfidf,
-    )
+    try:
+        model = fit_topic_model(
+            conspiratorial,
+            k=config.topics_k,
+            max_iter=config.topics_max_iter,
+            tol=config.topics_tol,
+            seed=config.topics_seed,
+            field=config.topics_field,
+            use_tfidf=config.topics_use_tfidf,
+        )
+    except ValueError as exc:  # every document is empty; the field itself is checked at config load
+        raise ConfigError(
+            f"topics.field is {config.topics_field!r}, but none of the {len(conspiratorial)} "
+            f"conspiratorial videos has {config.topics_field} text; nothing to model"
+        ) from exc
     edges = [e for s in snapshots for e in s.edges]
     report = topic_report(
         model,

@@ -345,6 +345,32 @@ class TestErrors:
         assert run(cfg, *argv) == 1
         assert "run `simulate` first" in capsys.readouterr().err
 
+    def test_a_missing_labels_file_is_named_without_the_simulate_hint(self, workspace, capsys):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        assert run(cfg, "harvest", "--date", "2019-05-01") == 0
+        _write_likelihoods(out, 0.5)
+        capsys.readouterr()
+        assert run(cfg, "calibrate", "--labels", str(tmp / "no-such.jsonl")) == 1
+        err = capsys.readouterr().err
+        assert f"label file {tmp / 'no-such.jsonl'} does not exist" in err and "simulate" not in err
+        # The default label file is simulate's output: its absence keeps the hint.
+        (out / "ground_truth.jsonl").unlink()
+        assert run(cfg, "calibrate") == 1
+        assert "ground_truth.jsonl does not exist; run `simulate` first" in capsys.readouterr().err
+
+    def test_topics_over_a_field_no_video_has_names_the_field(self, workspace, capsys):
+        tmp, cfg = workspace
+        with cfg.open("a") as fh:
+            fh.write("topics.field = transcript\nsim.transcript_missing_rate = 1.0\n")
+        for argv in (["simulate"], ["harvest", "--date", "2019-05-01"], ["train"], ["score"]):
+            assert run(cfg, *argv) == 0
+        capsys.readouterr()
+        assert run(cfg, "topics") == 1
+        err = capsys.readouterr().err
+        assert "topics.field is 'transcript'" in err and "has transcript text" in err
+
     def test_validate_reports_violations_with_exit_2(self, workspace):
         tmp, cfg = workspace
         out = tmp / "out"
