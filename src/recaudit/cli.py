@@ -168,16 +168,11 @@ def _records(files: list[Path], cls) -> tuple:
     return tuple(record for path in files if path.exists() for record in corpus.read_jsonl(path, cls))
 
 
-def _snapshots(files: list[Path]) -> list[tuple[Path, corpus.DailySnapshot]]:
-    """Every snapshot in ``files`` with the file it is in, in date order."""
-    found = [(path, s) for path in files for s in corpus.read_jsonl(path, corpus.DailySnapshot)]
-    return sorted(found, key=lambda item: item[1].date)
-
-
 def _read_snapshots(config: PipelineConfig, files: list[Path]) -> list[corpus.DailySnapshot]:
     """The snapshots in date order. A day found twice would be counted
     twice, so it raises :class:`CorpusViolationError` naming both files."""
-    found = _snapshots(files)
+    found = [(path, s) for path in files for s in corpus.read_jsonl(path, corpus.DailySnapshot)]
+    found.sort(key=lambda item: item[1].date)
     if not found:
         raise ConfigError(f"no snapshots under {_out(config) / 'snapshots'}; run `harvest` first")
     for (first, a), (second, b) in zip(found, found[1:]):
@@ -537,7 +532,7 @@ def _cmd_validate(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     out = _out(config)
     bag = corpus.Corpus(
         channels=_records(paths["channels"], corpus.ChannelRecord),
-        snapshots=tuple(snap for _, snap in _snapshots(paths["snapshots"])),
+        snapshots=tuple(sorted(_records(paths["snapshots"], corpus.DailySnapshot), key=lambda s: s.date)),
         labeled=_records(paths["labeled"], corpus.LabeledExample),
     )
     violations = corpus.validate_corpus(bag, max_rank=config.harvest_k)
