@@ -509,7 +509,7 @@ class TestDaysThatDiffer:
             assert float(row[3]) == pytest.approx(coverage(edges[day])), day
         assert abs(float(rows[2][1]) - float(rows[0][1])) > 0.2  # the days really differ
 
-        bins = 10
+        bins = load_config(cfg).bubble_bins
         expected = []
         for day in days:
             for b in range(bins):

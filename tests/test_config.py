@@ -105,7 +105,6 @@ class TestLoadConfig:
     @pytest.mark.parametrize(
         "name, value",
         [
-            ("SIM_HOMOPHILY", "none"),
             ("SIM_SHARE", "none"),
             ("SIM_SHARE", "0"),
             ("SIM_TRANSCRIPT_MISSING_RATE", "1"),
