@@ -140,16 +140,20 @@ def _source(config: PipelineConfig, paths: _Inputs):
     for path in (channels_path, videos_path, truth_path):
         _require(path, "simulate")
     channels = tuple(corpus.read_jsonl(channels_path, corpus.ChannelRecord))
-    videos = tuple(corpus.read_jsonl(videos_path, corpus.VideoRecord))
+    # A harvest or a snowball reads each video's id and channel only.
+    videos = tuple(corpus.read_jsonl(videos_path, corpus.VideoKey))
     truth = store.read_ground_truth(truth_path)
     video_dates: dict[str, dt.date] = {}
     disabled: frozenset[str] = frozenset()
     if state_path.exists():
-        state = json.loads(state_path.read_text(encoding="utf-8"))
-        video_dates = {
-            vid: dt.date.fromisoformat(day) for vid, day in state["video_dates"].items()
-        }
-        disabled = frozenset(state["comments_disabled"])
+        try:
+            state = json.loads(state_path.read_text(encoding="utf-8"))
+            video_dates = {
+                vid: dt.date.fromisoformat(day) for vid, day in state["video_dates"].items()
+            }
+            disabled = frozenset(state["comments_disabled"])
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise ArtifactCorruptError(f"{state_path}: {type(exc).__name__}: {exc}") from exc
     q = config.sim_homophily if config.sim_homophily is not None else config.sim_base_rate
     return SimulatedPlatform(
         channels=channels,
@@ -181,8 +185,9 @@ def _read_snapshots(config: PipelineConfig, files: list[Path]) -> list[corpus.Da
     return [snap for _, snap in found]
 
 
-def _read_videos(config: PipelineConfig, files: list[Path]) -> dict[str, corpus.VideoRecord]:
-    records = {video.video_id: video for video in _records(files, corpus.VideoRecord)}
+def _read_videos(config: PipelineConfig, files: list[Path], cls=corpus.VideoRecord) -> dict:
+    """Each video's ``cls`` record by id; a later file's record replaces an earlier one."""
+    records = {video.video_id: video for video in _records(files, cls)}
     if not records:
         raise ConfigError(f"no video records under {_out(config)}")
     return records
@@ -375,7 +380,7 @@ def _trend_series(config: PipelineConfig, paths: _Inputs) -> TrendSeries:
     for path in paths["calibration"]:  # listed when trends.calibrated is set
         curve = store.read_calibration_csv(_require(path, "calibrate"), alpha=config.alpha)
         likelihoods = apply_calibration(likelihoods, curve)
-    videos = _read_videos(config, paths["videos"])
+    videos = _read_videos(config, paths["videos"], corpus.VideoViews)
     views = {vid: v.view_count for vid, v in videos.items()}
     points = []
     for snap in snapshots:

@@ -110,6 +110,27 @@ class VideoRecord:
         return "\n".join([self.title, self.description, " ".join(self.tags)])
 
 
+# Projections of a video file's lines: a stage that reads only these fields
+# decodes them alone, through the same codec, so each field keeps its JSON
+# type check and the rest of the line (comments included) goes unchecked.
+
+
+@dataclass(frozen=True)
+class VideoKey:
+    """A video and its channel: what the simulated platform reads."""
+
+    video_id: str
+    channel_id: str
+
+
+@dataclass(frozen=True)
+class VideoViews:
+    """A video and its view count: what ``trends`` reads."""
+
+    video_id: str
+    view_count: int = 0
+
+
 @dataclass(frozen=True)
 class RecommendationEdge:
     date: dt.date

@@ -20,7 +20,7 @@ from typing import Optional, Protocol, Sequence
 import numpy as np
 
 from .attributes import LexiconAttributeScorer, score_comment_attributes
-from .corpus import ChannelRecord, Comment, LabeledExample, VideoRecord
+from .corpus import ChannelRecord, Comment, LabeledExample, VideoKey, VideoRecord
 from .errors import (
     ChannelNotFoundError,
     ChannelStalledError,
@@ -54,8 +54,16 @@ _MAX_DRAW_ATTEMPTS = 64
 
 @dataclass
 class SimulatedPlatform:
+    """The simulator as a recommendation source.
+
+    ``videos`` holds full records when the platform is generated, or only
+    (id, channel) keys when it is read back for a harvest or a snowball,
+    which fetch no comments: ``fetch_comments`` needs the full records, and
+    ``fetch_video`` returns whichever the platform holds.
+    """
+
     channels: tuple[ChannelRecord, ...]
-    videos: tuple[VideoRecord, ...]
+    videos: tuple[VideoRecord | VideoKey, ...]
     ground_truth: dict[str, int]  # video id -> 1 conspiratorial / 0 not
     homophily: float  # q
     base_rate: float  # p
@@ -70,7 +78,7 @@ class SimulatedPlatform:
             raise ValueError("base rate must lie in [0, 1]")
         self._video_by_id = {v.video_id: v for v in self.videos}
         self._channel_by_id = {c.channel_id: c for c in self.channels}
-        by_channel: dict[str, list[VideoRecord]] = {}
+        by_channel: dict[str, list[VideoRecord | VideoKey]] = {}
         for v in self.videos:
             by_channel.setdefault(v.channel_id, []).append(v)
         self._videos_by_channel = by_channel
@@ -81,7 +89,7 @@ class SimulatedPlatform:
 
     # -- source interface ---------------------------------------------------
 
-    def fetch_last_video(self, channel_id: str) -> VideoRecord:
+    def fetch_last_video(self, channel_id: str) -> VideoRecord | VideoKey:
         channel = self._channel_by_id.get(channel_id)
         if channel is None:
             raise ChannelNotFoundError(channel_id)
@@ -135,7 +143,7 @@ class SimulatedPlatform:
             raise CommentsDisabledError(video_id)
         return list(video.comments[:n])
 
-    def fetch_video(self, video_id: str) -> VideoRecord:
+    def fetch_video(self, video_id: str) -> VideoRecord | VideoKey:
         video = self._video_by_id.get(video_id)
         if video is None:
             raise VideoNotFoundError(video_id)

@@ -455,7 +455,7 @@ class TestDaysThatDiffer:
     three days differ, and each report is checked day by day against an
     oracle computed with plain JSON from the snapshot files."""
 
-    def test_reports_follow_each_day_s_own_edges(self, workspace):
+    def test_reports_follow_each_day_s_own_edges(self, workspace, monkeypatch):
         tmp, cfg = workspace
         out = tmp / "out"
         days = ("2019-05-01", "2019-05-02", "2019-05-03")
@@ -527,6 +527,28 @@ class TestDaysThatDiffer:
         for g, e in zip(got, expected):
             assert g[3] == e[3] and g[2] == pytest.approx(e[2]), g
 
+        # Each topic's share of the edges recommending a flagged video, with
+        # the topic of each video taken from the model `topics` fits.
+        models = []
+        fit = cli.fit_topic_model
+
+        def fit_and_keep(*args, **kwargs):
+            models.append(fit(*args, **kwargs))
+            return models[-1]
+
+        monkeypatch.setattr(cli, "fit_topic_model", fit_and_keep)
+        assert run(cfg, "topics", "--threshold", repr(threshold)) == 0
+        topic_of = models[0].assignments()
+        counts = [0] * load_config(cfg).topics_k
+        for day in days:
+            for e in edges[day]:
+                if likes.get(e["recommended_video_id"]) is not None and likes[e["recommended_video_id"]] > threshold:
+                    counts[topic_of[e["recommended_video_id"]]] += 1
+        rows = json.loads((out / "topics.json").read_text())
+        assert sorted(row["topic"] for row in rows) == list(range(len(counts)))
+        for row in rows:
+            assert row["pct_recommendations"] == pytest.approx(100 * counts[row["topic"]] / sum(counts)), row
+
 
 def _write_likelihoods(out, second):
     """Write ``likelihoods.jsonl`` with 0.5 for each video the 2019-05-01
@@ -541,6 +563,22 @@ def _write_likelihoods(out, second):
     path = out / "likelihoods.jsonl"
     path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
     return path
+
+
+_MISSING = object()
+
+
+def _edit_line(path, number, field, value):
+    """Set ``field`` of the JSON object on line ``number`` of ``path`` to
+    ``value``, or delete it when ``value`` is ``_MISSING``."""
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[number - 1])
+    if value is _MISSING:
+        del doc[field]
+    else:
+        doc[field] = value
+    lines[number - 1] = json.dumps(doc, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestCorruptArtifacts:
@@ -611,6 +649,72 @@ class TestCorruptArtifacts:
         assert run(cfg, "trends") == 2
         assert "negative view count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "stage, field, value",
+        [
+            ("harvest", "video_id", _MISSING),
+            ("harvest", "channel_id", 7),
+            ("snowball", "channel_id", _MISSING),
+            ("snowball", "video_id", None),
+            ("trends", "view_count", "1000"),
+        ],
+        ids=["harvest-no-video_id", "harvest-int-channel_id", "snowball-no-channel_id",
+             "snowball-null-video_id", "trends-string-view_count"],
+    )
+    def test_a_field_a_stage_reads_is_still_checked(self, workspace, monkeypatch, capsys, stage, field, value):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        assert run(cfg, "harvest", "--date", "2019-05-01") == 0
+        _write_likelihoods(out, 0.5)
+        _configure_snowball(tmp, out, monkeypatch, [])
+        path = out / "videos.jsonl"
+        _edit_line(path, 3, field, value)
+        capsys.readouterr()
+        argv = ["harvest", "--date", "2019-05-02"] if stage == "harvest" else [stage]
+        assert run(cfg, *argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:3:" in err and field in err
+
+    def test_a_bad_comment_stops_the_stages_that_read_comments_only(self, workspace, capsys):
+        # Collection decodes each video's id, channel and views alone; the
+        # comments are checked by score, topics and validate, which read them.
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        assert run(cfg, "harvest", "--date", "2019-05-01") == 0
+        assert run(cfg, "train") == 0
+        assert run(cfg, "score") == 0
+        path = out / "videos.jsonl"
+        doc = json.loads(path.read_text().splitlines()[1])
+        doc["comments"][0]["attribute_scores"][0] = 1.5
+        _edit_line(path, 2, "comments", doc["comments"])
+        assert run(cfg, "harvest", "--date", "2019-05-02") == 0
+        assert run(cfg, "trends") == 0
+        for stage in ("score", "topics", "validate"):
+            capsys.readouterr()
+            assert run(cfg, stage) == 2, stage
+            err = capsys.readouterr().err
+            assert f"{path}:2:" in err and "attribute scores outside [0, 1]" in err, stage
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            '{"video_dates": {"vid0000x000": "2020-13-45"}, "comments_disabled": []}',
+            '{"comments_disabled": []}',
+            '{"video_dates": {"vid0000x000": "20',
+        ],
+        ids=["bad_date", "no_video_dates", "truncated"],
+    )
+    def test_damaged_platform_state_is_a_data_error_naming_the_file(self, workspace, capsys, state):
+        tmp, cfg = workspace
+        assert run(cfg, "simulate") == 0
+        path = tmp / "out" / "platform_state.json"
+        path.write_text(state)
+        capsys.readouterr()
+        assert run(cfg, "harvest", "--date", "2019-05-01") == 2
+        assert f"{path}:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("score", [float("nan"), float("inf"), 1.5])
     def test_attribute_score_outside_unit_interval_is_a_data_error(self, workspace, capsys, score):
         tmp, cfg = workspace
@@ -661,6 +765,31 @@ class TestCorruptArtifacts:
         assert run(cfg, "validate") == 2
         report = json.loads((out / "validation.json").read_text())
         assert any(v["kind"] == "labeled" and "label 2" in v["message"] for v in report)
+
+
+class TestCollectionDecodes:
+    def test_collection_stages_build_no_comment(self, workspace, monkeypatch):
+        # snowball, harvest and trends read a video's id, channel and views
+        # only; a full VideoRecord decode would build every comment again.
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        built = []
+        post_init = corpus.Comment.__post_init__
+
+        def counted(comment):
+            built.append(comment)
+            post_init(comment)
+
+        monkeypatch.setattr(corpus.Comment, "__post_init__", counted)
+        assert run(cfg, "harvest", "--date", "2019-05-01") == 0
+        _write_likelihoods(out, 0.5)
+        assert run(cfg, "trends") == 0
+        _configure_snowball(tmp, out, monkeypatch, [])
+        assert run(cfg, "snowball") == 0
+        assert built == []
+        next(corpus.read_jsonl(out / "videos.jsonl", corpus.VideoRecord))
+        assert built, "the counter must see a full decode"
 
 
 class TestDateOption:
