@@ -19,17 +19,10 @@ class AttributeScorer(Protocol):
     def score(self, comment: Comment) -> tuple[float, ...]: ...
 
 
-def score_comment_attributes(scorer: AttributeScorer, comment: Comment) -> tuple[float, ...]:
-    """Run the scorer and enforce the range contract on its output."""
-    if comment.text is None:
-        raise ValueError("comment text must not be null")
-    scores = tuple(float(s) for s in scorer.score(comment))
-    if len(scores) != len(ATTRIBUTE_NAMES):
-        raise ValueError(f"scorer returned {len(scores)} values, expected {len(ATTRIBUTE_NAMES)}")
-    for name, s in zip(ATTRIBUTE_NAMES, scores):
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"{name} score {s} outside [0, 1]")
-    return scores
+def score_comment_attributes(scorer: AttributeScorer, comment: Comment) -> Comment:
+    """``comment`` carrying the scorer's scores. The ``Comment`` constructor
+    holds them to the range contract: seven values, each in [0, 1]."""
+    return Comment(text=comment.text, attribute_scores=scorer.score(comment))
 
 
 def _parse_lexicon(text: str) -> dict[str, float]:

@@ -328,13 +328,10 @@ def _enrich_video(source, video: corpus.VideoRecord, limit: int, scorer) -> corp
             comments = source.fetch_comments(video.video_id, limit)
         except CommentsDisabledError:
             comments = []
-    scored = []
-    for comment in comments:
-        if comment.attribute_scores is None:
-            scores = score_comment_attributes(scorer, comment)
-            comment = corpus.Comment(text=comment.text, attribute_scores=scores)
-        scored.append(comment)
-    return replace(video, comments=tuple(scored))
+    scored = tuple(
+        c if c.attribute_scores is not None else score_comment_attributes(scorer, c) for c in comments
+    )
+    return replace(video, comments=scored)
 
 
 def _cmd_train(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
@@ -378,7 +375,7 @@ def _trend_series(config: PipelineConfig, paths: _Inputs) -> TrendSeries:
     snapshots = _read_snapshots(config, paths["snapshots"])
     likelihoods = _read_likelihoods(paths)
     for path in paths["calibration"]:  # listed when trends.calibrated is set
-        curve = store.read_calibration_csv(_require(path, "calibrate"), alpha=config.alpha)
+        curve = store.read_calibration_csv(_require(path, "calibrate"))
         likelihoods = apply_calibration(likelihoods, curve)
     videos = _read_videos(config, paths["videos"], corpus.VideoViews)
     views = {vid: v.view_count for vid, v in videos.items()}

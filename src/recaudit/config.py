@@ -2,10 +2,12 @@
 
 Keys use dotted sections (``harvest.k = 20``); the matching environment
 variable is the key upper-cased with dots and dashes as underscores, prefixed
-``RECAUDIT_`` (``RECAUDIT_HARVEST_K``). Defaults are the audited platform's
-operating constants: 20 watch-next slots, top 1000 retained per day, 200 top
-comments, 100 repetitions of a 60/40 training split, decision threshold 0.5,
-7-day rolling window, 25 words per reported topic.
+``RECAUDIT_`` (``RECAUDIT_HARVEST_K``). A key names the field it spells with
+underscores for dots, so an error names each field by a key that loads.
+Defaults are the audited platform's operating constants: 20 watch-next slots,
+top 1000 retained per day, 200 top comments, 100 repetitions of a 60/40
+training split, decision threshold 0.5, 7-day rolling window, 25 words per
+reported topic.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from .corpus import TEXT_FIELDS
 from .errors import ConfigError
 
 ENV_PREFIX = "RECAUDIT_"
@@ -88,80 +91,66 @@ class PipelineConfig:
     out_dir: str = "out"
 
     def validate(self) -> None:
-        counts = {
-            "sim.channels": self.sim_channels,
-            "sim.videos_per_channel": self.sim_videos_per_channel,
-            "snowball.initial": self.snowball_initial,
-            "snowball.target": self.snowball_target,
-            "snowball.k": self.snowball_k,
-            "harvest.k": self.harvest_k,
-            "harvest.retain": self.harvest_retain,
-            "comments.limit": self.comments_limit,
-            "ensemble.repeats": self.ensemble_repeats,
-            "metrics.window_days": self.window_days,
-            "metrics.calibration_bins": self.calibration_bins,
-            "metrics.bubble_bins": self.bubble_bins,
-            "topics.k": self.topics_k,
-            "topics.top_words": self.topics_top_words,
-            "topics.report_top": self.topics_report_top,
-            "topics.max_iter": self.topics_max_iter,
-            "text.dim": self.text_dim,
-            "text.epochs": self.text_epochs,
-            "text.buckets": self.text_buckets,
-        }
-        for key, value in counts.items():
+        for attr in (
+            "sim_channels", "sim_videos_per_channel",
+            "snowball_initial", "snowball_target", "snowball_k",
+            "harvest_k", "harvest_retain", "comments_limit", "ensemble_repeats",
+            "window_days", "calibration_bins", "bubble_bins",
+            "topics_k", "topics_top_words", "topics_report_top", "topics_max_iter",
+            "text_dim", "text_epochs", "text_buckets",
+        ):
+            value = getattr(self, attr)
             if value < 1:
-                raise ConfigError(f"{key} must be at least 1, got {value}")
-        ratios = {
-            "ensemble.split": self.ensemble_split,
-            "metrics.alpha": self.alpha,
-        }
-        for key, value in ratios.items():
+                raise ConfigError(f"{_key(attr)} must be at least 1, got {value}")
+        for attr in ("ensemble_split", "alpha"):
+            value = getattr(self, attr)
             if not 0.0 < value < 1.0:
-                raise ConfigError(f"{key} must lie in (0, 1), got {value}")
-        for key, value in {
-            "sim.base_rate": self.sim_base_rate,
-            "sim.homophily": self.sim_homophily,
-            "sim.share": self.sim_share,
-            "sim.comments_disabled_rate": self.sim_comments_disabled_rate,
-            "sim.transcript_missing_rate": self.sim_transcript_missing_rate,
-            "threshold": self.threshold,
-        }.items():
+                raise ConfigError(f"{_key(attr)} must lie in (0, 1), got {value}")
+        for attr in (
+            "sim_base_rate", "sim_homophily", "sim_share",
+            "sim_comments_disabled_rate", "sim_transcript_missing_rate", "threshold",
+        ):
+            value = getattr(self, attr)
             if value is not None and not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{key} must lie in [0, 1], got {value}")
+                raise ConfigError(f"{_key(attr)} must lie in [0, 1], got {value}")
         if self.source not in ("simulator", "live"):
             raise ConfigError(f"source must be 'simulator' or 'live', got {self.source!r}")
-        if self.topics_field not in ("comments", "snippet", "transcript"):
-            raise ConfigError(
-                f"topics.field must be 'comments', 'snippet' or 'transcript', got {self.topics_field!r}"
-            )
+        if self.topics_field not in TEXT_FIELDS:
+            raise ConfigError(f"topics.field must be one of {TEXT_FIELDS}, got {self.topics_field!r}")
 
 
-_FIELD_TYPES = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _key(attr: str) -> str:
+    """The key of field ``attr``: its first underscore becomes a dot
+    (``harvest_k`` is ``harvest.k``), which ``_key_to_attr`` turns back."""
+    return attr.replace("_", ".", 1)
 
 
 def _key_to_attr(key: str) -> str:
     return key.strip().lower().replace(".", "_").replace("-", "_")
 
 
-def _parse_value(attr: str, raw: str):
-    f = _FIELD_TYPES[attr]
+def _parse_value(attr: str, raw: str, where: str):
+    """``raw`` as the type of field ``attr``. A value that does not parse
+    raises :class:`ConfigError` naming ``where`` (``path:line`` or the
+    environment variable) and the key."""
+    kind = _FIELD_TYPES[attr]
     raw = raw.strip()
-    kind = f.type
-    if kind in ("int", "Optional[int]"):
-        if raw.lower() in ("", "none", "null") and "Optional" in kind:
-            return None
-        return int(raw)
-    if kind in ("float", "Optional[float]"):
-        if raw.lower() in ("", "none", "null") and "Optional" in kind:
-            return None
-        return float(raw)
-    if kind == "bool":
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"cannot parse boolean {raw!r} for {attr}")
+    if kind.startswith("Optional[") and raw.lower() in ("", "none", "null"):
+        return None
+    try:
+        if kind in ("int", "Optional[int]"):
+            return int(raw)
+        if kind in ("float", "Optional[float]"):
+            return float(raw)
+        if kind == "bool":
+            return _BOOLS[raw.lower()]
+    except (ValueError, KeyError):
+        raise ConfigError(f"{where}: {_key(attr)}: cannot parse {raw!r} as {kind}") from None
     return raw
 
 
@@ -182,7 +171,7 @@ def load_config(path: Optional[str | Path] = None, env: Optional[dict] = None) -
             attr = _key_to_attr(key)
             if attr not in _FIELD_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key.strip()!r}")
-            values[attr] = _parse_value(attr, raw)
+            values[attr] = _parse_value(attr, raw, f"{path}:{lineno}")
 
     env = os.environ if env is None else env
     for name, raw in env.items():
@@ -190,7 +179,7 @@ def load_config(path: Optional[str | Path] = None, env: Optional[dict] = None) -
             continue
         attr = _key_to_attr(name[len(ENV_PREFIX) :])
         if attr in _FIELD_TYPES:
-            values[attr] = _parse_value(attr, raw)
+            values[attr] = _parse_value(attr, raw, name)
 
     config = PipelineConfig(**values)
     config.validate()

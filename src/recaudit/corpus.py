@@ -10,7 +10,8 @@ are deliberately NOT enforced in constructors: bad data must be representable
 so that ``validate_corpus`` can report it. Shape invariants that would break
 the representation itself (a 5-element attribute vector, say) do raise, and
 so does an attribute score outside [0, 1] or not finite, which would
-otherwise reach the classifier's features unnoticed.
+otherwise reach the classifier's features unnoticed. ``Comment`` is the one
+place that rule is checked: every scored comment is built through it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ ATTRIBUTE_NAMES = (
 MAX_COMMENTS = 200
 MAX_RANK = 20
 MAX_RETAINED = 1000
+
+#: A video's text fields, one text module of the classifier each.
+TEXT_FIELDS = ("transcript", "snippet", "comments")
 
 CONSPIRATORIAL = 1
 NON_CONSPIRATORIAL = 0
@@ -108,6 +112,15 @@ class VideoRecord:
         a different state from an empty one; the snippet has no such split.
         """
         return "\n".join([self.title, self.description, " ".join(self.tags)])
+
+    def texts(self) -> tuple[tuple[str, ...], ...]:
+        """The video's texts for each of ``TEXT_FIELDS``: the transcript (none
+        or one), the snippet (one) and one text per comment."""
+        return (
+            () if self.transcript is None else (self.transcript,),
+            (self.snippet(),),
+            tuple(c.text for c in self.comments),
+        )
 
 
 # Projections of a video file's lines: a stage that reads only these fields
@@ -227,17 +240,6 @@ def validate_corpus(corpus: Corpus, max_rank: int = MAX_RANK) -> list[Violation]
             out.append(
                 Violation("video", v.video_id, f"{len(v.comments)} comments > {MAX_COMMENTS}")
             )
-        for i, c in enumerate(v.comments):
-            if c.attribute_scores is not None:
-                bad = [s for s in c.attribute_scores if not 0.0 <= s <= 1.0]
-                if bad:
-                    out.append(
-                        Violation(
-                            "comment",
-                            f"{v.video_id}#{i}",
-                            f"attribute scores outside [0, 1]: {bad}",
-                        )
-                    )
 
     days: set[dt.date] = set()
     for snap in corpus.snapshots:

@@ -1,8 +1,9 @@
 """The video-level conspiracy classifier: four per-modality scoring modules
 stacked under a logistic layer.
 
-The modules form one table, ``MODULE_NAMES``. The first three are the same
-text model fit on different texts of a video: the transcript (none or one),
+The modules form one table, ``MODULE_NAMES``. The first three, one per
+``TEXT_FIELDS``, are the same text model fit on different texts of a video,
+as ``VideoRecord.texts`` gives them: the transcript (none or one),
 the snippet (title + description + tags; always one) and the comments (one
 per comment). Each scores the median over its texts. The fourth scores a
 35-D summary of the comment attribute vectors. Module scores are
@@ -23,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import LabeledExample, VideoRecord
+from .corpus import TEXT_FIELDS, LabeledExample, VideoRecord
 from .errors import DegenerateTrainingError, UnclassifiableVideoError
 from .parallel import run_tasks
 from .textmodel import (
@@ -35,8 +36,7 @@ from .textmodel import (
     train_text_classifier,
 )
 
-MODULE_NAMES = ("transcript", "snippet", "comments", "attributes")
-TEXT_MODULE_NAMES = MODULE_NAMES[:3]  # the modules scored by a text model
+MODULE_NAMES = (*TEXT_FIELDS, "attributes")
 
 _SPLIT_RETRIES = 1000
 
@@ -101,21 +101,14 @@ class VideoFeatures:
     of it depends on the split, so ``train_ensemble`` computes it once per
     video."""
 
-    texts: tuple[tuple[TextFeatures, ...], ...]  # aligned with TEXT_MODULE_NAMES
+    texts: tuple[tuple[TextFeatures, ...], ...]  # aligned with TEXT_FIELDS
     attributes: Optional[np.ndarray]
 
 
 def video_features(videos: Sequence[VideoRecord], hyper: TextHyper) -> list[VideoFeatures]:
     """Featurize the videos' texts with ``hyper.ngram`` and ``hyper.buckets``,
     all in one batch, and summarize each video's comment attribute vectors."""
-    texts = [
-        (
-            () if video.transcript is None else (video.transcript,),
-            (video.snippet(),),
-            tuple(c.text for c in video.comments),
-        )
-        for video in videos
-    ]
+    texts = [video.texts() for video in videos]
     featurized = iter(
         featurize([t for modules in texts for group in modules for t in group], hyper.ngram, hyper.buckets)
     )
@@ -210,7 +203,7 @@ class FirstLayer:
     """The fitted modules. A None entry is a disabled module: it scores NaN
     for every video, which standardizes to zero."""
 
-    text_models: tuple[Optional[TextModel], ...]  # aligned with TEXT_MODULE_NAMES
+    text_models: tuple[Optional[TextModel], ...]  # aligned with TEXT_FIELDS
     attribute_head: Optional[tuple[np.ndarray, float]]
 
     def score(self, videos: Sequence[VideoRecord]) -> np.ndarray:
@@ -341,7 +334,7 @@ def _train_first_layer(
             attribute_head = None
 
     return FirstLayer(
-        text_models=tuple(text_model(m) for m in range(len(TEXT_MODULE_NAMES))),
+        text_models=tuple(text_model(m) for m in range(len(TEXT_FIELDS))),
         attribute_head=attribute_head,
     )
 

@@ -273,7 +273,6 @@ class CalibrationBin:
 @dataclass(frozen=True)
 class CalibrationCurve:
     bins: tuple[CalibrationBin, ...]
-    alpha: float
 
 
 def calibration_curve(
@@ -312,7 +311,7 @@ def calibration_curve(
         else:
             low, high = clopper_pearson(ks[b], ns[b], alpha)
             bins.append(CalibrationBin(lower, upper, ns[b], ks[b], ks[b] / ns[b], low, high))
-    return CalibrationCurve(bins=tuple(bins), alpha=alpha)
+    return CalibrationCurve(bins=tuple(bins))
 
 
 # ---------------------------------------------------------------------------

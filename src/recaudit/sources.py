@@ -286,18 +286,6 @@ def _draw_words(rng: _PCG64Stream, pools: _Pools, n: int) -> list[str]:
     return out
 
 
-def _scored_comment(scorer: LexiconAttributeScorer, text: str) -> Comment:
-    """One comment carrying its attribute scores, constructed once.
-
-    The scores are set on the new record the way its own ``__post_init__``
-    sets derived fields; ``score_comment_attributes`` has already checked
-    them against the rule the constructor applies.
-    """
-    comment = Comment(text=text)
-    object.__setattr__(comment, "attribute_scores", score_comment_attributes(scorer, comment))
-    return comment
-
-
 def generate_platform(spec: PlatformSpec) -> SimulatedPlatform:
     """Build a platform whose two video classes use separated vocabularies.
 
@@ -342,7 +330,7 @@ def generate_platform(spec: PlatformSpec) -> SimulatedPlatform:
                 if rng.random() < 0.5:
                     extras = _COMMENT_EXTRAS[label]
                     words.append(extras[rng.integers(0, len(extras))])
-                comments.append(_scored_comment(scorer, " ".join(words)))
+                comments.append(score_comment_attributes(scorer, Comment(text=" ".join(words))))
             video = VideoRecord(
                 video_id=video_id,
                 channel_id=channel_id,

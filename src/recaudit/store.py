@@ -30,13 +30,14 @@ from . import __version__
 from .corpus import (
     CONSPIRATORIAL,
     NON_CONSPIRATORIAL,
+    TEXT_FIELDS,
     atomic_output,
     read_jsonl,
     write_jsonl,
 )
-from .ensemble import TEXT_MODULE_NAMES, FirstLayer, StandardizationStats, TrainedEnsemble
+from .ensemble import FirstLayer, StandardizationStats, TrainedEnsemble
 from .errors import ArtifactCorruptError, ArtifactVersionError, ConfigError, HarvestExistsError
-from .metrics import CalibrationCurve, FilterBubbleMatrix, TrendSeries
+from .metrics import CalibrationBin, CalibrationCurve, FilterBubbleMatrix, TrendSeries, rolling_mean
 from .textmodel import TextHyper, TextModel
 from .topics import TopicReport
 
@@ -93,12 +94,16 @@ def load_bundle(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray
             header = json.loads(fh.readline().decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ArtifactCorruptError(f"{path}: unreadable header") from exc
-        if header.get("schema_version", 0) > SCHEMA_VERSION:
+        if not isinstance(header, dict) or type(header.get("schema_version")) is not int:
+            raise ArtifactCorruptError(f"{path}: header has no integer schema_version")
+        if header["schema_version"] > SCHEMA_VERSION:
             raise ArtifactVersionError(
                 f"{path}: schema_version {header['schema_version']} is newer than supported {SCHEMA_VERSION}"
             )
         if header.get("kind") != kind:
             raise ArtifactCorruptError(f"{path}: bundle holds {header.get('kind')!r}, expected {kind!r}")
+        if type(header.get("payload_size")) is not int or type(header.get("payload_sha256")) is not str:
+            raise ArtifactCorruptError(f"{path}: header has no integer payload_size or string payload_sha256")
         payload = fh.read()
     if len(payload) != header["payload_size"]:
         raise ArtifactCorruptError(f"{path}: truncated payload")
@@ -161,7 +166,7 @@ def save_ensemble(path: str | Path, ensemble: TrainedEnsemble) -> None:
     }
     arrays: dict[str, np.ndarray] = {"stacking_coef": ensemble.stacking_coef}
     layer = ensemble.first_layer
-    for name, model in zip(TEXT_MODULE_NAMES, layer.text_models):
+    for name, model in zip(TEXT_FIELDS, layer.text_models):
         _text_model_parts(model, f"{name}_model", meta, arrays)
     if layer.attribute_head is not None:
         coef, bias = layer.attribute_head
@@ -177,7 +182,7 @@ def load_ensemble(path: str | Path) -> TrainedEnsemble:
         attribute_head = (arrays["attribute_head.coef"], float(meta["attribute_head.bias"]))
     layer = FirstLayer(
         text_models=tuple(
-            _text_model_from_parts(f"{name}_model", meta, arrays) for name in TEXT_MODULE_NAMES
+            _text_model_from_parts(f"{name}_model", meta, arrays) for name in TEXT_FIELDS
         ),
         attribute_head=attribute_head,
     )
@@ -247,6 +252,8 @@ def outputs_are_current(manifest_path: str | Path, config_digest: str, inputs: l
         manifest = RunManifest.read(manifest_path)
     except (OSError, json.JSONDecodeError, TypeError):
         return False
+    if not (isinstance(manifest.inputs, dict) and isinstance(manifest.outputs, dict)):
+        return False
     if manifest.config_digest != config_digest or not manifest.outputs:
         return False
     if set(manifest.inputs) != {str(p) for p in inputs if Path(p).exists()}:
@@ -273,8 +280,6 @@ def _write_csv(path: str | Path, header: str, rows: Iterable[Sequence]) -> None:
 
 
 def write_trends_csv(path: str | Path, series: TrendSeries, window_days: int) -> None:
-    from .metrics import rolling_mean
-
     raw_rolled = rolling_mean([(p.date, p.raw) for p in series.points], window_days)
     weighted_rolled = rolling_mean([(p.date, p.weighted) for p in series.points], window_days)
     _write_csv(
@@ -295,12 +300,10 @@ def write_calibration_csv(path: str | Path, curve: CalibrationCurve) -> None:
     )
 
 
-def read_calibration_csv(path: str | Path, alpha: float = 0.05) -> CalibrationCurve:
+def read_calibration_csv(path: str | Path) -> CalibrationCurve:
     """The curve ``write_calibration_csv`` wrote. A row without seven fields,
     or with a field that does not parse, raises :class:`ArtifactCorruptError`
     naming ``path:line``."""
-    from .metrics import CalibrationBin
-
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     bins = []
     for number, line in enumerate(lines[1:], start=2):  # past the header row
@@ -322,7 +325,7 @@ def read_calibration_csv(path: str | Path, alpha: float = 0.05) -> CalibrationCu
             )
         except ValueError as exc:
             raise ArtifactCorruptError(f"{path}:{number}: {exc}") from exc
-    return CalibrationCurve(bins=tuple(bins), alpha=alpha)
+    return CalibrationCurve(bins=tuple(bins))
 
 
 def write_bubble_csv(path: str | Path, matrix: FilterBubbleMatrix) -> None:

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import RecommendationEdge, VideoRecord
+from .corpus import TEXT_FIELDS, RecommendationEdge, VideoRecord
 from .textmodel import tokenize
 
 
@@ -138,19 +138,14 @@ class TopicReport:
 def build_topic_documents(
     videos: Iterable[VideoRecord], field: str = "comments"
 ) -> tuple[list[list[str]], list[str]]:
-    """One token list per video, drawn from the chosen text field."""
+    """One token list per video: the texts of one of ``TEXT_FIELDS``, joined by newlines."""
+    if field not in TEXT_FIELDS:
+        raise ValueError(f"unknown document field {field!r}")
+    index = TEXT_FIELDS.index(field)
     docs: list[list[str]] = []
     ids: list[str] = []
     for video in videos:
-        if field == "comments":
-            text = "\n".join(c.text for c in video.comments)
-        elif field == "snippet":
-            text = video.snippet()
-        elif field == "transcript":
-            text = video.transcript or ""
-        else:
-            raise ValueError(f"unknown document field {field!r}")
-        docs.append(tokenize(text))
+        docs.append(tokenize("\n".join(video.texts()[index])))
         ids.append(video.video_id)
     return docs, ids
 

@@ -333,6 +333,41 @@ class TestErrors:
         doc = json.loads(capsys.readouterr().err.strip())
         assert doc["error"] == "HarvestExistsError"
 
+    @pytest.mark.parametrize("where", ["file", "env"])
+    def test_a_value_that_does_not_parse_is_a_usage_error_naming_its_key(
+        self, workspace, capsys, monkeypatch, where
+    ):
+        tmp, cfg = workspace
+        if where == "file":
+            cfg.write_text(cfg.read_text() + "harvest.k = ten\n")
+            place = f"{cfg}:{len(cfg.read_text().splitlines())}"
+        else:
+            monkeypatch.setenv("RECAUDIT_HARVEST_K", "ten")
+            place = "RECAUDIT_HARVEST_K"
+        capsys.readouterr()
+        assert run(cfg, "simulate") == 1
+        assert f"error: {place}: harvest.k: cannot parse 'ten'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "manifest, argv, code",
+        [("simulate", ["simulate"], 0), ("harvest-2019-05-01", ["harvest", "--date", "2019-05-01"], 2)],
+        ids=["simulate-reruns", "harvest-refuses-to-replace"],
+    )
+    def test_a_wrongly_typed_manifest_means_the_stage_reruns(self, workspace, capsys, manifest, argv, code):
+        tmp, cfg = workspace
+        assert run(cfg, "simulate") == 0
+        assert run(cfg, "harvest", "--date", "2019-05-01") == 0
+        path = tmp / "out" / "manifests" / f"{manifest}.json"
+        doc = json.loads(path.read_text())
+        doc["outputs"] = list(doc["outputs"])
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(cfg, *argv) == code
+        captured = capsys.readouterr()
+        assert "skipping" not in captured.out
+        if code == 2:  # the stage's own check of a snapshot it cannot show current
+            assert "already exists" in captured.err
+
     def test_score_before_train_is_usage_error(self, workspace):
         tmp, cfg = workspace
         assert run(cfg, "simulate") == 0
@@ -714,6 +749,24 @@ class TestCorruptArtifacts:
         capsys.readouterr()
         assert run(cfg, "harvest", "--date", "2019-05-01") == 2
         assert f"{path}:" in capsys.readouterr().err
+
+    def test_damaged_ensemble_header_is_a_data_error_naming_the_file(self, workspace, capsys):
+        tmp, cfg = workspace
+        assert run(cfg, "simulate") == 0
+        assert run(cfg, "harvest", "--date", "2019-05-01") == 0
+        assert run(cfg, "train") == 0
+        path = tmp / "out" / "ensemble.bin"
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        doc = json.loads(header)
+        for damaged in (
+            {k: v for k, v in doc.items() if k != "payload_size"},
+            [1, 2],
+            {**doc, "schema_version": "1"},
+        ):
+            path.write_bytes(magic + b"\n" + json.dumps(damaged).encode() + b"\n" + payload)
+            capsys.readouterr()
+            assert run(cfg, "score", "--overwrite") == 2, damaged
+            assert f"error: {path}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("score", [float("nan"), float("inf"), 1.5])
     def test_attribute_score_outside_unit_interval_is_a_data_error(self, workspace, capsys, score):

@@ -1,7 +1,31 @@
+import dataclasses
+import re
+
 import pytest
 
-from recaudit.config import load_config
+from recaudit.config import PipelineConfig, load_config
 from recaudit.errors import ConfigError
+
+# A value each field type's range or choice checks reject.
+_BAD_VALUE = {"int": "-1", "Optional[int]": "-1", "float": "-1", "Optional[float]": "-1", "str": "nonsense"}
+
+
+def _checked_fields() -> list[tuple[str, str, str]]:
+    """(field, bad value, error message) for each field ``validate`` checks,
+    found by setting each field alone to a bad value."""
+    out = []
+    for f in dataclasses.fields(PipelineConfig):
+        raw = _BAD_VALUE.get(f.type)
+        if raw is None:
+            continue
+        try:
+            load_config(env={f"RECAUDIT_{f.name.upper()}": raw})
+        except ConfigError as exc:
+            out.append((f.name, raw, str(exc)))
+    return out
+
+
+_CHECKED = _checked_fields()
 
 
 class TestLoadConfig:
@@ -116,3 +140,39 @@ class TestLoadConfig:
     def test_topics_field_must_name_a_text_field(self):
         with pytest.raises(ConfigError, match="topics.field must be"):
             load_config(env={"RECAUDIT_TOPICS_FIELD": "title"})
+
+
+class TestErrorsNameLoadableKeys:
+    def test_the_checked_fields_include_the_metrics_ones(self):
+        checked = {attr for attr, _, _ in _CHECKED}
+        assert {"window_days", "calibration_bins", "bubble_bins", "alpha", "harvest_k"} <= checked
+
+    @pytest.mark.parametrize("attr, raw, message", _CHECKED, ids=[attr for attr, _, _ in _CHECKED])
+    def test_the_key_an_error_names_loads_from_a_file(self, tmp_path, attr, raw, message):
+        key = message.split()[0]
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"{key} = {raw}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path, env={})
+        assert str(exc.value) == message
+        default = getattr(PipelineConfig(), attr)
+        path.write_text(f"{key} = {'none' if default is None else default}\n")
+        assert getattr(load_config(path, env={}), attr) == default
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("harvest.k = ten", "harvest.k"),
+            ("alpha = small", "alpha"),
+            ("topics.use_tfidf = maybe", "topics.use_tfidf"),
+        ],
+    )
+    def test_a_value_that_does_not_parse_names_its_line_and_key(self, tmp_path, line, key):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"# first\n{line}\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: {re.escape(key)}: cannot parse"):
+            load_config(path, env={})
+
+    def test_a_variable_that_does_not_parse_is_named(self):
+        with pytest.raises(ConfigError, match=r"^RECAUDIT_HARVEST_K: harvest\.k: cannot parse 'ten'"):
+            load_config(env={"RECAUDIT_HARVEST_K": "ten"})

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from recaudit.corpus import (
+    TEXT_FIELDS,
     ChannelRecord,
     Comment,
     Corpus,
@@ -38,6 +39,12 @@ class TestTypes:
 
     def test_snippet_present_when_everything_empty(self):
         assert make_video("v1").snippet() == "\n\n"
+
+    @pytest.mark.parametrize("transcript, expected", [(None, ()), ("", ("",)), ("words", ("words",))])
+    def test_texts_follow_the_text_fields(self, transcript, expected):
+        video = make_video("v1", title="t", tags=("x",), transcript=transcript, comments=["a", "b"])
+        assert TEXT_FIELDS == ("transcript", "snippet", "comments")
+        assert video.texts() == (expected, ("t\n\nx",), ("a", "b"))
 
     def test_comment_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
@@ -120,12 +127,6 @@ class TestValidate:
         assert any("subscriber_count" in m for m in messages)
         assert any("duplicate channel_id" in m for m in messages)
         assert any("duplicate video_id" in m for m in messages)
-
-    def test_attribute_scores_out_of_range(self):
-        comment = Comment(text="x", attribute_scores=(0, 0, 0, 0, 0, 0, 1))
-        object.__setattr__(comment, "attribute_scores", (0, 0, 0, 0, 0, 0, 1.5))
-        bag = Corpus(videos=(make_video("v", comments=[comment]),))
-        assert any("outside [0, 1]" in v.message for v in validate_corpus(bag))
 
     def test_idempotent_and_edge_order_insensitive(self):
         edges = [make_edge("s1", "r1", rank=1), make_edge("s1", "r1", rank=1)]

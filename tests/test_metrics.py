@@ -296,7 +296,6 @@ class TestApplyCalibration:
                 CalibrationBin(0.0, 0.5, 10, 1, 0.1, 0.0, 0.4),
                 CalibrationBin(0.5, 1.0, 10, 9, 0.9, 0.6, 1.0),
             ),
-            alpha=0.05,
         )
 
     def test_maps_to_bin_proportion(self):
@@ -318,7 +317,6 @@ class TestApplyCalibration:
                 CalibrationBin(0.0, 0.5, 0, 0, None, None, None),
                 CalibrationBin(0.5, 1.0, 10, 9, 0.9, 0.6, 1.0),
             ),
-            alpha=0.05,
         )
         assert apply_calibration({"a": 0.3}, curve)["a"] == 0.3
 

@@ -130,13 +130,13 @@ class TestComments:
 class TestAttributeScorer:
     def test_empty_text_scores_zero(self):
         scorer = LexiconAttributeScorer.bundled()
-        assert score_comment_attributes(scorer, Comment(text="")) == (0.0,) * 7
+        assert score_comment_attributes(scorer, Comment(text="")).attribute_scores == (0.0,) * 7
 
     def test_scores_in_unit_interval(self):
         scorer = LexiconAttributeScorer.bundled()
         scores = score_comment_attributes(
             scorer, Comment(text="you idiot morons spread lies kill hate damn damn damn")
-        )
+        ).attribute_scores
         assert all(0.0 <= s <= 1.0 for s in scores)
 
     def test_single_lexicon_token_scores_its_weight(self):
@@ -144,7 +144,7 @@ class TestAttributeScorer:
         lexicons["profanity"] = {"zounds": 0.35}
         lexicons["toxicity"] = {"meanie": 0.2}
         scorer = LexiconAttributeScorer(lexicons)
-        scores = score_comment_attributes(scorer, Comment(text="well zounds indeed"))
+        scores = score_comment_attributes(scorer, Comment(text="well zounds indeed")).attribute_scores
         expected = [0.0] * 7
         expected[ATTRIBUTE_NAMES.index("profanity")] = 0.35
         assert scores == tuple(expected)
@@ -153,7 +153,7 @@ class TestAttributeScorer:
         lexicons = {name: {} for name in ATTRIBUTE_NAMES}
         lexicons["threat"] = {"boom": 0.6}
         scorer = LexiconAttributeScorer(lexicons)
-        scores = score_comment_attributes(scorer, Comment(text="boom boom boom"))
+        scores = score_comment_attributes(scorer, Comment(text="boom boom boom")).attribute_scores
         assert scores[ATTRIBUTE_NAMES.index("threat")] == 1.0
 
     def test_attribute_order_is_fixed(self):
@@ -263,10 +263,7 @@ def _reference_platform(spec):
                 words = _reference_draw_words(rng, pools, int(rng.integers(4, 12)))
                 if rng.random() < 0.5:
                     words.append(extras[rng.integers(len(extras))])
-                comment = Comment(text=" ".join(words))
-                comments.append(
-                    Comment(text=comment.text, attribute_scores=score_comment_attributes(scorer, comment))
-                )
+                comments.append(score_comment_attributes(scorer, Comment(text=" ".join(words))))
             videos.append(
                 VideoRecord(
                     video_id=video_id,

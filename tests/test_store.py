@@ -2,6 +2,7 @@ import dataclasses
 import datetime as dt
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -80,6 +81,28 @@ class TestBundle:
         header["schema_version"] = 99
         path.write_bytes(lines[0] + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n" + lines[2])
         with pytest.raises(ArtifactVersionError):
+            load_bundle(path, "demo")
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda h: {k: v for k, v in h.items() if k != "payload_size"},
+            lambda h: {k: v for k, v in h.items() if k != "payload_sha256"},
+            lambda h: {k: v for k, v in h.items() if k != "schema_version"},
+            lambda h: {**h, "schema_version": "1"},
+            lambda h: {**h, "payload_size": str(h["payload_size"])},
+            lambda h: [1, 2],
+            lambda h: None,
+        ],
+        ids=["no_size", "no_digest", "no_version", "string_version", "string_size", "list", "null"],
+    )
+    def test_damaged_header_is_corruption_naming_the_file(self, tmp_path, damage):
+        path = tmp_path / "b.bin"
+        save_bundle(path, "demo", {}, {"a": np.ones(3)})
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        header = json.dumps(damage(json.loads(header))).encode()
+        path.write_bytes(magic + b"\n" + header + b"\n" + payload)
+        with pytest.raises(ArtifactCorruptError, match=re.escape(str(path))):
             load_bundle(path, "demo")
 
     def test_wrong_kind_refused(self, tmp_path):
@@ -218,6 +241,26 @@ class TestManifests:
         assert not outputs_are_current(mpath, "cfg", [source, extra])
         assert not outputs_are_current(mpath, "cfg", [])
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("outputs", ["thing.txt"]), ("outputs", "thing.txt"), ("inputs", ["in.txt"]), ("inputs", None)],
+    )
+    def test_wrongly_typed_field_means_stale(self, tmp_path, field, value):
+        out = tmp_path / "thing.txt"
+        out.write_text("payload")
+        mpath = tmp_path / "demo.json"
+        build_manifest("demo", "cfg", 1, [], [out]).write(mpath)
+        doc = json.loads(mpath.read_text())
+        doc[field] = value
+        mpath.write_text(json.dumps(doc))
+        assert not outputs_are_current(mpath, "cfg", [])
+
+    def test_a_list_or_a_string_as_the_manifest_means_stale(self, tmp_path):
+        mpath = tmp_path / "demo.json"
+        for doc in ([], "manifest"):
+            mpath.write_text(json.dumps(doc))
+            assert not outputs_are_current(mpath, "cfg", [])
+
 
 class TestSidecars:
     def test_likelihoods_round_trip_with_nulls(self, tmp_path):
@@ -296,7 +339,6 @@ class TestCsvEmitters:
                 CalibrationBin(0.0, 0.5, 2, 1, 0.5, 0.1, 0.9),
                 CalibrationBin(0.5, 1.0, 0, 0, None, None, None),
             ),
-            alpha=0.05,
         )
         path = tmp_path / "cal.csv"
         write_calibration_csv(path, curve)
@@ -309,11 +351,10 @@ class TestCsvEmitters:
                 CalibrationBin(0.0, 0.5, 2, 1, 0.5, 0.1, 0.9),
                 CalibrationBin(0.5, 1.0, 0, 0, None, None, None),
             ),
-            alpha=0.05,
         )
         path = tmp_path / "cal.csv"
         write_calibration_csv(path, curve)
-        assert read_calibration_csv(path, alpha=0.05) == curve
+        assert read_calibration_csv(path) == curve
 
     @pytest.mark.parametrize(
         "bad",
@@ -328,7 +369,6 @@ class TestCsvEmitters:
         path = tmp_path / "cal.csv"
         write_calibration_csv(path, CalibrationCurve(
             bins=(CalibrationBin(0.0, 0.5, 2, 1, 0.5, 0.1, 0.9), CalibrationBin(0.5, 1.0, 0, 0, None, None, None)),
-            alpha=0.05,
         ))
         lines = path.read_text().splitlines()
         lines[2] = bad

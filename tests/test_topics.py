@@ -7,13 +7,41 @@ import pytest
 from recaudit.topics import (
     NmfResult,
     TopicModel,
+    build_topic_documents,
     fit_topic_model,
     nmf,
     tfidf,
     topic_report,
 )
 
+from recaudit.textmodel import tokenize
+
 from conftest import make_edge, make_video
+
+
+class TestDocuments:
+    VIDEOS = [
+        make_video("v1", title="Moon hoax", transcript=None, comments=["first one", "Second"]),
+        make_video("v2", tags=("nasa",), transcript="", comments=[]),
+        make_video("v3", description="desc", transcript="the landing"),
+    ]
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            ("comments", lambda v: "\n".join(c.text for c in v.comments)),
+            ("snippet", lambda v: f"{v.title}\n{v.description}\n{' '.join(v.tags)}"),
+            ("transcript", lambda v: v.transcript or ""),
+        ],
+    )
+    def test_one_document_per_video_from_the_field(self, field, text):
+        docs, ids = build_topic_documents(self.VIDEOS, field=field)
+        assert ids == ["v1", "v2", "v3"]
+        assert docs == [tokenize(text(v)) for v in self.VIDEOS]
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(ValueError, match="unknown document field 'title'"):
+            build_topic_documents(self.VIDEOS, field="title")
 
 
 class TestTfidf:
