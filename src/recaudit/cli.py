@@ -27,18 +27,13 @@ from .config import PipelineConfig, load_config
 from .crawler import daily_harvest, select_seed_cluster, snowball_channels
 from .ensemble import classify_videos, train_ensemble
 from .errors import (
+    MALFORMED,
     ArtifactCorruptError,
-    ArtifactVersionError,
-    ChannelNotFoundError,
-    ChannelStalledError,
     CommentsDisabledError,
     ConfigError,
     CorpusViolationError,
-    DegenerateTrainingError,
-    HarvestExistsError,
+    FetchError,
     RecauditError,
-    TransientFetchError,
-    VideoNotFoundError,
 )
 from .live import LiveAdapter
 from .metrics import (
@@ -57,22 +52,6 @@ from .textmodel import TextHyper
 from .topics import fit_topic_model, topic_report
 
 logger = logging.getLogger(__name__)
-
-_USAGE_ERRORS = (ConfigError, ValueError)
-_DATA_ERRORS = (
-    ArtifactCorruptError,
-    ArtifactVersionError,
-    DegenerateTrainingError,
-    HarvestExistsError,
-)
-_FETCH_ERRORS = (
-    ChannelNotFoundError,
-    ChannelStalledError,
-    CommentsDisabledError,
-    TransientFetchError,
-    VideoNotFoundError,
-)
-
 
 def _config_digest(config: PipelineConfig) -> str:
     canonical = json.dumps(vars(config), sort_keys=True, default=str)
@@ -152,7 +131,7 @@ def _source(config: PipelineConfig, paths: _Inputs):
                 vid: dt.date.fromisoformat(day) for vid, day in state["video_dates"].items()
             }
             disabled = frozenset(state["comments_disabled"])
-        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        except MALFORMED as exc:
             raise ArtifactCorruptError(f"{state_path}: {type(exc).__name__}: {exc}") from exc
     q = config.sim_homophily if config.sim_homophily is not None else config.sim_base_rate
     return SimulatedPlatform(
@@ -309,7 +288,7 @@ def _cmd_harvest(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
         for vid in wanted:
             try:
                 fetched.append(_enrich_video(source, source.fetch_video(vid), config.comments_limit, scorer))
-            except _FETCH_ERRORS as exc:
+            except FetchError as exc:
                 logger.warning("could not fetch video %s: %s", vid, exc)
         videos_path = out / "videos" / f"{day.isoformat()}.jsonl"
         corpus.write_jsonl(videos_path, fetched)
@@ -636,18 +615,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         for path in outputs:
             print(f"{args.command}: wrote {path}")
         return 0
-    except _USAGE_ERRORS as exc:
+    except RecauditError as exc:
+        _report_error(args, exc)
+        return exc.exit_code
+    except ValueError as exc:
+        # A bad option or config value that a library call rejects. Data
+        # faults are typed; ROADMAP's contract leftovers list the data
+        # faults that still end here.
         _report_error(args, exc)
         return 1
-    except _DATA_ERRORS as exc:
-        _report_error(args, exc)
-        return 2
-    except _FETCH_ERRORS as exc:
-        _report_error(args, exc)
-        return 3
-    except RecauditError as exc:  # anything typed but unanticipated is a data error
-        _report_error(args, exc)
-        return 2
 
 
 def _report_error(args, exc: Exception) -> None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional
 
-from .errors import ArtifactCorruptError
+from .errors import MALFORMED, ArtifactCorruptError
 
 ATTRIBUTE_NAMES = (
     "toxicity",
@@ -424,6 +424,6 @@ def read_jsonl(path: str | Path, cls) -> Iterator:
             if line:
                 try:
                     value = decode(json.loads(line))
-                except (ValueError, TypeError, KeyError, AttributeError) as exc:
+                except MALFORMED as exc:
                     raise ArtifactCorruptError(f"{path}:{number}: {exc}") from exc
                 yield value

@@ -19,19 +19,10 @@ from dataclasses import dataclass
 
 from .community import ChannelGraph, Partition
 from .corpus import DailySnapshot, RecommendationEdge, top_recommended
-from .errors import (
-    ChannelNotFoundError,
-    ChannelStalledError,
-    ConfigError,
-    RecauditError,
-    TransientFetchError,
-    VideoNotFoundError,
-)
+from .errors import ConfigError, FetchError
 from .sources import RecommendationSource
 
 logger = logging.getLogger(__name__)
-
-_SKIPPABLE = (ChannelNotFoundError, ChannelStalledError, TransientFetchError, VideoNotFoundError)
 
 
 @dataclass(frozen=True)
@@ -54,7 +45,8 @@ def snowball_channels(
     Each round counts one occurrence per observed recommendation slot (so a
     channel recommended at several ranks of one video counts several times),
     admits the highest-count non-member, then expands only that channel.
-    Channels that are gone or stalled are skipped. If no outsider is ever
+    A channel or recommended video whose fetch raises a :class:`FetchError`
+    is skipped; any other error aborts the snowball. If no outsider is ever
     recommended the result is returned short, flagged ``under_target``.
 
     The returned graph weights each channel pair by its co-occurrence count;
@@ -87,14 +79,14 @@ def snowball_channels(
         try:
             video = source.fetch_last_video(channel_id)
             recommended = source.fetch_watch_next(video.video_id, k)
-        except _SKIPPABLE as exc:
+        except FetchError as exc:
             logger.warning("skipping channel %s: %s", channel_id, exc)
             dead.append(channel_id)
             return
         for rec_id in recommended:
             try:
                 rec_channel = source.fetch_video(rec_id).channel_id
-            except _SKIPPABLE as exc:
+            except FetchError as exc:
                 logger.warning("skipping recommended video %s: %s", rec_id, exc)
                 continue
             count = counts[rec_channel] = counts.get(rec_channel, 0) + 1
@@ -176,12 +168,12 @@ def daily_harvest(
 ) -> HarvestResult:
     """One day's crawl: every seed channel's last video and its watch-next list.
 
-    Per-channel failures are recorded and skipped; the snapshot's coverage is
-    the share of seed channels that answered. A :class:`ConfigError`, such as
-    a rejected API key, would fail every channel alike, so it aborts the
-    harvest instead. The retained set is the ``retain`` most recommended
-    videos of the day. The edge multiset does not depend on seed processing
-    order.
+    A channel whose fetch raises a :class:`FetchError` is recorded as a
+    failure and skipped; the snapshot's coverage is the share of seed
+    channels that answered. Any other error aborts the harvest: a
+    :class:`ConfigError` such as a rejected API key would fail every channel
+    alike. The retained set is the ``retain`` most recommended videos of the
+    day. The edge multiset does not depend on seed processing order.
     """
     if k < 1 or retain < 1:
         raise ValueError("k and retain must be at least 1")
@@ -194,9 +186,7 @@ def daily_harvest(
         try:
             video = source.fetch_last_video(channel_id)
             recommended = source.fetch_watch_next(video.video_id, k)
-        except ConfigError:
-            raise
-        except RecauditError as exc:
+        except FetchError as exc:
             failures.append((channel_id, f"{type(exc).__name__}: {exc}"))
             logger.warning("harvest %s: skipping channel %s (%s)", date, channel_id, exc)
             continue

@@ -1,31 +1,51 @@
-"""Typed exceptions shared across the pipeline."""
+"""Typed exceptions shared across the pipeline, and the failure policy they carry.
+
+Each error type carries the CLI's exit code for it. A :class:`FetchError`
+is one channel or video a source could not serve: a crawl skips that item
+and goes on, and anything else aborts it.
+"""
+
+#: What decoding a malformed record raises: a value, type or missing key
+#: that does not fit, or an attribute a wrongly shaped value lacks.
+MALFORMED = (ValueError, TypeError, KeyError, AttributeError)
 
 
 class RecauditError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; unless a subclass
+    says otherwise, a data or invariant error."""
+
+    exit_code = 2
 
 
 class ConfigError(RecauditError):
     """Bad or unresolvable configuration value."""
 
+    exit_code = 1
 
-class ChannelNotFoundError(RecauditError):
+
+class FetchError(RecauditError):
+    """A source could not serve one channel or video."""
+
+    exit_code = 3
+
+
+class ChannelNotFoundError(FetchError):
     """The source has no channel under this key."""
 
 
-class ChannelStalledError(RecauditError):
+class ChannelStalledError(FetchError):
     """The channel exists but has never published a video."""
 
 
-class VideoNotFoundError(RecauditError):
+class VideoNotFoundError(FetchError):
     """The source has no video under this key."""
 
 
-class CommentsDisabledError(RecauditError):
+class CommentsDisabledError(FetchError):
     """Comments are turned off for this video; the modality is absent."""
 
 
-class TransientFetchError(RecauditError):
+class TransientFetchError(FetchError):
     """A fetch failed in a way that is worth retrying."""
 
 

@@ -23,11 +23,12 @@ import requests
 
 from .corpus import Comment, VideoRecord, decode_record
 from .errors import (
+    MALFORMED,
     ChannelNotFoundError,
     ChannelStalledError,
     CommentsDisabledError,
     ConfigError,
-    RecauditError,
+    FetchError,
     TransientFetchError,
     VideoNotFoundError,
 )
@@ -55,7 +56,7 @@ class LiveAdapter:
         self,
         path: str,
         params: dict | None = None,
-        errors: dict[int, RecauditError] | None = None,
+        errors: dict[int, FetchError] | None = None,
         decode: Callable = lambda body: body,
     ):
         """GET ``path`` and return ``decode`` of its JSON body, or raise a
@@ -64,10 +65,9 @@ class LiveAdapter:
         A status in ``errors`` raises its error. 429 and 5xx are retried with
         exponential backoff, or after ``Retry-After`` seconds (at most
         ``timeout``) when a 429 names them; 401 is a configuration error.
-        Any other non-2xx status, a body that is not JSON, or one that
-        ``decode`` rejects with a ``TypeError``, ``KeyError``, ``ValueError``
-        or ``AttributeError`` (a body of the wrong shape) raises
-        :class:`TransientFetchError`.
+        Any other non-2xx status, or a body that is not JSON or that
+        ``decode`` rejects as ``MALFORMED`` (a body of the wrong shape),
+        raises :class:`TransientFetchError`.
         """
         url = self.base_url.rstrip("/") + path
         headers = {}
@@ -91,14 +91,10 @@ class LiveAdapter:
                     raise ConfigError(f"{url} returned 401: check {API_KEY_ENV}")
                 if 200 <= status < 300:
                     try:
-                        body = resp.json()
-                    except ValueError:
-                        raise TransientFetchError(f"{url} returned {status} with a non-JSON body") from None
-                    try:
-                        return decode(body)
-                    except (TypeError, KeyError, ValueError, AttributeError) as exc:
+                        return decode(resp.json())
+                    except MALFORMED as exc:
                         raise TransientFetchError(
-                            f"{url} returned {status} with a body of the wrong shape: {exc!r}"
+                            f"{url} returned {status} with a body that is not JSON or of the wrong shape: {exc!r}"
                         ) from exc
                 if status != 429 and status < 500:
                     raise TransientFetchError(f"{url} returned {status}")

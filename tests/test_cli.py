@@ -13,7 +13,7 @@ from typing import Optional
 
 import pytest
 
-from recaudit import cli, corpus
+from recaudit import cli, corpus, errors
 from recaudit.cli import main
 from recaudit.config import load_config
 from recaudit.corpus import DailySnapshot
@@ -282,7 +282,27 @@ class TestStageTable:
         assert set(files) <= declared, sorted(set(files) - declared)
 
 
+# Every error type of the package, with the exit code its place in the
+# hierarchy gives it, plus the bare ValueError of a bad option.
+EXIT_CODES = [
+    (cls, 1 if cls is errors.ConfigError else 3 if issubclass(cls, errors.FetchError) else 2)
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.RecauditError)
+] + [(ValueError, 1)]
+
+
 class TestErrors:
+    @pytest.mark.parametrize("error, code", EXIT_CODES, ids=[cls.__name__ for cls, _ in EXIT_CODES])
+    def test_each_error_type_exits_with_its_code(self, workspace, monkeypatch, capsys, error, code):
+        _, cfg = workspace
+
+        def stage(config, args, paths):
+            raise error("boom")
+
+        monkeypatch.setitem(cli._STAGES, "validate", (stage, ()))
+        assert run(cfg, "validate") == code
+        assert capsys.readouterr().err == "error: boom\n"
+
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.txt")]) == 1
 

@@ -6,10 +6,13 @@ import pytest
 from recaudit.community import ChannelGraph, Partition, cluster_channels
 from recaudit.corpus import VideoRecord
 from recaudit.crawler import daily_harvest, select_seed_cluster, snowball_channels
-from recaudit.errors import ChannelStalledError, ConfigError, RecauditError
+from recaudit import errors
+from recaudit.errors import ChannelStalledError, ConfigError, FetchError, RecauditError
 from recaudit.sources import PlatformSpec, generate_platform
 
 DAY = dt.date(2019, 4, 2)
+
+FETCH_ERRORS = [cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, FetchError)]
 
 
 def scripted_platform(recs_by_channel):
@@ -40,21 +43,23 @@ def scripted_platform(recs_by_channel):
     return Scripted()
 
 
-class _Stalling:
-    """A platform whose ``stalled`` channels answer with ChannelStalledError."""
+class _Failing:
+    """A platform whose ``failing`` channels and videos raise ``error``."""
 
-    def __init__(self, platform, stalled):
-        self.platform, self.stalled = platform, stalled
+    def __init__(self, platform, failing, error=ChannelStalledError):
+        self.platform, self.failing, self.error = platform, failing, error
 
     def fetch_last_video(self, channel_id):
-        if channel_id in self.stalled:
-            raise ChannelStalledError(channel_id)
+        if channel_id in self.failing:
+            raise self.error(channel_id)
         return self.platform.fetch_last_video(channel_id)
 
     def fetch_watch_next(self, video_id, k):
         return self.platform.fetch_watch_next(video_id, k)
 
     def fetch_video(self, video_id):
+        if video_id in self.failing:
+            raise self.error(video_id)
         return self.platform.fetch_video(video_id)
 
 
@@ -176,7 +181,7 @@ class TestSnowball:
             PlatformSpec(n_channels=40, videos_per_channel=3, base_rate=0.3, seed=seed)
         )
         ids = platform.channel_ids()
-        source = _Stalling(platform, stalled=set(ids[-dead:]) if dead else set())
+        source = _Failing(platform, set(ids[-dead:]) if dead else set())
         initial = ids[:4]
         result = snowball_channels(source, initial, target_count=target, k=6)
         assert (result.channels, result.under_target, result.dead_channels) == _scan_snowball(
@@ -184,6 +189,20 @@ class TestSnowball:
         )
         assert result.under_target == (target > len(ids))
         assert bool(result.dead_channels) == bool(dead)
+
+    @pytest.mark.parametrize("error", FETCH_ERRORS, ids=lambda cls: cls.__name__)
+    def test_each_fetch_error_is_skipped(self, error):
+        # x fails on its last video once admitted; y's video fails, so y is never counted.
+        platform = scripted_platform({"s1": ["x", "y"], "x": ["s1"], "y": ["s1"]})
+        result = snowball_channels(_Failing(platform, {"x", "v-y"}, error), ["s1"], target_count=3, k=5)
+        assert (result.channels, result.dead_channels, result.under_target) == (("s1", "x"), ("x",), True)
+
+    @pytest.mark.parametrize("failing", ["x", "v-y"], ids=["last-video", "recommended-video"])
+    @pytest.mark.parametrize("error", [ConfigError, RecauditError], ids=lambda cls: cls.__name__)
+    def test_any_other_error_aborts(self, error, failing):
+        platform = scripted_platform({"s1": ["x", "y"], "x": ["s1"], "y": ["s1"]})
+        with pytest.raises(error):
+            snowball_channels(_Failing(platform, {failing}, error), ["s1"], target_count=3, k=5)
 
     def test_argument_validation(self):
         platform = scripted_platform({"s1": []})
@@ -262,6 +281,18 @@ class TestDailyHarvest:
     def test_partial_failure_coverage(self, hand_platform):
         result = daily_harvest(hand_platform, ["alpha", "ghost"], DAY, k=3, retain=10)
         assert result.snapshot.coverage == 0.5
+
+    @pytest.mark.parametrize("error", FETCH_ERRORS, ids=lambda cls: cls.__name__)
+    def test_each_fetch_error_is_recorded_and_skipped(self, hand_platform, error):
+        source = _Failing(hand_platform, {"beta"}, error)
+        result = daily_harvest(source, ["alpha", "beta"], DAY, k=3, retain=10)
+        assert result.snapshot.coverage == 0.5
+        assert result.failures == (("beta", f"{error.__name__}: beta"),)
+
+    @pytest.mark.parametrize("error", [ConfigError, RecauditError], ids=lambda cls: cls.__name__)
+    def test_any_other_error_aborts(self, hand_platform, error):
+        with pytest.raises(error):
+            daily_harvest(_Failing(hand_platform, {"beta"}, error), ["alpha", "beta"], DAY, k=3, retain=10)
 
     def test_edge_multiset_invariant_under_seed_order(self, hand_platform):
         forward = daily_harvest(hand_platform, ["alpha", "beta"], DAY, k=4, retain=10)
