@@ -472,11 +472,14 @@ def _cmd_topics(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     snapshots = _read_snapshots(config, paths["snapshots"])
     likelihoods = _read_likelihoods(paths)
     videos = _read_videos(config, paths["videos"])
-    conspiratorial = [
-        videos[vid]
-        for vid, like in sorted(likelihoods.items())
-        if like is not None and like > config.threshold and vid in videos
-    ]
+    flagged = [vid for vid, like in sorted(likelihoods.items()) if like is not None and like > config.threshold]
+    missing = [vid for vid in flagged if vid not in videos]
+    if missing:
+        (path,) = paths["likelihoods"]
+        raise CorpusViolationError(
+            f"{path}: {len(missing)} conspiratorial videos are in no video file, the first {missing[0]}"
+        )
+    conspiratorial = [videos[vid] for vid in flagged]
     if len(conspiratorial) < 2:
         raise ConfigError("fewer than two conspiratorial videos; nothing to model")
     try:

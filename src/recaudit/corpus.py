@@ -415,15 +415,15 @@ def write_jsonl(path: str | Path, records: Iterable) -> None:
 
 
 def read_jsonl(path: str | Path, cls) -> Iterator:
-    """The ``cls`` record on each non-blank line. A line that does not parse
-    or decode raises :class:`ArtifactCorruptError` naming ``path:line``."""
+    """The ``cls`` record on each non-blank line. A line that is not UTF-8,
+    does not parse or does not decode raises :class:`ArtifactCorruptError`
+    naming ``path:line``."""
     decode = _codec(cls)[1]
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
+            if not line.isspace():
                 try:
-                    value = decode(json.loads(line))
+                    value = decode(json.loads(line.decode("utf-8")))
                 except MALFORMED as exc:
                     raise ArtifactCorruptError(f"{path}:{number}: {exc}") from exc
                 yield value

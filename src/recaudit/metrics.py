@@ -269,6 +269,12 @@ class CalibrationBin:
     ci_low: Optional[float]
     ci_high: Optional[float]
 
+    def __post_init__(self):
+        for name in ("proportion", "ci_low", "ci_high"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:  # NaN fails too
+                raise ValueError(f"{name} {value} outside [0, 1]")
+
 
 @dataclass(frozen=True)
 class CalibrationCurve:

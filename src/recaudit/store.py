@@ -250,7 +250,7 @@ def outputs_are_current(manifest_path: str | Path, config_digest: str, inputs: l
     files a new run would read."""
     try:
         manifest = RunManifest.read(manifest_path)
-    except (OSError, json.JSONDecodeError, TypeError):
+    except (OSError, ValueError, TypeError):  # unreadable, not UTF-8, not JSON, or not a manifest
         return False
     if not (isinstance(manifest.inputs, dict) and isinstance(manifest.outputs, dict)):
         return False
@@ -301,14 +301,15 @@ def write_calibration_csv(path: str | Path, curve: CalibrationCurve) -> None:
 
 
 def read_calibration_csv(path: str | Path) -> CalibrationCurve:
-    """The curve ``write_calibration_csv`` wrote. A row without seven fields,
-    or with a field that does not parse, raises :class:`ArtifactCorruptError`
+    """The curve ``write_calibration_csv`` wrote. A row that is not UTF-8, has
+    not seven fields, has a field that does not parse, or has a proportion or
+    interval bound outside [0, 1] raises :class:`ArtifactCorruptError`
     naming ``path:line``."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    lines = Path(path).read_bytes().strip().splitlines()
     bins = []
     for number, line in enumerate(lines[1:], start=2):  # past the header row
-        fields = line.split(",")
         try:
+            fields = line.decode("utf-8").split(",")
             if len(fields) != 7:
                 raise ValueError(f"expected 7 fields, got {len(fields)}")
             lower, upper, n, k, proportion, ci_low, ci_high = fields

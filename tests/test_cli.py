@@ -368,19 +368,23 @@ class TestErrors:
         assert run(cfg, "simulate") == 1
         assert f"error: {place}: harvest.k: cannot parse 'ten'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["wrongly_typed", "not_utf8"])
     @pytest.mark.parametrize(
         "manifest, argv, code",
         [("simulate", ["simulate"], 0), ("harvest-2019-05-01", ["harvest", "--date", "2019-05-01"], 2)],
         ids=["simulate-reruns", "harvest-refuses-to-replace"],
     )
-    def test_a_wrongly_typed_manifest_means_the_stage_reruns(self, workspace, capsys, manifest, argv, code):
+    def test_a_damaged_manifest_means_the_stage_reruns(self, workspace, capsys, manifest, argv, code, damage):
         tmp, cfg = workspace
         assert run(cfg, "simulate") == 0
         assert run(cfg, "harvest", "--date", "2019-05-01") == 0
         path = tmp / "out" / "manifests" / f"{manifest}.json"
         doc = json.loads(path.read_text())
-        doc["outputs"] = list(doc["outputs"])
-        path.write_text(json.dumps(doc))
+        if damage == "wrongly_typed":
+            doc["outputs"] = list(doc["outputs"])
+            path.write_text(json.dumps(doc))
+        else:
+            path.write_bytes(b"\xff" + json.dumps(doc).encode())
         capsys.readouterr()
         assert run(cfg, *argv) == code
         captured = capsys.readouterr()
@@ -689,6 +693,19 @@ class TestCorruptArtifacts:
             assert run(cfg, stage) == 2
             assert f"{path}:2:" in capsys.readouterr().err
 
+    def test_a_flagged_video_in_no_video_file_is_a_data_error_naming_it(self, workspace, capsys):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        assert run(cfg, "harvest", "--date", "2019-05-01") == 0
+        path = _write_likelihoods(out, 0.5)
+        with path.open("a") as fh:
+            fh.write(json.dumps({"video_id": "vid9999x999", "likelihood": 0.9}) + "\n")
+        capsys.readouterr()
+        assert run(cfg, "topics") == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: " in err and "vid9999x999" in err
+
     def test_negative_view_count_in_trends_is_a_data_error(self, workspace, capsys):
         tmp, cfg = workspace
         out = tmp / "out"
@@ -769,6 +786,20 @@ class TestCorruptArtifacts:
         capsys.readouterr()
         assert run(cfg, "harvest", "--date", "2019-05-01") == 2
         assert f"{path}:" in capsys.readouterr().err
+
+    def test_bytes_that_are_not_utf8_are_a_data_error_naming_the_line(self, workspace, capsys):
+        tmp, cfg = workspace
+        assert run(cfg, "simulate") == 0
+        assert run(cfg, "harvest", "--date", "2019-05-01") == 0
+        assert run(cfg, "train") == 0
+        path = tmp / "out" / "videos.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:3] + b"\xff" + lines[2][4:]
+        path.write_bytes(b"".join(lines))
+        for argv in (["harvest", "--date", "2019-05-02"], ["score"]):
+            capsys.readouterr()
+            assert run(cfg, *argv) == 2, argv
+            assert f"error: {path}:3: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
     def test_damaged_ensemble_header_is_a_data_error_naming_the_file(self, workspace, capsys):
         tmp, cfg = workspace
@@ -940,14 +971,26 @@ class TestCalibratedTrends:
         summary = json.loads((out / "trends_summary.json").read_text())
         assert summary["calibrated"] is True
 
-    def test_malformed_calibration_row_is_a_data_error_naming_the_line(self, workspace, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "0.2,0.4,abc",
+            "0.2,0.4,3,2,1.5,0.1,0.9",
+            "0.2,0.4,3,2,nan,0.1,0.9",
+            "0.2,0.4,3,2,0.6,-0.1,0.9",
+            "0.2,0.4,3,2,0.6,0.1,inf",
+            "0.2,0.4,3,2,0.6\udcff,0.1,0.9",
+        ],
+        ids=["short", "proportion-above-1", "proportion-nan", "ci-low-below-0", "ci-high-inf", "not-utf8"],
+    )
+    def test_malformed_calibration_row_is_a_data_error_naming_the_line(self, workspace, monkeypatch, capsys, row):
         tmp, cfg = workspace
         for argv in (["simulate"], ["harvest", "--date", "2019-05-01"], ["train"], ["score"], ["calibrate"]):
             assert run(cfg, *argv) == 0
         path = tmp / "out" / "calibration.csv"
         lines = path.read_text().splitlines()
-        lines[2] = "0.2,0.4,abc"
-        path.write_text("\n".join(lines) + "\n")
+        lines[2] = row
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         monkeypatch.setenv("RECAUDIT_TRENDS_CALIBRATED", "1")
         capsys.readouterr()
         assert run(cfg, "trends") == 2
