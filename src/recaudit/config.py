@@ -3,7 +3,9 @@
 Keys use dotted sections (``harvest.k = 20``); the matching environment
 variable is the key upper-cased with dots and dashes as underscores, prefixed
 ``RECAUDIT_`` (``RECAUDIT_HARVEST_K``). A key names the field it spells with
-underscores for dots, so an error names each field by a key that loads.
+underscores for dots, so an error names each field by a key that loads. A
+prefixed variable that names no key is an error, as an unknown key in the
+file is, except the live adapter's two.
 Defaults are the audited platform's operating constants: 20 watch-next slots,
 top 1000 retained per day, 200 top comments, 100 repetitions of a 60/40
 training split, decision threshold 0.5, 7-day rolling window, 25 words per
@@ -22,6 +24,10 @@ from .corpus import TEXT_FIELDS
 from .errors import ConfigError
 
 ENV_PREFIX = "RECAUDIT_"
+# The live adapter's endpoint and credential: environment variables under
+# the same prefix that name no config key.
+BASE_URL_ENV = ENV_PREFIX + "API_BASE"
+API_KEY_ENV = ENV_PREFIX + "API_KEY"
 
 
 @dataclass
@@ -175,11 +181,12 @@ def load_config(path: Optional[str | Path] = None, env: Optional[dict] = None) -
 
     env = os.environ if env is None else env
     for name, raw in env.items():
-        if not name.startswith(ENV_PREFIX):
+        if not name.startswith(ENV_PREFIX) or name in (BASE_URL_ENV, API_KEY_ENV):
             continue
         attr = _key_to_attr(name[len(ENV_PREFIX) :])
-        if attr in _FIELD_TYPES:
-            values[attr] = _parse_value(attr, raw, name)
+        if attr not in _FIELD_TYPES:
+            raise ConfigError(f"{name}: unknown key {_key(attr)!r}")
+        values[attr] = _parse_value(attr, raw, name)
 
     config = PipelineConfig(**values)
     config.validate()

@@ -21,6 +21,7 @@ from typing import Callable
 
 import requests
 
+from .config import API_KEY_ENV, BASE_URL_ENV
 from .corpus import Comment, VideoRecord, decode_record
 from .errors import (
     MALFORMED,
@@ -32,9 +33,6 @@ from .errors import (
     TransientFetchError,
     VideoNotFoundError,
 )
-
-BASE_URL_ENV = "RECAUDIT_API_BASE"
-API_KEY_ENV = "RECAUDIT_API_KEY"
 
 
 @dataclass

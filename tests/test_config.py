@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from recaudit.config import PipelineConfig, load_config
+from recaudit.config import API_KEY_ENV, BASE_URL_ENV, PipelineConfig, load_config
 from recaudit.errors import ConfigError
 
 # A value each field type's range or choice checks reject.
@@ -72,6 +72,14 @@ class TestLoadConfig:
         path.write_text("no.such.key = 1\n")
         with pytest.raises(ConfigError):
             load_config(path, env={})
+
+    def test_unknown_environment_variable_rejected(self):
+        with pytest.raises(ConfigError, match=r"^RECAUDIT_METRICS_ALPHA: unknown key 'metrics\.alpha'$"):
+            load_config(env={"RECAUDIT_METRICS_ALPHA": "0.5"})
+
+    def test_the_live_adapter_variables_are_not_config_keys(self):
+        env = {BASE_URL_ENV: "http://localhost:8080", API_KEY_ENV: "secret"}
+        assert load_config(env=env) == PipelineConfig()
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
