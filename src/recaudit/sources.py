@@ -293,6 +293,8 @@ def generate_platform(spec: PlatformSpec) -> SimulatedPlatform:
     from one word pool, the rest from another, with shared filler words in
     both. Comments also carry attribute scores from the bundled lexicon
     scorer, so the attribute modality is populated and mildly class-separable.
+    A video drawn as comments-disabled has no comments, so both comment
+    modalities are absent for it.
 
     Every draw comes from ``np.random.default_rng(spec.seed)``'s stream, in
     the order of the loops below, so one seed always gives the same platform.
@@ -331,6 +333,10 @@ def generate_platform(spec: PlatformSpec) -> SimulatedPlatform:
                     extras = _COMMENT_EXTRAS[label]
                     words.append(extras[rng.integers(0, len(extras))])
                 comments.append(score_comment_attributes(scorer, Comment(text=" ".join(words))))
+            view_count = rng.integers(100, 1_000_000)
+            if rng.random() < spec.comments_disabled_rate:
+                disabled.add(video_id)
+                comments = []
             video = VideoRecord(
                 video_id=video_id,
                 channel_id=channel_id,
@@ -338,14 +344,12 @@ def generate_platform(spec: PlatformSpec) -> SimulatedPlatform:
                 description=description,
                 tags=tags,
                 transcript=transcript,
-                view_count=rng.integers(100, 1_000_000),
+                view_count=view_count,
                 comments=tuple(comments),
             )
             videos.append(video)
             ground_truth[video_id] = label
             video_dates[video_id] = day0 + dt.timedelta(days=i)
-            if rng.random() < spec.comments_disabled_rate:
-                disabled.add(video_id)
             last_video_id = video_id
         channels.append(
             ChannelRecord(

@@ -1049,6 +1049,19 @@ class TestSimulateOutput:
         assert digests == SIMULATE_DIGESTS, "simulate output for a fixed seed changed"
 
 
+    def test_disabled_comments_reach_the_records_and_the_ensemble(self, workspace):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        with cfg.open("a") as fh:
+            fh.write("sim.comments_disabled_rate = 1.0\n")
+        for argv in (["simulate"], ["harvest", "--date", "2019-05-01"], ["train"], ["score"]):
+            assert run(cfg, *argv) == 0
+        assert not any(video["comments"] for video in _read_json_lines(out / "videos.jsonl"))
+        assert not any(example["video"]["comments"] for example in _read_json_lines(out / "labeled.jsonl"))
+        weights = json.loads((out / "ensemble_weights.json").read_text())
+        assert weights["comments"] == weights["attributes"] == 0.0
+
+
 SCORED_DIGESTS = {
     "likelihoods.jsonl": "b3ddbebcb7082f39cdf3faecae5a62567d017eb67a79a99d7eb7ff6023edbda3",
     "trends.csv": "62006a5f8b04be87dc07e9ad33a2979a767e79fb7a90dd309e3c9b08e6195119",

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -194,6 +195,18 @@ class TestGenerator:
         assert some_comment.attribute_scores is not None
         assert len(some_comment.attribute_scores) == 7
 
+    def test_a_video_with_comments_disabled_has_none(self):
+        # The disabled draw follows every other draw of a video, so the rate
+        # changes nothing but which videos lose their comments.
+        spec = PlatformSpec(n_channels=6, videos_per_channel=5, comments_disabled_rate=0.5, seed=2)
+        platform = generate_platform(spec)
+        enabled = generate_platform(dataclasses.replace(spec, comments_disabled_rate=0.0))
+        assert 0 < len(platform.comments_disabled) < len(platform.videos)
+        for video, reference in zip(platform.videos, enabled.videos, strict=True):
+            disabled = video.video_id in platform.comments_disabled
+            assert video == (dataclasses.replace(reference, comments=()) if disabled else reference)
+        assert platform.channels == enabled.channels
+
     def test_labeled_set_is_balanced(self):
         platform = generate_platform(
             PlatformSpec(n_channels=20, videos_per_channel=20, base_rate=0.5, seed=2)
@@ -264,6 +277,10 @@ def _reference_platform(spec):
                 if rng.random() < 0.5:
                     words.append(extras[rng.integers(len(extras))])
                 comments.append(score_comment_attributes(scorer, Comment(text=" ".join(words))))
+            view_count = int(rng.integers(100, 1_000_000))
+            if rng.random() < spec.comments_disabled_rate:
+                disabled.add(video_id)
+                comments = []
             videos.append(
                 VideoRecord(
                     video_id=video_id,
@@ -272,14 +289,12 @@ def _reference_platform(spec):
                     description=description,
                     tags=tags,
                     transcript=transcript,
-                    view_count=int(rng.integers(100, 1_000_000)),
+                    view_count=view_count,
                     comments=tuple(comments),
                 )
             )
             ground_truth[video_id] = label
             video_dates[video_id] = day0 + dt.timedelta(days=i)
-            if rng.random() < spec.comments_disabled_rate:
-                disabled.add(video_id)
             last_video_id = video_id
         channels.append(
             ChannelRecord(
