@@ -30,7 +30,12 @@ from .errors import (
 
 
 class RecommendationSource(Protocol):
-    """Uniform access to a platform's channels, videos and watch-next lists."""
+    """Uniform access to a platform's channels, videos and watch-next lists.
+
+    A source raises a :class:`FetchError` for a channel or video it cannot
+    serve; the crawls skip that one item and go on. Any other error, such as
+    the :class:`ConfigError` of a rejected credential, aborts the crawl.
+    """
 
     def fetch_last_video(self, channel_id: str) -> VideoRecord: ...
 
