@@ -53,6 +53,7 @@ from .topics import fit_topic_model, topic_report
 
 logger = logging.getLogger(__name__)
 
+
 def _config_digest(config: PipelineConfig) -> str:
     canonical = json.dumps(vars(config), sort_keys=True, default=str)
     return store.sha256_bytes(canonical.encode("utf-8"))
@@ -472,7 +473,9 @@ def _cmd_topics(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     snapshots = _read_snapshots(config, paths["snapshots"])
     likelihoods = _read_likelihoods(paths)
     videos = _read_videos(config, paths["videos"])
-    flagged = [vid for vid, like in sorted(likelihoods.items()) if like is not None and like > config.threshold]
+    flagged = [
+        vid for vid, like in sorted(likelihoods.items()) if like is not None and like > config.threshold
+    ]
     missing = [vid for vid in flagged if vid not in videos]
     if missing:
         (path,) = paths["likelihoods"]
