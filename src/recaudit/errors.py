@@ -1,9 +1,4 @@
-"""Typed exceptions shared across the pipeline, and the failure policy they carry.
-
-Each error type carries the CLI's exit code for it. A :class:`FetchError`
-is one channel or video a source could not serve: a crawl skips that item
-and goes on, and anything else aborts it.
-"""
+"""Typed exceptions shared across the pipeline; each carries the CLI's exit code for it."""
 
 #: What decoding a malformed record raises: a value, type or missing key
 #: that does not fit, or an attribute a wrongly shaped value lacks.
@@ -24,7 +19,7 @@ class ConfigError(RecauditError):
 
 
 class FetchError(RecauditError):
-    """A source could not serve one channel or video."""
+    """A source could not serve one channel or video; a crawl skips that item."""
 
     exit_code = 3
 
