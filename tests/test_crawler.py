@@ -3,10 +3,10 @@ from collections import Counter
 
 import pytest
 
+from recaudit import errors
 from recaudit.community import ChannelGraph, Partition, cluster_channels
 from recaudit.corpus import VideoRecord
 from recaudit.crawler import daily_harvest, select_seed_cluster, snowball_channels
-from recaudit import errors
 from recaudit.errors import ChannelStalledError, ConfigError, FetchError, RecauditError
 from recaudit.sources import PlatformSpec, generate_platform
 
