@@ -8,10 +8,17 @@ the snippet (title + description + tags; always one) and the comments (one
 per comment). Each scores the median over its texts. The fourth scores a
 35-D summary of the comment attribute vectors. Module scores are
 standardized to zero mean and unit variance, so a missing modality
-contributes exactly zero to the stacked logit. Training repeats a 60/40 split: the 60% side fits the four modules,
-the 40% side is scored, standardized and used to fit the stacking logistic;
-the stacking coefficients reported are the element-wise mean over all
-repetitions. The repetitions run in parallel, on every available CPU.
+contributes exactly zero to the stacked logit.
+
+Training repeats a 60/40 split: the 60% side fits the four modules, the 40%
+side is scored, standardized and used to fit the stacking logistic; the
+stacking coefficients reported are the element-wise mean over all
+repetitions, and the shipped modules are refit on the full labeled set. The
+refit and the repetitions are split into one share per available CPU. Each
+process fits all the text models of its share in one lockstep SGD loop
+(``textmodel.train_text_classifiers``), each model with the bits it gets
+trained alone, then fits the attribute heads, scores the held-out sides and
+fits the stacking layers repetition by repetition.
 """
 
 from __future__ import annotations
@@ -26,14 +33,14 @@ import numpy as np
 
 from .corpus import TEXT_FIELDS, LabeledExample, VideoRecord
 from .errors import DegenerateTrainingError, UnclassifiableVideoError
-from .parallel import run_tasks
+from .parallel import run_shares
 from .textmodel import (
     TextFeatures,
     TextHyper,
     TextModel,
     featurize,
     predict_proba,
-    train_text_classifier,
+    train_text_classifiers,
 )
 
 MODULE_NAMES = (*TEXT_FIELDS, "attributes")
@@ -227,13 +234,37 @@ class FirstLayer:
         for m, model in enumerate(self.text_models):
             if model is not None:
                 scores[:, m] = score_texts(model, [f.texts[m] for f in feats])
-        if self.attribute_head is not None:
-            coef, bias = self.attribute_head
-            present = [i for i, f in enumerate(feats) if f.attributes is not None]
-            # One dot product per video: a matrix product may round differently.
-            logits = np.array([float(feats[i].attributes @ coef) for i in present]) + bias
-            scores[present, -1] = _sigmoid(logits)
+        scores[:, -1] = _attribute_scores(self.attribute_head, feats)
         return scores
+
+
+def _attribute_head(examples: Sequence[tuple[VideoFeatures, int]]) -> Optional[tuple[np.ndarray, float]]:
+    """The attribute module fit on one training side; None, disabled, when
+    no video of the side has scored comments or those videos are of one
+    class."""
+    attr_rows = [f.attributes for f, _ in examples if f.attributes is not None]
+    attr_labels = [y for f, y in examples if f.attributes is not None]
+    if not attr_rows:
+        return None
+    try:
+        return train_logistic(np.vstack(attr_rows), attr_labels)
+    except DegenerateTrainingError:
+        return None
+
+
+def _attribute_scores(
+    head: Optional[tuple[np.ndarray, float]], feats: Sequence[VideoFeatures]
+) -> np.ndarray:
+    """The attribute module's score for each video; NaN where the module is
+    disabled or the video has no scored comments."""
+    scores = np.full(len(feats), np.nan)
+    if head is not None:
+        coef, bias = head
+        present = [i for i, f in enumerate(feats) if f.attributes is not None]
+        # One dot product per video: a matrix product may round differently.
+        logits = np.array([float(feats[i].attributes @ coef) for i in present]) + bias
+        scores[present] = _sigmoid(logits)
+    return scores
 
 
 @dataclass(frozen=True)
@@ -310,35 +341,6 @@ def classify_video(ensemble: TrainedEnsemble, video: VideoRecord) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _train_first_layer(
-    examples: Sequence[tuple[VideoFeatures, int]], hyper: TextHyper, seed: int
-) -> FirstLayer:
-    """Fit the four modules on one training side, given as (features, label)
-    pairs. A module whose training slice is single-class or empty is disabled
-    for this layer."""
-
-    def text_model(m: int) -> Optional[TextModel]:
-        pairs = [(text, y) for f, y in examples for text in f.texts[m]]
-        try:
-            return train_text_classifier(pairs, replace(hyper, seed=seed * 4 + m))
-        except DegenerateTrainingError:
-            return None
-
-    attr_rows = [f.attributes for f, _ in examples if f.attributes is not None]
-    attr_labels = [y for f, y in examples if f.attributes is not None]
-    attribute_head = None
-    if attr_rows:
-        try:
-            attribute_head = train_logistic(np.vstack(attr_rows), attr_labels)
-        except DegenerateTrainingError:
-            attribute_head = None
-
-    return FirstLayer(
-        text_models=tuple(text_model(m) for m in range(len(TEXT_FIELDS))),
-        attribute_head=attribute_head,
-    )
-
-
 def _split_indices(
     rng: np.random.Generator, labels: np.ndarray, split: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -354,27 +356,13 @@ def _split_indices(
     raise DegenerateTrainingError("could not draw a split with both classes on both sides")
 
 
-def _repeat(
-    examples: Sequence[tuple[VideoFeatures, int]],
-    labels: np.ndarray,
-    rep: int,
-    split: float,
-    seed: int,
-    repeats: int,
-    text_hyper: TextHyper,
-    l2: float,
+def _stacking(
+    held_scores: np.ndarray, held_labels: Sequence[int], l2: float
 ) -> tuple[np.ndarray, float, list[Optional[tuple[float, float]]]]:
-    """Repetition ``rep``: fit the first layer on the ``split`` side, score
-    the held-out side, standardize those scores (stats from the held-out
-    side) and fit the stacking logistic on them. Returns the stacking
-    coefficients, bias and this repetition's standardization stats."""
-    rng = np.random.default_rng([seed, rep])
-    train_idx, held_idx = _split_indices(rng, labels, split)
-    layer = _train_first_layer(
-        [examples[i] for i in train_idx], text_hyper, seed=seed * repeats + rep
-    )
-    held_scores = layer.score_features([examples[i][0] for i in held_idx])
-
+    """Standardize a repetition's held-out module scores (stats from the
+    held-out side) and fit the stacking logistic on them. Returns the
+    stacking coefficients, bias and this repetition's standardization
+    stats."""
     rep_stats: list[Optional[tuple[float, float]]] = []
     for column in held_scores.T:
         values = column[~np.isnan(column)]
@@ -383,9 +371,76 @@ def _repeat(
         else:
             rep_stats.append(None)
     stats = StandardizationStats(stats=tuple(rep_stats))
-
-    coef, bias = train_logistic(stats.standardize(held_scores), labels[held_idx], l2=l2)
+    coef, bias = train_logistic(stats.standardize(held_scores), held_labels, l2=l2)
     return coef, bias, rep_stats
+
+
+def _fit_text_module(
+    m: int,
+    sides: Sequence[tuple[Sequence[tuple[VideoFeatures, int]], int, Optional[list]]],
+    hyper: TextHyper,
+    held_scores: Sequence[Optional[np.ndarray]],
+) -> Optional[TextModel]:
+    """Fit text module ``m`` on every training side in one lockstep SGD
+    loop (:func:`train_text_classifiers`). A repetition's model scores its
+    held-out side into column ``m`` of its ``held_scores`` and is dropped;
+    the refit's model, the side without a held-out side, is returned. A
+    single-class or empty training slice gives a disabled module."""
+    models = train_text_classifiers(
+        ([(text, y) for f, y in train for text in f.texts[m]], replace(hyper, seed=seed * 4 + m))
+        for train, seed, _ in sides
+    )
+    refit = None
+    for (_, _, held), scores, model in zip(sides, held_scores, models):
+        if held is None:
+            # Its embedding is a block of one array with the others'; a
+            # copy lets that array go.
+            refit = model and replace(model, embedding=model.embedding.copy())
+        elif model is not None:
+            scores[:, m] = score_texts(model, [f.texts[m] for f, _ in held])
+    return refit
+
+
+def _train_share(
+    examples: Sequence[tuple[VideoFeatures, int]],
+    labels: np.ndarray,
+    split: float,
+    seed: int,
+    repeats: int,
+    text_hyper: TextHyper,
+    l2: float,
+    share: Sequence[int],
+) -> list:
+    """The results of one process's share of the protocol's tasks. Task 0
+    is the refit of the four modules on the full labeled set; its result is
+    that first layer. Task ``rep + 1`` is repetition ``rep``: the modules
+    fit on its ``split`` side score its held-out side, and its result is
+    the stacking layer fit on those scores (:func:`_stacking`).
+
+    Each text module is fit for the whole share at once
+    (:func:`_fit_text_module`), so each process runs one lockstep SGD loop
+    per module. A repetition's text models are dropped once they have
+    scored, so the share holds one module's models at a time besides the
+    refit's."""
+    sides = []  # (training side, layer seed, held-out side or None)
+    for task in share:
+        if task == 0:
+            sides.append((examples, seed * repeats + repeats, None))
+            continue
+        rep = task - 1
+        train_idx, held_idx = _split_indices(np.random.default_rng([seed, rep]), labels, split)
+        sides.append(([examples[i] for i in train_idx], seed * repeats + rep, [examples[i] for i in held_idx]))
+    held_scores = [None if held is None else np.full((len(held), len(MODULE_NAMES)), np.nan) for _, _, held in sides]
+    refit_models = tuple(_fit_text_module(m, sides, text_hyper, held_scores) for m in range(len(TEXT_FIELDS)))
+    results = []
+    for (train, _, held), scores in zip(sides, held_scores):
+        head = _attribute_head(train)
+        if held is None:
+            results.append(FirstLayer(text_models=refit_models, attribute_head=head))
+            continue
+        scores[:, -1] = _attribute_scores(head, [f for f, _ in held])
+        results.append(_stacking(scores, [y for _, y in held], l2))
+    return results
 
 
 def train_ensemble(
@@ -398,14 +453,16 @@ def train_ensemble(
 ) -> TrainedEnsemble:
     """Run the repeated-split protocol and average the stacking models.
 
-    Each repetition (:func:`_repeat`) fits a stacking logistic on held-out
-    scores. The final stacking coefficients and standardization stats are
-    means over repetitions; the shipped first layer is refit once on the
-    full labeled set. Each video is featurized once, up front; the
-    repetitions and the refit reuse those features. They are independent
-    tasks, run on every available CPU by :func:`parallel.run_tasks` and
-    summed in repetition order, so the ensemble does not depend on the CPU
-    count. A task's cost is the size of its training side, so the refit, the
+    Each repetition fits a stacking logistic on held-out scores
+    (:func:`_stacking`). The final stacking coefficients and
+    standardization stats are means over repetitions; the shipped first
+    layer is refit once on the full labeled set. Each video is featurized
+    once, up front; the repetitions and the refit reuse those features.
+    They are independent tasks, spread over every available CPU by
+    :func:`parallel.run_shares` and summed in repetition order, so the
+    ensemble does not depend on the CPU count. Each process fits the text
+    models of its whole share in one lockstep loop (:func:`_train_share`).
+    A task's cost is the size of its training side, so the refit, the
     costliest, always runs in the calling process.
     """
     if repeats < 1:
@@ -423,13 +480,10 @@ def train_ensemble(
 
     features = video_features([ex.video for ex in labeled], text_hyper)
     examples = [(f, ex.label) for f, ex in zip(features, labeled)]
-    tasks = [partial(_train_first_layer, examples, text_hyper, seed=seed * repeats + repeats)]
-    tasks += [
-        partial(_repeat, examples, labels, rep, split, seed, repeats, text_hyper, l2)
-        for rep in range(repeats)
-    ]
     costs = [len(examples)] + [split * len(examples)] * repeats
-    final_layer, *repeat_results = run_tasks(tasks, costs)
+    final_layer, *repeat_results = run_shares(
+        partial(_train_share, examples, labels, split, seed, repeats, text_hyper, l2), costs
+    )
 
     coefs, biases, rep_stats = zip(*repeat_results)
     final_stats = []

@@ -1,10 +1,12 @@
 """Run a fixed list of independent tasks on every CPU this process may use.
 
-The main process runs one share of the tasks itself; each other share runs
-in a helper forked from it, which inherits the tasks' inputs and sends back
-only its results. Which process runs which task depends only on the task
-costs and the CPU count, never on timing, so the main process makes the
-same calls on every run. Results come back in task order, so a caller that
+The tasks are split into one share per process, and each process runs its
+whole share in one call, so a caller can batch the work of its tasks. The
+main process runs one share itself; each other share runs in a helper
+forked from it, which inherits the tasks' inputs and sends back only its
+results. Which process runs which task depends only on the task costs and
+the CPU count, never on timing, so the main process makes the same calls on
+every run. Results come back in task order, so a caller that
 combines them in that order gets the same bytes on any number of CPUs.
 
 Helpers are forked, not spawned, so they share the inputs without pickling
@@ -39,7 +41,7 @@ def available_cpus() -> int:
 def assign(costs: Sequence[float], processes: int) -> list[list[int]]:
     """Task indices per process: each task, costliest first, goes to the
     least-loaded process, the lowest-numbered one on a tie. So process 0,
-    whose share :func:`run_tasks` runs itself, gets the costliest task."""
+    whose share :func:`run_shares` runs itself, gets the costliest task."""
     loads = [0.0] * processes
     shares: list[list[int]] = [[] for _ in range(processes)]
     for task in sorted(range(len(costs)), key=lambda i: -costs[i]):
@@ -49,23 +51,25 @@ def assign(costs: Sequence[float], processes: int) -> list[list[int]]:
     return shares
 
 
-def run_tasks(tasks: Sequence[Callable[[], object]], costs: Sequence[float]) -> list:
-    """Each task's result, in task order. The tasks are spread by
-    :func:`assign` over one process per available CPU, at most one per task.
-    An exception a task raises in a helper is raised here, with the helper's
+def run_shares(run: Callable[[list[int]], list], costs: Sequence[float]) -> list:
+    """Each task's result, in task order. The tasks, numbered by their
+    ``costs``, are spread by :func:`assign` over one process per available
+    CPU, at most one per task, and each process makes one call, ``run(share)``,
+    which returns the results of its share's tasks in share order. An
+    exception ``run`` raises in a helper is raised here, with the helper's
     traceback as a note."""
-    shares = assign(costs, max(1, min(available_cpus(), len(tasks))))
-    results: list = [None] * len(tasks)
+    shares = assign(costs, max(1, min(available_cpus(), len(costs))))
+    results: list = [None] * len(costs)
     helpers: list[tuple[int, int, list[int]]] = []  # (pid, result pipe, share)
     running: set[int] = set()  # helpers not yet reaped
     watch_r, watch_w = os.pipe()
     try:
         for share in shares[1:]:
-            pid, result_r = _start_helper(tasks, share, watch_r, watch_w)
+            pid, result_r = _start_helper(run, share, watch_r, watch_w)
             helpers.append((pid, result_r, share))
             running.add(pid)
-        for task in shares[0]:
-            results[task] = tasks[task]()
+        for task, value in zip(shares[0], run(shares[0])):
+            results[task] = value
         for pid, result_r, share in helpers:
             with os.fdopen(result_r, "rb", closefd=False) as fh:
                 data = fh.read()
@@ -85,8 +89,8 @@ def run_tasks(tasks: Sequence[Callable[[], object]], costs: Sequence[float]) -> 
     return results
 
 
-def _start_helper(tasks, share: list[int], watch_r: int, watch_w: int) -> tuple[int, int]:
-    """Fork a helper that runs ``share`` and writes ``(ok, results or
+def _start_helper(run, share: list[int], watch_r: int, watch_w: int) -> tuple[int, int]:
+    """Fork a helper that calls ``run(share)`` and writes ``(ok, results or
     exception)`` to the pipe whose read end is returned with its pid."""
     result_r, result_w = os.pipe()
     try:
@@ -104,7 +108,7 @@ def _start_helper(tasks, share: list[int], watch_r: int, watch_w: int) -> tuple[
         os.close(watch_w)
         threading.Thread(target=_exit_when_closed, args=(watch_r,), daemon=True).start()
         try:
-            payload = (True, [tasks[task]() for task in share])
+            payload = (True, run(share))
         except BaseException as exc:
             trace = "".join(traceback.format_exception(exc))
             exc.add_note(f"raised in helper process {os.getpid()}:\n{trace}")

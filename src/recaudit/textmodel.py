@@ -12,13 +12,12 @@ proportional to the corpus.
 
 from __future__ import annotations
 
-import math
 import re
 import sys
 import unicodedata
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -164,31 +163,56 @@ class TextModel:
     bias: np.ndarray  # (2,)
 
 
-def _softmax2(z: np.ndarray) -> np.ndarray:
-    # The max and the sum of two entries, written out: the same values as
-    # z.max() and e.sum() without a reduction call on every SGD step.
-    z = z - max(z[0], z[1])
-    e = np.exp(z)
-    return e / (e[0] + e[1])
+def _forward(embedding, elem, tgt, sums, params, onehot):
+    """k documents at once, each through its own model, for its own label.
 
+    Each document's embedding rows are added to its row of ``sums``
+    ``(k, dim + 1)`` one value at a time, in order: ``embedding[elem[i]]``
+    (the embedding flat) goes to ``sums.flat[tgt[i]]``. A document's sums
+    start at -0.0 if it has rows, so each sum has the bits of numpy's row
+    sum (x + -0.0 == x), and at 0.0 if not, the zero vector. The last
+    column holds its number of feature ids, at least 1: an id with no row
+    adds nothing to the sum but counts in the mean. ``params``
+    ``(k, 2, dim + 1)`` holds each document's model, the head with the bias
+    as its last column, and ``onehot`` ``(k, 2, 1)`` its label.
 
-def _forward(model: TextModel, rows, n_ids: int, y: int):
-    """One document through the model, for label ``y``.
-
-    ``rows`` are the document's embedding rows in feature-id order and
-    ``n_ids`` its number of feature ids; an id with no row is a zero row,
-    which adds nothing to the sum but counts in the mean. Returns the
-    document vector ``h``, the class probabilities ``p``, the cross-entropy
-    of ``y``, and its gradients ``dz = p - onehot(y)`` with respect to the
-    logits and ``dh = head.T @ dz`` with respect to ``h``. Training and
-    ``loss_and_grads`` run this pass; :func:`predict_proba` runs it over many
-    documents at once, with the same bits.
+    Returns the document vectors ``h`` ``(k, dim + 1)`` with a last column
+    of ones, the class probabilities ``p`` ``(k, 2, 1)`` by the written-out
+    two-way softmax, and the gradients ``dz = p - onehot`` with respect to
+    the logits and ``dh = head.T @ dz`` ``(k, dim, 1)`` with respect to
+    ``h``; ``dz * h`` is the gradient with respect to ``params``. The SGD
+    step and ``loss_and_grads`` run this pass; :func:`predict_proba` gives
+    the same bits.
     """
-    h = model.embedding[rows].sum(axis=0) / n_ids if len(rows) else np.zeros(model.hyper.dim)
-    p = _softmax2(model.head @ h + model.bias)
-    dz = p.copy()
-    dz[y] -= 1.0
-    return h, p, -math.log(max(p[y], 1e-300)), dz, model.head.T @ dz
+    np.add.at(sums.reshape(-1), tgt, embedding[elem])
+    h = sums / sums[:, -1:]
+    z = params[:, :, :-1] @ h[:, :-1, None] + params[:, :, -1:]
+    e = np.exp(z - np.maximum(z[:, :1], z[:, 1:]))
+    p = e / (e[:, :1] + e[:, 1:])
+    dz = p - onehot
+    return h, p, dz, params.transpose(0, 2, 1) @ dz
+
+
+def _element_indices(rows: np.ndarray, doc_of: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_forward`'s ``elem`` and ``tgt`` for embedding rows listed
+    document after document, ``doc_of`` giving each row's document."""
+    column = np.arange(dim)
+    rows = rows.astype(np.intp, copy=False)
+    return (rows[:, None] * dim + column).reshape(-1), (doc_of[:, None] * (dim + 1) + column).reshape(-1)
+
+
+def _sums(n_rows: np.ndarray, n_ids: np.ndarray, dim: int) -> np.ndarray:
+    """:func:`_forward`'s starting ``sums`` for documents of ``n_rows``
+    embedding rows and ``n_ids`` feature ids."""
+    sums = np.full((len(n_rows), dim + 1), -0.0)
+    sums[n_rows == 0] = 0.0
+    sums[:, -1] = np.maximum(n_ids, 1)
+    return sums
+
+
+def _params(model: TextModel) -> np.ndarray:
+    """:func:`_forward`'s ``params`` for one model, ``(1, 2, dim + 1)``."""
+    return np.concatenate([model.head, model.bias[:, None]], axis=1)[None]
 
 
 def _rows(model: TextModel, features: Sequence[TextFeatures]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -250,19 +274,9 @@ def predict_proba(model: TextModel, features: Sequence[TextFeatures]) -> np.ndar
     return out
 
 
-def train_text_classifier(
-    examples: list[tuple[TextFeatures, int]],
-    hyper: TextHyper = TextHyper(),
-) -> TextModel:
-    """Fit the classifier by SGD on cross-entropy, the texts featurized with
-    ``hyper.ngram`` and ``hyper.buckets``.
-
-    Deterministic given ``hyper.seed``: examples are brought to a canonical
-    order before the seed-derived per-epoch shuffle, so permuting the input
-    yields an identical model. The learning rate decays linearly to zero over
-    all steps. A caller fitting many models on overlapping texts featurizes
-    each text once; only the ``min_count`` vocabulary is built per fit.
-    """
+def _training_order(examples: list[tuple[TextFeatures, int]]) -> list[tuple[TextFeatures, int]]:
+    """The examples in canonical order, by text and then label. Raises
+    :class:`DegenerateTrainingError` when they cannot train a classifier."""
     if not examples:
         raise DegenerateTrainingError("no training examples")
     labels = {label for _, label in examples}
@@ -270,64 +284,179 @@ def train_text_classifier(
         raise DegenerateTrainingError(f"labels must be 0 or 1, got {sorted(labels)}")
     if len(labels) < 2:
         raise DegenerateTrainingError("need at least one example per class")
+    return sorted(examples, key=lambda doc: (doc[0].text, doc[1]))
 
-    docs = sorted(examples, key=lambda doc: (doc[0].text, doc[1]))
-    vocab = build_vocabulary([f.tokens for f, _ in docs], hyper.min_count)
-    ids, n_ids = feature_ids([f for f, _ in docs], vocab)
-    ys = [label for _, label in docs]
 
-    observed = np.unique(ids)
-    # Every training id has a row, so a document's rows number its ids.
-    id_rows = np.split(np.searchsorted(observed, ids), np.cumsum(n_ids)[:-1])
-
-    rng = np.random.default_rng(hyper.seed)
-    model = TextModel(
-        vocab=vocab,
-        hyper=hyper,
-        observed_ids=observed,
-        embedding=np.zeros((len(observed), hyper.dim)),
-        head=rng.normal(0.0, 1.0 / np.sqrt(hyper.dim), size=(2, hyper.dim)),
-        bias=np.zeros(2),
-    )
-    embedding, head, bias = model.embedding, model.head, model.bias  # updated in place
-
-    n = len(docs)
-    total_steps = hyper.epochs * n
-    step = 0
-    for _ in range(hyper.epochs):
-        for i in rng.permutation(n).tolist():
-            rows = id_rows[i]
-            lr = hyper.lr * (1.0 - step / total_steps)
-            step += 1
-            h, _, _, dz, dh = _forward(model, rows, rows.size, ys[i])
-            head -= lr * (dz[:, None] * h)
-            bias -= lr * dz
-            if rows.size:
-                # A row listed twice is updated twice, in order; an indexed
-                # += would apply only one of the updates.
-                np.add.at(embedding, rows, -lr / rows.size * dh)
+def train_text_classifier(
+    examples: list[tuple[TextFeatures, int]],
+    hyper: TextHyper = TextHyper(),
+) -> TextModel:
+    """Fit the classifier on ``examples``: :func:`train_text_classifiers`
+    with one job. Raises :class:`DegenerateTrainingError` when the examples
+    are empty or of one class."""
+    _training_order(examples)
+    (model,) = train_text_classifiers([(examples, hyper)])
     return model
+
+
+# The most embedding values one chunk of lockstep SGD steps indexes: the
+# steps run in chunks whose index arrays hold at most about this many
+# elements (one step more than that is a chunk of its own).
+_STEP_ELEMENTS = 1 << 16
+
+
+def train_text_classifiers(
+    jobs: Iterable[tuple[list[tuple[TextFeatures, int]], TextHyper]],
+) -> list[Optional[TextModel]]:
+    """Fit one classifier per ``(examples, hyper)`` job by SGD on
+    cross-entropy, the texts featurized with the job's ``ngram`` and
+    ``buckets``; None for a job whose examples are empty or of one class.
+    The jobs share ``dim``.
+
+    Each job is deterministic given its ``hyper.seed``: its examples are
+    brought to a canonical order, so permuting them yields an identical
+    model. A generator seeded with ``hyper.seed`` draws the head, then one
+    shuffle of the examples per epoch. The learning rate decays linearly to
+    zero over the job's ``epochs × n`` steps. A caller fitting many models
+    on overlapping texts featurizes each text once; only the ``min_count``
+    vocabulary is built per job.
+
+    The jobs run in lockstep: global step s takes one SGD step of every job
+    with more than s steps, one numpy call per operation for all of them
+    (:func:`_forward`, then the updates). Each job's embedding rows are a
+    block of one array, updated by one flat ``np.add.at``, which applies a
+    row listed twice twice, in order. Every model has the bits it gets
+    trained alone. The steps' index arrays are built a chunk of steps at a
+    time, ``_STEP_ELEMENTS`` bounding their size, and only each job's
+    embedding row ids are kept between chunks.
+    """
+    models: list[Optional[TextModel]] = []
+    fits = []  # (model index, vocab, hyper, observed ids, generator, head)
+    rows, n_rows, labels = [], [], []  # each fit's, its docs in canonical order
+    n_observed = 0
+    for examples, hyper in jobs:
+        models.append(None)
+        try:
+            docs = _training_order(examples)
+        except DegenerateTrainingError:
+            continue
+        vocab = build_vocabulary([f.tokens for f, _ in docs], hyper.min_count)
+        ids, n_ids = feature_ids([f for f, _ in docs], vocab)
+        observed = np.unique(ids)
+        # Every training id has a row, so a document's rows number its ids.
+        rows.append((np.searchsorted(observed, ids) + n_observed).astype(np.int32))
+        n_rows.append(n_ids)
+        labels.append(np.array([label for _, label in docs]))
+        rng = np.random.default_rng(hyper.seed)
+        head = rng.normal(0.0, 1.0 / np.sqrt(hyper.dim), size=(2, hyper.dim))
+        fits.append((len(models) - 1, vocab, hyper, observed, rng, head))
+        n_observed += len(observed)
+    if not fits:
+        return models
+    dims = {hyper.dim for _, _, hyper, *_ in fits}
+    if len(dims) > 1:
+        raise ValueError(f"jobs must share dim, got {sorted(dims)}")
+    (dim,) = dims
+
+    # Slot j is the fit with the j-th most steps, so the jobs a step
+    # advances are always the first slots.
+    n_docs = np.array([len(y) for y in labels])
+    totals = np.array([fit[2].epochs for fit in fits]) * n_docs
+    slots = np.argsort(-totals, kind="stable").tolist()
+    totals = totals[slots]
+    rates = np.array([fits[i][2].lr for i in slots])
+    longest = np.array([n.max() for n in n_rows])[slots]
+    first_doc = (np.cumsum(n_docs) - n_docs)[slots]
+    n_rows = np.concatenate(n_rows)
+    labels = np.concatenate(labels)
+    first_row = np.cumsum(n_rows) - n_rows
+    rows = np.concatenate(rows)
+    gens = [fits[i][4] for i in slots]
+    # Each slot's head, with its bias as one more column (see _forward).
+    params = np.zeros((len(fits), 2, dim + 1))
+    params[:, :, :-1] = [fits[i][5] for i in slots]
+    embedding = np.zeros((n_observed, dim))
+    flat = embedding.reshape(-1)
+
+    shuffles: list = [None] * len(fits)  # each slot's current epoch, as doc ids
+    start = 0
+    while start < totals[0]:
+        active = int((totals > start).sum())
+        stop = min(totals[0], start + max(1, _STEP_ELEMENTS // max(1, dim * int(longest[:active].sum()))))
+        # Each active job's doc at each step of the chunk: its epochs'
+        # shuffles, drawn in order as the steps reach them.
+        docs = np.empty((active, stop - start), np.int64)
+        for j in range(active):
+            n = int(n_docs[slots[j]])
+            step = start
+            while step < min(stop, totals[j]):
+                at = step % n
+                if at == 0:
+                    shuffles[j] = gens[j].permutation(n) + first_doc[j]
+                take = min(stop, totals[j], step + n - at) - step
+                docs[j, step - start : step - start + take] = shuffles[j][at : at + take]
+                step += take
+
+        # The chunk's entries: step after step, each active slot in turn.
+        steps = np.arange(start, stop)
+        per_step = (totals[None, :] > steps[:, None]).sum(axis=1)
+        entry_bounds = np.concatenate([[0], np.cumsum(per_step)])
+        slot = np.arange(entry_bounds[-1]) - np.repeat(entry_bounds[:-1], per_step)
+        doc = docs[slot, np.repeat(steps - start, per_step)]
+        length = n_rows[doc]
+        ends = np.cumsum(length)
+        at = np.arange(ends[-1] if len(ends) else 0) + np.repeat(first_row[doc] - (ends - length), length)
+        elem, tgt = _element_indices(rows[at], np.repeat(slot, length), dim)
+        sums = _sums(length, length, dim)
+        onehot = np.zeros((len(doc), 2, 1))
+        onehot[np.arange(len(doc)), labels[doc], 0] = 1.0
+        lr = (rates[slot] * (1.0 - np.repeat(steps, per_step) / totals[slot]))[:, None, None]
+        # -lr / rows.size: each document's embedding step per unit of dh.
+        scale = -lr / np.maximum(length, 1)[:, None, None]
+        element_bounds = (np.concatenate([[0], ends])[entry_bounds] * dim).tolist()
+        entry_bounds = entry_bounds.tolist()
+        for k, e0, e1, x0, x1 in zip(
+            per_step.tolist(), entry_bounds, entry_bounds[1:], element_bounds, element_bounds[1:]
+        ):
+            at, to = elem[x0:x1], tgt[x0:x1]
+            h, _, dz, dh = _forward(flat, at, to, sums[e0:e1], params[:k], onehot[e0:e1])
+            params[:k] -= lr[e0:e1] * (dz * h[:, None])
+            np.add.at(flat, at, (scale[e0:e1] * dh).reshape(-1)[to])
+        start = stop
+
+    slot_of = {i: j for j, i in enumerate(slots)}
+    block = 0
+    for i, (index, vocab, hyper, observed, _, _) in enumerate(fits):
+        models[index] = TextModel(
+            vocab=vocab,
+            hyper=hyper,
+            observed_ids=observed,
+            embedding=embedding[block : block + len(observed)],
+            head=params[slot_of[i], :, :-1].copy(),
+            bias=params[slot_of[i], :, -1].copy(),
+        )
+        block += len(observed)
+    return models
 
 
 def loss_and_grads(model: TextModel, examples: list[tuple[TextFeatures, int]]):
     """Mean cross-entropy over ``examples`` with analytic gradients.
 
     Returns ``(loss, d_embedding, d_head, d_bias)`` where ``d_embedding``
-    aligns with ``model.embedding`` rows. Each example runs the forward pass
-    and gradients the SGD step uses, so finite differences of this loss
-    check the training gradients themselves.
+    aligns with ``model.embedding`` rows. The examples run the forward pass
+    and gradients the SGD step uses (:func:`_forward`), so finite
+    differences of this loss check the training gradients themselves.
     """
-    d_emb = np.zeros_like(model.embedding)
-    d_head = np.zeros_like(model.head)
-    d_bias = np.zeros_like(model.bias)
-    total = 0.0
     n = len(examples)
+    dim = model.hyper.dim
     rows, n_rows, n_ids = _rows(model, [features for features, _ in examples])
-    for doc_rows, doc_ids, (_, y) in zip(np.split(rows, np.cumsum(n_rows)[:-1]), n_ids.tolist(), examples):
-        h, _, loss, dz, dh = _forward(model, doc_rows, doc_ids, y)
-        total += loss
-        d_head += dz[:, None] * h / n
-        d_bias += dz / n
-        if doc_rows.size:
-            np.add.at(d_emb, doc_rows, dh / (doc_ids * n))
-    return total / n, d_emb, d_head, d_bias
+    elem, tgt = _element_indices(rows, np.repeat(np.arange(n), n_rows), dim)
+    ys = np.array([y for _, y in examples])
+    h, p, dz, dh = _forward(
+        model.embedding.reshape(-1), elem, tgt, _sums(n_rows, n_ids, dim), _params(model), np.eye(2)[ys][:, :, None]
+    )
+    loss = -np.log(np.maximum(p[np.arange(n), ys, 0], 1e-300))
+    d_emb = np.zeros_like(model.embedding)
+    np.add.at(d_emb.reshape(-1), elem, (dh / (np.maximum(n_ids, 1)[:, None, None] * n)).reshape(-1)[tgt])
+    d_params = (dz * h[:, None] / n).sum(axis=0)
+    return float(loss.mean()), d_emb, d_params[:, :-1], d_params[:, -1]

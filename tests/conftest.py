@@ -2,8 +2,10 @@ import datetime as dt
 import glob
 import os
 
+import numpy as np
 import pytest
 
+from recaudit import textmodel
 from recaudit.corpus import ChannelRecord, Comment, RecommendationEdge, VideoRecord
 from recaudit.sources import SimulatedPlatform
 from recaudit.textmodel import featurize
@@ -54,6 +56,19 @@ def featurize_examples(examples, hyper):
     featurized with ``hyper.ngram`` and ``hyper.buckets``."""
     texts = [text for text, _ in examples]
     return list(zip(featurize(texts, hyper.ngram, hyper.buckets), [label for _, label in examples]))
+
+
+def forward_score(model, features):
+    """The positive-class probability that the SGD step's forward pass,
+    ``textmodel._forward``, gives one document alone."""
+    rows, n_rows, n_ids = textmodel._rows(model, [features])
+    dim = model.hyper.dim
+    elem, tgt = textmodel._element_indices(rows, np.zeros(len(rows), np.int64), dim)
+    sums = textmodel._sums(n_rows, n_ids, dim)
+    p = textmodel._forward(
+        model.embedding.reshape(-1), elem, tgt, sums, textmodel._params(model), np.zeros((1, 2, 1))
+    )[1]
+    return p[0, 1, 0]
 
 
 def make_edge(src, rec, rank=1, day=dt.date(2019, 6, 1)):

@@ -6,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from recaudit import ensemble as ensemble_module, parallel, store, textmodel
+from recaudit import ensemble as ensemble_module, parallel, store
 from recaudit.ensemble import (
+    FirstLayer,
     MODULE_NAMES,
     StandardizationStats,
     attribute_features,
@@ -19,14 +20,13 @@ from recaudit.ensemble import (
     train_ensemble,
     train_logistic,
     video_features,
-    _train_first_layer,
     _split_indices,
 )
 from recaudit.errors import DegenerateTrainingError, UnclassifiableVideoError
 from recaudit.sources import PlatformSpec, generate_labeled_set, generate_platform
 from recaudit.textmodel import TextHyper, featurize, predict_proba, train_text_classifier
 
-from conftest import featurize_examples, make_video
+from conftest import featurize_examples, forward_score, make_video
 
 HYPER = TextHyper(dim=8, epochs=15, min_count=2, seed=0)
 
@@ -231,6 +231,21 @@ def _pairs(labeled, indices):
     return [(f, labeled[i].label) for f, i in zip(features, indices)]
 
 
+def _first_layer_by_hand(pairs, seed):
+    """The first layer of one training side, each text module fit alone by
+    ``train_text_classifier`` and the attribute head by ``train_logistic``
+    (the fixture's sides have both classes in every module)."""
+    text_models = tuple(
+        train_text_classifier(
+            [(text, y) for f, y in pairs for text in f.texts[m]], dataclasses.replace(HYPER, seed=seed * 4 + m)
+        )
+        for m in range(len(MODULE_NAMES) - 1)
+    )
+    attributes = [(f.attributes, y) for f, y in pairs if f.attributes is not None]
+    head = train_logistic(np.vstack([a for a, _ in attributes]), [y for _, y in attributes])
+    return FirstLayer(text_models=text_models, attribute_head=head)
+
+
 class TestTrainEnsemble:
     def test_repeats_one_equals_that_repetitions_model(self, labeled_fixture):
         ensemble = train_ensemble(labeled_fixture, repeats=1, split=0.6, seed=7, text_hyper=HYPER)
@@ -238,7 +253,7 @@ class TestTrainEnsemble:
         labels = np.array([ex.label for ex in labeled_fixture])
         rng = np.random.default_rng([7, 0])
         train_idx, held_idx = _split_indices(rng, labels, 0.6)
-        layer = _train_first_layer(_pairs(labeled_fixture, train_idx), HYPER, seed=7 * 1 + 0)
+        layer = _first_layer_by_hand(_pairs(labeled_fixture, train_idx), seed=7 * 1 + 0)
         held_scores = layer.score([labeled_fixture[i].video for i in held_idx])
         rep_stats = []
         for m in range(4):
@@ -281,7 +296,7 @@ class TestTrainEnsemble:
         labels = np.array([ex.label for ex in labeled_fixture])
         rng = np.random.default_rng([7, 0])
         train_idx, held_idx = _split_indices(rng, labels, 0.6)
-        layer = _train_first_layer(_pairs(labeled_fixture, train_idx), HYPER, seed=7)
+        layer = _first_layer_by_hand(_pairs(labeled_fixture, train_idx), seed=7)
         held_scores = layer.score([labeled_fixture[i].video for i in held_idx])
         for m in range(4):
             values = np.array(
@@ -364,15 +379,15 @@ def test_helper_exception_surfaces_with_its_type(small_labeled, monkeypatch):
 
 def test_exception_in_the_main_share_stops_the_helpers(small_labeled, monkeypatch):
     main_pid = os.getpid()
-    real = ensemble_module._train_first_layer
+    real = ensemble_module._train_share
 
-    def failing_in_main(examples, hyper, seed):
+    def failing_in_main(*args):
         if os.getpid() == main_pid:
             raise ArithmeticError("refit failed")
-        return real(examples, hyper, seed)
+        return real(*args)
 
     monkeypatch.setattr(parallel, "available_cpus", lambda: 3)
-    monkeypatch.setattr(ensemble_module, "_train_first_layer", failing_in_main)
+    monkeypatch.setattr(ensemble_module, "_train_share", failing_in_main)
     with pytest.raises(ArithmeticError, match="refit failed"):
         train_ensemble(small_labeled, repeats=4, seed=3, text_hyper=SMALL_HYPER)
     # The autouse leak check then finds no helper left running.
@@ -387,8 +402,7 @@ class TestFixedAssignment:
 
     def test_results_in_task_order_with_the_first_share_in_this_process(self, monkeypatch):
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-        tasks = [lambda i=i: (i, os.getpid()) for i in range(5)]
-        results = parallel.run_tasks(tasks, [10, 6, 6, 6, 6])
+        results = parallel.run_shares(lambda share: [(i, os.getpid()) for i in share], [10, 6, 6, 6, 6])
         assert [i for i, _ in results] == list(range(5))
         pids = [pid for _, pid in results]
         assert pids[0] == pids[3] == os.getpid()
@@ -398,16 +412,17 @@ class TestFixedAssignment:
         self, small_labeled, tmp_path, monkeypatch
     ):
         log = tmp_path / "tasks.log"
-        real = ensemble_module._train_first_layer
+        real = ensemble_module._train_share
 
-        def logged(examples, hyper, seed):
-            task = "refit" if len(examples) == len(small_labeled) else f"fit{seed}"
-            with open(log, "a") as fh:
-                fh.write(f"{task} {os.getpid()}\n")
-            return real(examples, hyper, seed)
+        def logged(*args):
+            for index in args[-1]:  # the share's task indices; task 0 is the refit
+                task = "refit" if index == 0 else f"fit{index}"
+                with open(log, "a") as fh:
+                    fh.write(f"{task} {os.getpid()}\n")
+            return real(*args)
 
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-        monkeypatch.setattr(ensemble_module, "_train_first_layer", logged)
+        monkeypatch.setattr(ensemble_module, "_train_share", logged)
         maps = []
         for _ in range(2):
             log.unlink(missing_ok=True)
@@ -476,19 +491,15 @@ class TestClassifyVideo:
 
 
 def _forward_scores(layer, video):
-    """One video's module scores, each text scored alone by the
-    per-document ``_forward`` pass and its median taken by ``np.median``."""
+    """One video's module scores, each text scored alone by the SGD step's
+    forward pass (``forward_score``) and its median taken by ``np.median``."""
     (feats,) = video_features([video], HYPER)
     scores = []
     for model, texts in zip(layer.text_models, feats.texts):
         if model is None or not texts:
             scores.append(np.nan)
             continue
-        probs = []
-        for f in texts:
-            rows, _, n_ids = textmodel._rows(model, [f])
-            probs.append(textmodel._forward(model, rows, int(n_ids[0]), 1)[1][1])
-        scores.append(float(np.median(probs)))
+        scores.append(float(np.median([forward_score(model, f) for f in texts])))
     attributes = np.nan
     if layer.attribute_head is not None and feats.attributes is not None:
         coef, bias = layer.attribute_head

@@ -18,7 +18,7 @@ from recaudit.textmodel import (
     train_text_classifier,
 )
 
-from conftest import featurize_examples
+from conftest import featurize_examples, forward_score
 
 POS_DOCS = [f"hoax aliens illuminati secret {w}" for w in "one two three four five six seven eight nine ten".split()]
 NEG_DOCS = [f"cooking recipe music travel {w}" for w in "one two three four five six seven eight nine ten".split()]
@@ -44,6 +44,41 @@ def featurize_one(text: str, ngram: int, buckets: int):
     return tokens, [fnv1a64(key) % buckets for key in keys]
 
 
+def reference_train(examples, hyper):
+    """The classifier fit alone, one SGD step per numpy pass: the
+    per-model loop that ``train_text_classifiers`` must equal bit for bit."""
+    docs = sorted(examples, key=lambda doc: (doc[0].text, doc[1]))
+    vocab = build_vocabulary([f.tokens for f, _ in docs], hyper.min_count)
+    ids, n_ids = feature_ids([f for f, _ in docs], vocab)
+    ys = [label for _, label in docs]
+    observed = np.unique(ids)
+    id_rows = np.split(np.searchsorted(observed, ids), np.cumsum(n_ids)[:-1])
+    rng = np.random.default_rng(hyper.seed)
+    embedding = np.zeros((len(observed), hyper.dim))
+    head = rng.normal(0.0, 1.0 / np.sqrt(hyper.dim), size=(2, hyper.dim))
+    bias = np.zeros(2)
+    total_steps = hyper.epochs * len(docs)
+    step = 0
+    for _ in range(hyper.epochs):
+        for i in rng.permutation(len(docs)).tolist():
+            rows = id_rows[i]
+            lr = hyper.lr * (1.0 - step / total_steps)
+            step += 1
+            h = embedding[rows].sum(axis=0) / rows.size if rows.size else np.zeros(hyper.dim)
+            z = head @ h + bias
+            e = np.exp(z - max(z[0], z[1]))
+            p = e / (e[0] + e[1])
+            dz = p.copy()
+            dz[ys[i]] -= 1.0
+            dh = head.T @ dz
+            head -= lr * (dz[:, None] * h)
+            bias -= lr * dz
+            if rows.size:
+                # A row listed twice is updated twice, in order.
+                np.add.at(embedding, rows, -lr / rows.size * dh)
+    return textmodel.TextModel(vocab, hyper, observed, embedding, head, bias)
+
+
 def train(examples, hyper):
     return train_text_classifier(featurize_examples(examples, hyper), hyper)
 
@@ -58,12 +93,6 @@ def predict(model, texts):
 
 def score(model, text):
     return predict(model, [text])[0]
-
-
-def forward_score(model, features):
-    """The positive-class probability of the per-document ``_forward`` pass."""
-    rows, _, n_ids = textmodel._rows(model, [features])
-    return textmodel._forward(model, rows, int(n_ids[0]), 1)[1][1]
 
 
 class TestTokenize:
@@ -217,6 +246,57 @@ class TestTraining:
         np.testing.assert_allclose(bias1, bias2, rtol=1e-12, atol=1e-15)
 
 
+class TestLockstep:
+    """Many models fit in one lockstep loop each get the bits of the
+    per-model reference loop."""
+
+    JOBS = [
+        # (examples, hyper): different example counts, epochs, learning
+        # rates and seeds, so the jobs finish at different steps.
+        (TOY + [("", 0), ("", 1), ("alarm alarm alarm hoax hoax", 1)], HYPER),
+        (TOY[:4] + TOY[-3:], replace(HYPER, epochs=4, seed=8, lr=0.3)),
+        ([("alarm", 1), ("calm", 0), ("calm calm", 0)], replace(HYPER, epochs=40, seed=1)),
+        ([("a doc", 1), ("other doc", 1)], HYPER),  # one class: disabled
+        (TOY[::2] + [("hoax hoax hoax hoax", 1)], replace(HYPER, epochs=1, min_count=2, seed=5)),
+    ]
+
+    def assert_models_equal(self, model, reference):
+        assert model.vocab == reference.vocab and model.hyper == reference.hyper
+        for name in ("observed_ids", "embedding", "head", "bias"):
+            got, want = getattr(model, name), getattr(reference, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("step_elements", [1, 200, textmodel._STEP_ELEMENTS])
+    def test_every_model_equals_its_reference_fit(self, monkeypatch, step_elements):
+        # A bound of 1 runs every step as a chunk of its own.
+        monkeypatch.setattr(textmodel, "_STEP_ELEMENTS", step_elements)
+        jobs = [(featurize_examples(examples, hyper), hyper) for examples, hyper in self.JOBS]
+        empty, repeated = featurize(["", "alarm alarm alarm hoax hoax"], HYPER.ngram, HYPER.buckets)
+        assert feature_ids([empty], {})[0].size == 0  # a document with no feature id
+        ids = feature_ids([repeated], {"alarm": 0, "hoax": 1})[0].tolist()
+        assert len(set(ids)) < len(ids)  # a document that repeats ids
+        models = textmodel.train_text_classifiers(jobs)
+        assert len(models) == len(jobs)
+        assert models[3] is None
+        for model, (examples, hyper) in zip(models, jobs):
+            if model is not None:
+                self.assert_models_equal(model, reference_train(examples, hyper))
+
+    def test_one_job_alone_equals_the_reference(self):
+        examples = featurize_examples(TOY, HYPER)
+        self.assert_models_equal(train_text_classifier(examples, HYPER), reference_train(examples, HYPER))
+
+    def test_jobs_must_share_dim(self):
+        jobs = [(featurize_examples(TOY, hyper), hyper) for hyper in (HYPER, replace(HYPER, dim=4))]
+        with pytest.raises(ValueError, match="share dim"):
+            textmodel.train_text_classifiers(jobs)
+
+    def test_no_job_can_be_fit(self):
+        assert textmodel.train_text_classifiers([([], HYPER)]) == [None]
+        assert textmodel.train_text_classifiers([]) == []
+
+
 class TestPredict:
     def test_class_probabilities_sum_to_one(self):
         # The positive probability is one softmax component; its complement
@@ -256,8 +336,8 @@ class TestPredict:
 
 
 class TestBatchPredict:
-    """The batched forward pass gives every document the bits the
-    per-document ``_forward`` pass gives it."""
+    """The batched forward pass gives every document the bits the SGD
+    step's forward pass, ``_forward``, gives it alone."""
 
     def assert_bitwise_equal_to_forward(self, model, texts):
         feats = featurize(texts, model.hyper.ngram, model.hyper.buckets)
