@@ -219,11 +219,21 @@ def _cmd_simulate(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     return [out / name for name in outputs]
 
 
+def _read_user_seed_list(path: Path, key: str) -> list[str]:
+    """A seed list the user supplies under config ``key``. Unlike an
+    artifact's, its bytes that are not UTF-8 are a usage error naming the
+    key."""
+    try:
+        return store.read_seed_list(path)
+    except ArtifactCorruptError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _cmd_snowball(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     out = _out(config)
     source = _source(config, paths)
     (seeds_path,) = paths["seed_list"]
-    initial = store.read_seed_list(seeds_path)[: config.snowball_initial]
+    initial = _read_user_seed_list(seeds_path, "snowball.seeds_path")[: config.snowball_initial]
     result = snowball_channels(
         source,
         initial,
@@ -252,7 +262,11 @@ def _cmd_snowball(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
 
     anchors = [a.strip() for a in config.cluster_anchors.split(",") if a.strip()]
     if config.cluster_id is not None or anchors:
-        manual = [channel for path in paths["manual_additions"] for channel in store.read_seed_list(path)]
+        manual = [
+            channel
+            for path in paths["manual_additions"]
+            for channel in _read_user_seed_list(path, "manual.additions_path")
+        ]
         selected = select_seed_cluster(
             partition,
             manual_additions=manual,
@@ -430,13 +444,8 @@ def _cmd_calibrate(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
 
 
 def _parse_periods(config: PipelineConfig, snapshots) -> list[Period]:
-    if config.bubble_periods:
-        periods = []
-        for chunk in config.bubble_periods.split(","):
-            start_s, _, end_s = chunk.strip().partition(":")
-            if not end_s:
-                raise ConfigError(f"bad period {chunk!r}; expected start:end")
-            periods.append(Period(dt.date.fromisoformat(start_s), dt.date.fromisoformat(end_s)))
+    periods = config.bubble_period_list()
+    if periods:
         return periods
     first, last = snapshots[0].date, snapshots[-1].date
     total = (last - first).days + 1

@@ -15,6 +15,7 @@ reported topic.
 from __future__ import annotations
 
 import dataclasses
+import datetime as dt
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +23,7 @@ from typing import Optional
 
 from .corpus import TEXT_FIELDS
 from .errors import ConfigError
+from .metrics import Period
 
 ENV_PREFIX = "RECAUDIT_"
 # The live adapter's endpoint and credential: environment variables under
@@ -123,6 +125,27 @@ class PipelineConfig:
             raise ConfigError(f"source must be 'simulator' or 'live', got {self.source!r}")
         if self.topics_field not in TEXT_FIELDS:
             raise ConfigError(f"topics.field must be one of {TEXT_FIELDS}, got {self.topics_field!r}")
+        self.bubble_period_list()
+
+    def bubble_period_list(self) -> list[Period]:
+        """The periods ``bubble.periods`` lists, in order; none when it is
+        empty. Raises :class:`ConfigError` naming the key and the value when
+        a period is not ``start:end`` in ISO dates, or ends before it
+        starts."""
+        if not self.bubble_periods:
+            return []
+        periods = []
+        for chunk in self.bubble_periods.split(","):
+            start, _, end = chunk.strip().partition(":")
+            try:
+                if not end:
+                    raise ValueError(f"{chunk.strip()!r} has no end")
+                periods.append(Period(dt.date.fromisoformat(start), dt.date.fromisoformat(end)))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"bubble.periods must be start:end pairs of ISO dates, got {self.bubble_periods!r} ({exc})"
+                ) from None
+        return periods
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}

@@ -425,10 +425,18 @@ def write_seed_list(path: str | Path, channel_ids: list[str]) -> None:
 
 
 def read_seed_list(path: str | Path) -> list[str]:
+    """The stripped non-blank lines of a seed list. Bytes that are not
+    UTF-8 raise :class:`ArtifactCorruptError` naming ``path:line``."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"seed list {path} does not exist")
-    return [line.strip() for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ArtifactCorruptError(f"{path}:{line}: {exc}") from None
+    return [line.strip() for line in text.splitlines() if line.strip()]
 
 
 def snapshot_path(out_dir: str | Path, day: dt.date) -> Path:

@@ -368,6 +368,15 @@ class TestErrors:
         assert run(cfg, "simulate") == 1
         assert f"error: {place}: harvest.k: cannot parse 'ten'" in capsys.readouterr().err
 
+    def test_a_bad_bubble_period_is_a_usage_error_naming_key_and_value(self, workspace, capsys, monkeypatch):
+        tmp, cfg = workspace
+        monkeypatch.setenv("RECAUDIT_BUBBLE_PERIODS", "2019-13-01:2019-05-02")
+        capsys.readouterr()
+        assert run(cfg, "simulate") == 1  # refused at config load, before any stage runs
+        err = capsys.readouterr().err
+        assert err.startswith("error: bubble.periods must be ") and "'2019-13-01:2019-05-02'" in err
+        assert not (tmp / "out").exists()
+
     @pytest.mark.parametrize("damage", ["wrongly_typed", "not_utf8"])
     @pytest.mark.parametrize(
         "manifest, argv, code",
@@ -800,6 +809,34 @@ class TestCorruptArtifacts:
             capsys.readouterr()
             assert run(cfg, *argv) == 2, argv
             assert f"error: {path}:3: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+    def test_a_seeds_file_that_is_not_utf8_is_a_data_error_naming_the_line(self, workspace, capsys):
+        tmp, cfg = workspace
+        assert run(cfg, "simulate") == 0
+        path = tmp / "out" / "seeds.txt"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = b"\xff" + lines[1]
+        path.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert run(cfg, "harvest", "--date", "2019-05-01") == 2
+        assert f"error: {path}:2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, key", [("initial.txt", "snowball.seeds_path"), ("additions.txt", "manual.additions_path")]
+    )
+    def test_a_user_seed_list_that_is_not_utf8_is_a_usage_error_naming_its_key(
+        self, workspace, monkeypatch, capsys, name, key
+    ):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        _configure_snowball(tmp, out, monkeypatch, ["UCextra1"])
+        path = tmp / name
+        path.write_bytes(path.read_bytes() + b"UC\xffbad\n")
+        line = len(path.read_bytes().splitlines())
+        capsys.readouterr()
+        assert run(cfg, "snowball") == 1
+        assert f"error: {key}: {path}:{line}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
     def test_damaged_ensemble_header_is_a_data_error_naming_the_file(self, workspace, capsys):
         tmp, cfg = workspace

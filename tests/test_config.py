@@ -1,10 +1,12 @@
 import dataclasses
+import datetime as dt
 import re
 
 import pytest
 
 from recaudit.config import API_KEY_ENV, BASE_URL_ENV, PipelineConfig, load_config
 from recaudit.errors import ConfigError
+from recaudit.metrics import Period
 
 # A value each field type's range or choice checks reject.
 _BAD_VALUE = {"int": "-1", "Optional[int]": "-1", "float": "-1", "Optional[float]": "-1", "str": "nonsense"}
@@ -76,6 +78,27 @@ class TestLoadConfig:
     def test_unknown_environment_variable_rejected(self):
         with pytest.raises(ConfigError, match=r"^RECAUDIT_METRICS_ALPHA: unknown key 'metrics\.alpha'$"):
             load_config(env={"RECAUDIT_METRICS_ALPHA": "0.5"})
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "2019-13-01:2019-05-02",  # no 13th month
+            "2019-05-01",  # no end
+            "2019-05-02:2019-05-01",  # ends before it starts
+            "2019-05-01:2019-05-31,2019-06-01:june",
+        ],
+    )
+    def test_bad_bubble_periods_rejected_at_load_naming_key_and_value(self, value):
+        with pytest.raises(ConfigError, match=rf"^bubble\.periods must be .*{re.escape(repr(value))}"):
+            load_config(env={"RECAUDIT_BUBBLE_PERIODS": value})
+
+    def test_bubble_periods_parse_in_order(self):
+        config = load_config(env={"RECAUDIT_BUBBLE_PERIODS": "2019-05-01:2019-05-31, 2019-06-01:2019-06-01"})
+        assert config.bubble_period_list() == [
+            Period(dt.date(2019, 5, 1), dt.date(2019, 5, 31)),
+            Period(dt.date(2019, 6, 1), dt.date(2019, 6, 1)),
+        ]
+        assert load_config(env={}).bubble_period_list() == []
 
     def test_the_live_adapter_variables_are_not_config_keys(self):
         env = {BASE_URL_ENV: "http://localhost:8080", API_KEY_ENV: "secret"}
