@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 import sys
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional, Sequence
@@ -50,10 +51,7 @@ class TextHyper:
 
 def build_vocabulary(token_lists: list[list[str]], min_count: int) -> dict[str, int]:
     """Each word seen at least ``min_count`` times -> its index in sorted order."""
-    counts: dict[str, int] = {}
-    for tokens in token_lists:
-        for tok in tokens:
-            counts[tok] = counts.get(tok, 0) + 1
+    counts = Counter(chain.from_iterable(token_lists))
     return {w: i for i, w in enumerate(sorted(w for w, c in counts.items() if c >= min_count))}
 
 
@@ -196,9 +194,13 @@ def _forward(embedding, elem, tgt, sums, params, onehot):
 def _element_indices(rows: np.ndarray, doc_of: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_forward`'s ``elem`` and ``tgt`` for embedding rows listed
     document after document, ``doc_of`` giving each row's document."""
-    column = np.arange(dim)
-    rows = rows.astype(np.intp, copy=False)
-    return (rows[:, None] * dim + column).reshape(-1), (doc_of[:, None] * (dim + 1) + column).reshape(-1)
+    # Each row's first index, repeated once per column, plus the column.
+    columns = np.tile(np.arange(dim, dtype=np.int32), len(rows))
+    elem = np.repeat(rows.astype(np.intp) * dim, dim)
+    elem += columns
+    tgt = np.repeat(doc_of.astype(np.intp) * (dim + 1), dim)
+    tgt += columns
+    return elem, tgt
 
 
 def _sums(n_rows: np.ndarray, n_ids: np.ndarray, dim: int) -> np.ndarray:
@@ -418,9 +420,9 @@ def train_text_classifiers(
         for k, e0, e1, x0, x1 in zip(
             per_step.tolist(), entry_bounds, entry_bounds[1:], element_bounds, element_bounds[1:]
         ):
-            at, to = elem[x0:x1], tgt[x0:x1]
-            h, _, dz, dh = _forward(flat, at, to, sums[e0:e1], params[:k], onehot[e0:e1])
-            params[:k] -= lr[e0:e1] * (dz * h[:, None])
+            at, to, active_params = elem[x0:x1], tgt[x0:x1], params[:k]
+            h, _, dz, dh = _forward(flat, at, to, sums[e0:e1], active_params, onehot[e0:e1])
+            active_params -= lr[e0:e1] * (dz * h[:, None])
             np.add.at(flat, at, (scale[e0:e1] * dh).reshape(-1)[to])
         start = stop
 
