@@ -395,7 +395,7 @@ def _fit_text_module(
         if held is None:
             # Its embedding is a block of one array with the others'; a
             # copy lets that array go.
-            refit = model and replace(model, embedding=model.embedding.copy())
+            refit = None if model is None else replace(model, embedding=model.embedding.copy())
         elif model is not None:
             scores[:, m] = score_texts(model, [f.texts[m] for f, _ in held])
     return refit
@@ -429,8 +429,11 @@ def _train_share(
             continue
         rep = task - 1
         train_idx, held_idx = _split_indices(np.random.default_rng([seed, rep]), labels, split)
-        sides.append(([examples[i] for i in train_idx], seed * repeats + rep, [examples[i] for i in held_idx]))
-    held_scores = [None if held is None else np.full((len(held), len(MODULE_NAMES)), np.nan) for _, _, held in sides]
+        held = [examples[i] for i in held_idx]
+        sides.append(([examples[i] for i in train_idx], seed * repeats + rep, held))
+    held_scores = [
+        None if held is None else np.full((len(held), len(MODULE_NAMES)), np.nan) for _, _, held in sides
+    ]
     refit_models = tuple(_fit_text_module(m, sides, text_hyper, held_scores) for m in range(len(TEXT_FIELDS)))
     results = []
     for (train, _, held), scores in zip(sides, held_scores):

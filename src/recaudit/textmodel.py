@@ -307,6 +307,31 @@ def train_text_classifier(
 _STEP_ELEMENTS = 1 << 16
 
 
+class _EpochOrder:
+    """One job's documents in training order, epoch after epoch. Its
+    generator draws each epoch's shuffle when the steps first reach that
+    epoch, so the draws come in the order a loop over the job's steps makes
+    them. Document ids are offset by ``first``."""
+
+    def __init__(self, rng: np.random.Generator, n_docs: int, first: int):
+        self.rng, self.n_docs, self.first = rng, n_docs, first
+        self.shuffle = np.empty(0, np.int64)
+
+    def docs(self, start: int, stop: int) -> np.ndarray:
+        """The documents of steps ``start`` to ``stop``, which must follow
+        the steps asked for before."""
+        parts = []
+        step = start
+        while step < stop:
+            at = step % self.n_docs
+            if at == 0:
+                self.shuffle = self.rng.permutation(self.n_docs) + self.first
+            take = min(stop - step, self.n_docs - at)
+            parts.append(self.shuffle[at : at + take])
+            step += take
+        return np.concatenate(parts) if parts else np.empty(0, np.int64)
+
+
 def train_text_classifiers(
     jobs: Iterable[tuple[list[tuple[TextFeatures, int]], TextHyper]],
 ) -> list[Optional[TextModel]]:
@@ -328,14 +353,15 @@ def train_text_classifiers(
     (:func:`_forward`, then the updates). Each job's embedding rows are a
     block of one array, updated by one flat ``np.add.at``, which applies a
     row listed twice twice, in order. Every model has the bits it gets
-    trained alone. The steps' index arrays are built a chunk of steps at a
-    time, ``_STEP_ELEMENTS`` bounding their size, and only each job's
-    embedding row ids are kept between chunks.
+    trained alone; the models' embeddings are views of that one array. The
+    steps' index arrays are built a chunk of steps at a time, bounded by
+    ``_STEP_ELEMENTS``; between chunks only each job's embedding row ids
+    are kept.
     """
     models: list[Optional[TextModel]] = []
-    fits = []  # (model index, vocab, hyper, observed ids, generator, head)
+    fits = []  # (model index, vocab, hyper, observed ids, epoch order, head)
     rows, n_rows, labels = [], [], []  # each fit's, its docs in canonical order
-    n_observed = 0
+    n_observed = n_docs = 0
     for examples, hyper in jobs:
         models.append(None)
         try:
@@ -351,8 +377,9 @@ def train_text_classifiers(
         labels.append(np.array([label for _, label in docs]))
         rng = np.random.default_rng(hyper.seed)
         head = rng.normal(0.0, 1.0 / np.sqrt(hyper.dim), size=(2, hyper.dim))
-        fits.append((len(models) - 1, vocab, hyper, observed, rng, head))
+        fits.append((len(models) - 1, vocab, hyper, observed, _EpochOrder(rng, len(docs), n_docs), head))
         n_observed += len(observed)
+        n_docs += len(docs)
     if not fits:
         return models
     dims = {hyper.dim for _, _, hyper, *_ in fits}
@@ -362,49 +389,38 @@ def train_text_classifiers(
 
     # Slot j is the fit with the j-th most steps, so the jobs a step
     # advances are always the first slots.
-    n_docs = np.array([len(y) for y in labels])
-    totals = np.array([fit[2].epochs for fit in fits]) * n_docs
+    totals = np.array([hyper.epochs * order.n_docs for _, _, hyper, _, order, _ in fits])
     slots = np.argsort(-totals, kind="stable").tolist()
     totals = totals[slots]
     rates = np.array([fits[i][2].lr for i in slots])
+    orders = [fits[i][4] for i in slots]
     longest = np.array([n.max() for n in n_rows])[slots]
-    first_doc = (np.cumsum(n_docs) - n_docs)[slots]
     n_rows = np.concatenate(n_rows)
-    labels = np.concatenate(labels)
     first_row = np.cumsum(n_rows) - n_rows
     rows = np.concatenate(rows)
-    gens = [fits[i][4] for i in slots]
+    labels = np.concatenate(labels)
     # Each slot's head, with its bias as one more column (see _forward).
     params = np.zeros((len(fits), 2, dim + 1))
     params[:, :, :-1] = [fits[i][5] for i in slots]
     embedding = np.zeros((n_observed, dim))
     flat = embedding.reshape(-1)
 
-    shuffles: list = [None] * len(fits)  # each slot's current epoch, as doc ids
     start = 0
     while start < totals[0]:
         active = int((totals > start).sum())
         stop = min(totals[0], start + max(1, _STEP_ELEMENTS // max(1, dim * int(longest[:active].sum()))))
-        # Each active job's doc at each step of the chunk: its epochs'
-        # shuffles, drawn in order as the steps reach them.
-        docs = np.empty((active, stop - start), np.int64)
+        # The chunk's entries, step after step and each active slot in turn:
+        # the document each takes, its embedding rows and its learning rate.
+        order = np.empty((active, stop - start), np.int64)
         for j in range(active):
-            n = int(n_docs[slots[j]])
-            step = start
-            while step < min(stop, totals[j]):
-                at = step % n
-                if at == 0:
-                    shuffles[j] = gens[j].permutation(n) + first_doc[j]
-                take = min(stop, totals[j], step + n - at) - step
-                docs[j, step - start : step - start + take] = shuffles[j][at : at + take]
-                step += take
-
-        # The chunk's entries: step after step, each active slot in turn.
+            end = min(stop, totals[j])
+            order[j, : end - start] = orders[j].docs(start, end)
         steps = np.arange(start, stop)
         per_step = (totals[None, :] > steps[:, None]).sum(axis=1)
         entry_bounds = np.concatenate([[0], np.cumsum(per_step)])
         slot = np.arange(entry_bounds[-1]) - np.repeat(entry_bounds[:-1], per_step)
-        doc = docs[slot, np.repeat(steps - start, per_step)]
+        step = np.repeat(steps, per_step)
+        doc = order[slot, step - start]
         length = n_rows[doc]
         ends = np.cumsum(length)
         at = np.arange(ends[-1] if len(ends) else 0) + np.repeat(first_row[doc] - (ends - length), length)
@@ -412,7 +428,7 @@ def train_text_classifiers(
         sums = _sums(length, length, dim)
         onehot = np.zeros((len(doc), 2, 1))
         onehot[np.arange(len(doc)), labels[doc], 0] = 1.0
-        lr = (rates[slot] * (1.0 - np.repeat(steps, per_step) / totals[slot]))[:, None, None]
+        lr = (rates[slot] * (1.0 - step / totals[slot]))[:, None, None]
         # -lr / rows.size: each document's embedding step per unit of dh.
         scale = -lr / np.maximum(length, 1)[:, None, None]
         element_bounds = (np.concatenate([[0], ends])[entry_bounds] * dim).tolist()
@@ -420,10 +436,10 @@ def train_text_classifiers(
         for k, e0, e1, x0, x1 in zip(
             per_step.tolist(), entry_bounds, entry_bounds[1:], element_bounds, element_bounds[1:]
         ):
-            at, to, active_params = elem[x0:x1], tgt[x0:x1], params[:k]
-            h, _, dz, dh = _forward(flat, at, to, sums[e0:e1], active_params, onehot[e0:e1])
-            active_params -= lr[e0:e1] * (dz * h[:, None])
-            np.add.at(flat, at, (scale[e0:e1] * dh).reshape(-1)[to])
+            step_elem, step_tgt, step_params = elem[x0:x1], tgt[x0:x1], params[:k]
+            h, _, dz, dh = _forward(flat, step_elem, step_tgt, sums[e0:e1], step_params, onehot[e0:e1])
+            step_params -= lr[e0:e1] * (dz * h[:, None])
+            np.add.at(flat, step_elem, (scale[e0:e1] * dh).reshape(-1)[step_tgt])
         start = stop
 
     slot_of = {i: j for j, i in enumerate(slots)}
@@ -455,7 +471,8 @@ def loss_and_grads(model: TextModel, examples: list[tuple[TextFeatures, int]]):
     elem, tgt = _element_indices(rows, np.repeat(np.arange(n), n_rows), dim)
     ys = np.array([y for _, y in examples])
     h, p, dz, dh = _forward(
-        model.embedding.reshape(-1), elem, tgt, _sums(n_rows, n_ids, dim), _params(model), np.eye(2)[ys][:, :, None]
+        model.embedding.reshape(-1), elem, tgt, _sums(n_rows, n_ids, dim), _params(model),
+        np.eye(2)[ys][:, :, None],
     )
     loss = -np.log(np.maximum(p[np.arange(n), ys, 0], 1e-300))
     d_emb = np.zeros_like(model.embedding)

@@ -237,7 +237,8 @@ def _first_layer_by_hand(pairs, seed):
     (the fixture's sides have both classes in every module)."""
     text_models = tuple(
         train_text_classifier(
-            [(text, y) for f, y in pairs for text in f.texts[m]], dataclasses.replace(HYPER, seed=seed * 4 + m)
+            [(text, y) for f, y in pairs for text in f.texts[m]],
+            dataclasses.replace(HYPER, seed=seed * 4 + m),
         )
         for m in range(len(MODULE_NAMES) - 1)
     )
