@@ -15,10 +15,11 @@ side is scored, standardized and used to fit the stacking logistic; the
 stacking coefficients reported are the element-wise mean over all
 repetitions, and the shipped modules are refit on the full labeled set. The
 refit and the repetitions are split into one share per available CPU. Each
-process fits all the text models of its share in one lockstep SGD loop
+process fits each text module for its whole share in one lockstep SGD loop
 (``textmodel.train_text_classifiers``), each model with the bits it gets
-trained alone, then fits the attribute heads, scores the held-out sides and
-fits the stacking layers repetition by repetition.
+trained alone; a repetition's model scores its held-out side and is
+dropped before the next module is fit. The process then fits the attribute
+heads and the stacking layers repetition by repetition.
 """
 
 from __future__ import annotations
@@ -463,8 +464,8 @@ def train_ensemble(
     once, up front; the repetitions and the refit reuse those features.
     They are independent tasks, spread over every available CPU by
     :func:`parallel.run_shares` and summed in repetition order, so the
-    ensemble does not depend on the CPU count. Each process fits the text
-    models of its whole share in one lockstep loop (:func:`_train_share`).
+    ensemble does not depend on the CPU count. Each process fits each text
+    module for its whole share in one lockstep loop (:func:`_train_share`).
     A task's cost is the size of its training side, so the refit, the
     costliest, always runs in the calling process.
     """

@@ -6,8 +6,8 @@ main process runs one share itself; each other share runs in a helper
 forked from it, which inherits the tasks' inputs and sends back only its
 results. Which process runs which task depends only on the task costs and
 the CPU count, never on timing, so the main process makes the same calls on
-every run. Results come back in task order, so a caller that
-combines them in that order gets the same bytes on any number of CPUs.
+every run. Results come back in task order, so a caller that combines them
+in that order gets the same bytes on any number of CPUs.
 
 Helpers are forked, not spawned, so they share the inputs without pickling
 them and start without importing anything. That is safe because the program
