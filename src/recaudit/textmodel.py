@@ -177,10 +177,11 @@ def _forward(embedding, elem, tgt, sums, params, onehot):
     Returns the document vectors ``h`` ``(k, dim + 1)`` with a last column
     of ones, the class probabilities ``p`` ``(k, 2, 1)`` by the written-out
     two-way softmax, and the gradients ``dz = p - onehot`` with respect to
-    the logits and ``dh = head.T @ dz`` ``(k, dim, 1)`` with respect to
-    ``h``; ``dz * h`` is the gradient with respect to ``params``. The SGD
-    step and ``loss_and_grads`` run this pass; :func:`predict_proba` gives
-    the same bits.
+    the logits and ``dh = params.T @ dz`` ``(k, dim + 1, 1)`` with respect
+    to ``h`` (its last entry, for the column of ones, goes unused);
+    ``dz * h`` is the gradient with respect to ``params``. The SGD step and
+    ``loss_and_grads`` run this pass; :func:`predict_proba` gives the same
+    bits.
     """
     np.add.at(sums.reshape(-1), tgt, embedding[elem])
     h = sums / sums[:, -1:]
