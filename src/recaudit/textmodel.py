@@ -319,8 +319,8 @@ class _EpochOrder:
         self.shuffle = np.empty(0, np.int64)
 
     def docs(self, start: int, stop: int) -> np.ndarray:
-        """The documents of steps ``start`` to ``stop``, which must follow
-        the steps asked for before."""
+        """The documents of steps ``start`` to ``stop`` (at least one step),
+        which must follow the steps asked for before."""
         parts = []
         step = start
         while step < stop:
@@ -330,7 +330,7 @@ class _EpochOrder:
             take = min(stop - step, self.n_docs - at)
             parts.append(self.shuffle[at : at + take])
             step += take
-        return np.concatenate(parts) if parts else np.empty(0, np.int64)
+        return np.concatenate(parts)
 
 
 def train_text_classifiers(
