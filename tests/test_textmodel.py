@@ -258,6 +258,8 @@ class TestLockstep:
         ([("alarm", 1), ("calm", 0), ("calm calm", 0)], replace(HYPER, epochs=40, seed=1)),
         ([("a doc", 1), ("other doc", 1)], HYPER),  # one class: disabled
         (TOY[::2] + [("hoax hoax hoax hoax", 1)], replace(HYPER, epochs=1, min_count=2, seed=5)),
+        ([("", 0), ("", 1)], HYPER),  # no feature id at all
+        (TOY[:5] + TOY[-5:], replace(HYPER, epochs=0)),  # no step: the initial model
     ]
 
     def assert_models_equal(self, model, reference):
