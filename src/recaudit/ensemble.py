@@ -18,8 +18,11 @@ refit and the repetitions are split into one share per available CPU. Each
 process fits each text module for its whole share in one lockstep SGD loop
 (``textmodel.train_text_classifiers``), each model with the bits it gets
 trained alone; a repetition's model scores its held-out side and is
-dropped before the next module is fit. The process then fits the attribute
-heads and the stacking layers repetition by repetition.
+dropped before the next module is fit. The process then fits all its
+attribute heads in one gradient-descent loop and, once they have scored,
+all its stacking layers in another (``train_logistics``, again each fit
+with the bits it gets alone). The attribute summaries of a batch of videos
+are computed together, grouped by their count of scored comments.
 """
 
 from __future__ import annotations
@@ -83,23 +86,44 @@ def score_texts(model: TextModel, groups: Sequence[Sequence[TextFeatures]]) -> n
 _PAIR_I, _PAIR_J = np.triu_indices(7, k=1)
 
 
-def attribute_features(vectors: Sequence[Sequence[float]]) -> Optional[np.ndarray]:
+def attribute_features(vectors: Sequence[Optional[Sequence[float]]]) -> Optional[np.ndarray]:
     """35-D summary of per-comment attribute vectors.
 
     Layout: the 7 per-attribute medians, then the 7 population standard
     deviations, then the 21 medians of per-comment pairwise products in
-    (i < j) attribute order. None when no comment was scored.
+    (i < j) attribute order. None when no comment was scored. One video's
+    summary is a batch of one (:func:`_attribute_summaries`).
     """
-    rows = [np.asarray(v, dtype=float) for v in vectors if v is not None]
-    if not rows:
-        return None
-    V = np.vstack(rows)
-    if V.shape[1] != 7:
-        raise ValueError(f"attribute vectors must have 7 entries, got {V.shape[1]}")
-    medians = np.median(V, axis=0)
-    stds = np.std(V, axis=0)
-    products = np.median(V[:, _PAIR_I] * V[:, _PAIR_J], axis=0)
-    return np.concatenate([medians, stds, products])
+    (summary,) = _attribute_summaries([vectors])
+    return summary
+
+
+def _attribute_summaries(
+    videos: Sequence[Sequence[Optional[Sequence[float]]]],
+) -> list[Optional[np.ndarray]]:
+    """Each video's :func:`attribute_features`, from the attribute vectors
+    of its comments (None for an unscored comment). Videos with the same
+    count of scored comments are stacked as one ``(videos, comments, 7)``
+    array and summarized together. numpy reduces each video's comments, along
+    axis 1, in the order it reduces them along axis 0 of that video alone, so
+    every summary has the bits it gets alone."""
+    scored = [[v for v in vectors if v is not None] for vectors in videos]
+    by_count: dict[int, list[int]] = {}
+    for i, rows in enumerate(scored):
+        if rows:
+            by_count.setdefault(len(rows), []).append(i)
+    summaries: list[Optional[np.ndarray]] = [None] * len(videos)
+    for members in by_count.values():
+        V = np.array([scored[i] for i in members], dtype=float)
+        if V.shape[2:] != (7,):
+            raise ValueError(f"attribute vectors must have 7 entries, got shape {V.shape[2:]}")
+        products = V[:, :, _PAIR_I] * V[:, :, _PAIR_J]
+        stacked = np.concatenate(
+            [np.median(V, axis=1), np.std(V, axis=1), np.median(products, axis=1)], axis=1
+        )
+        for i, summary in zip(members, stacked):
+            summaries[i] = summary
+    return summaries
 
 
 @dataclass(frozen=True)
@@ -115,17 +139,19 @@ class VideoFeatures:
 
 def video_features(videos: Sequence[VideoRecord], hyper: TextHyper) -> list[VideoFeatures]:
     """Featurize the videos' texts with ``hyper.ngram`` and ``hyper.buckets``,
-    all in one batch, and summarize each video's comment attribute vectors."""
+    all in one batch, and summarize the videos' comment attribute vectors,
+    all in one pass (:func:`_attribute_summaries`)."""
     texts = [video.texts() for video in videos]
     featurized = iter(
         featurize([t for modules in texts for group in modules for t in group], hyper.ngram, hyper.buckets)
     )
+    summaries = _attribute_summaries([[c.attribute_scores for c in video.comments] for video in videos])
     return [
         VideoFeatures(
             texts=tuple(tuple(islice(featurized, len(group))) for group in modules),
-            attributes=attribute_features([c.attribute_scores for c in video.comments]),
+            attributes=summary,
         )
-        for video, modules in zip(videos, texts)
+        for modules, summary in zip(texts, summaries)
     ]
 
 
@@ -134,18 +160,109 @@ def video_features(videos: Sequence[VideoRecord], hyper: TextHyper) -> list[Vide
 # ---------------------------------------------------------------------------
 
 
-def logistic_loss_and_grad(
-    w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float
-):
+def logistic_loss_and_grad(w: np.ndarray, b, X: np.ndarray, y: np.ndarray, l2: float):
     """Mean logistic loss with an L2 penalty on the weights (not the bias),
-    plus its analytic gradient. Labels are 0/1."""
+    plus its analytic gradient. Labels are 0/1.
+
+    One fit (``w`` of shape (d,), a float ``b``, ``X`` (n, d), ``y`` (n,))
+    or a stack of k fits of one shape, each argument with a leading axis of
+    k. Each fit of a stack gets the bits it gets alone: a stacked product
+    ``(k, n, d) @ (k, d, 1)`` makes each fit's BLAS matrix-vector call, and
+    so does the transposed view ``(k, d, n) @ (k, n, 1)``; a sum along rows
+    adds each row as a 1-D sum does. Each mean is ``np.mean``'s arithmetic:
+    the sum, divided by the count."""
+    n = X.shape[-2]
     s = 2.0 * y - 1.0  # {-1, +1}
-    z = X @ w + b
-    loss = float(np.mean(np.logaddexp(0.0, -s * z))) + 0.5 * l2 * float(w @ w)
+    z = (X @ w[..., None])[..., 0] + np.asarray(b)[..., None]
+    penalty = 0.5 * l2 * (w[..., None, :] @ w[..., None])[..., 0, 0]
+    loss = np.add.reduce(np.logaddexp(0.0, -s * z), axis=-1) / n + penalty
     r = -s / (1.0 + np.exp(s * z))  # d loss_i / d z_i
-    gw = X.T @ r / len(y) + l2 * w
-    gb = float(np.mean(r))
+    gw = (X.swapaxes(-1, -2) @ r[..., None])[..., 0] / n + l2 * w
+    gb = np.add.reduce(r, axis=-1) / n
     return loss, gw, gb
+
+
+def train_logistics(
+    problems: Sequence[tuple[Sequence[Sequence[float]], Sequence[int]]],
+    l2: float = 1e-3,
+    tol: float = 1e-6,
+    max_iter: int = 200_000,
+) -> list[Optional[tuple[np.ndarray, float]]]:
+    """Fit L2-regularized logistic regression by gradient descent on each
+    (features, labels) problem; None for a problem whose labels are of one
+    class.
+
+    Backtracking line search with step growth; each fit iterates until its
+    gradient norm falls below ``tol``. Deterministic (zero start, no
+    randomness). Problems of one shape are fit in one loop (:func:`_descend`),
+    each with the bits it gets fit alone.
+    """
+    checked: list[Optional[tuple[np.ndarray, np.ndarray]]] = []
+    for features, labels in problems:
+        X = np.asarray(features, dtype=float)
+        y = np.asarray(labels, dtype=float)
+        if X.ndim != 2 or len(X) != len(y):
+            raise ValueError("features must be a matrix aligned with labels")
+        if not np.isfinite(X).all():
+            raise ValueError("features must be finite")
+        if set(np.unique(y)) - {0.0, 1.0}:
+            raise ValueError("labels must be 0 or 1")
+        checked.append((X, y) if len(set(y.tolist())) == 2 else None)
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, problem in enumerate(checked):
+        if problem is not None:
+            by_shape.setdefault(problem[0].shape, []).append(i)
+    fits: list[Optional[tuple[np.ndarray, float]]] = [None] * len(checked)
+    for members in by_shape.values():
+        X = np.stack([checked[i][0] for i in members])
+        y = np.stack([checked[i][1] for i in members])
+        for i, w, b in zip(members, *_descend(X, y, l2, tol, max_iter)):
+            fits[i] = (w, float(b))
+    return fits
+
+
+def _descend(
+    X: np.ndarray, y: np.ndarray, l2: float, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The weights (k, d) and biases (k,) of k fits of one shape, features
+    ``X`` (k, n, d) and labels ``y`` (k, n), by gradient descent in lockstep.
+    Each round evaluates every unfinished fit at its trial point in one
+    stacked :func:`logistic_loss_and_grad`; each fit then accepts its step
+    and doubles it, or halves it, as it does alone, and stops on its own."""
+    k, _, d = X.shape
+    out_w, out_b = np.empty((k, d)), np.empty(k)
+    fit = np.arange(k)  # the index of each unfinished fit
+    w, b, step, steps = np.zeros((k, d)), np.zeros(k), np.ones(k), np.zeros(k, dtype=np.int64)
+    loss, gw, gb = logistic_loss_and_grad(w, b, X, y, l2)
+    moved = np.ones(k, dtype=bool)  # a fit is tested for convergence after each step it takes
+    while True:
+        if moved.any():
+            if steps.max() >= max_iter:
+                raise ArithmeticError(f"gradient descent did not reach tolerance {tol}")
+            gnorm_sq = (gw[:, None, :] @ gw[:, :, None])[:, 0, 0] + gb * gb
+            done = moved & (np.sqrt(gnorm_sq) < tol)
+            if done.any():
+                out_w[fit[done]], out_b[fit[done]] = w[done], b[done]
+                if done.all():
+                    return out_w, out_b
+                left = ~done
+                fit, X, y, w, b, step, steps, loss, gw, gb, gnorm_sq = (
+                    a[left] for a in (fit, X, y, w, b, step, steps, loss, gw, gb, gnorm_sq)
+                )
+        w_new = w - step[:, None] * gw
+        b_new = b - step * gb
+        loss_new, gw_new, gb_new = logistic_loss_and_grad(w_new, b_new, X, y, l2)
+        moved = loss_new <= loss - 1e-4 * step * gnorm_sq
+        if moved.all():
+            w, b, loss, gw, gb = w_new, b_new, loss_new, gw_new, gb_new
+        elif moved.any():
+            w, gw = np.where(moved[:, None], w_new, w), np.where(moved[:, None], gw_new, gw)
+            b, gb = np.where(moved, b_new, b), np.where(moved, gb_new, gb)
+            loss = np.where(moved, loss_new, loss)
+        step = step * np.where(moved, 2.0, 0.5)  # exact: a power of two
+        if step.min() < 1e-18:
+            raise ArithmeticError("line search stalled before reaching tolerance")
+        steps += moved
 
 
 def train_logistic(
@@ -155,44 +272,12 @@ def train_logistic(
     tol: float = 1e-6,
     max_iter: int = 200_000,
 ) -> tuple[np.ndarray, float]:
-    """Fit L2-regularized logistic regression by gradient descent.
-
-    Backtracking line search with step growth; iterates until the gradient
-    norm falls below ``tol``. Deterministic (zero start, no randomness).
-    """
-    X = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if X.ndim != 2 or len(X) != len(y):
-        raise ValueError("features must be a matrix aligned with labels")
-    if not np.isfinite(X).all():
-        raise ValueError("features must be finite")
-    if set(np.unique(y)) - {0.0, 1.0}:
-        raise ValueError("labels must be 0 or 1")
-    if len(set(y.tolist())) < 2:
+    """One fit of :func:`train_logistics`. Raises
+    :class:`DegenerateTrainingError` when the labels are of one class."""
+    (fit,) = train_logistics([(features, labels)], l2, tol, max_iter)
+    if fit is None:
         raise DegenerateTrainingError("need both classes to fit a logistic model")
-
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    step = 1.0
-    loss, gw, gb = logistic_loss_and_grad(w, b, X, y, l2)
-    for _ in range(max_iter):
-        gnorm_sq = float(gw @ gw) + gb * gb
-        if np.sqrt(gnorm_sq) < tol:
-            break
-        while True:
-            w_new = w - step * gw
-            b_new = b - step * gb
-            loss_new, gw_new, gb_new = logistic_loss_and_grad(w_new, b_new, X, y, l2)
-            if loss_new <= loss - 1e-4 * step * gnorm_sq:
-                break
-            step *= 0.5
-            if step < 1e-18:
-                raise ArithmeticError("line search stalled before reaching tolerance")
-        w, b, loss, gw, gb = w_new, b_new, loss_new, gw_new, gb_new
-        step *= 2.0
-    else:
-        raise ArithmeticError(f"gradient descent did not reach tolerance {tol}")
-    return w, b
+    return fit
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -239,18 +324,15 @@ class FirstLayer:
         return scores
 
 
-def _attribute_head(examples: Sequence[tuple[VideoFeatures, int]]) -> Optional[tuple[np.ndarray, float]]:
-    """The attribute module fit on one training side; None, disabled, when
-    no video of the side has scored comments or those videos are of one
-    class."""
-    attr_rows = [f.attributes for f, _ in examples if f.attributes is not None]
-    attr_labels = [y for f, y in examples if f.attributes is not None]
-    if not attr_rows:
-        return None
-    try:
-        return train_logistic(np.vstack(attr_rows), attr_labels)
-    except DegenerateTrainingError:
-        return None
+def _attribute_heads(
+    trains: Sequence[Sequence[tuple[VideoFeatures, int]]],
+) -> list[Optional[tuple[np.ndarray, float]]]:
+    """The attribute module fit on each training side, all the fits in one
+    call of :func:`train_logistics`; None, disabled, where no video of the
+    side has scored comments or those videos are of one class."""
+    sides = [[(f.attributes, y) for f, y in train if f.attributes is not None] for train in trains]
+    fits = iter(train_logistics([(np.vstack([a for a, _ in s]), [y for _, y in s]) for s in sides if s]))
+    return [next(fits) if side else None for side in sides]
 
 
 def _attribute_scores(
@@ -357,23 +439,16 @@ def _split_indices(
     raise DegenerateTrainingError("could not draw a split with both classes on both sides")
 
 
-def _stacking(
-    held_scores: np.ndarray, held_labels: Sequence[int], l2: float
-) -> tuple[np.ndarray, float, list[Optional[tuple[float, float]]]]:
-    """Standardize a repetition's held-out module scores (stats from the
-    held-out side) and fit the stacking logistic on them. Returns the
-    stacking coefficients, bias and this repetition's standardization
-    stats."""
+def _standardization(held_scores: np.ndarray) -> StandardizationStats:
+    """The standardization stats of a repetition's held-out module scores:
+    each module's mean and population std over its non-NaN scores; None
+    for a module with fewer than two scores, or with a std of 0."""
     rep_stats: list[Optional[tuple[float, float]]] = []
     for column in held_scores.T:
         values = column[~np.isnan(column)]
-        if len(values) >= 2 and float(np.std(values)) > 0:
-            rep_stats.append((float(np.mean(values)), float(np.std(values))))
-        else:
-            rep_stats.append(None)
-    stats = StandardizationStats(stats=tuple(rep_stats))
-    coef, bias = train_logistic(stats.standardize(held_scores), held_labels, l2=l2)
-    return coef, bias, rep_stats
+        std = float(np.std(values)) if len(values) >= 2 else 0.0
+        rep_stats.append((float(np.mean(values)), std) if std > 0 else None)
+    return StandardizationStats(stats=tuple(rep_stats))
 
 
 def _fit_text_module(
@@ -415,14 +490,18 @@ def _train_share(
     """The results of one process's share of the protocol's tasks. Task 0
     is the refit of the four modules on the full labeled set; its result is
     that first layer. Task ``rep + 1`` is repetition ``rep``: the modules
-    fit on its ``split`` side score its held-out side, and its result is
-    the stacking layer fit on those scores (:func:`_stacking`).
+    fit on its ``split`` side score its held-out side, which gives the
+    repetition's standardization stats (:func:`_standardization`); its
+    result is the stacking layer fit on the standardized scores, as
+    ``(coefficients, bias, stats)``.
 
     Each text module is fit for the whole share at once
     (:func:`_fit_text_module`), so each process runs one lockstep SGD loop
     per module. A repetition's text models are dropped once they have
     scored, so the share holds one module's models at a time besides the
-    refit's."""
+    refit's. The share's attribute heads are then fit in one call of
+    :func:`train_logistics`, and after they have scored, so are its
+    stacking layers."""
     sides = []  # (training side, layer seed, held-out side or None)
     for task in share:
         if task == 0:
@@ -436,15 +515,19 @@ def _train_share(
         None if held is None else np.full((len(held), len(MODULE_NAMES)), np.nan) for _, _, held in sides
     ]
     refit_models = tuple(_fit_text_module(m, sides, text_hyper, held_scores) for m in range(len(TEXT_FIELDS)))
-    results = []
-    for (train, _, held), scores in zip(sides, held_scores):
-        head = _attribute_head(train)
-        if held is None:
-            results.append(FirstLayer(text_models=refit_models, attribute_head=head))
-            continue
-        scores[:, -1] = _attribute_scores(head, [f for f, _ in held])
-        results.append(_stacking(scores, [y for _, y in held], l2))
-    return results
+    heads = _attribute_heads([train for train, _, _ in sides])
+    stacking = []  # (stats, standardized held-out scores, held-out labels) per repetition
+    for (_, _, held), scores, head in zip(sides, held_scores, heads):
+        if held is not None:
+            scores[:, -1] = _attribute_scores(head, [f for f, _ in held])
+            stats = _standardization(scores)
+            stacking.append((stats, stats.standardize(scores), [y for _, y in held]))
+    fits = train_logistics([(z, y) for _, z, y in stacking], l2=l2)
+    layers = iter((coef, bias, stats.stats) for (stats, _, _), (coef, bias) in zip(stacking, fits))
+    return [
+        FirstLayer(text_models=refit_models, attribute_head=head) if held is None else next(layers)
+        for (_, _, held), head in zip(sides, heads)
+    ]
 
 
 def train_ensemble(
@@ -457,8 +540,8 @@ def train_ensemble(
 ) -> TrainedEnsemble:
     """Run the repeated-split protocol and average the stacking models.
 
-    Each repetition fits a stacking logistic on held-out scores
-    (:func:`_stacking`). The final stacking coefficients and
+    Each repetition fits a stacking logistic on its standardized held-out
+    scores (:func:`_train_share`). The final stacking coefficients and
     standardization stats are means over repetitions; the shipped first
     layer is refit once on the full labeled set. Each video is featurized
     once, up front; the repetitions and the refit reuse those features.

@@ -1,12 +1,15 @@
+import builtins
 import dataclasses
 import datetime as dt
 import hashlib
+import math
 import os
 
 import numpy as np
 import pytest
 
 from recaudit import ensemble as ensemble_module, parallel, store
+from recaudit.corpus import Comment
 from recaudit.ensemble import (
     FirstLayer,
     MODULE_NAMES,
@@ -19,6 +22,7 @@ from recaudit.ensemble import (
     score_texts,
     train_ensemble,
     train_logistic,
+    train_logistics,
     video_features,
     _split_indices,
 )
@@ -159,6 +163,86 @@ class TestAttributeFeatures:
         assert out[7] == pytest.approx(0.5)  # divisor n, not n-1
 
 
+def per_video_summary(vectors):
+    """Reference: one video's 35-D summary by numpy on that video's own
+    (comments, 7) array, the reductions along axis 0."""
+    rows = [np.asarray(v, dtype=float) for v in vectors if v is not None]
+    if not rows:
+        return None
+    V = np.vstack(rows)
+    i, j = np.triu_indices(7, k=1)
+    return np.concatenate([np.median(V, axis=0), np.std(V, axis=0), np.median(V[:, i] * V[:, j], axis=0)])
+
+
+class TestAttributeSummaries:
+    """A batch's summaries, grouped by comment count, equal each video's
+    summarized alone, bit for bit."""
+
+    @staticmethod
+    def assert_each_equals_its_video_alone(videos):
+        batch = ensemble_module._attribute_summaries(videos)
+        assert len(batch) == len(videos)
+        for vectors, got in zip(videos, batch):
+            alone, reference = attribute_features(vectors), per_video_summary(vectors)
+            if reference is None:
+                assert got is None and alone is None
+            else:
+                assert got.shape == (35,)
+                assert got.tobytes() == alone.tobytes() == reference.tobytes()
+
+    def test_counts_nones_and_zero_stds(self):
+        rng = np.random.default_rng(21)
+        a = tuple(rng.random(7))
+        constant_column = [tuple(np.r_[0.25, rng.random(6)]) for _ in range(5)]
+        videos = [
+            [],  # no comments
+            [None, None],  # none scored
+            [tuple(rng.random(7))],  # one comment
+            [a] * 4,  # every std 0
+            [a, None, a, None, a],  # std 0, odd count, unscored comments mixed in
+            constant_column,  # one attribute's std 0
+            *([tuple(rng.random(7)) for _ in range(count)] for count in (2, 3, 4, 5, 6, 7, 12, 13)),
+            [None, *(tuple(rng.random(7)) for _ in range(4)), None, tuple(rng.random(7))],
+            [tuple(rng.random(7)) for _ in range(3)],  # a second video of count 3
+            [tuple(np.round(rng.random(7), 1)) for _ in range(6)],  # ties in the medians
+        ]
+        summaries = ensemble_module._attribute_summaries(videos)
+        assert np.all(summaries[3][7:14] == 0.0) and summaries[5][7] == 0.0
+        self.assert_each_equals_its_video_alone(videos)
+
+    def test_batch_of_one(self):
+        rng = np.random.default_rng(22)
+        for count in (1, 2, 9):
+            self.assert_each_equals_its_video_alone([[tuple(rng.random(7)) for _ in range(count)]])
+        self.assert_each_equals_its_video_alone([[None]])
+
+    def test_random_batch(self):
+        rng = np.random.default_rng(23)
+        videos = [
+            [None if rng.random() < 0.1 else tuple(rng.random(7)) for _ in range(rng.integers(0, 61))]
+            for _ in range(600)
+        ]
+        self.assert_each_equals_its_video_alone(videos)
+
+    def test_video_features_summarizes_each_video_as_alone(self):
+        rng = np.random.default_rng(24)
+        videos = [
+            make_video(f"v{i}", comments=[Comment(text="words", attribute_scores=tuple(rng.random(7)))
+                                          for _ in range(i % 6)])
+            for i in range(20)
+        ]
+        for video, feats in zip(videos, video_features(videos, HYPER)):
+            alone = attribute_features([c.attribute_scores for c in video.comments])
+            if alone is None:
+                assert feats.attributes is None
+            else:
+                assert feats.attributes.tobytes() == alone.tobytes()
+
+    def test_vectors_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            ensemble_module._attribute_summaries([[(0.5,) * 7], [(0.5,) * 6, (0.5,) * 6]])
+
+
 class TestTrainLogistic:
     def test_separable_1d_gives_positive_slope(self):
         w, b = train_logistic([[-1.0], [1.0]], [0, 1])
@@ -209,6 +293,110 @@ class TestTrainLogistic:
     def test_non_finite_features_rejected(self):
         with pytest.raises(ValueError):
             train_logistic([[np.nan], [1.0]], [0, 1])
+
+
+def reference_loss_and_grad(w, b, X, y, l2=1e-3):
+    """One fit's loss and gradient by numpy on its own 2-D arrays: the
+    reference each fit of a stacked evaluation must equal bit for bit."""
+    s = 2.0 * y - 1.0
+    z = X @ w + b
+    loss = float(np.mean(np.logaddexp(0.0, -s * z))) + 0.5 * l2 * float(w @ w)
+    r = -s / (1.0 + np.exp(s * z))
+    return loss, X.T @ r / len(y) + l2 * w, float(np.mean(r))
+
+
+def reference_fit(X, y, l2=1e-3, tol=1e-6):
+    """One fit by the one-fit gradient descent (zero start, backtracking
+    line search with step growth) on :func:`reference_loss_and_grad`; its
+    weights, bias and count of accepted steps."""
+    w, b, step, steps = np.zeros(X.shape[1]), 0.0, 1.0, 0
+    loss, gw, gb = reference_loss_and_grad(w, b, X, y, l2)
+    while True:
+        gnorm_sq = float(gw @ gw) + gb * gb
+        if np.sqrt(gnorm_sq) < tol:
+            return w, b, steps
+        while True:
+            w_new, b_new = w - step * gw, b - step * gb
+            loss_new, gw_new, gb_new = reference_loss_and_grad(w_new, b_new, X, y, l2)
+            if loss_new <= loss - 1e-4 * step * gnorm_sq:
+                break
+            step *= 0.5
+        w, b, loss, gw, gb = w_new, b_new, loss_new, gw_new, gb_new
+        step *= 2.0
+        steps += 1
+
+
+def logistic_problems(k, n, d, seed):
+    """k fits of shape (n, d), with centered features whose scale cycles so
+    that the fits stop after very different step counts."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for i in range(k):
+        scale = (1.0, 0.3, 3.0, 0.05)[i % 4]
+        X = rng.normal(size=(n, d)) * scale
+        y = (X @ rng.normal(size=d) + 0.5 * scale * np.sqrt(d) * rng.normal(size=n) > 0).astype(int)
+        problems.append((X, y))
+    return problems
+
+
+class TestLockstepLogistic:
+    """Fits run in one lockstep loop each get the bits of the one-fit
+    gradient descent, and of ``train_logistic`` run alone."""
+
+    @pytest.mark.parametrize(
+        "k, n, d", [(13, 160, 4), (6, 240, 35), (1, 400, 35), (2, 1000, 35), (3, 1000, 4)]
+    )
+    def test_each_fit_equals_the_fit_alone(self, k, n, d):
+        problems = logistic_problems(k, n, d, seed=k * n + d)
+        fits = train_logistics(problems)
+        steps = []
+        for (X, y), (w, b) in zip(problems, fits):
+            ref_w, ref_b, ref_steps = reference_fit(X, y.astype(float))
+            alone_w, alone_b = train_logistic(X, y)
+            assert w.tobytes() == ref_w.tobytes() == alone_w.tobytes()
+            assert b == ref_b == alone_b and type(b) is float
+            steps.append(ref_steps)
+        if k >= 4:
+            assert max(steps) >= 5 * min(steps)  # the fits stop far apart
+
+    def test_one_class_and_converged_at_zero_fits_among_others(self):
+        problems = logistic_problems(5, 160, 4, seed=31)
+        A = np.random.default_rng(32).normal(size=(80, 4))
+        # Every row once with each label: the gradient at zero is within tol.
+        balanced = (np.vstack([A, A]), [1] * 80 + [0] * 80)
+        one_class = (problems[0][0], [1] * 160)
+        fits = train_logistics([problems[0], one_class, problems[1], balanced, *problems[2:]])
+        assert fits[1] is None
+        w, b = fits[3]
+        assert reference_fit(balanced[0], np.array(balanced[1], dtype=float))[2] == 0
+        assert not w.any() and b == 0.0
+        for (X, y), (w, b) in zip(problems, [fits[0], fits[2], *fits[4:]]):
+            ref_w, ref_b, _ = reference_fit(X, y.astype(float))
+            assert w.tobytes() == ref_w.tobytes() and b == ref_b
+
+    def test_shapes_that_differ_are_fit_apart(self):
+        problems = [*logistic_problems(2, 160, 4, seed=41), *logistic_problems(2, 240, 35, seed=42)]
+        mixed = [problems[0], problems[2], problems[1], problems[3]]
+        for (X, y), (w, b) in zip(mixed, train_logistics(mixed)):
+            alone_w, alone_b = train_logistic(X, y)
+            assert w.tobytes() == alone_w.tobytes() and b == alone_b
+
+    @pytest.mark.parametrize("k, n, d", [(1, 160, 4), (5, 240, 35), (13, 1000, 4)])
+    def test_stacked_evaluation_equals_each_fit_alone(self, k, n, d):
+        rng = np.random.default_rng(k + n + d)
+        X = rng.normal(size=(k, n, d))
+        y = (rng.random((k, n)) > 0.5).astype(float)
+        w, b = rng.normal(size=(k, d)), rng.normal(size=k)
+        loss, gw, gb = logistic_loss_and_grad(w, b, X, y, 1e-3)
+        assert loss.shape == gb.shape == (k,) and gw.shape == (k, d)
+        for i in range(k):
+            ref_loss, ref_gw, ref_gb = reference_loss_and_grad(w[i], float(b[i]), X[i], y[i])
+            assert (loss[i], gb[i]) == (ref_loss, ref_gb)
+            assert gw[i].tobytes() == ref_gw.tobytes()
+
+    def test_a_fit_out_of_steps_raises_for_the_batch(self):
+        with pytest.raises(ArithmeticError, match="did not reach tolerance"):
+            train_logistics(logistic_problems(4, 160, 4, seed=51), max_iter=20)
 
 
 def scalar_sigmoid(z: float) -> float:
@@ -331,6 +519,68 @@ def test_golden_ensemble_bundle(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_BUNDLE_SHA256
 
 
+def compensated_sum(iterable, /, start=0):
+    """The built-in ``sum`` as CPython 3.12 computes it: ints are added
+    exactly, then exact floats (and the ints among them) with Neumaier
+    compensation, and from the first item of any other type on, plain
+    ``+``."""
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for item in items:
+            if type(item) in (int, bool):
+                total += item
+            else:
+                total = total + item
+                break
+    if type(total) is float:
+        compensation = 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    compensation += (total - t) + item
+                else:
+                    compensation += (item - t) + total
+                total = t
+            elif type(item) in (int, bool):
+                total += item
+            else:
+                if compensation and math.isfinite(compensation):
+                    total += compensation
+                total, compensation = total + item, 0.0
+                break
+        if compensation and math.isfinite(compensation):
+            total += compensation
+    for item in items:
+        total = total + item
+    return total
+
+
+def test_compensated_sum_is_neumaiers():
+    assert compensated_sum([1e100, 1.0, -1e100]) == 1.0 != sum([1e100, 1.0, -1e100])
+    assert compensated_sum([0.1] * 10) == 1.0 != sum([0.1] * 10)
+    assert compensated_sum([1, 2, 3]) == 6 and type(compensated_sum([1, 2])) is int
+    assert compensated_sum([np.ones(2), np.ones(2)]).tolist() == [2.0, 2.0]
+    assert compensated_sum([]) == 0
+
+
+def test_golden_bundle_under_a_compensated_builtin_sum(tmp_path, monkeypatch):
+    """CPython 3.12 adds floats in the built-in ``sum`` with compensation.
+    With it, the golden bundle's platform, labels and ensemble (helper
+    processes included) still give the golden bytes."""
+    calls = []
+
+    def counted(iterable, /, start=0):
+        items = list(iterable)
+        calls.append(len([item for item in items if type(item) is float]) >= 3)
+        return compensated_sum(items, start)
+
+    monkeypatch.setattr(builtins, "sum", counted)
+    test_golden_ensemble_bundle(tmp_path)
+    assert calls.count(True) > 1000  # the lexicon scores alone are many float sums
+
+
 # ---------------------------------------------------------------------------
 # The protocol's tasks on several processes
 # ---------------------------------------------------------------------------
@@ -364,15 +614,16 @@ def test_bundle_bytes_do_not_depend_on_the_cpu_count(small_labeled, tmp_path, mo
 
 def test_helper_exception_surfaces_with_its_type(small_labeled, monkeypatch):
     main_pid = os.getpid()
-    real = ensemble_module.train_logistic
+    real = ensemble_module.train_logistics
 
-    def failing_in_helpers(features, labels, **kwargs):
-        if os.getpid() != main_pid and np.shape(features)[1] == len(MODULE_NAMES):
+    def failing_in_helpers(problems, **kwargs):
+        stacking = any(np.shape(features)[1] == len(MODULE_NAMES) for features, _ in problems)
+        if os.getpid() != main_pid and stacking:
             raise ArithmeticError("stacking fit failed")
-        return real(features, labels, **kwargs)
+        return real(problems, **kwargs)
 
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-    monkeypatch.setattr(ensemble_module, "train_logistic", failing_in_helpers)
+    monkeypatch.setattr(ensemble_module, "train_logistics", failing_in_helpers)
     with pytest.raises(ArithmeticError, match="stacking fit failed") as info:
         train_ensemble(small_labeled, repeats=3, seed=3, text_hyper=SMALL_HYPER)
     assert any("raised in helper process" in note for note in info.value.__notes__)
