@@ -332,7 +332,7 @@ def logistic_problems(k, n, d, seed):
     rng = np.random.default_rng(seed)
     problems = []
     for i in range(k):
-        scale = (1.0, 0.3, 3.0, 0.05)[i % 4]
+        scale = (1.0, 3.0, 0.3, 0.1)[i % 4]
         X = rng.normal(size=(n, d)) * scale
         y = (X @ rng.normal(size=d) + 0.5 * scale * np.sqrt(d) * rng.normal(size=n) > 0).astype(int)
         problems.append((X, y))
