@@ -31,7 +31,7 @@ import datetime as dt
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -286,6 +286,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
+def _logistic(rows: Iterable[np.ndarray], coef: np.ndarray, bias: float) -> np.ndarray:
+    """A logistic model's probability for each row, one dot product per row:
+    a matrix product may round differently."""
+    return _sigmoid(np.array([float(row @ coef) for row in rows]) + bias)
+
+
 # ---------------------------------------------------------------------------
 # First layer and the trained ensemble
 # ---------------------------------------------------------------------------
@@ -344,9 +350,7 @@ def _attribute_scores(
     if head is not None:
         coef, bias = head
         present = [i for i, f in enumerate(feats) if f.attributes is not None]
-        # One dot product per video: a matrix product may round differently.
-        logits = np.array([float(feats[i].attributes @ coef) for i in present]) + bias
-        scores[present] = _sigmoid(logits)
+        scores[present] = _logistic([feats[i].attributes for i in present], coef, bias)
     return scores
 
 
@@ -403,9 +407,8 @@ def classify_videos(ensemble: TrainedEnsemble, videos: Sequence[VideoRecord]) ->
     None.
     """
     scores = ensemble.first_layer.score(videos)
-    # One dot product per video: a matrix product may round differently.
-    logits = np.array([float(row @ ensemble.stacking_coef) for row in ensemble.stats.standardize(scores)])
-    likelihoods = _sigmoid(logits + ensemble.stacking_bias).tolist()
+    standardized = ensemble.stats.standardize(scores)
+    likelihoods = _logistic(standardized, ensemble.stacking_coef, ensemble.stacking_bias).tolist()
     return [None if absent else p for absent, p in zip(np.isnan(scores).all(axis=1), likelihoods)]
 
 

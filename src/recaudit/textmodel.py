@@ -179,9 +179,9 @@ def _forward(embedding, elem, tgt, sums, params, onehot):
     two-way softmax, and the gradients ``dz = p - onehot`` with respect to
     the logits and ``dh = params.T @ dz`` ``(k, dim + 1, 1)`` with respect
     to ``h`` (its last entry, for the column of ones, goes unused);
-    ``dz * h`` is the gradient with respect to ``params``. The SGD step and
-    ``loss_and_grads`` run this pass; :func:`predict_proba` gives the same
-    bits.
+    ``dz * h`` is the gradient with respect to ``params``. The SGD step,
+    ``loss_and_grads`` and :func:`predict_proba` (in bounded chunks) all run
+    this pass.
     """
     np.add.at(sums.reshape(-1), tgt, embedding[elem])
     h = sums / sums[:, -1:]
@@ -213,11 +213,6 @@ def _sums(n_rows: np.ndarray, n_ids: np.ndarray, dim: int) -> np.ndarray:
     return sums
 
 
-def _params(model: TextModel) -> np.ndarray:
-    """:func:`_forward`'s ``params`` for one model, ``(1, 2, dim + 1)``."""
-    return np.concatenate([model.head, model.bias[:, None]], axis=1)[None]
-
-
 def _rows(model: TextModel, features: Sequence[TextFeatures]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each text's embedding rows under a trained model, in feature-id order
     and all in one array, text after text; each text's number of rows; and
@@ -231,9 +226,22 @@ def _rows(model: TextModel, features: Sequence[TextFeatures]) -> tuple[np.ndarra
     return rows[known], np.bincount(text_of[known], minlength=len(features)), n_ids
 
 
-# The most elements one step of predict_proba gathers: a batch of any size
-# is scored in chunks of this many embedding values.
-_GATHER_ELEMENTS = 1 << 18
+def _forward_args(model: TextModel, rows: np.ndarray, n_rows: np.ndarray, n_ids: np.ndarray):
+    """:func:`_forward`'s arguments but ``onehot`` for documents that one
+    model takes, given their :func:`_rows`: the embedding flat, ``elem``,
+    ``tgt``, ``sums``, and the model's ``params`` ``(1, 2, dim + 1)``,
+    which broadcast over the documents."""
+    dim = model.hyper.dim
+    elem, tgt = _element_indices(rows, np.repeat(np.arange(len(n_rows)), n_rows), dim)
+    params = np.concatenate([model.head, model.bias[:, None]], axis=1)[None]
+    return model.embedding.reshape(-1), elem, tgt, _sums(n_rows, n_ids, dim), params
+
+
+# The most embedding values one call of _forward indexes: predict_proba's
+# documents and train_text_classifiers' lockstep SGD steps run in chunks
+# whose index arrays hold at most about this many elements (one document or
+# step more than that is a chunk of its own).
+_STEP_ELEMENTS = 1 << 16
 
 
 def predict_proba(model: TextModel, features: Sequence[TextFeatures]) -> np.ndarray:
@@ -243,36 +251,21 @@ def predict_proba(model: TextModel, features: Sequence[TextFeatures]) -> np.ndar
     Class probabilities sum to one by softmax; an empty or all-unknown
     document scores from the bias alone.
 
-    Every score has the bits :func:`_forward` gives the document alone. The
-    documents are taken shortest first, in chunks of at most
-    ``_GATHER_ELEMENTS`` gathered values (a document longer than that is a
-    chunk of its own). A chunk's rows are padded to its
-    longest document with -0.0, which leaves every sum bit for bit as it
-    was (x + -0.0 == x), and summed on the same axis order as ``_forward``;
-    the head is applied by a batched matrix-vector product, then the
-    written-out two-way softmax.
+    The documents run through :func:`_forward` in order, in chunks of at
+    most ``_STEP_ELEMENTS`` embedding values, a document counting at least
+    one row (a document longer than that is a chunk of its own).
     """
     rows, n_rows, n_ids = _rows(model, features)
-    first = np.cumsum(n_rows) - n_rows
-    order = np.argsort(n_rows, kind="stable")
-    widths = (np.maximum(n_rows[order], 1) * model.embedding.shape[1]).tolist()
+    row_bounds = np.concatenate([[0], np.cumsum(n_rows)]).tolist()
+    cost = np.concatenate([[0], np.cumsum(np.maximum(n_rows, 1))])
     out = np.empty(len(n_rows))
     lo = 0
-    while lo < len(order):
-        hi = lo + 1  # past the chunk's last document, the longest
-        while hi < len(order) and (hi + 1 - lo) * widths[hi] <= _GATHER_ELEMENTS:
-            hi += 1
-        chunk = order[lo:hi]
-        lengths = n_rows[chunk]
-        at = first[chunk][:, None] + np.arange(lengths[-1])
-        pad = at >= (first[chunk] + lengths)[:, None]
-        gathered = model.embedding[rows[np.where(pad, 0, at)]]
-        gathered[pad] = -0.0
-        h = gathered.sum(axis=1) / np.maximum(n_ids[chunk], 1)[:, None]
-        h[lengths == 0] = 0.0  # as _forward: no rows is the zero vector
-        z = (model.head[None] @ h[:, :, None])[:, :, 0] + model.bias
-        e = np.exp(z - np.maximum(z[:, 0], z[:, 1])[:, None])
-        out[chunk] = e[:, 1] / (e[:, 0] + e[:, 1])
+    while lo < len(out):
+        # The chunk runs to the last document within the bound, at least one.
+        limit = cost[lo] + _STEP_ELEMENTS // model.hyper.dim
+        hi = max(lo + 1, int(np.searchsorted(cost, limit, side="right")) - 1)
+        args = _forward_args(model, rows[row_bounds[lo] : row_bounds[hi]], n_rows[lo:hi], n_ids[lo:hi])
+        out[lo:hi] = _forward(*args, np.zeros((1, 2, 1)))[1][:, 1, 0]
         lo = hi
     return out
 
@@ -300,12 +293,6 @@ def train_text_classifier(
     _training_order(examples)
     (model,) = train_text_classifiers([(examples, hyper)])
     return model
-
-
-# The most embedding values one chunk of lockstep SGD steps indexes: the
-# steps run in chunks whose index arrays hold at most about this many
-# elements (one step more than that is a chunk of its own).
-_STEP_ELEMENTS = 1 << 16
 
 
 class _EpochOrder:
@@ -467,14 +454,10 @@ def loss_and_grads(model: TextModel, examples: list[tuple[TextFeatures, int]]):
     differences of this loss check the training gradients themselves.
     """
     n = len(examples)
-    dim = model.hyper.dim
     rows, n_rows, n_ids = _rows(model, [features for features, _ in examples])
-    elem, tgt = _element_indices(rows, np.repeat(np.arange(n), n_rows), dim)
+    flat, elem, tgt, sums, params = _forward_args(model, rows, n_rows, n_ids)
     ys = np.array([y for _, y in examples])
-    h, p, dz, dh = _forward(
-        model.embedding.reshape(-1), elem, tgt, _sums(n_rows, n_ids, dim), _params(model),
-        np.eye(2)[ys][:, :, None],
-    )
+    h, p, dz, dh = _forward(flat, elem, tgt, sums, params, np.eye(2)[ys][:, :, None])
     loss = -np.log(np.maximum(p[np.arange(n), ys, 0], 1e-300))
     d_emb = np.zeros_like(model.embedding)
     np.add.at(d_emb.reshape(-1), elem, (dh / (np.maximum(n_ids, 1)[:, None, None] * n)).reshape(-1)[tgt])

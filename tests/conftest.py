@@ -1,5 +1,7 @@
+import builtins
 import datetime as dt
 import glob
+import math
 import os
 
 import numpy as np
@@ -65,10 +67,63 @@ def forward_score(model, features):
     dim = model.hyper.dim
     elem, tgt = textmodel._element_indices(rows, np.zeros(len(rows), np.int64), dim)
     sums = textmodel._sums(n_rows, n_ids, dim)
-    p = textmodel._forward(
-        model.embedding.reshape(-1), elem, tgt, sums, textmodel._params(model), np.zeros((1, 2, 1))
-    )[1]
+    params = np.concatenate([model.head, model.bias[:, None]], axis=1)[None]
+    p = textmodel._forward(model.embedding.reshape(-1), elem, tgt, sums, params, np.zeros((1, 2, 1)))[1]
     return p[0, 1, 0]
+
+
+def compensated_sum(iterable, /, start=0):
+    """The built-in ``sum`` as CPython 3.12 computes it: ints are added
+    exactly, then exact floats (and the ints among them) with Neumaier
+    compensation, and from the first item of any other type on, plain
+    ``+``."""
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for item in items:
+            if type(item) in (int, bool):
+                total += item
+            else:
+                total = total + item
+                break
+    if type(total) is float:
+        compensation = 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    compensation += (total - t) + item
+                else:
+                    compensation += (item - t) + total
+                total = t
+            elif type(item) in (int, bool):
+                total += item
+            else:
+                if compensation and math.isfinite(compensation):
+                    total += compensation
+                total, compensation = total + item, 0.0
+                break
+        if compensation and math.isfinite(compensation):
+            total += compensation
+    for item in items:
+        total = total + item
+    return total
+
+
+@pytest.fixture
+def compensated_builtin_sum(monkeypatch):
+    """The built-in ``sum`` replaced by :func:`compensated_sum` for one test.
+    Returns the list of its calls, each True where it summed at least three
+    floats, the fewest that compensation can round differently."""
+    calls = []
+
+    def counted(iterable, /, start=0):
+        items = list(iterable)
+        calls.append(len([item for item in items if type(item) is float]) >= 3)
+        return compensated_sum(items, start)
+
+    monkeypatch.setattr(builtins, "sum", counted)
+    return calls
 
 
 def make_edge(src, rec, rank=1, day=dt.date(2019, 6, 1)):

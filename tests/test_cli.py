@@ -1085,6 +1085,12 @@ class TestSimulateOutput:
         }
         assert digests == SIMULATE_DIGESTS, "simulate output for a fixed seed changed"
 
+    def test_simulate_output_under_a_compensated_builtin_sum(self, workspace, compensated_builtin_sum):
+        # CPython 3.12's float `sum` writes the same bytes.
+        self.test_simulate_output_is_byte_stable(workspace)
+        # The lexicon attribute scores alone are many float sums.
+        assert compensated_builtin_sum.count(True) > 1000
+
 
     def test_disabled_comments_reach_the_records_and_the_ensemble(self, workspace):
         tmp, cfg = workspace
@@ -1122,6 +1128,11 @@ class TestScoredOutput:
             for name in SCORED_DIGESTS
         }
         assert digests == SCORED_DIGESTS, "scored output for a fixed seed changed"
+
+    def test_scored_output_under_a_compensated_builtin_sum(self, workspace, compensated_builtin_sum):
+        # CPython 3.12's float `sum` writes the same bytes.
+        self.test_score_and_report_outputs_are_byte_stable(workspace)
+        assert compensated_builtin_sum.count(True) > 1000
 
 
 class TestSeedOverride:

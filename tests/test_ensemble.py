@@ -1,8 +1,6 @@
-import builtins
 import dataclasses
 import datetime as dt
 import hashlib
-import math
 import os
 
 import numpy as np
@@ -30,7 +28,7 @@ from recaudit.errors import DegenerateTrainingError, UnclassifiableVideoError
 from recaudit.sources import PlatformSpec, generate_labeled_set, generate_platform
 from recaudit.textmodel import TextHyper, featurize, predict_proba, train_text_classifier
 
-from conftest import featurize_examples, forward_score, make_video
+from conftest import compensated_sum, featurize_examples, forward_score, make_video
 
 HYPER = TextHyper(dim=8, epochs=15, min_count=2, seed=0)
 
@@ -519,44 +517,6 @@ def test_golden_ensemble_bundle(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_BUNDLE_SHA256
 
 
-def compensated_sum(iterable, /, start=0):
-    """The built-in ``sum`` as CPython 3.12 computes it: ints are added
-    exactly, then exact floats (and the ints among them) with Neumaier
-    compensation, and from the first item of any other type on, plain
-    ``+``."""
-    items = iter(iterable)
-    total = start
-    if type(total) is int:
-        for item in items:
-            if type(item) in (int, bool):
-                total += item
-            else:
-                total = total + item
-                break
-    if type(total) is float:
-        compensation = 0.0
-        for item in items:
-            if type(item) is float:
-                t = total + item
-                if abs(total) >= abs(item):
-                    compensation += (total - t) + item
-                else:
-                    compensation += (item - t) + total
-                total = t
-            elif type(item) in (int, bool):
-                total += item
-            else:
-                if compensation and math.isfinite(compensation):
-                    total += compensation
-                total, compensation = total + item, 0.0
-                break
-        if compensation and math.isfinite(compensation):
-            total += compensation
-    for item in items:
-        total = total + item
-    return total
-
-
 def test_compensated_sum_is_neumaiers():
     assert compensated_sum([1e100, 1.0, -1e100]) == 1.0 != sum([1e100, 1.0, -1e100])
     assert compensated_sum([0.1] * 10) == 1.0 != sum([0.1] * 10)
@@ -565,20 +525,13 @@ def test_compensated_sum_is_neumaiers():
     assert compensated_sum([]) == 0
 
 
-def test_golden_bundle_under_a_compensated_builtin_sum(tmp_path, monkeypatch):
+def test_golden_bundle_under_a_compensated_builtin_sum(tmp_path, compensated_builtin_sum):
     """CPython 3.12 adds floats in the built-in ``sum`` with compensation.
     With it, the golden bundle's platform, labels and ensemble (helper
     processes included) still give the golden bytes."""
-    calls = []
-
-    def counted(iterable, /, start=0):
-        items = list(iterable)
-        calls.append(len([item for item in items if type(item) is float]) >= 3)
-        return compensated_sum(items, start)
-
-    monkeypatch.setattr(builtins, "sum", counted)
     test_golden_ensemble_bundle(tmp_path)
-    assert calls.count(True) > 1000  # the lexicon scores alone are many float sums
+    # The lexicon scores alone are many float sums.
+    assert compensated_builtin_sum.count(True) > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -338,8 +338,14 @@ class TestPredict:
 
 
 class TestBatchPredict:
-    """The batched forward pass gives every document the bits the SGD
-    step's forward pass, ``_forward``, gives it alone."""
+    """Scoring a batch gives every document the bits the SGD step's forward
+    pass, ``_forward``, gives it alone, whatever the chunk bound. A bound of
+    1 makes every document a chunk of its own."""
+
+    @pytest.fixture(autouse=True, params=[1, 200, textmodel._STEP_ELEMENTS])
+    def step_elements(self, request, monkeypatch):
+        monkeypatch.setattr(textmodel, "_STEP_ELEMENTS", request.param)
+        return request.param
 
     def assert_bitwise_equal_to_forward(self, model, texts):
         feats = featurize(texts, model.hyper.ngram, model.hyper.buckets)
@@ -369,10 +375,37 @@ class TestBatchPredict:
         rng = np.random.default_rng(5)
         words = " ".join(t for t, _ in TOY).split() + ["unseen", "other"]
         texts = [" ".join(rng.choice(words, int(rng.integers(0, 60)))) for _ in range(1500)]
-        texts += [" ".join(rng.choice(words, 400))] * 3  # long rows pad their chunk
+        texts += [" ".join(rng.choice(words, 400))] * 3
         rows = textmodel._rows(model, featurize(texts, 2, model.hyper.buckets))[0]
-        assert rows.size * model.hyper.dim > 2 * textmodel._GATHER_ELEMENTS
+        assert rows.size * model.hyper.dim > 2 * textmodel._STEP_ELEMENTS
         self.assert_bitwise_equal_to_forward(model, texts)
+
+    def test_chunk_edges(self, monkeypatch, step_elements):
+        model = train(TOY, HYPER)
+        unseen = "qwerty zxcvb plugh"
+        longest = " ".join(["hoax"] * 9000)  # more rows than any bound holds
+        texts = [longest, "", unseen, POS_DOCS[0], "", unseen, longest, NEG_DOCS[1], ""]
+        feats = featurize(texts, HYPER.ngram, HYPER.buckets)
+        n_rows = textmodel._rows(model, feats)[1]
+        assert n_rows[0] * HYPER.dim > step_elements
+        assert n_rows[[1, 2, 4, 5, 8]].tolist() == [0] * 5
+        reference = np.array([forward_score(model, f) for f in feats])
+        forward, chunks = textmodel._forward, []
+
+        def counted(embedding, elem, tgt, sums, *rest):
+            chunks.append((len(sums), elem.size))
+            return forward(embedding, elem, tgt, sums, *rest)
+
+        monkeypatch.setattr(textmodel, "_forward", counted)
+        assert predict_proba(model, feats).tobytes() == reference.tobytes()
+        assert all(k == 1 or size <= step_elements for k, size in chunks)
+        starts = np.cumsum([0] + [k for k, _ in chunks]).tolist()
+        assert starts[-1] == len(texts)
+        # Each long document is a chunk of its own, and a document without
+        # rows starts the next chunk.
+        assert {0, 1, 6, 7} <= set(starts)
+        if step_elements > 1:
+            assert max(k for k, _ in chunks) > 1
 
     def test_no_documents(self):
         model = train(TOY, HYPER)
