@@ -42,10 +42,8 @@ from .metrics import (
     TrendSeries,
     apply_calibration,
     calibration_curve,
-    coverage,
+    daily_frequencies,
     filter_bubble_matrix,
-    raw_frequency,
-    weighted_frequency,
 )
 from .sources import PlatformSpec, SimulatedPlatform, generate_labeled_set, generate_platform
 from .textmodel import TextHyper
@@ -152,10 +150,11 @@ def _records(files: list[Path], cls) -> tuple:
     return tuple(record for path in files if path.exists() for record in corpus.read_jsonl(path, cls))
 
 
-def _read_snapshots(config: PipelineConfig, files: list[Path]) -> list[corpus.DailySnapshot]:
-    """The snapshots in date order. A day found twice would be counted
-    twice, so it raises :class:`CorpusViolationError` naming both files."""
-    found = [(path, s) for path in files for s in corpus.read_jsonl(path, corpus.DailySnapshot)]
+def _read_snapshots(config: PipelineConfig, files: list[Path]) -> list[corpus.SnapshotColumns]:
+    """The snapshots in date order, their edges as columns. A day found twice
+    would be counted twice, so it raises :class:`CorpusViolationError`
+    naming both files."""
+    found = [(path, s) for path in files for s in corpus.read_jsonl(path, corpus.SnapshotColumns)]
     found.sort(key=lambda item: item[1].date)
     if not found:
         raise ConfigError(f"no snapshots under {_out(config) / 'snapshots'}; run `harvest` first")
@@ -353,10 +352,7 @@ def _cmd_score(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     ensemble = store.load_ensemble(_require(model_path, "train"))
     snapshots = _read_snapshots(config, paths["snapshots"])
     videos = _read_videos(config, paths["videos"])
-    wanted = sorted(
-        {e.recommended_video_id for s in snapshots for e in s.edges}
-        | {e.source_video_id for s in snapshots for e in s.edges}
-    )
+    wanted = sorted(set().union(*(s.edges.ids for s in snapshots)))
     found = [vid for vid in wanted if vid in videos]
     scored = dict(zip(found, classify_videos(ensemble, [videos[vid] for vid in found])))
     likelihoods = {vid: scored.get(vid) for vid in wanted}
@@ -373,21 +369,14 @@ def _trend_series(config: PipelineConfig, paths: _Inputs) -> TrendSeries:
         likelihoods = apply_calibration(likelihoods, curve)
     videos = _read_videos(config, paths["videos"], corpus.VideoViews)
     views = {vid: v.view_count for vid, v in videos.items()}
-    points = []
-    for snap in snapshots:
-        raw = raw_frequency(snap.edges, likelihoods, config.threshold)
-        try:
-            weighted = weighted_frequency(snap.edges, likelihoods, views, config.threshold)
-        except ValueError as exc:  # a negative view count in the video records
-            raise CorpusViolationError(str(exc)) from exc
-        points.append(
-            TrendPoint(
-                date=snap.date,
-                raw=raw,
-                weighted=weighted,
-                coverage=coverage(snap.edges, likelihoods),
-            )
-        )
+    try:
+        frequencies = daily_frequencies([s.edges for s in snapshots], likelihoods, views, config.threshold)
+    except ValueError as exc:  # a negative view count in the video records
+        raise CorpusViolationError(str(exc)) from exc
+    points = (
+        TrendPoint(date=snap.date, raw=raw, weighted=weighted, coverage=share)
+        for snap, (raw, weighted, share) in zip(snapshots, frequencies)
+    )
     return TrendSeries(points=tuple(points))
 
 
@@ -460,7 +449,7 @@ def _cmd_bubble(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     snapshots = _read_snapshots(config, paths["snapshots"])
     likelihoods = _read_likelihoods(paths)
     periods = _parse_periods(config, snapshots)
-    edges = [e for s in snapshots for e in s.edges]
+    edges = corpus.EdgeColumns.concat([s.edges for s in snapshots])
     matrix = filter_bubble_matrix(
         edges, likelihoods, periods, source_bins=config.bubble_bins, threshold=config.threshold
     )
@@ -509,7 +498,7 @@ def _cmd_topics(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
             f"topics.field is {config.topics_field!r}, but none of the {len(conspiratorial)} "
             f"conspiratorial videos has {config.topics_field} text; nothing to model"
         ) from exc
-    edges = [e for s in snapshots for e in s.edges]
+    edges = corpus.EdgeColumns.concat([s.edges for s in snapshots])
     report = topic_report(
         model,
         edges,
@@ -528,7 +517,7 @@ def _cmd_validate(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     out = _out(config)
     bag = corpus.Corpus(
         channels=_records(paths["channels"], corpus.ChannelRecord),
-        snapshots=tuple(sorted(_records(paths["snapshots"], corpus.DailySnapshot), key=lambda s: s.date)),
+        snapshots=tuple(sorted(_records(paths["snapshots"], corpus.SnapshotColumns), key=lambda s: s.date)),
         labeled=_records(paths["labeled"], corpus.LabeledExample),
     )
     violations = corpus.validate_corpus(bag, max_rank=config.harvest_k)

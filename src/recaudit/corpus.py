@@ -20,13 +20,16 @@ import dataclasses
 import datetime as dt
 import functools
 import json
+import operator
 import os
 import typing
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Optional
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import MALFORMED, ArtifactCorruptError
 
@@ -164,6 +167,93 @@ class DailySnapshot:
         object.__setattr__(self, "retained_video_ids", frozenset(self.retained_video_ids))
 
 
+@dataclass(frozen=True, eq=False)
+class EdgeColumns:
+    """Recommendation edges in file order, held as columns.
+
+    Each video id is in ``ids`` once, and ``source`` and ``recommended``
+    hold positions in it, so two edges name the same video exactly when they
+    hold the same position. ``rank`` holds each edge's rank and ``date`` its
+    own date as a proleptic Gregorian ordinal (``datetime.date.toordinal``).
+    The report stages read snapshot edges this way, with no object per edge.
+    """
+
+    ids: tuple[str, ...]
+    source: np.ndarray
+    recommended: np.ndarray
+    rank: np.ndarray
+    date: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    @classmethod
+    def of(cls, edges: EdgeColumns | Iterable[RecommendationEdge]) -> EdgeColumns:
+        """``edges`` as columns; columns are returned as they are."""
+        if isinstance(edges, EdgeColumns):
+            return edges
+        edges = list(edges)
+        return _columns(
+            [e.source_video_id for e in edges],
+            [e.recommended_video_id for e in edges],
+            [e.rank for e in edges],
+            [e.date.toordinal() for e in edges],
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence[EdgeColumns]) -> EdgeColumns:
+        """The edges of every part, part after part, over one id table."""
+        index: dict[str, int] = {}
+        source, recommended = [_NO_POSITIONS], [_NO_POSITIONS]
+        for part in parts:
+            position = np.array([index.setdefault(vid, len(index)) for vid in part.ids], dtype=np.int32)
+            source.append(position[part.source])
+            recommended.append(position[part.recommended])
+        return cls(
+            ids=tuple(index),
+            source=np.concatenate(source),
+            recommended=np.concatenate(recommended),
+            rank=np.concatenate([_NO_INTS, *(part.rank for part in parts)]),
+            date=np.concatenate([_NO_INTS, *(part.date for part in parts)]),
+        )
+
+
+_NO_POSITIONS = np.zeros(0, dtype=np.int32)
+_NO_INTS = np.zeros(0, dtype=np.int64)
+
+
+def _columns(sources: list, recommended: list, ranks: list, dates: list) -> EdgeColumns:
+    """Columns from one list per field, the ids interned in order of first use."""
+    index = {vid: i for i, vid in enumerate(dict.fromkeys(sources + recommended))}
+    n = len(sources)
+    try:
+        rank = np.array(ranks, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"a rank does not fit in 64 bits: {exc}") from None
+    return EdgeColumns(
+        ids=tuple(index),
+        source=np.fromiter(map(index.__getitem__, sources), np.int32, n),
+        recommended=np.fromiter(map(index.__getitem__, recommended), np.int32, n),
+        rank=rank,
+        date=np.array(dates, dtype=np.int64),
+    )
+
+
+@dataclass(frozen=True)
+class SnapshotColumns:
+    """One :class:`DailySnapshot` line with its edges decoded as columns.
+
+    ``read_jsonl(path, SnapshotColumns)`` reads a snapshot file with every
+    check the ``DailySnapshot`` decode makes, edges included, and builds no
+    :class:`RecommendationEdge`.
+    """
+
+    date: dt.date
+    edges: EdgeColumns = EdgeColumns((), _NO_POSITIONS, _NO_POSITIONS, _NO_INTS, _NO_INTS)
+    retained_video_ids: frozenset[str] = frozenset()
+    coverage: float = 1.0
+
+
 @dataclass(frozen=True)
 class LabeledExample:
     video: VideoRecord
@@ -177,7 +267,7 @@ class Corpus:
 
     channels: tuple[ChannelRecord, ...] = ()
     videos: tuple[VideoRecord, ...] = ()
-    snapshots: tuple[DailySnapshot, ...] = ()
+    snapshots: tuple[DailySnapshot | SnapshotColumns, ...] = ()
     labeled: tuple[LabeledExample, ...] = ()
 
 
@@ -200,7 +290,11 @@ def top_recommended(edges: Iterable[RecommendationEdge], retain: int) -> frozens
     counts: dict[str, int] = {}
     for edge in edges:
         counts[edge.recommended_video_id] = counts.get(edge.recommended_video_id, 0) + 1
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    return _most_counted(counts.items(), retain)
+
+
+def _most_counted(counts: Iterable[tuple[str, int]], retain: int) -> frozenset[str]:
+    ranked = sorted(counts, key=lambda item: (-item[1], item[0]))
     return frozenset(vid for vid, _ in ranked[:retain])
 
 
@@ -210,6 +304,7 @@ def validate_corpus(corpus: Corpus, max_rank: int = MAX_RANK) -> list[Violation]
     Never mutates or raises on bad data: violations are data. The result is
     order-insensitive over edge lists and calling twice returns the same list.
     ``max_rank`` tracks the configured watch-next depth (20 by default).
+    A snapshot may come with its edges as objects or as columns.
     """
     out: list[Violation] = []
 
@@ -255,27 +350,46 @@ def validate_corpus(corpus: Corpus, max_rank: int = MAX_RANK) -> list[Violation]
     return out
 
 
-def _validate_snapshot(snap: DailySnapshot, max_rank: int) -> list[Violation]:
+def _validate_snapshot(snap: DailySnapshot | SnapshotColumns, max_rank: int) -> list[Violation]:
     out: list[Violation] = []
     day = snap.date.isoformat()
+    edges = EdgeColumns.of(snap.edges)
 
-    slots: set[tuple[dt.date, str, int]] = set()
-    for edge in snap.edges:
-        subject = f"{day}:{edge.source_video_id}->{edge.recommended_video_id}"
-        if not 1 <= edge.rank <= max_rank:
-            out.append(Violation("edge", subject, f"rank {edge.rank} outside [1, {max_rank}]"))
-        if edge.source_video_id == edge.recommended_video_id:
-            out.append(Violation("edge", subject, "source equals recommended"))
-        slot = (edge.date, edge.source_video_id, edge.rank)
-        if slot in slots:
-            out.append(
-                Violation("edge", subject, f"duplicate rank {edge.rank} for this source and date")
-            )
-        slots.add(slot)
-        if edge.date != snap.date:
-            out.append(Violation("edge", subject, f"edge dated {edge.date} in snapshot {day}"))
+    # A slot (date, source, rank) repeats at each of its edges after the
+    # first in file order: the sort is stable.
+    order = np.lexsort((edges.rank, edges.source, edges.date))
+    repeats = np.zeros(len(edges), dtype=bool)
+    repeats[order[1:]] = (
+        (np.diff(edges.date[order]) == 0)
+        & (np.diff(edges.source[order]) == 0)
+        & (np.diff(edges.rank[order]) == 0)
+    )
+    # One column per edge check; nonzero walks them edge by edge, in file order.
+    failed = np.column_stack(
+        [
+            (edges.rank < 1) | (edges.rank > max_rank),
+            edges.source == edges.recommended,
+            repeats,
+            edges.date != snap.date.toordinal(),
+        ]
+    )
+    for i, check in zip(*np.nonzero(failed)):
+        rank, date = int(edges.rank[i]), dt.date.fromordinal(int(edges.date[i]))
+        subject = f"{day}:{edges.ids[edges.source[i]]}->{edges.ids[edges.recommended[i]]}"
+        message = (
+            f"rank {rank} outside [1, {max_rank}]",
+            "source equals recommended",
+            f"duplicate rank {rank} for this source and date",
+            f"edge dated {date} in snapshot {day}",
+        )[check]
+        out.append(Violation("edge", subject, message))
 
-    recommended = {e.recommended_video_id for e in snap.edges}
+    in_edges = [
+        (vid, count)
+        for vid, count in zip(edges.ids, np.bincount(edges.recommended, minlength=len(edges.ids)).tolist())
+        if count
+    ]
+    recommended = {vid for vid, _ in in_edges}
     stray = sorted(snap.retained_video_ids - recommended)
     for vid in stray:
         out.append(Violation("snapshot", day, f"retained video {vid} has no in-edge"))
@@ -284,7 +398,7 @@ def _validate_snapshot(snap: DailySnapshot, max_rank: int) -> list[Violation]:
             Violation("snapshot", day, f"{len(snap.retained_video_ids)} retained > {MAX_RETAINED}")
         )
     if not stray:
-        expected = top_recommended(snap.edges, len(snap.retained_video_ids))
+        expected = _most_counted(in_edges, len(snap.retained_video_ids))
         if expected != snap.retained_video_ids:
             out.append(
                 Violation("snapshot", day, "retained set is not the top videos by in-edge count")
@@ -296,7 +410,8 @@ def _validate_snapshot(snap: DailySnapshot, max_rank: int) -> list[Violation]:
 
 # ---------------------------------------------------------------------------
 # JSON Lines codec. One record per line, one file per type, snake_case field
-# names exactly as the dataclass definitions. decode(encode(x)) == x.
+# names exactly as the dataclass definitions. decode(encode(x)) == x, except
+# that SnapshotColumns is read only: its edges decode into EdgeColumns.
 # Each dataclass's fields and type hints are read once: dates travel as ISO
 # strings, frozensets as sorted lists, tuples as lists, nested dataclasses as
 # objects and None as null. A missing key takes the field's default; unknown
@@ -323,6 +438,8 @@ def _converters(hint) -> tuple[Optional[Callable], Optional[Callable], frozenset
     JSON types its values may have; a None converter keeps values as is."""
     if hint is dt.date:
         return dt.date.isoformat, dt.date.fromisoformat, _JSON_TYPES[hint]
+    if hint is EdgeColumns:  # a list of edge objects, read into columns; never written
+        return None, _decode_edges, frozenset({list})
     if dataclasses.is_dataclass(hint):
         return (*_codec(hint), frozenset({dict}))
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -339,6 +456,31 @@ def _converters(hint) -> tuple[Optional[Callable], Optional[Callable], frozenset
     return None, None, _JSON_TYPES.get(hint, _ANY_JSON)
 
 
+_EDGE_FIELDS = ("source_video_id", "recommended_video_id", "rank", "date")
+
+
+def _decode_edges(items: list) -> EdgeColumns:
+    """A snapshot line's edge objects as columns, each edge checked as the
+    ``RecommendationEdge`` decode checks it: an object holding the four
+    fields, strings but for an int rank, the date in ISO form. Where an edge
+    fails, the edges are decoded as objects, so that the first bad one raises
+    the error it raises there."""
+    try:
+        sources, recommended, ranks, dates = (
+            list(map(operator.itemgetter(name), items)) for name in _EDGE_FIELDS
+        )
+        ordinals = {day: dt.date.fromisoformat(day).toordinal() for day in set(dates)}
+        columns = _columns(sources, recommended, ranks, list(map(ordinals.__getitem__, dates)))
+        if set(map(type, ranks)) - {int} or set(map(type, columns.ids)) - {str}:
+            raise TypeError("an edge field has the wrong JSON type")
+        return columns
+    except MALFORMED:
+        decode = _codec(RecommendationEdge)[1]
+        for item in items:
+            decode(item)
+        raise
+
+
 def _describe(hint) -> str:
     return hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
 
@@ -349,12 +491,13 @@ def _codec(cls) -> tuple[Callable, Callable]:
     hints = typing.get_type_hints(cls)
     names = dict.fromkeys(f.name for f in dataclasses.fields(cls))  # ordered, with set-like keys
     triples = {name: _converters(hints[name]) for name in names}
-    converted = [(name, enc, dec) for name, (enc, dec, _) in triples.items() if enc is not None]
+    encoded = [(name, enc) for name, (enc, _, _) in triples.items() if enc is not None]
+    decoded = [(name, dec) for name, (_, dec, _) in triples.items() if dec is not None]
     accepted = {name: types for name, (_, _, types) in triples.items()}
 
     def encode(obj) -> dict:
         doc = {name: getattr(obj, name) for name in names}
-        for name, enc, _ in converted:
+        for name, enc in encoded:
             doc[name] = None if doc[name] is None else enc(doc[name])
         return doc
 
@@ -363,7 +506,7 @@ def _codec(cls) -> tuple[Callable, Callable]:
         for name, value in kwargs.items():
             if type(value) not in accepted[name]:
                 raise TypeError(f"{name} is {type(value).__name__}, not {_describe(hints[name])}")
-        for name, _, dec in converted:
+        for name, dec in decoded:
             if kwargs.get(name) is not None:
                 kwargs[name] = dec(kwargs[name])
         return cls(**kwargs)

@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .corpus import RecommendationEdge
+import numpy as np
+
+from .corpus import EdgeColumns, RecommendationEdge
 
 # ---------------------------------------------------------------------------
 # Regularized incomplete beta and the exact binomial interval
@@ -120,16 +122,60 @@ def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
 
 LikelihoodMap = Mapping[str, Optional[float]]
 
+# The array forms below sum with np.bincount, which adds each group's values
+# one after another in the order given: the edges' file order. So every sum
+# is the left-to-right sum over those edges, on every Python version.
 
-def _classifiable(
-    edges: Iterable[RecommendationEdge], likelihoods: LikelihoodMap
-) -> list[tuple[RecommendationEdge, float]]:
-    out = []
-    for edge in edges:
-        like = likelihoods.get(edge.recommended_video_id)
-        if like is not None:
-            out.append((edge, like))
-    return out
+
+def _lookup(ids: Sequence[str], mapping: Mapping) -> tuple[np.ndarray, np.ndarray]:
+    """Per id: whether ``mapping`` gives it a value that is not None, and that
+    value as a float (0 where it gives none)."""
+    values = [mapping.get(vid) for vid in ids]
+    known = np.array([value is not None for value in values], dtype=bool)
+    return known, np.array([0.0 if value is None else value for value in values], dtype=float)
+
+
+def daily_frequencies(
+    days: Sequence[EdgeColumns],
+    likelihoods: LikelihoodMap,
+    source_views: Mapping[str, int],
+    threshold: float = 0.5,
+) -> list[tuple[Optional[float], Optional[float], float]]:
+    """(raw frequency, weighted frequency, coverage) of each day's edges, as
+    :func:`raw_frequency`, :func:`weighted_frequency` and :func:`coverage`
+    define them. A negative view count raises ValueError naming the source of
+    the first classifiable edge, in day and file order, on a day whose
+    sources all have a view count."""
+    edges = EdgeColumns.concat(days)
+    n = len(days)
+    day = np.repeat(np.arange(n), [len(d) for d in days])
+    known, like_of = _lookup(edges.ids, likelihoods)
+    has_views, views_of = _lookup(edges.ids, source_views)
+    scored = known[edges.recommended]
+    like = like_of[edges.recommended]
+    above = scored & (like > threshold)  # a NaN likelihood is scored, never above
+    # A day is weighted only when every one of its sources has a view count.
+    weighed = np.bincount(day[~has_views[edges.source]], minlength=n) == 0
+    views = views_of[edges.source]
+    negative = np.flatnonzero(scored & weighed[day] & (views < 0))
+    if len(negative):
+        raise ValueError(f"negative view count for source video {edges.ids[edges.source[negative[0]]]}")
+    columns = (
+        np.bincount(day, minlength=n),
+        np.bincount(day[scored], minlength=n),
+        np.bincount(day[above], weights=like[above], minlength=n),
+        weighed,
+        np.bincount(day[scored], weights=views[scored], minlength=n),
+        np.bincount(day[above], weights=views[above] * like[above], minlength=n),
+    )
+    return [
+        (
+            above_sum / count if count else None,
+            numerator / denominator if complete and denominator != 0.0 else None,
+            count / total if total else 0.0,
+        )
+        for total, count, above_sum, complete, denominator, numerator in zip(*(c.tolist() for c in columns))
+    ]
 
 
 def raw_frequency(
@@ -144,10 +190,7 @@ def raw_frequency(
     recommended video has no likelihood (unclassifiable) drop out of both
     numerator and denominator. ``None`` when nothing is classifiable.
     """
-    scored = _classifiable(edges, likelihoods)
-    if not scored:
-        return None
-    return sum(like for _, like in scored if like > threshold) / len(scored)
+    return daily_frequencies([EdgeColumns.of(edges)], likelihoods, {}, threshold)[0][0]
 
 
 def weighted_frequency(
@@ -159,27 +202,12 @@ def weighted_frequency(
     """Raw frequency with each edge weighted by its source video's view count.
     Undefined (None) when any edge's source video has no view count, or when
     the classifiable edges' sources have no views at all."""
-    if any(edge.source_video_id not in source_views for edge in edges):
-        return None
-    numerator = 0.0
-    denominator = 0.0
-    for edge, like in _classifiable(edges, likelihoods):
-        views = source_views[edge.source_video_id]
-        if views < 0:
-            raise ValueError(f"negative view count for source video {edge.source_video_id}")
-        denominator += views
-        if like > threshold:
-            numerator += views * like
-    if denominator == 0.0:
-        return None
-    return numerator / denominator
+    return daily_frequencies([EdgeColumns.of(edges)], likelihoods, source_views, threshold)[0][1]
 
 
 def coverage(edges: Sequence[RecommendationEdge], likelihoods: LikelihoodMap) -> float:
     """Share of edges whose recommended video could be classified."""
-    if not edges:
-        return 0.0
-    return len(_classifiable(edges, likelihoods)) / len(edges)
+    return daily_frequencies([EdgeColumns.of(edges)], likelihoods, {})[0][2]
 
 
 def apply_calibration(likelihoods: LikelihoodMap, curve) -> dict[str, Optional[float]]:
@@ -348,7 +376,7 @@ class FilterBubbleMatrix:
 
 
 def filter_bubble_matrix(
-    edges: Iterable[RecommendationEdge],
+    edges: EdgeColumns | Iterable[RecommendationEdge],
     likelihoods: LikelihoodMap,
     periods: Sequence[Period],
     source_bins: int = 10,
@@ -358,29 +386,30 @@ def filter_bubble_matrix(
 
     Each cell is the raw frequency restricted to edges whose source-video
     likelihood falls in the bin and whose date falls in the period. Edges
-    lacking a likelihood on either endpoint are excluded.
+    lacking a likelihood on either endpoint are excluded. An edge counts in
+    every period that holds its date.
     """
     if source_bins < 1:
         raise ValueError("need at least one source bin")
-    grouped: dict[tuple[int, int], list[RecommendationEdge]] = {}
-    for edge in edges:
-        src_like = likelihoods.get(edge.source_video_id)
-        if src_like is None or likelihoods.get(edge.recommended_video_id) is None:
-            continue
-        b = min(int(src_like * source_bins), source_bins - 1)
-        for pi, period in enumerate(periods):
-            if edge.date in period:
-                grouped.setdefault((pi, b), []).append(edge)
+    edges = EdgeColumns.of(edges)
+    known, like = _lookup(edges.ids, likelihoods)
+    both = known[edges.source] & known[edges.recommended]
+    scaled = like[edges.source][both] * source_bins
+    if not np.isfinite(scaled).all():  # a NaN or infinite source likelihood has no bin:
+        int(scaled[~np.isfinite(scaled)][0])  # int() raises for the first, as it always has
+    # A negative bin holds a likelihood below 0; no cell counts it.
+    bins = np.clip(np.trunc(scaled), -1, source_bins - 1).astype(np.int64)
+    rec_like = like[edges.recommended][both]
+    dates = edges.date[both]
     cells = []
     counts = []
-    for pi in range(len(periods)):
-        row = []
-        row_counts = []
-        for b in range(source_bins):
-            bucket = grouped.get((pi, b), [])
-            row.append(raw_frequency(bucket, likelihoods, threshold) if bucket else None)
-            row_counts.append(len(bucket))
-        cells.append(tuple(row))
+    for period in periods:
+        cell = (dates >= period.start.toordinal()) & (dates <= period.end.toordinal()) & (bins >= 0)
+        above = cell & (rec_like > threshold)
+        count = np.bincount(bins[cell], minlength=source_bins)
+        total = np.bincount(bins[above], weights=rec_like[above], minlength=source_bins)
+        row_counts = count.tolist()
+        cells.append(tuple(t / c if c else None for t, c in zip(total.tolist(), row_counts)))
         counts.append(tuple(row_counts))
     return FilterBubbleMatrix(
         periods=tuple(periods),

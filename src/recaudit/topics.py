@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import TEXT_FIELDS, RecommendationEdge, VideoRecord
+from .corpus import TEXT_FIELDS, EdgeColumns, RecommendationEdge, VideoRecord
 from .textmodel import tokenize
 
 
@@ -172,7 +172,7 @@ def fit_topic_model(
 
 def topic_report(
     model: TopicModel,
-    edges: Iterable[RecommendationEdge],
+    edges: EdgeColumns | Iterable[RecommendationEdge],
     likelihoods: Mapping[str, Optional[float]],
     threshold: float = 0.5,
     top_words: int = 25,
@@ -200,10 +200,10 @@ def topic_report(
     vid_counts = [0] * k
     for vid in consp:
         vid_counts[assign[vid]] += 1
-    rec_counts = [0] * k
-    for edge in edges:
-        if edge.recommended_video_id in consp:
-            rec_counts[assign[edge.recommended_video_id]] += 1
+    edges = EdgeColumns.of(edges)
+    topic_of = np.array([assign[vid] if vid in consp else -1 for vid in edges.ids], dtype=np.int64)
+    recommended = topic_of[edges.recommended]
+    rec_counts = np.bincount(recommended[recommended >= 0], minlength=k).tolist()
     total_vids = sum(vid_counts)
     total_recs = sum(rec_counts)
 

@@ -670,6 +670,28 @@ class TestCorruptArtifacts:
             assert f"{snap}:1:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("damage", ["not_an_object", "no_rank", "bad_date"])
+    def test_a_bad_edge_is_a_data_error_naming_the_line(self, workspace, capsys, damage):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        assert run(cfg, "harvest", "--date", "2019-05-01") == 0
+        _write_likelihoods(out, 0.5)
+        snap = out / "snapshots" / "2019-05-01.jsonl"
+        doc = json.loads(snap.read_text())
+        edge = doc["edges"][3]
+        if damage == "not_an_object":
+            doc["edges"][3] = list(edge.values())
+        elif damage == "no_rank":
+            del edge["rank"]
+        else:
+            edge["date"] = "2019-05-32"
+        snap.write_text(json.dumps(doc, sort_keys=True) + "\n")
+        for stage in ("trends", "bubble", "validate"):
+            capsys.readouterr()
+            assert run(cfg, stage) == 2, stage
+            assert f"{snap}:1:" in capsys.readouterr().err, stage
+
     def test_wrongly_typed_likelihood_is_a_data_error_naming_the_line(self, workspace, capsys):
         tmp, cfg = workspace
         out = tmp / "out"
@@ -931,6 +953,31 @@ class TestCollectionDecodes:
         assert built == []
         next(corpus.read_jsonl(out / "videos.jsonl", corpus.VideoRecord))
         assert built, "the counter must see a full decode"
+
+
+class TestReportDecodes:
+    def test_report_stages_build_no_edge(self, workspace, monkeypatch):
+        # score, trends, bubble, topics and validate read each snapshot's
+        # edges as columns; an object decode would build every edge again.
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        for day in ("2019-05-01", "2019-05-02"):
+            assert run(cfg, "harvest", "--date", day) == 0
+        assert run(cfg, "train") == 0
+        built = []
+        init = corpus.RecommendationEdge.__init__
+
+        def counted(edge, *args, **kwargs):
+            built.append(edge)
+            init(edge, *args, **kwargs)
+
+        monkeypatch.setattr(corpus.RecommendationEdge, "__init__", counted)
+        for stage in ("score", "trends", "bubble", "topics", "validate"):
+            assert run(cfg, stage) == 0, stage
+        assert built == []
+        next(corpus.read_jsonl(out / "snapshots" / "2019-05-01.jsonl", DailySnapshot))
+        assert built, "the counter must see an object decode"
 
 
 class TestDateOption:

@@ -1,4 +1,5 @@
 import datetime as dt
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from recaudit.corpus import (
     Corpus,
     DailySnapshot,
     LabeledExample,
+    SnapshotColumns,
     VideoRecord,
     decode_record,
     encode_record,
@@ -251,6 +253,36 @@ SPARSE_LINES = [
 ]
 
 
+# Lines whose values have the wrong JSON type for their record's field.
+WRONGLY_TYPED = [
+    (DailySnapshot, '{"date": "2019-06-01", "coverage": "high"}'),
+    (DailySnapshot, '{"date": 20190601}'),
+    (DailySnapshot, '{"date": "2019-06-01", "retained_video_ids": "v2"}'),
+    (DailySnapshot, '{"date": "2019-06-01", "edges": [{"date": "2019-06-01", "rank": "1",'
+                    ' "recommended_video_id": "v2", "source_video_id": "v1"}]}'),
+    (VideoRecord, '{"video_id": "v1", "channel_id": "c1", "tags": "a b"}'),
+    (VideoRecord, '{"video_id": "v1", "channel_id": "c1", "view_count": 1.5}'),
+    (VideoRecord, '{"video_id": "v1", "channel_id": null}'),
+    (LabeledExample, '{"video": {"video_id": "v1", "channel_id": "c1"}, "label": true}'),
+    (LabeledExample, '{"video": ["v1", "c1"], "label": 1}'),
+]
+
+# Snapshot lines with one bad edge after a good one: not an object, a key
+# missing, a date that is no date, a null id, a bool rank.
+_GOOD_EDGE = '{"date": "2019-06-01", "rank": 1, "recommended_video_id": "v2", "source_video_id": "v1"}'
+BAD_EDGE_LINES = [
+    '{"date": "2019-06-01", "edges": [' + _GOOD_EDGE + ", " + bad + "]}"
+    for bad in (
+        '["2019-06-01", 1, "v2", "v1"]',
+        "7",
+        '{"date": "2019-06-01", "recommended_video_id": "v2", "source_video_id": "v1"}',
+        '{"date": "2019-06-31", "rank": 1, "recommended_video_id": "v2", "source_video_id": "v1"}',
+        '{"date": "2019-06-01", "rank": 1, "recommended_video_id": null, "source_video_id": "v1"}',
+        '{"date": "2019-06-01", "rank": true, "recommended_video_id": "v2", "source_video_id": "v1"}',
+    )
+]
+
+
 class TestCodecBytes:
     @pytest.mark.parametrize("record", _sample_records(), ids=lambda r: type(r).__name__)
     def test_exact_jsonl_line(self, tmp_path, record):
@@ -276,26 +308,53 @@ class TestCodecBytes:
             list(read_jsonl(path, DailySnapshot))
 
 
-    @pytest.mark.parametrize(
-        "cls, line",
-        [
-            (DailySnapshot, '{"date": "2019-06-01", "coverage": "high"}'),
-            (DailySnapshot, '{"date": 20190601}'),
-            (DailySnapshot, '{"date": "2019-06-01", "retained_video_ids": "v2"}'),
-            (DailySnapshot, '{"date": "2019-06-01", "edges": [{"date": "2019-06-01", "rank": "1",'
-                            ' "recommended_video_id": "v2", "source_video_id": "v1"}]}'),
-            (VideoRecord, '{"video_id": "v1", "channel_id": "c1", "tags": "a b"}'),
-            (VideoRecord, '{"video_id": "v1", "channel_id": "c1", "view_count": 1.5}'),
-            (VideoRecord, '{"video_id": "v1", "channel_id": null}'),
-            (LabeledExample, '{"video": {"video_id": "v1", "channel_id": "c1"}, "label": true}'),
-            (LabeledExample, '{"video": ["v1", "c1"], "label": 1}'),
-        ],
-    )
+    @pytest.mark.parametrize("cls, line", WRONGLY_TYPED)
     def test_wrongly_typed_value_is_corruption(self, tmp_path, cls, line):
         path = tmp_path / "typed.jsonl"
         path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(ArtifactCorruptError, match=f"{path}:1: "):
             list(read_jsonl(path, cls))
+
+    @pytest.mark.parametrize(
+        "line", [line for cls, line in WRONGLY_TYPED if cls is DailySnapshot] + BAD_EDGE_LINES
+    )
+    def test_the_column_decode_raises_as_the_object_decode(self, tmp_path, line):
+        path = tmp_path / "snap.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        errors = []
+        for cls in (DailySnapshot, SnapshotColumns):
+            with pytest.raises(ArtifactCorruptError, match=f"{path}:1: ") as info:
+                list(read_jsonl(path, cls))
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    def test_a_rank_beyond_64_bits_is_corruption_in_the_column_decode(self, tmp_path):
+        # The object decode holds any int; a rank column holds 64 bits.
+        path = tmp_path / "snap.jsonl"
+        edge = _GOOD_EDGE.replace('"rank": 1', f'"rank": {2**63}')
+        path.write_text('{"date": "2019-06-01", "edges": [' + edge + "]}\n", encoding="utf-8")
+        assert list(read_jsonl(path, DailySnapshot))[0].edges[0].rank == 2**63
+        with pytest.raises(ArtifactCorruptError, match=f"{path}:1: a rank does not fit in 64 bits"):
+            list(read_jsonl(path, SnapshotColumns))
+
+    def test_the_column_decode_reads_what_the_object_decode_reads(self, tmp_path):
+        # Every field of the golden line, plus a key no edge has and an edge
+        # date in another ISO form.
+        doc = json.loads(GOLDEN_LINES["DailySnapshot"])
+        doc["edges"][0]["extra"] = 1
+        doc["edges"][1]["date"] = "20190602"
+        path = tmp_path / "snap.jsonl"
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        (snap,) = read_jsonl(path, DailySnapshot)
+        (columns,) = read_jsonl(path, SnapshotColumns)
+        edges = columns.edges
+        assert (columns.date, columns.retained_video_ids, columns.coverage) == (
+            snap.date, snap.retained_video_ids, snap.coverage
+        )
+        assert [
+            (edges.ids[s], edges.ids[r], rank, dt.date.fromordinal(day))
+            for s, r, rank, day in zip(edges.source, edges.recommended, edges.rank.tolist(), edges.date.tolist())
+        ] == [(e.source_video_id, e.recommended_video_id, e.rank, e.date) for e in snap.edges]
 
     def test_float_takes_an_int_and_optional_takes_null(self, tmp_path):
         path = tmp_path / "typed.jsonl"
