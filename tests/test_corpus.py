@@ -245,6 +245,7 @@ SPARSE_LINES = [
         '{"date": "2019-06-01", "extra": 1}',
         DailySnapshot(date=DAY, edges=(), retained_video_ids=frozenset()),
     ),
+    (SnapshotColumns, '{"date": "2019-06-01", "extra": 1}', SnapshotColumns(date=DAY)),
     (
         LabeledExample,
         '{"video": {"video_id": "v1", "channel_id": "c1", "extra": 1}, "label": 0, "extra": 1}',
