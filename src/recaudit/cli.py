@@ -280,7 +280,10 @@ def _cmd_snowball(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
 def _cmd_harvest(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     if not args.date:
         raise ConfigError("harvest requires --date YYYY-MM-DD")
-    day = dt.date.fromisoformat(args.date)
+    try:
+        day = dt.date.fromisoformat(args.date)
+    except ValueError as exc:
+        raise ConfigError(f"--date must be an ISO date YYYY-MM-DD, got {args.date!r} ({exc})") from None
     out = _out(config)
     source = _source(config, paths)
     (seeds_path,) = paths["seeds"]

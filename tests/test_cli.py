@@ -319,6 +319,17 @@ class TestErrors:
         assert run(cfg, "simulate") == 0
         assert run(cfg, "harvest") == 1
 
+    @pytest.mark.parametrize("value", ["2020-13-01", "yesterday"])
+    def test_harvest_with_a_bad_date_names_the_option_and_value(self, workspace, capsys, value):
+        tmp, cfg = workspace
+        assert run(cfg, "simulate") == 0
+        capsys.readouterr()
+        assert run(cfg, "harvest", "--date", value, "--json-errors") == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError"
+        assert "--date" in error["message"] and repr(value) in error["message"]
+        assert not (tmp / "out" / "snapshots").exists()
+
     def test_harvest_same_date_skips_when_current_errors_when_stale(self, workspace, capsys):
         tmp, cfg = workspace
         out = tmp / "out"
