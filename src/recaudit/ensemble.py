@@ -15,14 +15,18 @@ side is scored, standardized and used to fit the stacking logistic; the
 stacking coefficients reported are the element-wise mean over all
 repetitions, and the shipped modules are refit on the full labeled set. The
 refit and the repetitions are split into one share per available CPU. Each
-process fits each text module for its whole share in one lockstep SGD loop
-(``textmodel.train_text_classifiers``), each model with the bits it gets
-trained alone; a repetition's model scores its held-out side and is
-dropped before the next module is fit. The process then fits all its
-attribute heads in one gradient-descent loop and, once they have scored,
-all its stacking layers in another (``train_logistics``, again each fit
-with the bits it gets alone). The attribute summaries of a batch of videos
-are computed together, grouped by their count of scored comments.
+process fits each text module for its share's repetitions in one lockstep
+SGD loop (``textmodel.train_text_classifiers``), each model with the bits it
+gets trained alone; a repetition's model scores its held-out side and is
+dropped before the next module is fit. The refit's three text models train
+in the loop of the module whose refit job has the most texts (the comments,
+as a rule), the longest loop, so they add no global steps. A process holds
+at most one module's repetition models at a time, besides the refit's. The
+process then fits all its attribute heads in one gradient-descent loop and,
+once they have scored, all its stacking layers in another
+(``train_logistics``, again each fit with the bits it gets alone). The
+attribute summaries of a batch of videos are computed together, grouped by
+their count of scored comments.
 """
 
 from __future__ import annotations
@@ -454,30 +458,47 @@ def _standardization(held_scores: np.ndarray) -> StandardizationStats:
     return StandardizationStats(stats=tuple(rep_stats))
 
 
-def _fit_text_module(
-    m: int,
+def _fit_text_modules(
     sides: Sequence[tuple[Sequence[tuple[VideoFeatures, int]], int, Optional[list]]],
     hyper: TextHyper,
     held_scores: Sequence[Optional[np.ndarray]],
-) -> Optional[TextModel]:
-    """Fit text module ``m`` on every training side in one lockstep SGD
-    loop (:func:`train_text_classifiers`). A repetition's model scores its
-    held-out side into column ``m`` of its ``held_scores`` and is dropped;
-    the refit's model, the side without a held-out side, is returned. A
+) -> tuple[Optional[TextModel], ...]:
+    """Fit the text modules on every training side, one lockstep SGD loop
+    (:func:`train_text_classifiers`) per module: module m's loop fits m on
+    each repetition's side. The refit, the side without a held-out side,
+    has its three jobs in the loop of the module whose refit job has the
+    most texts, the longest loop, so they add no global steps. A
+    repetition's model scores its held-out side into column ``m`` of its
+    ``held_scores`` and is dropped; the refit's models are returned. A
     single-class or empty training slice gives a disabled module."""
-    models = train_text_classifiers(
-        ([(text, y) for f, y in train for text in f.texts[m]], replace(hyper, seed=seed * 4 + m))
-        for train, seed, _ in sides
-    )
-    refit = None
-    for (_, _, held), scores, model in zip(sides, held_scores, models):
+    calls: list[list[tuple[int, int]]] = [
+        [(m, i) for i, (_, _, held) in enumerate(sides) if held is not None] for m in range(len(TEXT_FIELDS))
+    ]
+    for i, (train, _, held) in enumerate(sides):
         if held is None:
-            # Its embedding is a block of one array with the others'; a
-            # copy lets that array go.
-            refit = None if model is None else replace(model, embedding=model.embedding.copy())
-        elif model is not None:
-            scores[:, m] = score_texts(model, [f.texts[m] for f, _ in held])
-    return refit
+            longest = max(range(len(TEXT_FIELDS)), key=lambda m: sum(len(f.texts[m]) for f, _ in train))
+            calls[longest] += [(m, i) for m in range(len(TEXT_FIELDS))]
+    refit: list[Optional[TextModel]] = [None] * len(TEXT_FIELDS)
+    for call in filter(None, calls):
+        models = train_text_classifiers(
+            (
+                [(text, y) for f, y in sides[i][0] for text in f.texts[m]],
+                replace(hyper, seed=sides[i][1] * 4 + m),
+            )
+            for m, i in call
+        )
+        for (m, i), model in zip(call, models):
+            held = sides[i][2]
+            if held is None:
+                # Its embedding is a block of one array with the others'; a
+                # copy lets that array go.
+                refit[m] = None if model is None else replace(model, embedding=model.embedding.copy())
+            elif model is not None:
+                held_scores[i][:, m] = score_texts(model, [f.texts[m] for f, _ in held])
+        # The loop's models are views of one embedding array: let it go
+        # before the next loop makes its own.
+        del models, model
+    return tuple(refit)
 
 
 def _train_share(
@@ -498,8 +519,9 @@ def _train_share(
     result is the stacking layer fit on the standardized scores, as
     ``(coefficients, bias, stats)``.
 
-    Each text module is fit for the whole share at once
-    (:func:`_fit_text_module`), so each process runs one lockstep SGD loop
+    Each text module is fit for the share's repetitions at once, and the
+    refit's text modules in the longest of those loops
+    (:func:`_fit_text_modules`), so each process runs one lockstep SGD loop
     per module. A repetition's text models are dropped once they have
     scored, so the share holds one module's models at a time besides the
     refit's. The share's attribute heads are then fit in one call of
@@ -517,7 +539,7 @@ def _train_share(
     held_scores = [
         None if held is None else np.full((len(held), len(MODULE_NAMES)), np.nan) for _, _, held in sides
     ]
-    refit_models = tuple(_fit_text_module(m, sides, text_hyper, held_scores) for m in range(len(TEXT_FIELDS)))
+    refit_models = _fit_text_modules(sides, text_hyper, held_scores)
     heads = _attribute_heads([train for train, _, _ in sides])
     stacking = []  # (stats, standardized held-out scores, held-out labels) per repetition
     for (_, _, held), scores, head in zip(sides, held_scores, heads):
@@ -551,7 +573,7 @@ def train_ensemble(
     They are independent tasks, spread over every available CPU by
     :func:`parallel.run_shares` and summed in repetition order, so the
     ensemble does not depend on the CPU count. Each process fits each text
-    module for its whole share in one lockstep loop (:func:`_train_share`).
+    module for its share in one lockstep loop (:func:`_train_share`).
     A task's cost is the size of its training side, so the refit, the
     costliest, always runs in the calling process.
     """

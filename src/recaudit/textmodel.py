@@ -18,7 +18,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -161,7 +161,58 @@ class TextModel:
     bias: np.ndarray  # (2,)
 
 
-def _forward(embedding, elem, tgt, sums, params, onehot):
+class _Workspace:
+    """The buffers :func:`_forward` and the SGD step write into, made once
+    for up to ``size`` documents and the models ``params``
+    ``(n, 2, dim + 1)``. ``at(k)`` gives the views for k documents: the
+    buffers' first k rows, and the first k models, or the one model when n
+    is 1 (it then takes every document). Each k's views are made once."""
+
+    def __init__(self, params: np.ndarray, size: int):
+        self.params = params
+        dim = params.shape[2] - 1
+        self.h = np.empty((size, dim + 1))
+        self.z = np.empty((size, 2, 1))  # the logits, then p
+        self.m = np.empty((size, 1, 1))
+        self.s = np.empty((size, 1, 1))
+        self.dz = np.empty((size, 2, 1))
+        self.dh = np.empty((size, dim + 1, 1))
+        self.g = np.empty((size, 2, dim + 1))
+        self._views: dict[int, _Views] = {}
+
+    def at(self, k: int) -> "_Views":
+        views = self._views.get(k)
+        if views is None:
+            P = self.params if len(self.params) == 1 else self.params[:k]
+            h, z, dh = self.h[:k], self.z[:k], self.dh[:k]
+            views = self._views[k] = _Views(
+                P, P[:, :, :-1], P[:, :, -1:], P.transpose(0, 2, 1),
+                h, h[:, :-1, None], h[:, None], z, z[:, :1], z[:, 1:],
+                self.m[:k], self.s[:k], self.dz[:k], dh, dh.reshape(-1), self.g[:k],
+            )
+        return views
+
+
+class _Views(NamedTuple):
+    P: np.ndarray  # (k or 1, 2, dim + 1): each document's model
+    W: np.ndarray  # its head
+    B: np.ndarray  # its bias column
+    PT: np.ndarray  # P transposed, (k or 1, dim + 1, 2)
+    h: np.ndarray  # (k, dim + 1)
+    h_col: np.ndarray  # h without its last column, (k, dim, 1)
+    h_row: np.ndarray  # (k, 1, dim + 1)
+    z: np.ndarray  # (k, 2, 1)
+    z0: np.ndarray
+    z1: np.ndarray
+    m: np.ndarray  # (k, 1, 1)
+    s: np.ndarray  # (k, 1, 1)
+    dz: np.ndarray  # (k, 2, 1)
+    dh: np.ndarray  # (k, dim + 1, 1)
+    dh_flat: np.ndarray
+    g: np.ndarray  # (k, 2, dim + 1)
+
+
+def _forward(embedding, elem, tgt, sums, params, onehot, work: Optional[_Workspace] = None):
     """k documents at once, each through its own model, for its own label.
 
     Each document's embedding rows are added to its row of ``sums``
@@ -172,7 +223,8 @@ def _forward(embedding, elem, tgt, sums, params, onehot):
     column holds its number of feature ids, at least 1: an id with no row
     adds nothing to the sum but counts in the mean. ``params``
     ``(k, 2, dim + 1)`` holds each document's model, the head with the bias
-    as its last column, and ``onehot`` ``(k, 2, 1)`` its label.
+    as its last column (one model, ``(1, 2, dim + 1)``, takes every
+    document), and ``onehot`` ``(k, 2, 1)`` its label.
 
     Returns the document vectors ``h`` ``(k, dim + 1)`` with a last column
     of ones, the class probabilities ``p`` ``(k, 2, 1)`` by the written-out
@@ -182,14 +234,28 @@ def _forward(embedding, elem, tgt, sums, params, onehot):
     ``dz * h`` is the gradient with respect to ``params``. The SGD step,
     ``loss_and_grads`` and :func:`predict_proba` (in bounded chunks) all run
     this pass.
+
+    The results are views of ``work``'s buffers, a :class:`_Workspace` made
+    for ``params`` (its first k models, when it holds more), which the next
+    call overwrites; without one, the call makes its own. Every operation
+    writes into them (``out=``, or in place), in the order and with the
+    operands of the allocating expressions, so every value has their bits.
     """
     np.add.at(sums.reshape(-1), tgt, embedding[elem])
-    h = sums / sums[:, -1:]
-    z = params[:, :, :-1] @ h[:, :-1, None] + params[:, :, -1:]
-    e = np.exp(z - np.maximum(z[:, :1], z[:, 1:]))
-    p = e / (e[:, :1] + e[:, 1:])
-    dz = p - onehot
-    return h, p, dz, params.transpose(0, 2, 1) @ dz
+    if work is None:
+        work = _Workspace(params, len(sums))
+    _, W, B, PT, h, h_col, _, z, z0, z1, m, s, dz, dh, _, _ = work.at(len(sums))
+    np.divide(sums, sums[:, -1:], out=h)
+    np.matmul(W, h_col, out=z)
+    z += B
+    np.maximum(z0, z1, out=m)
+    z -= m
+    np.exp(z, out=z)
+    np.add(z0, z1, out=s)
+    z /= s
+    np.subtract(z, onehot, out=dz)
+    np.matmul(PT, dz, out=dh)
+    return h, z, dz, dh
 
 
 def _element_indices(rows: np.ndarray, doc_of: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -227,14 +293,18 @@ def _rows(model: TextModel, features: Sequence[TextFeatures]) -> tuple[np.ndarra
 
 
 def _forward_args(model: TextModel, rows: np.ndarray, n_rows: np.ndarray, n_ids: np.ndarray):
-    """:func:`_forward`'s arguments but ``onehot`` for documents that one
-    model takes, given their :func:`_rows`: the embedding flat, ``elem``,
-    ``tgt``, ``sums``, and the model's ``params`` ``(1, 2, dim + 1)``,
-    which broadcast over the documents."""
+    """:func:`_forward`'s first arguments for documents that one model
+    takes, given their :func:`_rows`: the embedding flat, ``elem``,
+    ``tgt`` and ``sums``."""
     dim = model.hyper.dim
     elem, tgt = _element_indices(rows, np.repeat(np.arange(len(n_rows)), n_rows), dim)
-    params = np.concatenate([model.head, model.bias[:, None]], axis=1)[None]
-    return model.embedding.reshape(-1), elem, tgt, _sums(n_rows, n_ids, dim), params
+    return model.embedding.reshape(-1), elem, tgt, _sums(n_rows, n_ids, dim)
+
+
+def _model_workspace(model: TextModel, size: int) -> _Workspace:
+    """A :class:`_Workspace` for up to ``size`` documents of one model, its
+    ``params`` ``(1, 2, dim + 1)``, which broadcast over the documents."""
+    return _Workspace(np.concatenate([model.head, model.bias[:, None]], axis=1)[None], size)
 
 
 # The most embedding values one call of _forward indexes: predict_proba's
@@ -259,13 +329,16 @@ def predict_proba(model: TextModel, features: Sequence[TextFeatures]) -> np.ndar
     row_bounds = np.concatenate([[0], np.cumsum(n_rows)]).tolist()
     cost = np.concatenate([[0], np.cumsum(np.maximum(n_rows, 1))])
     out = np.empty(len(n_rows))
+    # A chunk holds at most this many documents, each counting one row or more.
+    per_chunk = max(1, _STEP_ELEMENTS // model.hyper.dim)
+    work = _model_workspace(model, min(len(out), per_chunk))
+    onehot = np.zeros((1, 2, 1))
     lo = 0
     while lo < len(out):
         # The chunk runs to the last document within the bound, at least one.
-        limit = cost[lo] + _STEP_ELEMENTS // model.hyper.dim
-        hi = max(lo + 1, int(np.searchsorted(cost, limit, side="right")) - 1)
+        hi = max(lo + 1, int(np.searchsorted(cost, cost[lo] + per_chunk, side="right")) - 1)
         args = _forward_args(model, rows[row_bounds[lo] : row_bounds[hi]], n_rows[lo:hi], n_ids[lo:hi])
-        out[lo:hi] = _forward(*args, np.zeros((1, 2, 1)))[1][:, 1, 0]
+        out[lo:hi] = _forward(*args, work.params, onehot, work)[1][:, 1, 0]
         lo = hi
     return out
 
@@ -338,7 +411,8 @@ def train_text_classifiers(
 
     The jobs run in lockstep: global step s takes one SGD step of every job
     with more than s steps, one numpy call per operation for all of them
-    (:func:`_forward`, then the updates). Each job's embedding rows are a
+    (:func:`_forward`, then the updates), each writing into one
+    :class:`_Workspace` made for the call. Each job's embedding rows are a
     block of one array, updated by one flat ``np.add.at``, which applies a
     row listed twice twice, in order. Every model has the bits it gets
     trained alone; the models' embeddings are views of that one array. The
@@ -392,6 +466,7 @@ def train_text_classifiers(
     params[:, :, :-1] = [fits[i][5] for i in slots]
     embedding = np.zeros((n_observed, dim))
     flat = embedding.reshape(-1)
+    work = _Workspace(params, len(fits))
 
     start = 0
     while start < totals[0]:
@@ -424,10 +499,16 @@ def train_text_classifiers(
         for k, e0, e1, x0, x1 in zip(
             per_step.tolist(), entry_bounds, entry_bounds[1:], element_bounds, element_bounds[1:]
         ):
-            step_elem, step_tgt, step_params = elem[x0:x1], tgt[x0:x1], params[:k]
-            h, _, dz, dh = _forward(flat, step_elem, step_tgt, sums[e0:e1], step_params, onehot[e0:e1])
-            step_params -= lr[e0:e1] * (dz * h[:, None])
-            np.add.at(flat, step_elem, (scale[e0:e1] * dh).reshape(-1)[step_tgt])
+            step_elem, step_tgt = elem[x0:x1], tgt[x0:x1]
+            _forward(flat, step_elem, step_tgt, sums[e0:e1], params, onehot[e0:e1], work)
+            # The step's updates, written into the workspace as _forward is:
+            # the params' gradient times lr, and dh times the embedding step.
+            v = work.at(k)
+            np.multiply(v.dz, v.h_row, out=v.g)
+            np.multiply(v.g, lr[e0:e1], out=v.g)
+            np.subtract(v.P, v.g, out=v.P)
+            np.multiply(v.dh, scale[e0:e1], out=v.dh)
+            np.add.at(flat, step_elem, v.dh_flat[step_tgt])
         start = stop
 
     slot_of = {i: j for j, i in enumerate(slots)}
@@ -455,9 +536,10 @@ def loss_and_grads(model: TextModel, examples: list[tuple[TextFeatures, int]]):
     """
     n = len(examples)
     rows, n_rows, n_ids = _rows(model, [features for features, _ in examples])
-    flat, elem, tgt, sums, params = _forward_args(model, rows, n_rows, n_ids)
+    flat, elem, tgt, sums = _forward_args(model, rows, n_rows, n_ids)
     ys = np.array([y for _, y in examples])
-    h, p, dz, dh = _forward(flat, elem, tgt, sums, params, np.eye(2)[ys][:, :, None])
+    work = _model_workspace(model, n)
+    h, p, dz, dh = _forward(flat, elem, tgt, sums, work.params, np.eye(2)[ys][:, :, None], work)
     loss = -np.log(np.maximum(p[np.arange(n), ys, 0], 1e-300))
     d_emb = np.zeros_like(model.embedding)
     np.add.at(d_emb.reshape(-1), elem, (dh / (np.maximum(n_ids, 1)[:, None, None] * n)).reshape(-1)[tgt])

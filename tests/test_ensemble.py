@@ -639,6 +639,77 @@ class TestFixedAssignment:
         assert set(maps[0].values()) == {True, False}  # both processes did work
 
 
+class TestShareLayout:
+    """A share fits each text module's repetition jobs in one lockstep loop,
+    and the refit's three jobs in the loop of the module whose refit job has
+    the most texts; no loop holds repetition jobs of two modules."""
+
+    REPEATS, SEED = 4, 3
+
+    # The fixture's videos have 36 transcripts, 40 snippets and 93 comments;
+    # without the comments, the snippets have the most texts.
+    @pytest.fixture(scope="class", params=[2, 1], ids=["comments longest", "snippets longest"])
+    def examples(self, request, small_labeled):
+        features = video_features([ex.video for ex in small_labeled], SMALL_HYPER)
+        if request.param == 1:
+            features = [dataclasses.replace(f, texts=(*f.texts[:2], ())) for f in features]
+        examples = [(f, ex.label) for f, ex in zip(features, small_labeled)]
+        texts = [sum(len(f.texts[m]) for f, _ in examples) for m in range(3)]
+        assert max(texts) == texts[request.param] > max(texts[:request.param] + texts[request.param + 1 :])
+        return examples
+
+    def run_share(self, examples, share, monkeypatch):
+        """The share's results, and each train_text_classifiers call's jobs
+        as (module, task, number of texts); task 0 is the refit."""
+        calls, real = [], ensemble_module.train_text_classifiers
+
+        def logged(jobs):
+            jobs = list(jobs)
+            calls.append([(h.seed % 4, h.seed // 4 - self.SEED * self.REPEATS + 1, len(ex)) for ex, h in jobs])
+            return real(jobs)
+
+        monkeypatch.setattr(ensemble_module, "train_text_classifiers", logged)
+        labels = np.array([y for _, y in examples])
+        results = ensemble_module._train_share(
+            examples, labels, 0.6, self.SEED, self.REPEATS, SMALL_HYPER, 1e-3, share
+        )
+        # The refit's layer seed is SEED * REPEATS + REPEATS: task REPEATS + 1 above.
+        calls = [[(m, 0 if task == self.REPEATS + 1 else task, n) for m, task, n in call] for call in calls]
+        return results, calls
+
+    @pytest.mark.parametrize("share", [[0, 1, 3], [2, 4], [0]], ids=["refit and repetitions", "repetitions", "refit"])
+    def test_the_refit_rides_in_the_longest_loop(self, examples, share, monkeypatch):
+        _, calls = self.run_share(examples, share, monkeypatch)
+        texts = [sum(len(f.texts[m]) for f, _ in examples) for m in range(3)]
+        longest = texts.index(max(texts))
+        reps = [task for task in share if task]
+        for call in calls:
+            modules = {m for m, task, _ in call if task}
+            assert len(modules) <= 1  # no call holds two modules' repetition jobs
+            assert sorted(task for m, task, _ in call if task) == sorted(reps) * bool(modules)
+        assert sorted(m for call in calls for m, task, _ in call if task) == sorted(m for m in range(3) for _ in reps)
+        refit_calls = [call for call in calls if any(task == 0 for _, task, _ in call)]
+        if 0 in share:
+            (call,) = refit_calls
+            assert sorted((m, n) for m, task, n in call if task == 0) == list(enumerate(texts))
+            assert all(m == longest for m, task, _ in call if task)
+        else:
+            assert refit_calls == []
+        assert len(calls) == (3 if reps else 1)
+
+    def test_results_do_not_depend_on_the_share(self, examples, monkeypatch):
+        together, _ = self.run_share(examples, [0, 1, 3], monkeypatch)
+        (refit,), _ = self.run_share(examples, [0], monkeypatch)
+        alone, _ = self.run_share(examples, [1, 3], monkeypatch)
+        for a, b in zip(together[0].text_models, refit.text_models):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.embedding.tobytes() == b.embedding.tobytes() and a.head.tobytes() == b.head.tobytes()
+                assert a.bias.tobytes() == b.bias.tobytes()
+        for (coef_a, bias_a, stats_a), (coef_b, bias_b, stats_b) in zip(together[1:], alone):
+            assert coef_a.tobytes() == coef_b.tobytes() and bias_a == bias_b and stats_a == stats_b
+
+
 class TestClassifyVideo:
     def test_output_in_unit_interval(self, trained, labeled_fixture):
         for ex in labeled_fixture[:20]:

@@ -299,6 +299,38 @@ class TestLockstep:
         assert textmodel.train_text_classifiers([]) == []
 
 
+class TestOneForwardPass:
+    """Training, scoring and the loss all run ``_forward``, one call per
+    lockstep step: the step's updates run no second forward pass."""
+
+    @staticmethod
+    def count_forward(monkeypatch):
+        forward, calls = textmodel._forward, []
+
+        def counted(*args):
+            calls.append(len(args[3]))  # k, the documents of the call
+            return forward(*args)
+
+        monkeypatch.setattr(textmodel, "_forward", counted)
+        return calls
+
+    @pytest.mark.parametrize("step_elements", [1, 200, textmodel._STEP_ELEMENTS])
+    def test_one_call_per_global_step(self, monkeypatch, step_elements):
+        monkeypatch.setattr(textmodel, "_STEP_ELEMENTS", step_elements)
+        jobs = [(featurize_examples(examples, hyper), hyper) for examples, hyper in TestLockstep.JOBS]
+        calls = self.count_forward(monkeypatch)
+        models = textmodel.train_text_classifiers(jobs)
+        totals = np.array([hyper.epochs * len(ex) for model, (ex, hyper) in zip(models, jobs) if model is not None])
+        # Step s takes every job with more than s steps, in one call.
+        assert calls == [int((totals > s).sum()) for s in range(totals.max())]
+
+    def test_loss_and_grads_runs_one_pass(self, monkeypatch):
+        model = train(TOY, HYPER)
+        calls = self.count_forward(monkeypatch)
+        text_loss_and_grads(model, TOY)
+        assert calls == [len(TOY)]
+
+
 class TestPredict:
     def test_class_probabilities_sum_to_one(self):
         # The positive probability is one softmax component; its complement
