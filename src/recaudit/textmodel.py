@@ -202,13 +202,13 @@ class _Views(NamedTuple):
     h_col: np.ndarray  # h without its last column, (k, dim, 1)
     h_row: np.ndarray  # (k, 1, dim + 1)
     z: np.ndarray  # (k, 2, 1)
-    z0: np.ndarray
-    z1: np.ndarray
+    z0: np.ndarray  # z[:, :1]
+    z1: np.ndarray  # z[:, 1:]
     m: np.ndarray  # (k, 1, 1)
     s: np.ndarray  # (k, 1, 1)
     dz: np.ndarray  # (k, 2, 1)
     dh: np.ndarray  # (k, dim + 1, 1)
-    dh_flat: np.ndarray
+    dh_flat: np.ndarray  # dh, flat
     g: np.ndarray  # (k, 2, dim + 1)
 
 
@@ -238,8 +238,9 @@ def _forward(embedding, elem, tgt, sums, params, onehot, work: Optional[_Workspa
     The results are views of ``work``'s buffers, a :class:`_Workspace` made
     for ``params`` (its first k models, when it holds more), which the next
     call overwrites; without one, the call makes its own. Every operation
-    writes into them (``out=``, or in place), in the order and with the
-    operands of the allocating expressions, so every value has their bits.
+    writes into them (``out=``, or in place) with the operands, in the
+    order, of the allocating expressions they stand for (``W @ h + B``,
+    ``z - m``, ``e / s``), so every value has those expressions' bits.
     """
     np.add.at(sums.reshape(-1), tgt, embedding[elem])
     if work is None:
@@ -301,10 +302,11 @@ def _forward_args(model: TextModel, rows: np.ndarray, n_rows: np.ndarray, n_ids:
     return model.embedding.reshape(-1), elem, tgt, _sums(n_rows, n_ids, dim)
 
 
-def _model_workspace(model: TextModel, size: int) -> _Workspace:
-    """A :class:`_Workspace` for up to ``size`` documents of one model, its
-    ``params`` ``(1, 2, dim + 1)``, which broadcast over the documents."""
-    return _Workspace(np.concatenate([model.head, model.bias[:, None]], axis=1)[None], size)
+def _model_params(model: TextModel) -> np.ndarray:
+    """:func:`_forward`'s ``params`` for documents that one model takes:
+    its head with the bias as the last column, ``(1, 2, dim + 1)``, which
+    broadcasts over the documents."""
+    return np.concatenate([model.head, model.bias[:, None]], axis=1)[None]
 
 
 # The most embedding values one call of _forward indexes: predict_proba's
@@ -331,14 +333,14 @@ def predict_proba(model: TextModel, features: Sequence[TextFeatures]) -> np.ndar
     out = np.empty(len(n_rows))
     # A chunk holds at most this many documents, each counting one row or more.
     per_chunk = max(1, _STEP_ELEMENTS // model.hyper.dim)
-    work = _model_workspace(model, min(len(out), per_chunk))
-    onehot = np.zeros((1, 2, 1))
+    params, onehot = _model_params(model), np.zeros((1, 2, 1))
+    work = _Workspace(params, min(len(out), per_chunk))
     lo = 0
     while lo < len(out):
         # The chunk runs to the last document within the bound, at least one.
         hi = max(lo + 1, int(np.searchsorted(cost, cost[lo] + per_chunk, side="right")) - 1)
         args = _forward_args(model, rows[row_bounds[lo] : row_bounds[hi]], n_rows[lo:hi], n_ids[lo:hi])
-        out[lo:hi] = _forward(*args, work.params, onehot, work)[1][:, 1, 0]
+        out[lo:hi] = _forward(*args, params, onehot, work)[1][:, 1, 0]
         lo = hi
     return out
 
@@ -538,8 +540,7 @@ def loss_and_grads(model: TextModel, examples: list[tuple[TextFeatures, int]]):
     rows, n_rows, n_ids = _rows(model, [features for features, _ in examples])
     flat, elem, tgt, sums = _forward_args(model, rows, n_rows, n_ids)
     ys = np.array([y for _, y in examples])
-    work = _model_workspace(model, n)
-    h, p, dz, dh = _forward(flat, elem, tgt, sums, work.params, np.eye(2)[ys][:, :, None], work)
+    h, p, dz, dh = _forward(flat, elem, tgt, sums, _model_params(model), np.eye(2)[ys][:, :, None])
     loss = -np.log(np.maximum(p[np.arange(n), ys, 0], 1e-300))
     d_emb = np.zeros_like(model.embedding)
     np.add.at(d_emb.reshape(-1), elem, (dh / (np.maximum(n_ids, 1)[:, None, None] * n)).reshape(-1)[tgt])
