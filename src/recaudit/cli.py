@@ -196,7 +196,10 @@ def _cmd_simulate(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
         seed=config.sim_seed,
     )
     platform = generate_platform(spec)
-    labeled = generate_labeled_set(platform, config.sim_labeled_count, seed=config.sim_seed)
+    try:
+        labeled = generate_labeled_set(platform, config.sim_labeled_count, seed=config.sim_seed)
+    except ValueError as exc:
+        raise ConfigError(f"sim.labeled_count = {config.sim_labeled_count}: {exc}") from None
     corpus.write_jsonl(out / "channels.jsonl", platform.channels)
     corpus.write_jsonl(out / "videos.jsonl", platform.videos)
     store.write_ground_truth(out / "ground_truth.jsonl", platform.ground_truth)

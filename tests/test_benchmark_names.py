@@ -4,11 +4,15 @@ workloads call. A change that renames or deletes one fails here, rather than
 in a benchmark run."""
 
 import dataclasses
+import datetime as dt
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from recaudit import crawler
+from recaudit.sources import PlatformSpec, generate_platform
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,3 +50,16 @@ def test_the_workload_pins_a_trained_ensemble_field():
     from recaudit.ensemble import TrainedEnsemble
 
     assert "trained_date" in {field.name for field in dataclasses.fields(TrainedEnsemble)}
+
+
+def test_the_traced_harvest_counts_the_snapshot_edges():
+    # The tracer's harvest hook counts the snapshot's edges: 10 channels
+    # whose last videos each get 20 recommendations.
+    platform = generate_platform(PlatformSpec(n_channels=10, videos_per_channel=8, seed=3))
+    tracer = _tracing.Tracer()
+    tracer.install()
+    try:
+        result = crawler.daily_harvest(platform, platform.channel_ids(), dt.date(2019, 5, 1), k=20)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["crawler.harvest.edges"] == len(result.snapshot.edges) == 200

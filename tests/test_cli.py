@@ -412,6 +412,16 @@ class TestErrors:
         if code == 2:  # the stage's own check of a snapshot it cannot show current
             assert "already exists" in captured.err
 
+    def test_a_labeled_count_beyond_the_platform_names_its_key(self, workspace, capsys):
+        tmp, cfg = workspace
+        cfg.write_text(cfg.read_text() + "sim.labeled_count = 500\n")
+        capsys.readouterr()
+        assert run(cfg, "simulate", "--json-errors") == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError"
+        assert error["message"].startswith("sim.labeled_count = 500: cannot draw a balanced set of 500 ")
+        assert not (tmp / "out" / "labeled.jsonl").exists()
+
     def test_score_before_train_is_usage_error(self, workspace):
         tmp, cfg = workspace
         assert run(cfg, "simulate") == 0
@@ -1161,6 +1171,29 @@ class TestSimulateOutput:
         assert not any(example["video"]["comments"] for example in _read_json_lines(out / "labeled.jsonl"))
         weights = json.loads((out / "ensemble_weights.json").read_text())
         assert weights["comments"] == weights["attributes"] == 0.0
+
+
+# sha256 of each snapshot that three harvests write after `simulate` under
+# CFG: they pin the harvest's edges, retained set and coverage, and the
+# snapshot writer's bytes.
+HARVEST_DIGESTS = {
+    "2019-05-01.jsonl": "7d5d883363db30f32bc4ab3a05201c4904f347b7151ac41bfde85ca0e9da380c",
+    "2019-05-02.jsonl": "b8525dae799e1f12c711277f3c6676ec415ae8e897affa4624ec83bbed8159a0",
+    "2019-05-03.jsonl": "92adafb6be2d128c3c36e72a86c69af529e033e192a964846c40a7c170064e53",
+}
+
+
+class TestHarvestOutput:
+    def test_harvest_output_is_byte_stable(self, workspace):
+        tmp, cfg = workspace
+        assert run(cfg, "simulate") == 0
+        for name in HARVEST_DIGESTS:
+            assert run(cfg, "harvest", "--date", name.removesuffix(".jsonl")) == 0
+        digests = {
+            name: hashlib.sha256((tmp / "out" / "snapshots" / name).read_bytes()).hexdigest()
+            for name in HARVEST_DIGESTS
+        }
+        assert digests == HARVEST_DIGESTS, "harvest output for a fixed seed changed"
 
 
 SCORED_DIGESTS = {

@@ -317,17 +317,26 @@ class TestCodecBytes:
             list(read_jsonl(path, cls))
 
     @pytest.mark.parametrize(
-        "line", [line for cls, line in WRONGLY_TYPED if cls is DailySnapshot] + BAD_EDGE_LINES
+        "line, message",
+        list(zip([line for cls, line in WRONGLY_TYPED if cls is DailySnapshot] + BAD_EDGE_LINES, [
+            "coverage is str, not float",
+            "date is int, not date",
+            "retained_video_ids is str, not frozenset[str]",
+            "rank is str, not int",
+            "'list' object has no attribute 'keys'",
+            "'int' object has no attribute 'keys'",
+            "RecommendationEdge.__init__() missing 1 required positional argument: 'rank'",
+            "day is out of range for month",
+            "recommended_video_id is NoneType, not str",
+            "rank is bool, not int",
+        ], strict=True)),
     )
-    def test_the_column_decode_raises_as_the_object_decode(self, tmp_path, line):
+    def test_a_bad_snapshot_line_raises_its_own_message(self, tmp_path, line, message):
         path = tmp_path / "snap.jsonl"
         path.write_text(line + "\n", encoding="utf-8")
-        errors = []
-        for cls in (DailySnapshot, SnapshotColumns):
-            with pytest.raises(ArtifactCorruptError, match=f"{path}:1: ") as info:
-                list(read_jsonl(path, cls))
-            errors.append(str(info.value))
-        assert errors[0] == errors[1]
+        with pytest.raises(ArtifactCorruptError) as info:
+            list(read_jsonl(path, DailySnapshot))
+        assert str(info.value) == f"{path}:1: {message}"
 
     def test_a_rank_beyond_64_bits_is_corruption_in_the_column_decode(self, tmp_path):
         # The object decode holds any int; a rank column holds 64 bits.
