@@ -12,8 +12,8 @@ from .corpus import (
     Comment,
     Corpus,
     DailySnapshot,
+    EdgeColumns,
     LabeledExample,
-    RecommendationEdge,
     VideoRecord,
     validate_corpus,
 )
@@ -37,8 +37,8 @@ __all__ = [
     "Comment",
     "Corpus",
     "DailySnapshot",
+    "EdgeColumns",
     "LabeledExample",
-    "RecommendationEdge",
     "VideoRecord",
     "validate_corpus",
     "TrainedEnsemble",

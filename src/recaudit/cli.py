@@ -150,11 +150,10 @@ def _records(files: list[Path], cls) -> tuple:
     return tuple(record for path in files if path.exists() for record in corpus.read_jsonl(path, cls))
 
 
-def _read_snapshots(config: PipelineConfig, files: list[Path]) -> list[corpus.SnapshotColumns]:
-    """The snapshots in date order, their edges as columns. A day found twice
-    would be counted twice, so it raises :class:`CorpusViolationError`
-    naming both files."""
-    found = [(path, s) for path in files for s in corpus.read_jsonl(path, corpus.SnapshotColumns)]
+def _read_snapshots(config: PipelineConfig, files: list[Path]) -> list[corpus.DailySnapshot]:
+    """The snapshots in date order. A day found twice would be counted
+    twice, so it raises :class:`CorpusViolationError` naming both files."""
+    found = [(path, s) for path in files for s in corpus.read_jsonl(path, corpus.DailySnapshot)]
     found.sort(key=lambda item: item[1].date)
     if not found:
         raise ConfigError(f"no snapshots under {_out(config) / 'snapshots'}; run `harvest` first")
@@ -300,10 +299,8 @@ def _cmd_harvest(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
         # Persist the records behind this snapshot; the simulator's are already on disk.
         # The snapshot is written last, so an error here leaves none to block the rerun.
         scorer = LexiconAttributeScorer.bundled()
-        wanted = sorted(
-            {e.source_video_id for e in result.snapshot.edges}
-            | set(result.snapshot.retained_video_ids)
-        )
+        edges = result.snapshot.edges
+        wanted = sorted({edges.ids[i] for i in edges.source.tolist()} | result.snapshot.retained_video_ids)
         fetched = []
         for vid in wanted:
             try:
@@ -523,7 +520,7 @@ def _cmd_validate(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     out = _out(config)
     bag = corpus.Corpus(
         channels=_records(paths["channels"], corpus.ChannelRecord),
-        snapshots=tuple(sorted(_records(paths["snapshots"], corpus.SnapshotColumns), key=lambda s: s.date)),
+        snapshots=tuple(sorted(_records(paths["snapshots"], corpus.DailySnapshot), key=lambda s: s.date)),
         labeled=_records(paths["labeled"], corpus.LabeledExample),
     )
     violations = corpus.validate_corpus(bag, max_rank=config.harvest_k)

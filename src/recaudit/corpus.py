@@ -149,22 +149,14 @@ class VideoViews:
 
 @dataclass(frozen=True)
 class RecommendationEdge:
+    """The schema of one edge object in a snapshot line. The program holds
+    edges as :class:`EdgeColumns`; a bad edge is decoded as this to name
+    its fault."""
+
     date: dt.date
     source_video_id: str
     recommended_video_id: str
     rank: int
-
-
-@dataclass(frozen=True)
-class DailySnapshot:
-    date: dt.date
-    edges: tuple[RecommendationEdge, ...] = ()
-    retained_video_ids: frozenset[str] = frozenset()
-    coverage: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "retained_video_ids", frozenset(self.retained_video_ids))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +167,7 @@ class EdgeColumns:
     hold positions in it, so two edges name the same video exactly when they
     hold the same position. ``rank`` holds each edge's rank and ``date`` its
     own date as a proleptic Gregorian ordinal (``datetime.date.toordinal``).
-    The report stages read snapshot edges this way, with no object per edge.
+    Edges are held this way from harvest to report, with no object per edge.
     """
 
     ids: tuple[str, ...]
@@ -187,17 +179,31 @@ class EdgeColumns:
     def __len__(self) -> int:
         return len(self.source)
 
+    def __eq__(self, other) -> bool:
+        """Equal when both hold the same edges in the same order."""
+        if not isinstance(other, EdgeColumns):
+            return NotImplemented
+        return _encode_edges(self) == _encode_edges(other)
+
+    def __hash__(self) -> int:
+        return len(self)  # equal columns hold as many edges
+
     @classmethod
-    def of(cls, edges: EdgeColumns | Iterable[RecommendationEdge]) -> EdgeColumns:
-        """``edges`` as columns; columns are returned as they are."""
-        if isinstance(edges, EdgeColumns):
-            return edges
-        edges = list(edges)
-        return _columns(
-            [e.source_video_id for e in edges],
-            [e.recommended_video_id for e in edges],
-            [e.rank for e in edges],
-            [e.date.toordinal() for e in edges],
+    def from_lists(cls, sources: list, recommended: list, ranks: list, dates: list) -> EdgeColumns:
+        """Columns from one list per field, the ids interned in order of first
+        use. A rank that does not fit in 64 bits raises ValueError."""
+        index = {vid: i for i, vid in enumerate(dict.fromkeys(sources + recommended))}
+        n = len(sources)
+        try:
+            rank = np.array(ranks, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError(f"a rank does not fit in 64 bits: {exc}") from None
+        return cls(
+            ids=tuple(index),
+            source=np.fromiter(map(index.__getitem__, sources), np.int32, n),
+            recommended=np.fromiter(map(index.__getitem__, recommended), np.int32, n),
+            rank=rank,
+            date=np.array(dates, dtype=np.int64),
         )
 
     @classmethod
@@ -222,36 +228,15 @@ _NO_POSITIONS = np.zeros(0, dtype=np.int32)
 _NO_INTS = np.zeros(0, dtype=np.int64)
 
 
-def _columns(sources: list, recommended: list, ranks: list, dates: list) -> EdgeColumns:
-    """Columns from one list per field, the ids interned in order of first use."""
-    index = {vid: i for i, vid in enumerate(dict.fromkeys(sources + recommended))}
-    n = len(sources)
-    try:
-        rank = np.array(ranks, dtype=np.int64)
-    except OverflowError as exc:
-        raise ValueError(f"a rank does not fit in 64 bits: {exc}") from None
-    return EdgeColumns(
-        ids=tuple(index),
-        source=np.fromiter(map(index.__getitem__, sources), np.int32, n),
-        recommended=np.fromiter(map(index.__getitem__, recommended), np.int32, n),
-        rank=rank,
-        date=np.array(dates, dtype=np.int64),
-    )
-
-
 @dataclass(frozen=True)
-class SnapshotColumns:
-    """One :class:`DailySnapshot` line with its edges decoded as columns.
-
-    ``read_jsonl(path, SnapshotColumns)`` reads a snapshot file with every
-    check the ``DailySnapshot`` decode makes, edges included, and builds no
-    :class:`RecommendationEdge`.
-    """
-
+class DailySnapshot:
     date: dt.date
     edges: EdgeColumns = EdgeColumns((), _NO_POSITIONS, _NO_POSITIONS, _NO_INTS, _NO_INTS)
     retained_video_ids: frozenset[str] = frozenset()
     coverage: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "retained_video_ids", frozenset(self.retained_video_ids))
 
 
 @dataclass(frozen=True)
@@ -267,7 +252,7 @@ class Corpus:
 
     channels: tuple[ChannelRecord, ...] = ()
     videos: tuple[VideoRecord, ...] = ()
-    snapshots: tuple[DailySnapshot | SnapshotColumns, ...] = ()
+    snapshots: tuple[DailySnapshot, ...] = ()
     labeled: tuple[LabeledExample, ...] = ()
 
 
@@ -281,19 +266,22 @@ class Violation:
         return f"{self.kind}[{self.subject}]: {self.message}"
 
 
-def top_recommended(edges: Iterable[RecommendationEdge], retain: int) -> frozenset[str]:
+def top_recommended(edges: EdgeColumns, retain: int) -> frozenset[str]:
     """Video ids of the ``retain`` most recommended videos, by in-edge count.
 
     Ties break lexicographically on video id so every caller retains the same
     set for the same edges.
     """
-    counts: dict[str, int] = {}
-    for edge in edges:
-        counts[edge.recommended_video_id] = counts.get(edge.recommended_video_id, 0) + 1
-    return _most_counted(counts.items(), retain)
+    return _most_counted(_in_edge_counts(edges), retain)
 
 
-def _most_counted(counts: Iterable[tuple[str, int]], retain: int) -> frozenset[str]:
+def _in_edge_counts(edges: EdgeColumns) -> list[tuple[str, int]]:
+    """(video id, in-edge count) of every recommended video."""
+    counts = np.bincount(edges.recommended, minlength=len(edges.ids)).tolist()
+    return [(vid, count) for vid, count in zip(edges.ids, counts) if count]
+
+
+def _most_counted(counts: list[tuple[str, int]], retain: int) -> frozenset[str]:
     ranked = sorted(counts, key=lambda item: (-item[1], item[0]))
     return frozenset(vid for vid, _ in ranked[:retain])
 
@@ -304,7 +292,6 @@ def validate_corpus(corpus: Corpus, max_rank: int = MAX_RANK) -> list[Violation]
     Never mutates or raises on bad data: violations are data. The result is
     order-insensitive over edge lists and calling twice returns the same list.
     ``max_rank`` tracks the configured watch-next depth (20 by default).
-    A snapshot may come with its edges as objects or as columns.
     """
     out: list[Violation] = []
 
@@ -350,10 +337,10 @@ def validate_corpus(corpus: Corpus, max_rank: int = MAX_RANK) -> list[Violation]
     return out
 
 
-def _validate_snapshot(snap: DailySnapshot | SnapshotColumns, max_rank: int) -> list[Violation]:
+def _validate_snapshot(snap: DailySnapshot, max_rank: int) -> list[Violation]:
     out: list[Violation] = []
     day = snap.date.isoformat()
-    edges = EdgeColumns.of(snap.edges)
+    edges = snap.edges
 
     # A slot (date, source, rank) repeats at each of its edges after the
     # first in file order: the sort is stable.
@@ -384,11 +371,7 @@ def _validate_snapshot(snap: DailySnapshot | SnapshotColumns, max_rank: int) -> 
         )[check]
         out.append(Violation("edge", subject, message))
 
-    in_edges = [
-        (vid, count)
-        for vid, count in zip(edges.ids, np.bincount(edges.recommended, minlength=len(edges.ids)).tolist())
-        if count
-    ]
+    in_edges = _in_edge_counts(edges)
     recommended = {vid for vid, _ in in_edges}
     stray = sorted(snap.retained_video_ids - recommended)
     for vid in stray:
@@ -410,11 +393,10 @@ def _validate_snapshot(snap: DailySnapshot | SnapshotColumns, max_rank: int) -> 
 
 # ---------------------------------------------------------------------------
 # JSON Lines codec. One record per line, one file per type, snake_case field
-# names exactly as the dataclass definitions. decode(encode(x)) == x, except
-# that SnapshotColumns is read only: its edges decode into EdgeColumns.
+# names exactly as the dataclass definitions. decode(encode(x)) == x.
 # Each dataclass's fields and type hints are read once: dates travel as ISO
 # strings, frozensets as sorted lists, tuples as lists, nested dataclasses as
-# objects and None as null. A missing key takes the field's default; unknown
+# objects, edge columns as a list of edge objects and None as null. A missing key takes the field's default; unknown
 # keys are ignored, since live API payloads carry extra fields. A value whose
 # JSON type does not fit its field's hint raises TypeError: a float field
 # takes an int, an Optional one takes null, a tuple or frozenset a list. The
@@ -438,8 +420,8 @@ def _converters(hint) -> tuple[Optional[Callable], Optional[Callable], frozenset
     JSON types its values may have; a None converter keeps values as is."""
     if hint is dt.date:
         return dt.date.isoformat, dt.date.fromisoformat, _JSON_TYPES[hint]
-    if hint is EdgeColumns:  # a list of edge objects, read into columns; never written
-        return None, _decode_edges, frozenset({list})
+    if hint is EdgeColumns:
+        return _encode_edges, _decode_edges, frozenset({list})
     if dataclasses.is_dataclass(hint):
         return (*_codec(hint), frozenset({dict}))
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -459,6 +441,18 @@ def _converters(hint) -> tuple[Optional[Callable], Optional[Callable], frozenset
 _EDGE_FIELDS = ("source_video_id", "recommended_video_id", "rank", "date")
 
 
+def _encode_edges(edges: EdgeColumns) -> list[dict]:
+    """The edges as the objects of a snapshot line, one per edge in order."""
+    ids = edges.ids
+    days = {day: dt.date.fromordinal(day).isoformat() for day in set(edges.date.tolist())}
+    return [
+        {"source_video_id": ids[s], "recommended_video_id": ids[r], "rank": rank, "date": days[day]}
+        for s, r, rank, day in zip(
+            edges.source.tolist(), edges.recommended.tolist(), edges.rank.tolist(), edges.date.tolist()
+        )
+    ]
+
+
 def _decode_edges(items: list) -> EdgeColumns:
     """A snapshot line's edge objects as columns, each edge checked as the
     ``RecommendationEdge`` decode checks it: an object holding the four
@@ -470,7 +464,7 @@ def _decode_edges(items: list) -> EdgeColumns:
             list(map(operator.itemgetter(name), items)) for name in _EDGE_FIELDS
         )
         ordinals = {day: dt.date.fromisoformat(day).toordinal() for day in set(dates)}
-        columns = _columns(sources, recommended, ranks, list(map(ordinals.__getitem__, dates)))
+        columns = EdgeColumns.from_lists(sources, recommended, ranks, list(map(ordinals.__getitem__, dates)))
         if set(map(type, ranks)) - {int} or set(map(type, columns.ids)) - {str}:
             raise TypeError("an edge field has the wrong JSON type")
         return columns

@@ -18,7 +18,7 @@ import logging
 from dataclasses import dataclass
 
 from .community import ChannelGraph, Partition
-from .corpus import DailySnapshot, RecommendationEdge, top_recommended
+from .corpus import DailySnapshot, EdgeColumns, top_recommended
 from .errors import ConfigError, FetchError
 from .sources import RecommendationSource
 
@@ -179,7 +179,9 @@ def daily_harvest(
         raise ValueError("k and retain must be at least 1")
     seen: set[str] = set()
     channels = [ch for ch in seeds if not (ch in seen or seen.add(ch))]
-    edges: list[RecommendationEdge] = []
+    sources: list[str] = []
+    recommended_ids: list[str] = []
+    ranks: list[int] = []
     failures: list[tuple[str, str]] = []
     ok = 0
     for channel_id in channels:
@@ -191,19 +193,14 @@ def daily_harvest(
             logger.warning("harvest %s: skipping channel %s (%s)", date, channel_id, exc)
             continue
         ok += 1
-        for rank, rec_id in enumerate(recommended, start=1):
-            edges.append(
-                RecommendationEdge(
-                    date=date,
-                    source_video_id=video.video_id,
-                    recommended_video_id=rec_id,
-                    rank=rank,
-                )
-            )
+        sources += [video.video_id] * len(recommended)
+        recommended_ids += recommended
+        ranks += range(1, len(recommended) + 1)
     coverage = ok / len(channels) if channels else 0.0
+    edges = EdgeColumns.from_lists(sources, recommended_ids, ranks, [date.toordinal()] * len(sources))
     snapshot = DailySnapshot(
         date=date,
-        edges=tuple(edges),
+        edges=edges,
         retained_video_ids=top_recommended(edges, retain),
         coverage=coverage,
     )

@@ -12,11 +12,11 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import EdgeColumns, RecommendationEdge
+from .corpus import EdgeColumns
 
 # ---------------------------------------------------------------------------
 # Regularized incomplete beta and the exact binomial interval
@@ -179,7 +179,7 @@ def daily_frequencies(
 
 
 def raw_frequency(
-    edges: Iterable[RecommendationEdge],
+    edges: EdgeColumns,
     likelihoods: LikelihoodMap,
     threshold: float = 0.5,
 ) -> Optional[float]:
@@ -190,11 +190,11 @@ def raw_frequency(
     recommended video has no likelihood (unclassifiable) drop out of both
     numerator and denominator. ``None`` when nothing is classifiable.
     """
-    return daily_frequencies([EdgeColumns.of(edges)], likelihoods, {}, threshold)[0][0]
+    return daily_frequencies([edges], likelihoods, {}, threshold)[0][0]
 
 
 def weighted_frequency(
-    edges: Sequence[RecommendationEdge],
+    edges: EdgeColumns,
     likelihoods: LikelihoodMap,
     source_views: Mapping[str, int],
     threshold: float = 0.5,
@@ -202,12 +202,12 @@ def weighted_frequency(
     """Raw frequency with each edge weighted by its source video's view count.
     Undefined (None) when any edge's source video has no view count, or when
     the classifiable edges' sources have no views at all."""
-    return daily_frequencies([EdgeColumns.of(edges)], likelihoods, source_views, threshold)[0][1]
+    return daily_frequencies([edges], likelihoods, source_views, threshold)[0][1]
 
 
-def coverage(edges: Sequence[RecommendationEdge], likelihoods: LikelihoodMap) -> float:
+def coverage(edges: EdgeColumns, likelihoods: LikelihoodMap) -> float:
     """Share of edges whose recommended video could be classified."""
-    return daily_frequencies([EdgeColumns.of(edges)], likelihoods, {})[0][2]
+    return daily_frequencies([edges], likelihoods, {})[0][2]
 
 
 def apply_calibration(likelihoods: LikelihoodMap, curve) -> dict[str, Optional[float]]:
@@ -376,7 +376,7 @@ class FilterBubbleMatrix:
 
 
 def filter_bubble_matrix(
-    edges: EdgeColumns | Iterable[RecommendationEdge],
+    edges: EdgeColumns,
     likelihoods: LikelihoodMap,
     periods: Sequence[Period],
     source_bins: int = 10,
@@ -391,7 +391,6 @@ def filter_bubble_matrix(
     """
     if source_bins < 1:
         raise ValueError("need at least one source bin")
-    edges = EdgeColumns.of(edges)
     known, like = _lookup(edges.ids, likelihoods)
     both = known[edges.source] & known[edges.recommended]
     scaled = like[edges.source][both] * source_bins

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import TEXT_FIELDS, EdgeColumns, RecommendationEdge, VideoRecord
+from .corpus import TEXT_FIELDS, EdgeColumns, VideoRecord
 from .textmodel import tokenize
 
 
@@ -172,7 +172,7 @@ def fit_topic_model(
 
 def topic_report(
     model: TopicModel,
-    edges: EdgeColumns | Iterable[RecommendationEdge],
+    edges: EdgeColumns,
     likelihoods: Mapping[str, Optional[float]],
     threshold: float = 0.5,
     top_words: int = 25,
@@ -200,7 +200,6 @@ def topic_report(
     vid_counts = [0] * k
     for vid in consp:
         vid_counts[assign[vid]] += 1
-    edges = EdgeColumns.of(edges)
     topic_of = np.array([assign[vid] if vid in consp else -1 for vid in edges.ids], dtype=np.int64)
     recommended = topic_of[edges.recommended]
     rec_counts = np.bincount(recommended[recommended >= 0], minlength=k).tolist()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from recaudit import textmodel
-from recaudit.corpus import ChannelRecord, Comment, RecommendationEdge, VideoRecord
+from recaudit.corpus import ChannelRecord, Comment, EdgeColumns, RecommendationEdge, VideoRecord
 from recaudit.sources import SimulatedPlatform
 from recaudit.textmodel import featurize
 
@@ -130,6 +130,28 @@ def make_edge(src, rec, rank=1, day=dt.date(2019, 6, 1)):
     return RecommendationEdge(
         date=day, source_video_id=src, recommended_video_id=rec, rank=rank
     )
+
+
+def edge_columns(edges) -> EdgeColumns:
+    """Edge objects as the columns the program holds, in order."""
+    edges = list(edges)
+    return EdgeColumns.from_lists(
+        [e.source_video_id for e in edges],
+        [e.recommended_video_id for e in edges],
+        [e.rank for e in edges],
+        [e.date.toordinal() for e in edges],
+    )
+
+
+def edge_objects(columns: EdgeColumns) -> list[RecommendationEdge]:
+    """The edges ``columns`` holds, as objects in order."""
+    ids = columns.ids
+    return [
+        make_edge(ids[s], ids[r], rank, dt.date.fromordinal(day))
+        for s, r, rank, day in zip(
+            columns.source.tolist(), columns.recommended.tolist(), columns.rank.tolist(), columns.date.tolist()
+        )
+    ]
 
 
 @pytest.fixture

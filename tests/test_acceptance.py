@@ -16,7 +16,6 @@ import pytest
 
 from recaudit.cli import main
 from recaudit.community import ChannelGraph, Partition, cluster_channels, modularity
-from recaudit.corpus import RecommendationEdge
 from recaudit.crawler import daily_harvest
 from recaudit.ensemble import (
     attribute_features,
@@ -36,7 +35,7 @@ from recaudit.sources import PlatformSpec, generate_labeled_set, generate_platfo
 from recaudit.textmodel import TextHyper, loss_and_grads, train_text_classifier
 from recaudit.topics import nmf
 
-from conftest import featurize_examples, make_edge
+from conftest import edge_columns, featurize_examples, make_edge
 
 
 def _report(criterion: str, passed: bool, detail: str = "") -> None:
@@ -124,12 +123,11 @@ def test_criterion_2_filter_bubble_oracle():
     other_sources = [v for v, lab in sorted(platform.ground_truth.items()) if lab == 0][:300]
 
     day = dt.date(2019, 9, 1)
-    edges = []
-    for src in consp_sources + other_sources:
-        for rank, rec in enumerate(platform.fetch_watch_next(src, 20), start=1):
-            edges.append(
-                RecommendationEdge(date=day, source_video_id=src, recommended_video_id=rec, rank=rank)
-            )
+    edges = edge_columns(
+        make_edge(src, rec, rank, day)
+        for src in consp_sources + other_sources
+        for rank, rec in enumerate(platform.fetch_watch_next(src, 20), start=1)
+    )
 
     matrix = filter_bubble_matrix(
         edges, truth_likelihoods, [Period(day, day)], source_bins=10, threshold=0.5
@@ -330,11 +328,11 @@ def test_criterion_5_numerical_kernels():
 
 
 def test_criterion_6_frequency_formulas():
-    edges = [make_edge(f"s{i}", f"r{i}") for i in range(4)]
+    edges = edge_columns([make_edge(f"s{i}", f"r{i}") for i in range(4)])
     likes = {"r0": 0.9, "r1": 0.6, "r2": 0.4, "r3": 0.1}
     raw = raw_frequency(edges, likes, 0.5)
 
-    w_edges = [make_edge("s1", "w1"), make_edge("s2", "w2")]
+    w_edges = edge_columns([make_edge("s1", "w1"), make_edge("s2", "w2")])
     w_likes = {"w1": 0.9, "w2": 0.4}
     weighted = weighted_frequency(w_edges, w_likes, {"s1": 100, "s2": 300}, 0.5)
 

@@ -18,7 +18,7 @@ from recaudit.cli import main
 from recaudit.config import load_config
 from recaudit.corpus import DailySnapshot
 from recaudit.parallel import available_cpus
-from conftest import make_edge, processes
+from conftest import edge_columns, edge_objects, make_edge, processes
 
 CFG = """
 sim.channels = 10
@@ -124,7 +124,7 @@ class TestInputSetStaleness:
         assert "skipping" not in capsys.readouterr().out
         new_day = corpus.read_jsonl(out / "snapshots" / "2019-05-02.jsonl", DailySnapshot)
         scored = {json.loads(line)["video_id"] for line in (out / "likelihoods.jsonl").read_text().splitlines()}
-        assert {e.recommended_video_id for s in new_day for e in s.edges} <= scored
+        assert {e.recommended_video_id for s in new_day for e in edge_objects(s.edges)} <= scored
 
     @pytest.mark.parametrize("stage", ["trends", "bubble", "topics", "validate"])
     def test_snapshot_readers_rerun_after_a_new_harvest_day(self, workspace, capsys, stage):
@@ -466,7 +466,7 @@ class TestErrors:
         assert run(cfg, "simulate") == 0
         bad = DailySnapshot(
             date=dt.date(2019, 5, 9),
-            edges=(make_edge("a", "b", rank=99, day=dt.date(2019, 5, 9)),),
+            edges=edge_columns([make_edge("a", "b", rank=99, day=dt.date(2019, 5, 9))]),
             retained_video_ids=frozenset({"b"}),
         )
         corpus.write_jsonl(out / "snapshots" / "2019-05-09.jsonl", [bad])
@@ -513,7 +513,7 @@ class TestOneFilePerDay:
         assert run(cfg, "harvest", "--date", "2019-05-01") == 0
         assert run(cfg, "validate") == 0
         (snapshot,) = corpus.read_jsonl(out / "snapshots" / "2019-05-01.jsonl", DailySnapshot)
-        source = min(e.source_video_id for e in snapshot.edges)
+        source = min(e.source_video_id for e in edge_objects(snapshot.edges))
         record = next(v for v in corpus.read_jsonl(out / "videos.jsonl", corpus.VideoRecord)
                       if v.video_id == source)
         day_file = out / "videos" / "2019-05-01.jsonl"
@@ -646,7 +646,7 @@ def _write_likelihoods(out, second):
     (snapshot,) = corpus.read_jsonl(out / "snapshots" / "2019-05-01.jsonl", DailySnapshot)
     docs = [
         {"video_id": vid, "likelihood": 0.5}
-        for vid in sorted({e.recommended_video_id for e in snapshot.edges})
+        for vid in sorted({e.recommended_video_id for e in edge_objects(snapshot.edges)})
     ]
     docs[1]["likelihood"] = second
     path = out / "likelihoods.jsonl"
@@ -976,16 +976,12 @@ class TestCollectionDecodes:
         assert built, "the counter must see a full decode"
 
 
-class TestReportDecodes:
-    def test_report_stages_build_no_edge(self, workspace, monkeypatch):
-        # score, trends, bubble, topics and validate read each snapshot's
-        # edges as columns; an object decode would build every edge again.
-        tmp, cfg = workspace
-        out = tmp / "out"
-        assert run(cfg, "simulate") == 0
-        for day in ("2019-05-01", "2019-05-02"):
-            assert run(cfg, "harvest", "--date", day) == 0
-        assert run(cfg, "train") == 0
+class TestEdgeObjects:
+    """Edges are columns from harvest to report: no stage builds an object
+    per edge. Only a bad edge is decoded as one, to name its fault."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
         built = []
         init = corpus.RecommendationEdge.__init__
 
@@ -994,11 +990,24 @@ class TestReportDecodes:
             init(edge, *args, **kwargs)
 
         monkeypatch.setattr(corpus.RecommendationEdge, "__init__", counted)
-        for stage in ("score", "trends", "bubble", "topics", "validate"):
+        return built
+
+    def test_no_stage_builds_an_edge_object(self, workspace, built):
+        tmp, cfg = workspace
+        assert run(cfg, "simulate") == 0
+        for day in ("2019-05-01", "2019-05-02"):
+            assert run(cfg, "harvest", "--date", day) == 0
+        for stage in ("train", "score", "trends", "bubble", "topics", "validate"):
             assert run(cfg, stage) == 0, stage
         assert built == []
-        next(corpus.read_jsonl(out / "snapshots" / "2019-05-01.jsonl", DailySnapshot))
-        assert built, "the counter must see an object decode"
+
+    def test_a_bad_edge_is_decoded_as_an_object(self, tmp_path, built):
+        path = tmp_path / "2019-05-01.jsonl"
+        good = '{"date": "2019-05-01", "rank": 1, "recommended_video_id": "v2", "source_video_id": "v1"}'
+        path.write_text('{"date": "2019-05-01", "edges": [' + good + ", 7]}\n", encoding="utf-8")
+        with pytest.raises(errors.ArtifactCorruptError, match=f"{path}:1: "):
+            list(corpus.read_jsonl(path, DailySnapshot))
+        assert len(built) == 1, "the counter must see the error path's object decode"
 
 
 class TestDateOption:

@@ -11,7 +11,6 @@ from recaudit.corpus import (
     Corpus,
     DailySnapshot,
     LabeledExample,
-    SnapshotColumns,
     VideoRecord,
     decode_record,
     encode_record,
@@ -23,7 +22,7 @@ from recaudit.corpus import (
 
 from recaudit.errors import ArtifactCorruptError
 
-from conftest import make_edge, make_video
+from conftest import edge_columns, make_edge, make_video
 
 DAY = dt.date(2019, 6, 1)
 
@@ -70,7 +69,7 @@ class TestValidate:
 
     def test_rank_out_of_bounds_names_the_edge(self):
         snap = DailySnapshot(
-            date=DAY, edges=(make_edge("s", "r", rank=21),), retained_video_ids=frozenset()
+            date=DAY, edges=edge_columns([make_edge("s", "r", rank=21)]), retained_video_ids=frozenset()
         )
         violations = validate_corpus(Corpus(snapshots=(snap,)))
         assert len(violations) == 1
@@ -85,7 +84,7 @@ class TestValidate:
             make_edge("s2", "r1", rank=1),
         )
         assert {e.recommended_video_id for e in edges} == {"r1", "r2"}
-        snap = DailySnapshot(date=DAY, edges=edges, retained_video_ids=frozenset({"r1", "ghost"}))
+        snap = DailySnapshot(date=DAY, edges=edge_columns(edges), retained_video_ids=frozenset({"r1", "ghost"}))
         violations = validate_corpus(Corpus(snapshots=(snap,)))
         assert len(violations) == 1
         assert "ghost" in violations[0].message
@@ -96,21 +95,21 @@ class TestValidate:
             make_edge("s2", "r1", rank=1),
             make_edge("s1", "r2", rank=2),
         )
-        good = DailySnapshot(date=DAY, edges=edges, retained_video_ids=frozenset({"r1"}))
+        good = DailySnapshot(date=DAY, edges=edge_columns(edges), retained_video_ids=frozenset({"r1"}))
         assert validate_corpus(Corpus(snapshots=(good,))) == []
-        bad = DailySnapshot(date=DAY, edges=edges, retained_video_ids=frozenset({"r2"}))
+        bad = DailySnapshot(date=DAY, edges=edge_columns(edges), retained_video_ids=frozenset({"r2"}))
         violations = validate_corpus(Corpus(snapshots=(bad,)))
         assert any("top videos" in v.message for v in violations)
 
     def test_duplicate_rank_per_source_flagged(self):
         edges = (make_edge("s", "r1", rank=1), make_edge("s", "r2", rank=1))
-        snap = DailySnapshot(date=DAY, edges=edges, retained_video_ids=frozenset())
+        snap = DailySnapshot(date=DAY, edges=edge_columns(edges), retained_video_ids=frozenset())
         violations = validate_corpus(Corpus(snapshots=(snap,)))
         assert any("duplicate rank" in v.message for v in violations)
 
     def test_self_recommendation_flagged(self):
         snap = DailySnapshot(
-            date=DAY, edges=(make_edge("s", "s"),), retained_video_ids=frozenset()
+            date=DAY, edges=edge_columns([make_edge("s", "s")]), retained_video_ids=frozenset()
         )
         assert any(
             "source equals recommended" in v.message
@@ -132,9 +131,9 @@ class TestValidate:
 
     def test_idempotent_and_edge_order_insensitive(self):
         edges = [make_edge("s1", "r1", rank=1), make_edge("s1", "r1", rank=1)]
-        snap = DailySnapshot(date=DAY, edges=tuple(edges), retained_video_ids=frozenset({"r1"}))
+        snap = DailySnapshot(date=DAY, edges=edge_columns(edges), retained_video_ids=frozenset({"r1"}))
         flipped = DailySnapshot(
-            date=DAY, edges=tuple(reversed(edges)), retained_video_ids=frozenset({"r1"})
+            date=DAY, edges=edge_columns(reversed(edges)), retained_video_ids=frozenset({"r1"})
         )
         first = validate_corpus(Corpus(snapshots=(snap,)))
         assert first == validate_corpus(Corpus(snapshots=(snap,)))
@@ -150,11 +149,11 @@ class TestValidate:
 class TestTopRecommended:
     def test_ties_break_lexicographically(self):
         edges = [make_edge("s1", "b"), make_edge("s2", "a", rank=2)]
-        assert top_recommended(edges, 1) == frozenset({"a"})
+        assert top_recommended(edge_columns(edges), 1) == frozenset({"a"})
 
     def test_counts_dominate(self):
         edges = [make_edge("s1", "b"), make_edge("s2", "b", rank=2), make_edge("s3", "a")]
-        assert top_recommended(edges, 1) == frozenset({"b"})
+        assert top_recommended(edge_columns(edges), 1) == frozenset({"b"})
 
 
 def _sample_records():
@@ -177,7 +176,7 @@ def _sample_records():
         make_edge("v1", "v2", rank=3),
         DailySnapshot(
             date=DAY,
-            edges=(make_edge("v1", "v3"), make_edge("v1", "v2", rank=2)),
+            edges=edge_columns([make_edge("v1", "v3"), make_edge("v1", "v2", rank=2)]),
             retained_video_ids=frozenset(["v3", "v2"]),
             coverage=0.5,
         ),
@@ -243,9 +242,8 @@ SPARSE_LINES = [
     (
         DailySnapshot,
         '{"date": "2019-06-01", "extra": 1}',
-        DailySnapshot(date=DAY, edges=(), retained_video_ids=frozenset()),
+        DailySnapshot(date=DAY, retained_video_ids=frozenset()),
     ),
-    (SnapshotColumns, '{"date": "2019-06-01", "extra": 1}', SnapshotColumns(date=DAY)),
     (
         LabeledExample,
         '{"video": {"video_id": "v1", "channel_id": "c1", "extra": 1}, "label": 0, "extra": 1}',
@@ -338,16 +336,15 @@ class TestCodecBytes:
             list(read_jsonl(path, DailySnapshot))
         assert str(info.value) == f"{path}:1: {message}"
 
-    def test_a_rank_beyond_64_bits_is_corruption_in_the_column_decode(self, tmp_path):
-        # The object decode holds any int; a rank column holds 64 bits.
+    def test_a_rank_beyond_64_bits_is_corruption(self, tmp_path):
+        # A rank column holds 64 bits.
         path = tmp_path / "snap.jsonl"
         edge = _GOOD_EDGE.replace('"rank": 1', f'"rank": {2**63}')
         path.write_text('{"date": "2019-06-01", "edges": [' + edge + "]}\n", encoding="utf-8")
-        assert list(read_jsonl(path, DailySnapshot))[0].edges[0].rank == 2**63
         with pytest.raises(ArtifactCorruptError, match=f"{path}:1: a rank does not fit in 64 bits"):
-            list(read_jsonl(path, SnapshotColumns))
+            list(read_jsonl(path, DailySnapshot))
 
-    def test_the_column_decode_reads_what_the_object_decode_reads(self, tmp_path):
+    def test_the_edge_decode_reads_every_field(self, tmp_path):
         # Every field of the golden line, plus a key no edge has and an edge
         # date in another ISO form.
         doc = json.loads(GOLDEN_LINES["DailySnapshot"])
@@ -356,15 +353,14 @@ class TestCodecBytes:
         path = tmp_path / "snap.jsonl"
         path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
         (snap,) = read_jsonl(path, DailySnapshot)
-        (columns,) = read_jsonl(path, SnapshotColumns)
-        edges = columns.edges
-        assert (columns.date, columns.retained_video_ids, columns.coverage) == (
-            snap.date, snap.retained_video_ids, snap.coverage
-        )
+        edges = snap.edges
+        assert (snap.date, snap.retained_video_ids, snap.coverage) == (DAY, frozenset({"v2", "v3"}), 0.5)
         assert [
             (edges.ids[s], edges.ids[r], rank, dt.date.fromordinal(day))
-            for s, r, rank, day in zip(edges.source, edges.recommended, edges.rank.tolist(), edges.date.tolist())
-        ] == [(e.source_video_id, e.recommended_video_id, e.rank, e.date) for e in snap.edges]
+            for s, r, rank, day in zip(
+                edges.source.tolist(), edges.recommended.tolist(), edges.rank.tolist(), edges.date.tolist()
+            )
+        ] == [("v1", "v3", 1, DAY), ("v1", "v2", 2, dt.date(2019, 6, 2))]
 
     def test_float_takes_an_int_and_optional_takes_null(self, tmp_path):
         path = tmp_path / "typed.jsonl"

@@ -10,6 +10,8 @@ from recaudit.crawler import daily_harvest, select_seed_cluster, snowball_channe
 from recaudit.errors import ChannelStalledError, ConfigError, FetchError, RecauditError
 from recaudit.sources import PlatformSpec, generate_platform
 
+from conftest import edge_objects
+
 DAY = dt.date(2019, 4, 2)
 
 FETCH_ERRORS = [cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, FetchError)]
@@ -259,7 +261,7 @@ class TestSelectSeedCluster:
 class TestDailyHarvest:
     def test_fewer_than_retain_keeps_all(self, hand_platform):
         result = daily_harvest(hand_platform, ["alpha", "beta"], DAY, k=3, retain=1000)
-        recommended = {e.recommended_video_id for e in result.snapshot.edges}
+        recommended = {e.recommended_video_id for e in edge_objects(result.snapshot.edges)}
         assert result.snapshot.retained_video_ids == recommended
         assert result.snapshot.coverage == 1.0
 
@@ -268,13 +270,13 @@ class TestDailyHarvest:
             PlatformSpec(n_channels=15, videos_per_channel=8, base_rate=0.3, seed=4)
         )
         result = daily_harvest(platform, platform.channel_ids(), DAY, k=10, retain=5)
-        counts = Counter(e.recommended_video_id for e in result.snapshot.edges)
+        counts = Counter(e.recommended_video_id for e in edge_objects(result.snapshot.edges))
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         assert result.snapshot.retained_video_ids == {vid for vid, _ in ranked[:5]}
 
     def test_all_channels_failing_yields_empty_snapshot(self, hand_platform):
         result = daily_harvest(hand_platform, ["ghost1", "ghost2"], DAY, k=3, retain=10)
-        assert result.snapshot.edges == ()
+        assert len(result.snapshot.edges) == 0
         assert result.snapshot.coverage == 0.0
         assert len(result.failures) == 2
 
@@ -297,15 +299,15 @@ class TestDailyHarvest:
     def test_edge_multiset_invariant_under_seed_order(self, hand_platform):
         forward = daily_harvest(hand_platform, ["alpha", "beta"], DAY, k=4, retain=10)
         backward = daily_harvest(hand_platform, ["beta", "alpha"], DAY, k=4, retain=10)
-        assert Counter(forward.snapshot.edges) == Counter(backward.snapshot.edges)
+        assert Counter(edge_objects(forward.snapshot.edges)) == Counter(edge_objects(backward.snapshot.edges))
         assert forward.snapshot.retained_video_ids == backward.snapshot.retained_video_ids
 
     def test_ranks_start_at_one_and_stay_dense(self, hand_platform):
         result = daily_harvest(hand_platform, ["alpha"], DAY, k=4, retain=10)
-        ranks = sorted(e.rank for e in result.snapshot.edges)
+        ranks = sorted(e.rank for e in edge_objects(result.snapshot.edges))
         assert ranks == list(range(1, len(ranks) + 1))
 
     def test_duplicate_seed_entries_processed_once(self, hand_platform):
         once = daily_harvest(hand_platform, ["alpha"], DAY, k=3, retain=10)
         twice = daily_harvest(hand_platform, ["alpha", "alpha"], DAY, k=3, retain=10)
-        assert Counter(once.snapshot.edges) == Counter(twice.snapshot.edges)
+        assert Counter(edge_objects(once.snapshot.edges)) == Counter(edge_objects(twice.snapshot.edges))

@@ -22,6 +22,8 @@ from recaudit.errors import (
 )
 from recaudit.live import API_KEY_ENV, BASE_URL_ENV, LiveAdapter
 
+from conftest import edge_objects
+
 VIDEO_DOC = {
     "video_id": "v1",
     "channel_id": "c1",
@@ -195,7 +197,7 @@ class TestLiveAdapter:
 
     def test_harvest_skips_failing_channels_and_keeps_the_good_one(self, adapter):
         result = daily_harvest(adapter, ["limited", "garbled", "good"], dt.date(2019, 5, 1), k=3)
-        assert [(e.source_video_id, e.recommended_video_id) for e in result.snapshot.edges] == [
+        assert [(e.source_video_id, e.recommended_video_id) for e in edge_objects(result.snapshot.edges)] == [
             ("v1", "v2"),
             ("v1", "v3"),
             ("v1", "v4"),
@@ -216,7 +218,7 @@ class TestLiveAdapter:
 
     def test_harvest_skips_bodies_of_the_wrong_shape_and_keeps_the_good_one(self, adapter):
         result = daily_harvest(adapter, ["odd", "good"], dt.date(2019, 5, 1), k=3)
-        assert [e.recommended_video_id for e in result.snapshot.edges] == ["v2", "v3", "v4"]
+        assert [e.recommended_video_id for e in edge_objects(result.snapshot.edges)] == ["v2", "v3", "v4"]
         assert [channel for channel, _ in result.failures] == ["odd"]
         assert result.failures[0][1].startswith("TransientFetchError")
         result = daily_harvest(adapter, ["unlisted", "good"], dt.date(2019, 5, 1), k=3)
@@ -265,7 +267,7 @@ class TestLiveAdapter:
         (tmp_path / "seeds.txt").write_text("good\n")
         assert main(["harvest", "--date", "2019-05-01", "--out", str(tmp_path)]) == 0
         (snapshot,) = read_jsonl(tmp_path / "snapshots" / "2019-05-01.jsonl", DailySnapshot)
-        assert [(e.source_video_id, e.recommended_video_id, e.rank) for e in snapshot.edges] == [
+        assert [(e.source_video_id, e.recommended_video_id, e.rank) for e in edge_objects(snapshot.edges)] == [
             ("v1", "v2", 1),
             ("v1", "v3", 2),
             ("v1", "v4", 3),

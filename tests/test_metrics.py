@@ -21,7 +21,7 @@ from recaudit.metrics import (
     weighted_frequency,
 )
 
-from conftest import make_edge
+from conftest import edge_columns, make_edge
 
 DAY = dt.date(2019, 6, 1)
 
@@ -126,65 +126,65 @@ class TestClopperPearson:
 
 class TestRawFrequency:
     def test_hand_fixture(self):
-        edges = [make_edge(f"s{i}", f"r{i}", rank=1) for i in range(4)]
+        edges = edge_columns([make_edge(f"s{i}", f"r{i}", rank=1) for i in range(4)])
         likes = {"r0": 0.9, "r1": 0.6, "r2": 0.4, "r3": 0.1}
         assert raw_frequency(edges, likes, 0.5) == pytest.approx(0.375)
 
     def test_all_below_threshold(self):
-        edges = [make_edge("s", "r")]
+        edges = edge_columns([make_edge("s", "r")])
         assert raw_frequency(edges, {"r": 0.2}, 0.5) == 0.0
 
     def test_all_certain(self):
-        edges = [make_edge(f"s{i}", f"r{i}") for i in range(3)]
+        edges = edge_columns([make_edge(f"s{i}", f"r{i}") for i in range(3)])
         assert raw_frequency(edges, {f"r{i}": 1.0 for i in range(3)}, 0.5) == 1.0
 
     def test_unclassifiable_edges_drop_out_entirely(self):
-        edges = [make_edge("s1", "r1"), make_edge("s2", "r2")]
+        edges = edge_columns([make_edge("s1", "r1"), make_edge("s2", "r2")])
         likes = {"r1": 0.8, "r2": None}
         assert raw_frequency(edges, likes, 0.5) == pytest.approx(0.8)
         assert coverage(edges, likes) == pytest.approx(0.5)
 
     def test_undefined_when_nothing_classifiable(self):
-        assert raw_frequency([make_edge("s", "r")], {}, 0.5) is None
+        assert raw_frequency(edge_columns([make_edge("s", "r")]), {}, 0.5) is None
 
 
 class TestWeightedFrequency:
     def test_hand_fixture(self):
-        edges = [make_edge("s1", "r1"), make_edge("s2", "r2")]
+        edges = edge_columns([make_edge("s1", "r1"), make_edge("s2", "r2")])
         likes = {"r1": 0.9, "r2": 0.4}
         views = {"s1": 100, "s2": 300}
         assert weighted_frequency(edges, likes, views, 0.5) == pytest.approx(0.225)
 
     def test_uniform_views_equal_raw(self):
-        edges = [make_edge(f"s{i}", f"r{i}") for i in range(5)]
+        edges = edge_columns([make_edge(f"s{i}", f"r{i}") for i in range(5)])
         likes = {f"r{i}": v for i, v in enumerate([0.9, 0.6, 0.55, 0.2, 0.05])}
         views = {f"s{i}": 77 for i in range(5)}
         assert weighted_frequency(edges, likes, views, 0.5) == raw_frequency(edges, likes, 0.5)
 
     def test_single_dominant_edge(self):
-        edges = [make_edge("s1", "r1"), make_edge("s2", "r2")]
+        edges = edge_columns([make_edge("s1", "r1"), make_edge("s2", "r2")])
         likes = {"r1": 0.7, "r2": 0.9}
         views = {"s1": 1000, "s2": 0}
         assert weighted_frequency(edges, likes, views, 0.5) == pytest.approx(0.7)
 
     def test_zero_total_views_is_undefined(self):
-        edges = [make_edge("s", "r")]
+        edges = edge_columns([make_edge("s", "r")])
         assert weighted_frequency(edges, {"r": 0.9}, {"s": 0}, 0.5) is None
 
     def test_a_source_without_a_view_count_is_undefined(self):
         # Whether or not the edge's recommended video could be classified.
-        edges = [make_edge("s1", "r1"), make_edge("s2", "r2")]
+        edges = edge_columns([make_edge("s1", "r1"), make_edge("s2", "r2")])
         for likes in ({"r1": 0.9, "r2": 0.7}, {"r1": 0.9, "r2": None}, {"r1": 0.9}):
             assert weighted_frequency(edges, likes, {"s1": 10}, 0.5) is None
 
     def test_negative_view_count_raises(self):
-        edges = [make_edge("s1", "r1"), make_edge("s2", "r2")]
+        edges = edge_columns([make_edge("s1", "r1"), make_edge("s2", "r2")])
         with pytest.raises(ValueError, match="negative view count for source video s2"):
             weighted_frequency(edges, {"r1": 0.9, "r2": 0.7}, {"s1": 10, "s2": -5}, 0.5)
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=20))
     def test_fuzz_frequencies_stay_in_unit_interval(self, likes):
-        edges = [make_edge(f"s{i}", f"r{i}") for i in range(len(likes))]
+        edges = edge_columns([make_edge(f"s{i}", f"r{i}") for i in range(len(likes))])
         like_map = {f"r{i}": l for i, l in enumerate(likes)}
         views = {f"s{i}": (i * 37) % 11 + 1 for i in range(len(likes))}
         raw = raw_frequency(edges, like_map, 0.5)
@@ -323,25 +323,25 @@ class TestApplyCalibration:
 
 class TestFilterBubble:
     def test_single_period_single_bin_equals_raw_frequency(self):
-        edges = [make_edge(f"s{i}", f"r{i}") for i in range(4)]
+        edges = edge_columns([make_edge(f"s{i}", f"r{i}") for i in range(4)])
         likes = {"r0": 0.9, "r1": 0.6, "r2": 0.4, "r3": 0.1}
         likes.update({f"s{i}": 0.5 for i in range(4)})
         matrix = filter_bubble_matrix(edges, likes, [Period(DAY, DAY)], source_bins=1)
         assert matrix.cells[0][0] == raw_frequency(edges, likes, 0.5)
 
     def test_zero_likelihoods_give_zero_cells(self):
-        edges = [make_edge(f"s{i}", f"r{i}") for i in range(3)]
-        likes = {k: 0.0 for e in edges for k in (e.source_video_id, e.recommended_video_id)}
+        edges = edge_columns([make_edge(f"s{i}", f"r{i}") for i in range(3)])
+        likes = dict.fromkeys(edges.ids, 0.0)
         matrix = filter_bubble_matrix(edges, likes, [Period(DAY, DAY)], source_bins=2)
         assert matrix.cells[0][0] == 0.0
 
     def test_edges_split_by_source_bin_and_period(self):
         later = DAY + dt.timedelta(days=10)
-        edges = [
+        edges = edge_columns([
             make_edge("hot", "r1", day=DAY),
             make_edge("cold", "r2", day=DAY),
             make_edge("hot", "r3", rank=2, day=later),
-        ]
+        ])
         likes = {"hot": 0.9, "cold": 0.1, "r1": 1.0, "r2": 0.0, "r3": 0.0}
         periods = [Period(DAY, DAY), Period(later, later)]
         matrix = filter_bubble_matrix(edges, likes, periods, source_bins=2)
@@ -352,7 +352,7 @@ class TestFilterBubble:
         assert matrix.edge_counts[0] == (1, 1)
 
     def test_edges_without_endpoint_likelihoods_are_excluded(self):
-        edges = [make_edge("s", "r"), make_edge("s2", "r2")]
+        edges = edge_columns([make_edge("s", "r"), make_edge("s2", "r2")])
         likes = {"s": 0.9, "r": 1.0}  # s2/r2 unknown
         matrix = filter_bubble_matrix(edges, likes, [Period(DAY, DAY)], source_bins=1)
         assert matrix.edge_counts[0][0] == 1

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from recaudit.corpus import EdgeColumns
 from recaudit.topics import (
     NmfResult,
     TopicModel,
@@ -16,7 +17,7 @@ from recaudit.topics import (
 
 from recaudit.textmodel import tokenize
 
-from conftest import make_edge, make_video
+from conftest import edge_columns, make_edge, make_video
 
 
 class TestDocuments:
@@ -130,11 +131,11 @@ def _model_from_w(W, video_ids, terms=("t0", "t1", "t2")):
 class TestTopicReport:
     def edges_for(self, vids, per_video):
         day = dt.date(2019, 3, 1)
-        return [
+        return edge_columns(
             make_edge(f"src{i}-{vid}", vid, day=day)
             for vid in vids
             for i in range(per_video)
-        ]
+        )
 
     def test_single_topic_gets_everything(self):
         W = np.ones((3, 1))
@@ -170,7 +171,7 @@ class TestTopicReport:
         W = np.array([[1, 0], [0, 1], [0, 1]], dtype=float)
         model = _model_from_w(W, ["v1", "v2", "v3"])
         likes = {"v1": 0.9, "v2": 0.9, "v3": 0.9}
-        edges = self.edges_for(["v2", "v3"], 5) + self.edges_for(["v1"], 1)
+        edges = EdgeColumns.concat([self.edges_for(["v2", "v3"], 5), self.edges_for(["v1"], 1)])
         report = topic_report(model, edges, likes)
         assert [r.topic for r in report.rows] == [1, 0]
 
