@@ -396,12 +396,12 @@ def _validate_snapshot(snap: DailySnapshot, max_rank: int) -> list[Violation]:
 # names exactly as the dataclass definitions. decode(encode(x)) == x.
 # Each dataclass's fields and type hints are read once: dates travel as ISO
 # strings, frozensets as sorted lists, tuples as lists, nested dataclasses as
-# objects, edge columns as a list of edge objects and None as null. A missing key takes the field's default; unknown
-# keys are ignored, since live API payloads carry extra fields. A value whose
-# JSON type does not fit its field's hint raises TypeError: a float field
-# takes an int, an Optional one takes null, a tuple or frozenset a list. The
-# elements of a list are not checked; the record constructors convert or
-# reject the ones they use.
+# objects, edge columns as a list of edge objects and None as null. A
+# missing key takes the field's default; unknown keys are ignored, since live
+# API payloads carry extra fields. A value whose JSON type does not fit its
+# field's hint raises TypeError: a float field takes an int, an Optional one
+# takes null, a tuple or frozenset a list. The elements of a list are not
+# checked; the record constructors convert or reject the ones they use.
 # ---------------------------------------------------------------------------
 
 # The JSON value types each hint accepts; a hint not listed accepts any.

@@ -84,7 +84,9 @@ class TestValidate:
             make_edge("s2", "r1", rank=1),
         )
         assert {e.recommended_video_id for e in edges} == {"r1", "r2"}
-        snap = DailySnapshot(date=DAY, edges=edge_columns(edges), retained_video_ids=frozenset({"r1", "ghost"}))
+        snap = DailySnapshot(
+            date=DAY, edges=edge_columns(edges), retained_video_ids=frozenset({"r1", "ghost"})
+        )
         violations = validate_corpus(Corpus(snapshots=(snap,)))
         assert len(violations) == 1
         assert "ghost" in violations[0].message
