@@ -80,8 +80,14 @@ def _text_hyper(config: PipelineConfig, seed: int) -> TextHyper:
 
 
 # The simulated platform on disk, in the order `_source` reads it; the state
-# file is optional.
-_PLATFORM_FILES = ("channels.jsonl", "videos.jsonl", "ground_truth.jsonl", "platform_state.json")
+# file and the video file's column bundle are optional.
+_PLATFORM_FILES = (
+    "channels.jsonl",
+    "videos.jsonl",
+    "ground_truth.jsonl",
+    "platform_state.json",
+    "videos.columns",
+)
 
 # The files of each input a stage declares in `_STAGES`, by name.
 _Inputs = dict[str, list[Path]]
@@ -92,8 +98,12 @@ def _files(config: PipelineConfig, args) -> _Inputs:
     manifest records the digests of the files its stage declares, and the
     rerun skip requires them to be the same files as the recorded ones, so
     a newly harvested day, another label file or a re-simulated platform
-    makes a stage stale."""
+    makes a stage stale. A JSONL file's column bundle (`store.columns_path`)
+    is an input of the stages that read its records from it."""
     out = _out(config)
+    snapshots = sorted((out / "snapshots").glob("*.jsonl"))
+    # The simulator's video file plus one file per live harvest day.
+    videos = [out / "videos.jsonl", *sorted((out / "videos").glob("*.jsonl"))]
     return {
         "platform": [] if config.source == "live" else [out / name for name in _PLATFORM_FILES],
         "seed_list": [Path(config.snowball_seeds_path)],
@@ -101,9 +111,10 @@ def _files(config: PipelineConfig, args) -> _Inputs:
         "seeds": [out / "seeds.txt"],
         "labeled": [out / "labeled.jsonl"],
         "ensemble": [out / "ensemble.bin"],
-        "snapshots": sorted((out / "snapshots").glob("*.jsonl")),
-        # The simulator's video file plus one file per live harvest day.
-        "videos": [out / "videos.jsonl", *sorted((out / "videos").glob("*.jsonl"))],
+        "snapshots": snapshots,
+        "snapshot_columns": [store.columns_path(path) for path in snapshots],
+        "videos": videos,
+        "video_columns": [store.columns_path(path) for path in videos],
         "likelihoods": [out / "likelihoods.jsonl"],
         "calibration": [out / "calibration.csv"] if config.trends_calibrated else [],
         "labels": [Path(args.labels) if getattr(args, "labels", None) else out / "ground_truth.jsonl"],
@@ -114,12 +125,12 @@ def _files(config: PipelineConfig, args) -> _Inputs:
 def _source(config: PipelineConfig, paths: _Inputs):
     if config.source == "live":
         return LiveAdapter.from_env()
-    channels_path, videos_path, truth_path, state_path = paths["platform"]
+    channels_path, videos_path, truth_path, state_path, _ = paths["platform"]
     for path in (channels_path, videos_path, truth_path):
         _require(path, "simulate")
     channels = tuple(corpus.read_jsonl(channels_path, corpus.ChannelRecord))
     # A harvest or a snowball reads each video's id and channel only.
-    videos = tuple(corpus.read_jsonl(videos_path, corpus.VideoKey))
+    videos = tuple(store.read_records(videos_path, corpus.VideoKey))
     truth = store.read_ground_truth(truth_path)
     video_dates: dict[str, dt.date] = {}
     disabled: frozenset[str] = frozenset()
@@ -146,14 +157,14 @@ def _source(config: PipelineConfig, paths: _Inputs):
 
 
 def _records(files: list[Path], cls) -> tuple:
-    """Every record in those of ``files`` that exist."""
+    """Every record in those of ``files`` that exist, decoded from the JSON."""
     return tuple(record for path in files if path.exists() for record in corpus.read_jsonl(path, cls))
 
 
 def _read_snapshots(config: PipelineConfig, files: list[Path]) -> list[corpus.DailySnapshot]:
     """The snapshots in date order. A day found twice would be counted
     twice, so it raises :class:`CorpusViolationError` naming both files."""
-    found = [(path, s) for path in files for s in corpus.read_jsonl(path, corpus.DailySnapshot)]
+    found = [(path, s) for path in files for s in store.read_records(path, corpus.DailySnapshot)]
     found.sort(key=lambda item: item[1].date)
     if not found:
         raise ConfigError(f"no snapshots under {_out(config) / 'snapshots'}; run `harvest` first")
@@ -165,7 +176,9 @@ def _read_snapshots(config: PipelineConfig, files: list[Path]) -> list[corpus.Da
 
 def _read_videos(config: PipelineConfig, files: list[Path], cls=corpus.VideoRecord) -> dict:
     """Each video's ``cls`` record by id; a later file's record replaces an earlier one."""
-    records = {video.video_id: video for video in _records(files, cls)}
+    records = {
+        video.video_id: video for path in files if path.exists() for video in store.read_records(path, cls)
+    }
     if not records:
         raise ConfigError(f"no video records under {_out(config)}")
     return records
@@ -200,7 +213,7 @@ def _cmd_simulate(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     except ValueError as exc:
         raise ConfigError(f"sim.labeled_count = {config.sim_labeled_count}: {exc}") from None
     corpus.write_jsonl(out / "channels.jsonl", platform.channels)
-    corpus.write_jsonl(out / "videos.jsonl", platform.videos)
+    store.write_videos(out / "videos.jsonl", platform.videos)
     store.write_ground_truth(out / "ground_truth.jsonl", platform.ground_truth)
     corpus.write_jsonl(out / "labeled.jsonl", labeled)
     store.write_seed_list(out / "seeds.txt", platform.channel_ids())
@@ -212,6 +225,7 @@ def _cmd_simulate(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     outputs = [
         "channels.jsonl",
         "videos.jsonl",
+        "videos.columns",
         "ground_truth.jsonl",
         "labeled.jsonl",
         "seeds.txt",
@@ -294,7 +308,7 @@ def _cmd_harvest(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     store.ensure_snapshot_writable(snap_path, args.overwrite)
 
     result = daily_harvest(source, seeds, day, k=config.harvest_k, retain=config.harvest_retain)
-    outputs = [snap_path]
+    outputs = []
     if config.source == "live":
         # Persist the records behind this snapshot; the simulator's are already on disk.
         # The snapshot is written last, so an error here leaves none to block the rerun.
@@ -310,7 +324,7 @@ def _cmd_harvest(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
         videos_path = out / "videos" / f"{day.isoformat()}.jsonl"
         corpus.write_jsonl(videos_path, fetched)
         outputs.append(videos_path)
-    corpus.write_jsonl(snap_path, [result.snapshot])
+    outputs += store.write_snapshots(snap_path, [result.snapshot])
 
     if result.failures:
         logger.warning("harvest %s: %d channels failed", day, len(result.failures))
@@ -544,11 +558,14 @@ _STAGES = {
     "snowball": (_cmd_snowball, ("seed_list", "manual_additions", "platform")),
     "harvest": (_cmd_harvest, ("seeds", "platform")),
     "train": (_cmd_train, ("labeled",)),
-    "score": (_cmd_score, ("ensemble", "snapshots", "videos")),
-    "trends": (_cmd_trends, ("likelihoods", "calibration", "snapshots", "videos")),
+    "score": (_cmd_score, ("ensemble", "snapshots", "snapshot_columns", "videos")),
+    "trends": (
+        _cmd_trends,
+        ("likelihoods", "calibration", "snapshots", "snapshot_columns", "videos", "video_columns"),
+    ),
     "calibrate": (_cmd_calibrate, ("likelihoods", "labels")),
-    "bubble": (_cmd_bubble, ("likelihoods", "snapshots")),
-    "topics": (_cmd_topics, ("likelihoods", "snapshots", "videos")),
+    "bubble": (_cmd_bubble, ("likelihoods", "snapshots", "snapshot_columns")),
+    "topics": (_cmd_topics, ("likelihoods", "snapshots", "snapshot_columns", "videos")),
     "validate": (_cmd_validate, ("channels", "videos", "labeled", "snapshots")),
 }
 

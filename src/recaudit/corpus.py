@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import datetime as dt
 import functools
+import hashlib
 import json
 import operator
 import os
@@ -168,6 +169,8 @@ class EdgeColumns:
     hold the same position. ``rank`` holds each edge's rank and ``date`` its
     own date as a proleptic Gregorian ordinal (``datetime.date.toordinal``).
     Edges are held this way from harvest to report, with no object per edge.
+    Construction makes the four arrays read-only, so a snapshot cannot be
+    changed in place.
     """
 
     ids: tuple[str, ...]
@@ -175,6 +178,10 @@ class EdgeColumns:
     recommended: np.ndarray
     rank: np.ndarray
     date: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.source, self.recommended, self.rank, self.date):
+            column.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.source)
@@ -544,11 +551,15 @@ def atomic_output(path: str | Path) -> Iterator[BinaryIO]:
         tmp.unlink(missing_ok=True)
 
 
-def write_jsonl(path: str | Path, records: Iterable) -> None:
+def write_jsonl(path: str | Path, records: Iterable) -> str:
+    """Write one record per line; returns the sha256 of the bytes written."""
+    digest = hashlib.sha256()
     with atomic_output(path) as fh:
         for rec in records:
-            line = json.dumps(encode_record(rec), ensure_ascii=False, sort_keys=True)
-            fh.write(line.encode("utf-8") + b"\n")
+            line = json.dumps(encode_record(rec), ensure_ascii=False, sort_keys=True).encode("utf-8") + b"\n"
+            digest.update(line)
+            fh.write(line)
+    return digest.hexdigest()
 
 
 def read_jsonl(path: str | Path, cls) -> Iterator:

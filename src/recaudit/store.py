@@ -1,5 +1,6 @@
 """Persistence: versioned binary bundles for models, run manifests, CSV and
-JSONL emitters for measurements, and single-writer lock files.
+JSONL emitters for measurements, column bundles beside the JSONL files that
+later stages read, and single-writer lock files.
 
 Bundle format, designed to be byte-stable and digest-checked:
 
@@ -10,6 +11,15 @@ Bundle format, designed to be byte-stable and digest-checked:
 
 A truncated payload or a digest mismatch loads as corruption, never as a
 partial object; a future schema_version is refused outright.
+
+A snapshot day and the simulator's ``videos.jsonl`` each have a column
+bundle beside them (``<name>.columns``), written by the stage that writes
+the file. It holds the records later stages decode from the file, and its
+meta names the sha256 of the file's bytes. ``read_records`` takes the
+records from the bundle while that digest is the file's, and decodes the
+file otherwise: JSONL stays the interchange format and the one source of
+truth, and a missing, stale or damaged bundle costs only the decode it
+would have saved.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ import datetime as dt
 import fcntl
 import hashlib
 import json
+import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -31,15 +42,22 @@ from .corpus import (
     CONSPIRATORIAL,
     NON_CONSPIRATORIAL,
     TEXT_FIELDS,
+    DailySnapshot,
+    EdgeColumns,
+    VideoKey,
+    VideoRecord,
+    VideoViews,
     atomic_output,
     read_jsonl,
     write_jsonl,
 )
 from .ensemble import FirstLayer, StandardizationStats, TrainedEnsemble
-from .errors import ArtifactCorruptError, ArtifactVersionError, ConfigError, HarvestExistsError
+from .errors import ArtifactCorruptError, ArtifactVersionError, ConfigError, HarvestExistsError, RecauditError
 from .metrics import CalibrationBin, CalibrationCurve, FilterBubbleMatrix, TrendSeries, rolling_mean
 from .textmodel import TextHyper, TextModel
 from .topics import TopicReport
+
+logger = logging.getLogger(__name__)
 
 _MAGIC = b"RECAUDIT-BUNDLE v1"
 SCHEMA_VERSION = 1
@@ -118,6 +136,113 @@ def load_bundle(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray
         offset += entry["nbytes"]
         arrays[entry["name"]] = np.frombuffer(raw, dtype=entry["dtype"]).reshape(entry["shape"]).copy()
     return doc["meta"], arrays
+
+
+# ---------------------------------------------------------------------------
+# Column bundles: a JSONL file's records, decoded once, beside the file. Ids
+# travel in the JSON meta, since a numpy unicode array drops a trailing NUL.
+# ---------------------------------------------------------------------------
+
+_SNAPSHOT_COLUMNS = "snapshot-columns"
+_VIDEO_COLUMNS = "video-columns"
+_EDGE_ARRAYS = ("source", "recommended", "rank", "date")  # EdgeColumns' fields after ids
+
+
+def columns_path(source: str | Path) -> Path:
+    """Where the column bundle of the JSONL file ``source`` lives."""
+    return Path(source).with_suffix(".columns")
+
+
+def save_columns(
+    source: str | Path, source_sha256: str, kind: str, meta: dict, arrays: dict[str, np.ndarray]
+) -> Path:
+    """Write the column bundle of ``source``, keyed by ``source_sha256``, the
+    sha256 of the bytes just written to it. Returns the bundle's path."""
+    path = columns_path(source)
+    save_bundle(path, kind, {**meta, "source_sha256": source_sha256}, arrays)
+    return path
+
+
+def load_columns(source: str | Path, kind: str) -> Optional[tuple[dict, dict[str, np.ndarray]]]:
+    """The meta and arrays of ``source``'s column bundle, or None when it
+    does not exist, does not load (logged as a warning naming it) or was
+    written for other bytes than ``source`` holds now."""
+    path = columns_path(source)
+    if not path.exists():
+        return None
+    try:
+        meta, arrays = load_bundle(path, kind)
+    except (RecauditError, OSError) as exc:
+        logger.warning("%s; decoding %s instead", exc, source)
+        return None
+    if meta.get("source_sha256") != sha256_file(source):
+        return None
+    return meta, arrays
+
+
+def write_snapshots(path: str | Path, snapshots: Sequence[DailySnapshot]) -> list[Path]:
+    """Write a snapshot file, then its column bundle; returns both paths."""
+    digest = write_jsonl(path, snapshots)
+    meta = {
+        "snapshots": [
+            {
+                "date": snap.date.isoformat(),
+                "ids": list(snap.edges.ids),
+                "retained_video_ids": sorted(snap.retained_video_ids),
+                "coverage": snap.coverage,
+            }
+            for snap in snapshots
+        ]
+    }
+    arrays = {
+        f"{i}.{name}": getattr(snap.edges, name) for i, snap in enumerate(snapshots) for name in _EDGE_ARRAYS
+    }
+    return [Path(path), save_columns(path, digest, _SNAPSHOT_COLUMNS, meta, arrays)]
+
+
+def write_videos(path: str | Path, videos: Sequence[VideoRecord]) -> list[Path]:
+    """Write a video file, then a column bundle of each video's id, channel
+    and view count; returns both paths."""
+    digest = write_jsonl(path, videos)
+    meta = {
+        "video_ids": [v.video_id for v in videos],
+        "channel_ids": [v.channel_id for v in videos],
+        "view_counts": [v.view_count for v in videos],
+    }
+    return [Path(path), save_columns(path, digest, _VIDEO_COLUMNS, meta, {})]
+
+
+def _snapshots(meta: dict, arrays: dict[str, np.ndarray]) -> list[DailySnapshot]:
+    return [
+        DailySnapshot(
+            date=dt.date.fromisoformat(snap["date"]),
+            edges=EdgeColumns(tuple(snap["ids"]), *(arrays[f"{i}.{name}"] for name in _EDGE_ARRAYS)),
+            retained_video_ids=frozenset(snap["retained_video_ids"]),
+            coverage=snap["coverage"],
+        )
+        for i, snap in enumerate(meta["snapshots"])
+    ]
+
+
+# Each record type a column bundle holds: the bundle's kind, and the records
+# from its meta and arrays.
+_FROM_COLUMNS = {
+    DailySnapshot: (_SNAPSHOT_COLUMNS, _snapshots),
+    VideoKey: (_VIDEO_COLUMNS, lambda meta, _: list(map(VideoKey, meta["video_ids"], meta["channel_ids"]))),
+    VideoViews: (
+        _VIDEO_COLUMNS,
+        lambda meta, _: list(map(VideoViews, meta["video_ids"], meta["view_counts"])),
+    ),
+}
+
+
+def read_records(path: str | Path, cls) -> list:
+    """The ``cls`` records of the JSONL file ``path``: from its column bundle
+    when one holds them for the file's current bytes, else decoded from the
+    file, as :func:`corpus.read_jsonl` decodes them."""
+    kind, from_columns = _FROM_COLUMNS.get(cls, (None, None))
+    loaded = None if kind is None else load_columns(path, kind)
+    return list(read_jsonl(path, cls)) if loaded is None else from_columns(*loaded)
 
 
 # ---------------------------------------------------------------------------

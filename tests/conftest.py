@@ -3,11 +3,12 @@ import datetime as dt
 import glob
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from recaudit import textmodel
+from recaudit import store, textmodel
 from recaudit.corpus import ChannelRecord, Comment, EdgeColumns, RecommendationEdge, VideoRecord
 from recaudit.sources import SimulatedPlatform
 from recaudit.textmodel import featurize
@@ -141,6 +142,13 @@ def edge_columns(edges) -> EdgeColumns:
         [e.rank for e in edges],
         [e.date.toordinal() for e in edges],
     )
+
+
+def from_bundle(path, cls) -> list:
+    """The ``cls`` records of ``path`` that ``store.read_records`` returns
+    without decoding the file: it fails if the column bundle is not used."""
+    with mock.patch.object(store, "read_jsonl", side_effect=AssertionError(f"{path} was decoded")):
+        return store.read_records(path, cls)
 
 
 def edge_objects(columns: EdgeColumns) -> list[RecommendationEdge]:

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import dataclasses
 import datetime as dt
 import hashlib
@@ -13,12 +14,12 @@ from typing import Optional
 
 import pytest
 
-from recaudit import cli, corpus, errors
+from recaudit import cli, corpus, errors, store
 from recaudit.cli import main
 from recaudit.config import load_config
 from recaudit.corpus import DailySnapshot
 from recaudit.parallel import available_cpus
-from conftest import edge_columns, edge_objects, make_edge, processes
+from conftest import edge_columns, edge_objects, from_bundle, make_edge, processes
 
 CFG = """
 sim.channels = 10
@@ -1246,3 +1247,147 @@ class TestSeedOverride:
         a = (tmp_path / "a" / "videos.jsonl").read_text()
         b = (tmp_path / "b" / "videos.jsonl").read_text()
         assert a != b
+
+
+DAYS = tuple(name.removesuffix(".jsonl") for name in HARVEST_DIGESTS)
+
+
+def _digests(directory, names):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
+
+
+class TestParsedOnce:
+    """Each snapshot day and the simulator's video file is parsed once in the
+    workspace flow: the stage that writes it writes its column bundle, later
+    stages read the bundle, and `validate`, the one full check of every
+    file, decodes every file."""
+
+    @staticmethod
+    def decodes(workspace, monkeypatch, deleted=()):
+        """The flow's `corpus.read_jsonl` calls, counted by (stage, file,
+        record type), with the ``deleted`` bundles removed as soon as they
+        are written. The reports must keep their bytes."""
+        tmp, cfg = workspace
+        out = tmp / "out"
+        stage = [None]
+        seen = collections.Counter()
+        read = corpus.read_jsonl
+
+        def counted(path, cls):
+            seen[stage[0], Path(path).relative_to(out).as_posix(), cls] += 1
+            return read(path, cls)
+
+        for module in (corpus, store):
+            monkeypatch.setattr(module, "read_jsonl", counted)
+        flow = [["simulate"], *(["harvest", "--date", day] for day in DAYS),
+                ["train"], ["score"], ["trends"], ["bubble"], ["topics"], ["validate"]]
+        for argv in flow:
+            stage[0] = argv[0]
+            assert run(cfg, *argv) == 0, argv
+            for name in deleted:
+                (out / name).unlink(missing_ok=True)
+        assert _digests(out, SCORED_DIGESTS) == SCORED_DIGESTS
+        stage[0] = "snowball"
+        _configure_snowball(tmp, out, monkeypatch, [])
+        assert run(cfg, "snowball") == 0
+        return seen
+
+    def test_only_validate_decodes_a_day_and_no_stage_decodes_video_keys_or_views(self, workspace, monkeypatch):
+        seen = self.decodes(workspace, monkeypatch)
+        days = {key: n for key, n in seen.items() if key[1].startswith("snapshots/")}
+        assert days == {("validate", f"snapshots/{day}.jsonl", DailySnapshot): 1 for day in DAYS}
+        assert not [key for key in seen if key[2] in (corpus.VideoKey, corpus.VideoViews)]
+
+    def test_every_reader_decodes_a_file_whose_bundle_is_gone(self, workspace, monkeypatch):
+        seen = self.decodes(workspace, monkeypatch, deleted=("videos.columns", f"snapshots/{DAYS[1]}.columns"))
+        days = {key: n for key, n in seen.items() if key[1].startswith("snapshots/")}
+        assert days == {
+            (stage, f"snapshots/{day}.jsonl", DailySnapshot): 1
+            for day in DAYS
+            for stage in (("score", "trends", "bubble", "topics", "validate") if day == DAYS[1] else ("validate",))
+        }
+        projections = {key: n for key, n in seen.items() if key[2] in (corpus.VideoKey, corpus.VideoViews)}
+        assert projections == {
+            ("harvest", "videos.jsonl", corpus.VideoKey): len(DAYS),
+            ("trends", "videos.jsonl", corpus.VideoViews): 1,
+            ("snowball", "videos.jsonl", corpus.VideoKey): 1,
+        }
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _flip_last_byte(path):
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0x01  # the payload's last byte
+    path.write_bytes(bytes(data))
+
+
+BUNDLE_DAMAGE = {
+    "truncated": _truncate,
+    "one payload byte flipped": _flip_last_byte,
+    "another kind": lambda path: store.save_bundle(path, "ensemble", {}, {}),
+    "missing, as in a workspace made before bundles": Path.unlink,
+}
+
+
+class TestColumnFallbacks:
+    """A column bundle is derived data: a damaged or missing one costs only
+    the decode it would have saved, and a damaged one is named in one
+    warning per stage that meets it. (A stale one, written for other bytes
+    than its file holds, is covered by `TestDaysThatDiffer`, which rewrites
+    days after their harvest.)"""
+
+    @pytest.mark.parametrize("damage", BUNDLE_DAMAGE)
+    def test_the_outputs_keep_their_bytes(self, workspace, caplog, damage):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        bundles = {out / "videos.columns": 1 + len(DAYS)}  # each harvest, then trends
+        BUNDLE_DAMAGE[damage](out / "videos.columns")
+        for day in DAYS:
+            assert run(cfg, "harvest", "--date", day) == 0
+        for day in DAYS:
+            bundles[out / "snapshots" / f"{day}.columns"] = 4  # score, trends, bubble, topics
+            BUNDLE_DAMAGE[damage](out / "snapshots" / f"{day}.columns")
+        for stage in ("train", "score", "trends", "bubble", "topics"):
+            assert run(cfg, stage) == 0, stage
+        assert _digests(out / "snapshots", HARVEST_DIGESTS) == HARVEST_DIGESTS
+        assert _digests(out, SCORED_DIGESTS) == SCORED_DIGESTS
+        warnings = [r.getMessage() for r in caplog.records if r.name == "recaudit.store"]
+        if damage.startswith("missing"):
+            assert warnings == []
+        else:
+            assert {path: sum(str(path) in w for w in warnings) for path in bundles} == bundles
+            assert len(warnings) == sum(bundles.values())
+
+
+class TestCrashBetweenWrites:
+    def test_a_day_whose_bundle_was_not_written_is_decoded(self, workspace, monkeypatch):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        for day in DAYS[:-1]:
+            assert run(cfg, "harvest", "--date", day) == 0
+
+        def crash(*args, **kwargs):
+            raise OSError("no space left for the bundle")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(store, "save_columns", crash)
+            with pytest.raises(OSError, match="no space left"):
+                run(cfg, "harvest", "--date", DAYS[-1])
+        snap = out / "snapshots" / f"{DAYS[-1]}.jsonl"
+        assert _digests(out / "snapshots", HARVEST_DIGESTS) == HARVEST_DIGESTS
+        assert not store.columns_path(snap).exists()
+        assert not list(out.rglob("*.lock"))
+
+        for stage in ("train", "score", "trends", "bubble", "topics"):
+            assert run(cfg, stage) == 0, stage
+        assert _digests(out, SCORED_DIGESTS) == SCORED_DIGESTS
+
+        assert run(cfg, "harvest", "--date", DAYS[-1]) == 2  # the day exists, its harvest did not finish
+        assert run(cfg, "harvest", "--date", DAYS[-1], "--overwrite") == 0
+        assert _digests(out / "snapshots", HARVEST_DIGESTS) == HARVEST_DIGESTS
+        assert from_bundle(snap, DailySnapshot) == list(corpus.read_jsonl(snap, DailySnapshot))

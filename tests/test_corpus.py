@@ -10,6 +10,7 @@ from recaudit.corpus import (
     Comment,
     Corpus,
     DailySnapshot,
+    EdgeColumns,
     LabeledExample,
     VideoRecord,
     decode_record,
@@ -146,6 +147,24 @@ class TestValidate:
     def test_bad_label_flagged(self):
         bag = Corpus(labeled=(LabeledExample(video=make_video("v"), label=2),))
         assert any("label 2" in v.message for v in validate_corpus(bag))
+
+
+class TestReadOnlyEdges:
+    """A snapshot is immutable after construction: its edge columns too."""
+
+    @pytest.mark.parametrize("column", ["source", "recommended", "rank", "date"])
+    def test_a_snapshot_s_edges_cannot_be_changed_in_place(self, column):
+        s = DailySnapshot(date=DAY, edges=EdgeColumns.from_lists(["a"], ["b"], [1], [DAY.toordinal()]))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(s.edges, column)[0] = 0
+        assert s.edges.rank.tolist() == [1]
+
+    @pytest.mark.parametrize("column", ["source", "recommended", "rank", "date"])
+    def test_joined_columns_are_read_only(self, column):
+        day = edge_columns([make_edge("a", "b")])
+        joined = EdgeColumns.concat([day, day])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(joined, column)[0] = 0
 
 
 class TestTopRecommended:

@@ -5,16 +5,21 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from recaudit.corpus import DailySnapshot, EdgeColumns, VideoKey, VideoRecord, VideoViews, read_jsonl, write_jsonl
 from recaudit.errors import ArtifactCorruptError, ArtifactVersionError, ConfigError, HarvestExistsError
 from recaudit.ensemble import MODULE_NAMES, classify_video, classify_videos, train_ensemble
 from recaudit.metrics import CalibrationBin, CalibrationCurve, Period, FilterBubbleMatrix, TrendPoint, TrendSeries
 from recaudit.sources import PlatformSpec, generate_labeled_set, generate_platform
 from recaudit.store import (
     build_manifest,
+    columns_path,
     ensure_snapshot_writable,
     load_bundle,
     load_ensemble,
@@ -23,6 +28,7 @@ from recaudit.store import (
     read_calibration_csv,
     read_ground_truth,
     read_likelihoods,
+    read_records,
     read_seed_list,
     save_bundle,
     save_ensemble,
@@ -32,8 +38,12 @@ from recaudit.store import (
     write_seed_list,
     write_trends_csv,
     write_bubble_csv,
+    write_snapshots,
+    write_videos,
 )
 from recaudit.textmodel import TextHyper
+
+from conftest import from_bundle
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +133,92 @@ class TestBundle:
         save_bundle(p1, "demo", {"n": 3}, arrays)
         save_bundle(p2, "demo", {"n": 3}, arrays)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# Ids as a crawl may hold them: any text, some ending in a NUL, which a numpy
+# unicode array would drop, and some in a character beyond the BMP.
+_ids = st.one_of(
+    st.text(max_size=5),
+    st.text(max_size=4).map(lambda t: t + "\x00"),
+    st.text(max_size=4).map(lambda t: t + "\U0001f9ea"),
+)
+_edges = st.lists(
+    st.tuples(_ids, _ids, st.integers(-(2**63), 2**63 - 1), st.integers(1, dt.date.max.toordinal())),
+    max_size=12,
+)
+_snapshots = st.lists(
+    st.builds(
+        lambda day, edges, retained, coverage: DailySnapshot(
+            date=day,
+            edges=EdgeColumns.from_lists(*([list(column) for column in zip(*edges)] or [[], [], [], []])),
+            retained_video_ids=frozenset(retained),
+            coverage=coverage,
+        ),
+        st.dates(),
+        _edges,
+        st.lists(_ids, max_size=4),
+        st.one_of(st.floats(allow_nan=False), st.integers(0, 1)),
+    ),
+    max_size=3,
+)
+_videos = st.lists(
+    st.builds(VideoRecord, video_id=_ids, channel_id=_ids, view_count=st.integers(-(2**70), 2**70)),
+    max_size=8,
+)
+
+
+def _exactly(snapshot: DailySnapshot):
+    """Every field of a snapshot, with each array's dtype and values and the
+    coverage's type."""
+    edges = snapshot.edges
+    columns = (edges.source, edges.recommended, edges.rank, edges.date)
+    return (
+        snapshot.date,
+        edges.ids,
+        [(column.dtype.str, column.tolist()) for column in columns],
+        snapshot.retained_video_ids,
+        type(snapshot.coverage),
+        snapshot.coverage,
+    )
+
+
+class TestColumnBundles:
+    """A column bundle loads to exactly the records its file decodes to."""
+
+    @settings(deadline=None)
+    @given(_snapshots)
+    def test_a_snapshot_bundle_holds_what_its_file_decodes_to(self, snapshots):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "2019-05-01.jsonl"
+            assert write_snapshots(path, snapshots) == [path, columns_path(path)]
+            loaded = from_bundle(path, DailySnapshot)
+            assert list(map(_exactly, loaded)) == list(map(_exactly, read_jsonl(path, DailySnapshot)))
+            for snapshot in loaded:
+                edges = snapshot.edges
+                assert not any(c.flags.writeable for c in (edges.source, edges.recommended, edges.rank, edges.date))
+
+    @settings(deadline=None)
+    @given(_videos)
+    def test_a_video_bundle_holds_what_its_file_decodes_to(self, videos):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "videos.jsonl"
+            assert write_videos(path, videos) == [path, columns_path(path)]
+            for cls in (VideoKey, VideoViews):
+                assert from_bundle(path, cls) == list(read_jsonl(path, cls))
+
+    def test_a_bundle_written_for_other_bytes_is_not_read(self, tmp_path):
+        path = tmp_path / "videos.jsonl"
+        write_videos(path, [VideoRecord("v1", "c1", view_count=3)])
+        write_jsonl(path, [VideoRecord("v1", "c1", view_count=4)])
+        assert read_records(path, VideoViews) == [VideoViews("v1", 4)]
+        with pytest.raises(AssertionError, match="was decoded"):
+            from_bundle(path, VideoViews)
+
+    def test_whole_records_are_always_decoded(self, tmp_path):
+        path = tmp_path / "videos.jsonl"
+        videos = [VideoRecord("v1", "c1", title="t", view_count=3)]
+        write_videos(path, videos)
+        assert read_records(path, VideoRecord) == videos
 
 
 class TestEnsembleBundle:
