@@ -80,13 +80,14 @@ def _text_hyper(config: PipelineConfig, seed: int) -> TextHyper:
 
 
 # The simulated platform on disk, in the order `_source` reads it; the state
-# file and the video file's column bundle are optional.
+# file and the column bundles of the video and label files are optional.
 _PLATFORM_FILES = (
     "channels.jsonl",
     "videos.jsonl",
     "ground_truth.jsonl",
     "platform_state.json",
     "videos.columns",
+    "ground_truth.columns",
 )
 
 # The files of each input a stage declares in `_STAGES`, by name.
@@ -104,6 +105,7 @@ def _files(config: PipelineConfig, args) -> _Inputs:
     snapshots = sorted((out / "snapshots").glob("*.jsonl"))
     # The simulator's video file plus one file per live harvest day.
     videos = [out / "videos.jsonl", *sorted((out / "videos").glob("*.jsonl"))]
+    labels = [Path(args.labels) if getattr(args, "labels", None) else out / "ground_truth.jsonl"]
     return {
         "platform": [] if config.source == "live" else [out / name for name in _PLATFORM_FILES],
         "seed_list": [Path(config.snowball_seeds_path)],
@@ -117,7 +119,8 @@ def _files(config: PipelineConfig, args) -> _Inputs:
         "video_columns": [store.columns_path(path) for path in videos],
         "likelihoods": [out / "likelihoods.jsonl"],
         "calibration": [out / "calibration.csv"] if config.trends_calibrated else [],
-        "labels": [Path(args.labels) if getattr(args, "labels", None) else out / "ground_truth.jsonl"],
+        "labels": labels,
+        "label_columns": [store.columns_path(path) for path in labels],
         "channels": [out / "channels.jsonl"],
     }
 
@@ -125,11 +128,12 @@ def _files(config: PipelineConfig, args) -> _Inputs:
 def _source(config: PipelineConfig, paths: _Inputs):
     if config.source == "live":
         return LiveAdapter.from_env()
-    channels_path, videos_path, truth_path, state_path, _ = paths["platform"]
+    channels_path, videos_path, truth_path, state_path = paths["platform"][:4]
     for path in (channels_path, videos_path, truth_path):
         _require(path, "simulate")
     channels = tuple(corpus.read_jsonl(channels_path, corpus.ChannelRecord))
-    # A harvest or a snowball reads each video's id and channel only.
+    # A harvest or a snowball reads each video's id and channel only, and
+    # the labels, from the files' column bundles.
     videos = tuple(store.read_records(videos_path, corpus.VideoKey))
     truth = store.read_ground_truth(truth_path)
     video_dates: dict[str, dt.date] = {}
@@ -227,6 +231,7 @@ def _cmd_simulate(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
         "videos.jsonl",
         "videos.columns",
         "ground_truth.jsonl",
+        "ground_truth.columns",
         "labeled.jsonl",
         "seeds.txt",
         "platform_state.json",
@@ -563,7 +568,7 @@ _STAGES = {
         _cmd_trends,
         ("likelihoods", "calibration", "snapshots", "snapshot_columns", "videos", "video_columns"),
     ),
-    "calibrate": (_cmd_calibrate, ("likelihoods", "labels")),
+    "calibrate": (_cmd_calibrate, ("likelihoods", "labels", "label_columns")),
     "bubble": (_cmd_bubble, ("likelihoods", "snapshots", "snapshot_columns")),
     "topics": (_cmd_topics, ("likelihoods", "snapshots", "snapshot_columns", "videos")),
     "validate": (_cmd_validate, ("channels", "videos", "labeled", "snapshots")),
@@ -623,19 +628,22 @@ def main(argv: Optional[list[str]] = None) -> int:
         files = _files(config, args)
         paths = {name: files[name] for name in names}
         inputs = [path for name in names for path in paths[name]]
-        if not args.overwrite and store.outputs_are_current(manifest_path, config_digest, inputs):
-            print(f"{args.command}: outputs are current, skipping (see {manifest_path})")
-            return 0
-        with store.output_lock(manifest_path):
-            outputs = stage(config, args, paths)
-            manifest = store.build_manifest(
-                command=args.command,
-                config_digest=config_digest,
-                seed=args.seed,
-                inputs=inputs,
-                outputs=outputs,
-            )
-            manifest.write(manifest_path)
+        with store.stage_digests():
+            if not args.overwrite:
+                store.restore_columns(manifest_path)
+                if store.outputs_are_current(manifest_path, config_digest, inputs):
+                    print(f"{args.command}: outputs are current, skipping (see {manifest_path})")
+                    return 0
+            with store.output_lock(manifest_path):
+                outputs = stage(config, args, paths)
+                manifest = store.build_manifest(
+                    command=args.command,
+                    config_digest=config_digest,
+                    seed=args.seed,
+                    inputs=inputs,
+                    outputs=outputs,
+                )
+                manifest.write(manifest_path)
         for path in outputs:
             print(f"{args.command}: wrote {path}")
         return 0

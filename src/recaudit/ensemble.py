@@ -14,7 +14,8 @@ Training repeats a 60/40 split: the 60% side fits the four modules, the 40%
 side is scored, standardized and used to fit the stacking logistic; the
 stacking coefficients reported are the element-wise mean over all
 repetitions, and the shipped modules are refit on the full labeled set. The
-refit and the repetitions are split into one share per available CPU. Each
+refit and the repetitions are split into one share per available CPU,
+planned by the predicted time of the lockstep loops each share runs. Each
 process fits each text module for its share's repetitions in one lockstep
 SGD loop (``textmodel.train_text_classifiers``), each model with the bits it
 gets trained alone; a repetition's model scores its held-out side and is
@@ -26,7 +27,8 @@ process then fits all its attribute heads in one gradient-descent loop and,
 once they have scored, all its stacking layers in another
 (``train_logistics``, again each fit with the bits it gets alone). The
 attribute summaries of a batch of videos are computed together, grouped by
-their count of scored comments.
+their count of scored comments. Scoring spreads its batches of videos over
+every available CPU too.
 """
 
 from __future__ import annotations
@@ -311,15 +313,20 @@ class FirstLayer:
 
     def score(self, videos: Sequence[VideoRecord]) -> np.ndarray:
         """The videos' module scores (see :meth:`score_features`), the
-        videos featurized and scored ``_VIDEO_BATCH`` at a time."""
+        videos featurized and scored ``_VIDEO_BATCH`` at a time. The batches
+        are spread over every available CPU by :func:`parallel.run_shares`,
+        each costed by its size; a video's scores do not depend on its
+        batch, so they do not depend on the CPU count. A single batch is
+        scored in this process."""
         # A layer's text models are fit with one TextHyper, so they share
         # the ngram and buckets the features depend on.
         hyper = next((m.hyper for m in self.text_models if m is not None), TextHyper())
-        scores = np.empty((len(videos), len(MODULE_NAMES)))
-        for start in range(0, len(videos), _VIDEO_BATCH):
-            batch = video_features(videos[start : start + _VIDEO_BATCH], hyper)
-            scores[start : start + _VIDEO_BATCH] = self.score_features(batch)
-        return scores
+        batches = [videos[start : start + _VIDEO_BATCH] for start in range(0, len(videos), _VIDEO_BATCH)]
+        scored = run_shares(
+            lambda share: [self.score_features(video_features(batches[b], hyper)) for b in share],
+            [len(batch) for batch in batches],
+        )
+        return np.concatenate([np.empty((0, len(MODULE_NAMES))), *scored])
 
     def score_features(self, feats: Sequence[VideoFeatures]) -> np.ndarray:
         """The videos' module scores, one row per video and one column per
@@ -446,6 +453,16 @@ def _split_indices(
     raise DegenerateTrainingError("could not draw a split with both classes on both sides")
 
 
+def _repetition_split(labels: np.ndarray, split: float, seed: int, rep: int) -> tuple[np.ndarray, np.ndarray]:
+    """Repetition ``rep``'s training and held-out indices."""
+    return _split_indices(np.random.default_rng([seed, rep]), labels, split)
+
+
+def _text_counts(side: Sequence[tuple[VideoFeatures, int]]) -> list[int]:
+    """The number of texts of each text module on a training side."""
+    return [sum(len(f.texts[m]) for f, _ in side) for m in range(len(TEXT_FIELDS))]
+
+
 def _standardization(held_scores: np.ndarray) -> StandardizationStats:
     """The standardization stats of a repetition's held-out module scores:
     each module's mean and population std over its non-NaN scores; None
@@ -458,26 +475,53 @@ def _standardization(held_scores: np.ndarray) -> StandardizationStats:
     return StandardizationStats(stats=tuple(rep_stats))
 
 
+def _module_loops(sides: Sequence[tuple[Sequence[int], bool]]) -> list[list[tuple[int, int]]]:
+    """The jobs, as (module, side), of each text module's lockstep SGD loop,
+    given each training side's size per text module (its texts, or its SGD
+    steps) and whether it is the refit's. Module m's loop fits m on each
+    repetition's side. The refit's three jobs join the loop of the module
+    whose refit job is the largest, the longest loop, so they add no global
+    steps."""
+    loops: list[list[tuple[int, int]]] = [
+        [(m, i) for i, (_, refit) in enumerate(sides) if not refit] for m in range(len(TEXT_FIELDS))
+    ]
+    for i, (sizes, refit) in enumerate(sides):
+        if refit:
+            longest = max(range(len(TEXT_FIELDS)), key=lambda m: sizes[m])
+            loops[longest] += [(m, i) for m in range(len(TEXT_FIELDS))]
+    return loops
+
+
+# A lockstep SGD loop's time per global step and per job step, in µs: a
+# linear fit to its time per global step with 1, 2, 4 and 8 jobs (25.3,
+# 34.1, 51.3 and 73.0 µs). Only their ratio steers the plan.
+_GLOBAL_STEP_US, _JOB_STEP_US = 20.6, 6.7
+
+
+def _share_time(tasks: Sequence[tuple[Sequence[int], bool]]) -> float:
+    """A share's predicted SGD time in µs, from each of its tasks' SGD steps
+    per text module and whether it is the refit: over the share's module
+    loops (:func:`_module_loops`), each loop's global steps, its longest
+    job's, at ``_GLOBAL_STEP_US`` plus its jobs' steps at ``_JOB_STEP_US``."""
+    time = 0.0
+    for loop in filter(None, _module_loops(tasks)):
+        steps = [tasks[i][0][m] for m, i in loop]
+        time += max(steps) * _GLOBAL_STEP_US + sum(steps) * _JOB_STEP_US
+    return time
+
+
 def _fit_text_modules(
     sides: Sequence[tuple[Sequence[tuple[VideoFeatures, int]], int, Optional[list]]],
     hyper: TextHyper,
     held_scores: Sequence[Optional[np.ndarray]],
 ) -> tuple[Optional[TextModel], ...]:
     """Fit the text modules on every training side, one lockstep SGD loop
-    (:func:`train_text_classifiers`) per module: module m's loop fits m on
-    each repetition's side. The refit, the side without a held-out side,
-    has its three jobs in the loop of the module whose refit job has the
-    most texts, the longest loop, so they add no global steps. A
+    (:func:`train_text_classifiers`) per module, as :func:`_module_loops`
+    places the jobs; the refit is the side without a held-out side. A
     repetition's model scores its held-out side into column ``m`` of its
     ``held_scores`` and is dropped; the refit's models are returned. A
     single-class or empty training slice gives a disabled module."""
-    calls: list[list[tuple[int, int]]] = [
-        [(m, i) for i, (_, _, held) in enumerate(sides) if held is not None] for m in range(len(TEXT_FIELDS))
-    ]
-    for i, (train, _, held) in enumerate(sides):
-        if held is None:
-            longest = max(range(len(TEXT_FIELDS)), key=lambda m: sum(len(f.texts[m]) for f, _ in train))
-            calls[longest] += [(m, i) for m in range(len(TEXT_FIELDS))]
+    calls = _module_loops([(_text_counts(train), held is None) for train, _, held in sides])
     refit: list[Optional[TextModel]] = [None] * len(TEXT_FIELDS)
     for call in filter(None, calls):
         models = train_text_classifiers(
@@ -533,7 +577,7 @@ def _train_share(
             sides.append((examples, seed * repeats + repeats, None))
             continue
         rep = task - 1
-        train_idx, held_idx = _split_indices(np.random.default_rng([seed, rep]), labels, split)
+        train_idx, held_idx = _repetition_split(labels, split, seed, rep)
         held = [examples[i] for i in held_idx]
         sides.append(([examples[i] for i in train_idx], seed * repeats + rep, held))
     held_scores = [
@@ -573,9 +617,11 @@ def train_ensemble(
     They are independent tasks, spread over every available CPU by
     :func:`parallel.run_shares` and summed in repetition order, so the
     ensemble does not depend on the CPU count. Each process fits each text
-    module for its share in one lockstep loop (:func:`_train_share`).
-    A task's cost is the size of its training side, so the refit, the
-    costliest, always runs in the calling process.
+    module for its share in one lockstep loop (:func:`_train_share`), so
+    the shares are planned by the time of those loops (:func:`_share_time`):
+    a task's cost is its SGD steps per text module, ``epochs`` times the
+    module's texts on its training side. The refit, the costliest, always
+    runs in the calling process.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -592,9 +638,12 @@ def train_ensemble(
 
     features = video_features([ex.video for ex in labeled], text_hyper)
     examples = [(f, ex.label) for f, ex in zip(features, labeled)]
-    costs = [len(examples)] + [split * len(examples)] * repeats
+    trains = [examples] + [
+        [examples[i] for i in _repetition_split(labels, split, seed, rep)[0]] for rep in range(repeats)
+    ]
+    costs = [([text_hyper.epochs * n for n in _text_counts(train)], task == 0) for task, train in enumerate(trains)]
     final_layer, *repeat_results = run_shares(
-        partial(_train_share, examples, labels, split, seed, repeats, text_hyper, l2), costs
+        partial(_train_share, examples, labels, split, seed, repeats, text_hyper, l2), costs, _share_time
     )
 
     coefs, biases, rep_stats = zip(*repeat_results)

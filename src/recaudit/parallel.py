@@ -9,6 +9,13 @@ the CPU count, never on timing, so the main process makes the same calls on
 every run. Results come back in task order, so a caller that combines them
 in that order gets the same bytes on any number of CPUs.
 
+The split is planned on a model of a share's time (:func:`assign`). By
+default that is the sum of its tasks' costs, as for the batches of videos
+``FirstLayer.score`` scores, each costed by its size. The training
+protocol's tasks run together in lockstep loops, whose time is not the sum
+of the tasks' times, so it passes its own share cost, read from the steps
+of those loops (``ensemble._share_time``).
+
 Helpers are forked, not spawned, so they share the inputs without pickling
 them and start without importing anything. That is safe because the program
 starts no threads of its own, and numpy's BLAS stops its thread pool across
@@ -38,33 +45,36 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def assign(costs: Sequence[float], processes: int) -> list[list[int]]:
-    """Task indices per process: each task, costliest first, goes to the
-    least-loaded process, the lowest-numbered one on a tie. So process 0,
-    whose share :func:`run_shares` runs itself, gets the costliest task."""
-    loads = [0.0] * processes
+def assign(costs: Sequence, processes: int, share_cost: Callable[[list], float] = sum) -> list[list[int]]:
+    """Task indices per process. ``share_cost`` maps the costs of a share's
+    tasks, in share order, to the share's predicted time; by default it adds
+    them. Each task, costliest alone first, goes to the share whose time
+    after adding it is least, the lowest-numbered one on a tie. So process
+    0, whose share :func:`run_shares` runs itself, gets the costliest task."""
     shares: list[list[int]] = [[] for _ in range(processes)]
-    for task in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        least = loads.index(min(loads))
-        shares[least].append(task)
-        loads[least] += costs[task]
+    for task in sorted(range(len(costs)), key=lambda i: -share_cost([costs[i]])):
+        after = [share_cost([costs[i] for i in share] + [costs[task]]) for share in shares]
+        shares[after.index(min(after))].append(task)
     return shares
 
 
-def run_shares(run: Callable[[list[int]], list], costs: Sequence[float]) -> list:
+def run_shares(
+    run: Callable[[list[int]], list], costs: Sequence, share_cost: Callable[[list], float] = sum
+) -> list:
     """Each task's result, in task order. The tasks, numbered by their
-    ``costs``, are spread by :func:`assign` over one process per available
-    CPU, at most one per task, and each process makes one call, ``run(share)``,
-    which returns the results of its share's tasks in share order. An
-    exception ``run`` raises in a helper is raised here, with the helper's
-    traceback as a note."""
-    shares = assign(costs, max(1, min(available_cpus(), len(costs))))
+    ``costs``, are spread by :func:`assign` with ``share_cost`` over one
+    process per available CPU, at most one per task, and each process with a
+    share makes one call, ``run(share)``, which returns the results of its
+    share's tasks in share order. A single task, or a single CPU, starts no
+    helper. An exception ``run`` raises in a helper is raised here, with the
+    helper's traceback as a note."""
+    shares = assign(costs, max(1, min(available_cpus(), len(costs))), share_cost)
     results: list = [None] * len(costs)
     helpers: list[tuple[int, int, list[int]]] = []  # (pid, result pipe, share)
     running: set[int] = set()  # helpers not yet reaped
     watch_r, watch_w = os.pipe()
     try:
-        for share in shares[1:]:
+        for share in filter(None, shares[1:]):
             pid, result_r = _start_helper(run, share, watch_r, watch_w)
             helpers.append((pid, result_r, share))
             running.add(pid)

@@ -12,14 +12,18 @@ Bundle format, designed to be byte-stable and digest-checked:
 A truncated payload or a digest mismatch loads as corruption, never as a
 partial object; a future schema_version is refused outright.
 
-A snapshot day and the simulator's ``videos.jsonl`` each have a column
-bundle beside them (``<name>.columns``), written by the stage that writes
-the file. It holds the records later stages decode from the file, and its
-meta names the sha256 of the file's bytes. ``read_records`` takes the
-records from the bundle while that digest is the file's, and decodes the
-file otherwise: JSONL stays the interchange format and the one source of
-truth, and a missing, stale or damaged bundle costs only the decode it
-would have saved.
+A snapshot day and the simulator's ``videos.jsonl`` and
+``ground_truth.jsonl`` each have a column bundle beside them
+(``<name>.columns``), written by the stage that writes the file. It holds
+the records later stages decode from the file, and its meta names the
+sha256 of the file's bytes. ``read_records`` takes the records from the
+bundle while that digest is the file's, and decodes the file otherwise:
+JSONL stays the interchange format and the one source of truth, and a
+missing, stale or damaged bundle costs only the decode it would have saved.
+
+While a stage runs (:func:`stage_digests`), each file it reads is hashed
+once: the rerun check, the column bundles' key check and the manifest share
+one digest per file.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import json
 import logging
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -73,6 +78,39 @@ def sha256_file(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+# The digest of each file hashed so far in the running stage, by path: set
+# only inside stage_digests, so nothing outside one stage's run sees it.
+_stage_memo: ContextVar[Optional[dict[str, str]]] = ContextVar("stage_memo", default=None)
+
+
+@contextmanager
+def stage_digests():
+    """Within the block, a stage's run, :func:`file_digest` hashes each file
+    once. The stage's outputs are hashed again once it has written them
+    (:func:`build_manifest`)."""
+    token = _stage_memo.set({})
+    try:
+        yield
+    finally:
+        _stage_memo.reset(token)
+
+
+def file_digest(path: str | Path) -> str:
+    """The sha256 of the file at ``path``: hashed once per stage, or on
+    every call outside one."""
+    memo = _stage_memo.get()
+    if memo is None:
+        return sha256_file(path)
+    key = str(path)
+    if key not in memo:
+        memo[key] = sha256_file(path)
+    return memo[key]
+
+
+def _has_digest(path: str | Path, digest: str) -> bool:
+    return Path(path).exists() and file_digest(path) == digest
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +183,7 @@ def load_bundle(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray
 
 _SNAPSHOT_COLUMNS = "snapshot-columns"
 _VIDEO_COLUMNS = "video-columns"
+_LABEL_COLUMNS = "label-columns"
 _EDGE_ARRAYS = ("source", "recommended", "rank", "date")  # EdgeColumns' fields after ids
 
 
@@ -175,14 +214,12 @@ def load_columns(source: str | Path, kind: str) -> Optional[tuple[dict, dict[str
     except (RecauditError, OSError) as exc:
         logger.warning("%s; decoding %s instead", exc, source)
         return None
-    if meta.get("source_sha256") != sha256_file(source):
+    if meta.get("source_sha256") != file_digest(source):
         return None
     return meta, arrays
 
 
-def write_snapshots(path: str | Path, snapshots: Sequence[DailySnapshot]) -> list[Path]:
-    """Write a snapshot file, then its column bundle; returns both paths."""
-    digest = write_jsonl(path, snapshots)
+def _snapshot_columns(snapshots: Sequence[DailySnapshot]) -> tuple[dict, dict[str, np.ndarray]]:
     meta = {
         "snapshots": [
             {
@@ -197,19 +234,66 @@ def write_snapshots(path: str | Path, snapshots: Sequence[DailySnapshot]) -> lis
     arrays = {
         f"{i}.{name}": getattr(snap.edges, name) for i, snap in enumerate(snapshots) for name in _EDGE_ARRAYS
     }
-    return [Path(path), save_columns(path, digest, _SNAPSHOT_COLUMNS, meta, arrays)]
+    return meta, arrays
 
 
-def write_videos(path: str | Path, videos: Sequence[VideoRecord]) -> list[Path]:
-    """Write a video file, then a column bundle of each video's id, channel
-    and view count; returns both paths."""
-    digest = write_jsonl(path, videos)
+def _video_columns(videos: Sequence[VideoRecord]) -> tuple[dict, dict[str, np.ndarray]]:
     meta = {
         "video_ids": [v.video_id for v in videos],
         "channel_ids": [v.channel_id for v in videos],
         "view_counts": [v.view_count for v in videos],
     }
-    return [Path(path), save_columns(path, digest, _VIDEO_COLUMNS, meta, {})]
+    return meta, {}
+
+
+@dataclass(frozen=True)
+class _Label:
+    video_id: str
+    label: int
+
+    def __post_init__(self):
+        if self.label not in (CONSPIRATORIAL, NON_CONSPIRATORIAL):
+            raise ValueError(f"label {self.label} is not 0 or 1")
+
+
+def _label_columns(labels: Sequence[_Label]) -> tuple[dict, dict[str, np.ndarray]]:
+    return {"video_ids": [x.video_id for x in labels], "labels": [x.label for x in labels]}, {}
+
+
+# Each column bundle's kind: the records of the file it is built from, and
+# its meta and arrays made from them.
+_TO_COLUMNS = {
+    _SNAPSHOT_COLUMNS: (DailySnapshot, _snapshot_columns),
+    _VIDEO_COLUMNS: (VideoRecord, _video_columns),
+    _LABEL_COLUMNS: (_Label, _label_columns),
+}
+
+
+def _write_with_columns(path: str | Path, records: Sequence, kind: str) -> list[Path]:
+    """Write a JSONL file of ``records``, then its column bundle of ``kind``;
+    returns both paths."""
+    digest = write_jsonl(path, records)
+    return [Path(path), save_columns(path, digest, kind, *_TO_COLUMNS[kind][1](records))]
+
+
+def write_snapshots(path: str | Path, snapshots: Sequence[DailySnapshot]) -> list[Path]:
+    """Write a snapshot file, then its column bundle; returns both paths."""
+    return _write_with_columns(path, snapshots, _SNAPSHOT_COLUMNS)
+
+
+def write_videos(path: str | Path, videos: Sequence[VideoRecord]) -> list[Path]:
+    """Write a video file, then a column bundle of each video's id, channel
+    and view count; returns both paths."""
+    return _write_with_columns(path, videos, _VIDEO_COLUMNS)
+
+
+def _columns_kind(source: Path) -> Optional[str]:
+    """The kind of column bundle the stages write beside the JSONL file
+    ``source``, by its name (a snapshot day's by its directory); None for a
+    file written without one."""
+    if source.parent.name == "snapshots":
+        return _SNAPSHOT_COLUMNS
+    return {"videos.jsonl": _VIDEO_COLUMNS, "ground_truth.jsonl": _LABEL_COLUMNS}.get(source.name)
 
 
 def _snapshots(meta: dict, arrays: dict[str, np.ndarray]) -> list[DailySnapshot]:
@@ -233,6 +317,7 @@ _FROM_COLUMNS = {
         _VIDEO_COLUMNS,
         lambda meta, _: list(map(VideoViews, meta["video_ids"], meta["view_counts"])),
     ),
+    _Label: (_LABEL_COLUMNS, lambda meta, _: list(map(_Label, meta["video_ids"], meta["labels"]))),
 }
 
 
@@ -357,15 +442,33 @@ def build_manifest(
     inputs: list[str | Path],
     outputs: list[str | Path],
 ) -> RunManifest:
+    """The manifest of a stage that read ``inputs`` and has just written
+    ``outputs``. The outputs are hashed afresh, and an input the stage
+    rewrote is recorded with its new digest."""
+    written = {str(p): sha256_file(p) for p in outputs}
+    memo = _stage_memo.get()
+    if memo is not None:
+        memo.update(written)
     return RunManifest(
         command=command,
         config_digest=config_digest,
         code_version=__version__,
         seed=seed,
         created_at=dt.datetime.now(dt.timezone.utc).isoformat(),
-        inputs={str(p): sha256_file(p) for p in inputs if Path(p).exists()},
-        outputs={str(p): sha256_file(p) for p in outputs},
+        inputs={str(p): file_digest(p) for p in inputs if Path(p).exists()},
+        outputs=written,
     )
+
+
+def _read_manifest(path: str | Path) -> Optional[RunManifest]:
+    """The manifest at ``path``; None when it is missing or is no manifest."""
+    try:
+        manifest = RunManifest.read(path)
+    except (OSError, ValueError, TypeError):  # unreadable, not UTF-8, not JSON, or not a manifest
+        return None
+    if not (isinstance(manifest.inputs, dict) and isinstance(manifest.outputs, dict)):
+        return None
+    return manifest
 
 
 def outputs_are_current(manifest_path: str | Path, config_digest: str, inputs: list[str | Path]) -> bool:
@@ -373,18 +476,37 @@ def outputs_are_current(manifest_path: str | Path, config_digest: str, inputs: l
     input and output it recorded still exists with the same digest, and the
     recorded inputs are exactly the existing files among ``inputs``, the
     files a new run would read."""
-    try:
-        manifest = RunManifest.read(manifest_path)
-    except (OSError, ValueError, TypeError):  # unreadable, not UTF-8, not JSON, or not a manifest
-        return False
-    if not (isinstance(manifest.inputs, dict) and isinstance(manifest.outputs, dict)):
-        return False
-    if manifest.config_digest != config_digest or not manifest.outputs:
+    manifest = _read_manifest(manifest_path)
+    if manifest is None or manifest.config_digest != config_digest or not manifest.outputs:
         return False
     if set(manifest.inputs) != {str(p) for p in inputs if Path(p).exists()}:
         return False
     recorded = {**manifest.inputs, **manifest.outputs}
-    return all(Path(path).exists() and sha256_file(path) == digest for path, digest in recorded.items())
+    return all(_has_digest(path, digest) for path, digest in recorded.items())
+
+
+def restore_columns(manifest_path: str | Path) -> None:
+    """Rebuild each column bundle that the manifest at ``manifest_path``
+    records as an output and that is missing or holds other bytes than
+    recorded, while the JSONL file it was built from still holds its
+    recorded bytes. A bundle's bytes follow from its file's, so the rebuilt
+    one holds its recorded bytes again, and the rerun check can find the
+    stage current instead of running it again: for a harvest, that would
+    crawl the day anew."""
+    manifest = _read_manifest(manifest_path)
+    outputs = {} if manifest is None else manifest.outputs
+    for bundle, digest in outputs.items():
+        source = Path(bundle).with_suffix(".jsonl")
+        kind = _columns_kind(source)
+        if Path(bundle).suffix != ".columns" or kind is None or str(source) not in outputs:
+            continue
+        if _has_digest(bundle, digest) or not _has_digest(source, outputs[str(source)]):
+            continue
+        cls, to_columns = _TO_COLUMNS[kind]
+        save_columns(source, outputs[str(source)], kind, *to_columns(list(read_jsonl(source, cls))))
+        memo = _stage_memo.get()
+        if memo is not None:
+            memo.pop(bundle, None)
 
 
 # ---------------------------------------------------------------------------
@@ -519,16 +641,6 @@ class _Likelihood:
             raise ValueError(f"likelihood {self.likelihood} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class _Label:
-    video_id: str
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (CONSPIRATORIAL, NON_CONSPIRATORIAL):
-            raise ValueError(f"label {self.label} is not 0 or 1")
-
-
 def write_likelihoods(path: str | Path, likelihoods: dict[str, Optional[float]]) -> None:
     write_jsonl(path, (_Likelihood(vid, like) for vid, like in sorted(likelihoods.items())))
 
@@ -537,12 +649,15 @@ def read_likelihoods(path: str | Path) -> dict[str, Optional[float]]:
     return {line.video_id: line.likelihood for line in read_jsonl(path, _Likelihood)}
 
 
-def write_ground_truth(path: str | Path, truth: dict[str, int]) -> None:
-    write_jsonl(path, (_Label(vid, label) for vid, label in sorted(truth.items())))
+def write_ground_truth(path: str | Path, truth: dict[str, int]) -> list[Path]:
+    """Write a label file, then its column bundle; returns both paths."""
+    return _write_with_columns(path, [_Label(vid, label) for vid, label in sorted(truth.items())], _LABEL_COLUMNS)
 
 
 def read_ground_truth(path: str | Path) -> dict[str, int]:
-    return {line.video_id: line.label for line in read_jsonl(path, _Label)}
+    """Each video's label, from the file's column bundle while it is current
+    (:func:`read_records`)."""
+    return {line.video_id: line.label for line in read_records(path, _Label)}
 
 
 def write_seed_list(path: str | Path, channel_ids: list[str]) -> None:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import pytest
 
-from recaudit import cli, corpus, errors, store
+from recaudit import cli, corpus, ensemble, errors, parallel, store
 from recaudit.cli import main
 from recaudit.config import load_config
 from recaudit.corpus import DailySnapshot
@@ -1235,6 +1235,24 @@ class TestScoredOutput:
         self.test_score_and_report_outputs_are_byte_stable(workspace)
         assert compensated_builtin_sum.count(True) > 1000
 
+    def test_score_on_two_cpus_writes_the_same_bytes(self, workspace, monkeypatch):
+        # Batches of 16 videos, so that `score` spreads its videos over a
+        # helper process as well as this one.
+        tmp, cfg = workspace
+        assert run(cfg, "simulate") == 0
+        for day in ("2019-05-01", "2019-05-02", "2019-05-03"):
+            assert run(cfg, "harvest", "--date", day) == 0
+        assert run(cfg, "train") == 0
+        helpers, start = [], parallel._start_helper
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        monkeypatch.setattr(ensemble, "_VIDEO_BATCH", 16)
+        monkeypatch.setattr(parallel, "_start_helper", lambda *args: helpers.append(args[1]) or start(*args))
+        assert run(cfg, "score") == 0
+        assert len(helpers) == 1 and helpers[0]  # one helper, with a share of batches
+        for stage in ("trends", "bubble", "topics"):
+            assert run(cfg, stage) == 0
+        assert _digests(tmp / "out", SCORED_DIGESTS) == SCORED_DIGESTS
+
 
 class TestSeedOverride:
     def test_seed_flag_reaches_simulator(self, tmp_path):
@@ -1314,6 +1332,37 @@ class TestParsedOnce:
         }
 
 
+    def test_no_harvest_or_snowball_decodes_a_label(self, workspace, monkeypatch):
+        seen = self.decodes(workspace, monkeypatch)
+        assert not [key for key in seen if key[1] == "ground_truth.jsonl"]
+
+    def test_harvest_and_snowball_decode_the_labels_when_their_bundle_is_gone(self, workspace, monkeypatch):
+        seen = self.decodes(workspace, monkeypatch, deleted=("ground_truth.columns",))
+        labels = {key: n for key, n in seen.items() if key[1] == "ground_truth.jsonl"}
+        assert labels == {("harvest", "ground_truth.jsonl", store._Label): len(DAYS),
+                          ("snowball", "ground_truth.jsonl", store._Label): 1}
+
+
+class TestHashedOnce:
+    def test_score_hashes_each_file_once(self, workspace, monkeypatch):
+        """A run of `score` hashes each file it reads or writes once, and so
+        does the rerun that finds it current: its rerun check, the bundles'
+        key checks and its manifest share each digest."""
+        tmp, cfg = workspace
+        assert run(cfg, "simulate") == 0
+        for day in DAYS:
+            assert run(cfg, "harvest", "--date", day) == 0
+        assert run(cfg, "train") == 0
+        hashed, real = collections.Counter(), store.sha256_file
+        monkeypatch.setattr(store, "sha256_file", lambda path: hashed.update([str(path)]) or real(path))
+        for _ in range(2):  # the run, then the rerun that skips
+            hashed.clear()
+            assert run(cfg, "score") == 0
+            manifest = json.loads((tmp / "out" / "manifests" / "score.json").read_text())
+            assert hashed == {path: 1 for path in [*manifest["inputs"], *manifest["outputs"]]}
+        assert any(path.endswith(".jsonl") and "snapshots" in path for path in hashed)
+
+
 def _truncate(path):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
@@ -1391,3 +1440,47 @@ class TestCrashBetweenWrites:
         assert run(cfg, "harvest", "--date", DAYS[-1], "--overwrite") == 0
         assert _digests(out / "snapshots", HARVEST_DIGESTS) == HARVEST_DIGESTS
         assert from_bundle(snap, DailySnapshot) == list(corpus.read_jsonl(snap, DailySnapshot))
+
+
+class TestRebuiltBundle:
+    """A column bundle that its stage recorded, but that is gone or holds
+    other bytes now, is rebuilt from its file while that file holds its
+    recorded bytes, and the stage is current: a second `harvest` of a day
+    never asks for `--overwrite`, which would crawl the day anew."""
+
+    @pytest.mark.parametrize("damage", BUNDLE_DAMAGE)
+    def test_harvest_of_the_same_day_rebuilds_its_bundle(self, workspace, capsys, damage):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        assert run(cfg, "harvest", "--date", DAYS[0]) == 0
+        bundle = out / "snapshots" / f"{DAYS[0]}.columns"
+        written = bundle.read_bytes()
+        BUNDLE_DAMAGE[damage](bundle)
+        capsys.readouterr()
+        assert run(cfg, "harvest", "--date", DAYS[0]) == 0
+        assert "outputs are current, skipping" in capsys.readouterr().out
+        assert bundle.read_bytes() == written
+        assert _digests(out / "snapshots", [f"{DAYS[0]}.jsonl"]) == {f"{DAYS[0]}.jsonl": HARVEST_DIGESTS[f"{DAYS[0]}.jsonl"]}
+
+    def test_simulate_rebuilds_its_bundles(self, workspace, capsys):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        bundles = {name: (out / name).read_bytes() for name in ("videos.columns", "ground_truth.columns")}
+        for name in bundles:
+            (out / name).unlink()
+        capsys.readouterr()
+        assert run(cfg, "simulate") == 0
+        assert "outputs are current, skipping" in capsys.readouterr().out
+        assert {name: (out / name).read_bytes() for name in bundles} == bundles
+
+    def test_a_day_whose_file_changed_is_not_rebuilt(self, workspace):
+        tmp, cfg = workspace
+        snap = tmp / "out" / "snapshots" / f"{DAYS[0]}.jsonl"
+        assert run(cfg, "simulate") == 0
+        assert run(cfg, "harvest", "--date", DAYS[0]) == 0
+        store.columns_path(snap).unlink()
+        snap.write_bytes(snap.read_bytes() + b"\n")
+        assert run(cfg, "harvest", "--date", DAYS[0]) == 2  # the day exists and differs from its record
+        assert not store.columns_path(snap).exists()

@@ -639,6 +639,93 @@ class TestFixedAssignment:
         assert set(maps[0].values()) == {True, False}  # both processes did work
 
 
+class TestSharePlan:
+    """The protocol's tasks are planned by the time of the lockstep loops a
+    share runs (``_share_time``), not by the sum of their sizes."""
+
+    # Each task's SGD steps per text module (transcript, snippet, comments)
+    # and whether it is the refit, as train_ensemble computes them for the
+    # benchmark's inputs at seed 11, 8 epochs each: the `audit` workload's
+    # 400 labels with 3 repetitions, and the `train` workload's with 12.
+    AUDIT = [
+        ([2896, 3200, 19416], True),
+        ([1744, 1920, 11664], False),
+        ([1720, 1920, 11560], False),
+        ([1704, 1920, 11656], False),
+    ]
+    TRAIN = [
+        ([2832, 3200, 13048], True),
+        ([1680, 1920, 7776], False), ([1680, 1920, 7736], False), ([1728, 1920, 7936], False),
+        ([1720, 1920, 7896], False), ([1736, 1920, 7848], False), ([1696, 1920, 8064], False),
+        ([1720, 1920, 7760], False), ([1736, 1920, 7648], False), ([1696, 1920, 7664], False),
+        ([1744, 1920, 7736], False), ([1704, 1920, 7784], False), ([1680, 1920, 7896], False),
+    ]
+
+    def test_the_audit_shape_runs_the_refit_alone_in_this_process(self):
+        assert parallel.assign(self.AUDIT, 2, ensemble_module._share_time) == [[0], [1, 3, 2]]
+        # By size alone, the refit would take a repetition along.
+        assert parallel.assign([400] + [240] * 3, 2) == [[0, 3], [1, 2]]
+
+    def test_the_train_shape_runs_the_refit_with_five_repetitions(self):
+        shares = parallel.assign(self.TRAIN, 2, ensemble_module._share_time)
+        assert shares == [[0, 5, 11, 10, 2, 9], [6, 3, 4, 12, 7, 1, 8]]
+
+    def test_a_share_costs_its_loops(self):
+        G, J = ensemble_module._GLOBAL_STEP_US, ensemble_module._JOB_STEP_US
+        refit, rep = ([10, 20, 30], True), ([6, 12, 18], False)
+        # The refit's three jobs run in the comments loop, its longest.
+        assert ensemble_module._share_time([refit]) == pytest.approx(30 * G + 60 * J)
+        assert ensemble_module._share_time([rep]) == pytest.approx(36 * G + 36 * J)
+        # A repetition beside it adds the global steps of its other two
+        # loops, and only job steps to the comments loop.
+        together = (6 * G + 6 * J) + (12 * G + 12 * J) + (30 * G + 78 * J)
+        assert ensemble_module._share_time([refit, rep]) == pytest.approx(together)
+        assert ensemble_module._share_time([rep, refit]) == pytest.approx(together)
+
+    def test_train_ensemble_costs_each_task_by_its_steps(self, small_labeled, monkeypatch):
+        plans, assign = [], parallel.assign
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        monkeypatch.setattr(
+            parallel, "assign", lambda costs, n, cost=sum: plans.append((costs, cost)) or assign(costs, n, cost)
+        )
+        train_ensemble(small_labeled, repeats=3, seed=3, text_hyper=SMALL_HYPER)
+        ((costs, cost),) = plans
+        assert cost is ensemble_module._share_time
+        labels = np.array([ex.label for ex in small_labeled])
+        texts = np.array([[len(t) for t in ex.video.texts()] for ex in small_labeled])
+        sides = [np.arange(len(labels))] + [
+            _split_indices(np.random.default_rng([3, rep]), labels, 0.6)[0] for rep in range(3)
+        ]
+        assert costs == [
+            ((SMALL_HYPER.epochs * texts[side].sum(axis=0)).tolist(), i == 0) for i, side in enumerate(sides)
+        ]
+
+
+class TestScoringShares:
+    """``FirstLayer.score`` spreads its batches of videos over every CPU;
+    a video's likelihood does not depend on its batch or its process."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_likelihoods_do_not_depend_on_the_cpu_count(self, trained, labeled_fixture, cpus, monkeypatch):
+        videos = [ex.video for ex in labeled_fixture[:53]]  # three batches of 16, then one of 5
+        helpers, start = [], parallel._start_helper
+        monkeypatch.setattr(ensemble_module, "_VIDEO_BATCH", 16)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "_start_helper", lambda *args: helpers.append(args[1]) or start(*args))
+        likelihoods = classify_videos(trained, videos)
+        assert len(helpers) == cpus - 1
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
+        assert likelihoods == classify_videos(trained, videos)
+        assert likelihoods == [classify_video(trained, video) for video in videos]  # batches of one
+
+    def test_a_single_batch_starts_no_helper(self, trained, labeled_fixture, monkeypatch):
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_start_helper", None)  # a fork would fail
+        assert len(classify_videos(trained, [ex.video for ex in labeled_fixture[:ensemble_module._VIDEO_BATCH]])) > 0
+        assert 0.0 <= classify_video(trained, labeled_fixture[0].video) <= 1.0
+        assert classify_videos(trained, []) == []
+
+
 class TestShareLayout:
     """A share fits each text module's repetition jobs in one lockstep loop,
     and the refit's three jobs in the loop of the module whose refit job has

@@ -17,6 +17,7 @@ from recaudit.errors import ArtifactCorruptError, ArtifactVersionError, ConfigEr
 from recaudit.ensemble import MODULE_NAMES, classify_video, classify_videos, train_ensemble
 from recaudit.metrics import CalibrationBin, CalibrationCurve, Period, FilterBubbleMatrix, TrendPoint, TrendSeries
 from recaudit.sources import PlatformSpec, generate_labeled_set, generate_platform
+from recaudit import store
 from recaudit.store import (
     build_manifest,
     columns_path,
@@ -358,6 +359,30 @@ class TestManifests:
             assert not outputs_are_current(mpath, "cfg", [])
 
 
+class TestStageDigests:
+    def test_a_stage_hashes_each_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "in.txt"
+        path.write_text("payload")
+        hashed, real = [], store.sha256_file
+        monkeypatch.setattr(store, "sha256_file", lambda p: hashed.append(p) or real(p))
+        with store.stage_digests():
+            assert store.file_digest(path) == store.file_digest(path) == real(path)
+        assert len(hashed) == 1
+        store.file_digest(path)
+        store.file_digest(path)
+        assert len(hashed) == 3  # outside a stage, every call hashes
+
+    def test_an_input_the_stage_rewrites_is_recorded_with_its_new_digest(self, tmp_path):
+        path = tmp_path / "seeds.txt"
+        write_seed_list(path, ["UCa"])
+        with store.stage_digests():
+            store.file_digest(path)
+            write_seed_list(path, ["UCb"])
+            manifest = build_manifest("demo", "cfg", 1, [path], [path])
+            assert store.file_digest(path) == store.sha256_file(path)
+        assert manifest.inputs == manifest.outputs == {str(path): store.sha256_file(path)}
+
+
 class TestSidecars:
     def test_likelihoods_round_trip_with_nulls(self, tmp_path):
         path = tmp_path / "likes.jsonl"
@@ -369,6 +394,12 @@ class TestSidecars:
         path = tmp_path / "gt.jsonl"
         write_ground_truth(path, {"v1": 1, "v2": 0})
         assert read_ground_truth(path) == {"v1": 1, "v2": 0}
+
+    def test_a_label_bundle_holds_what_its_file_decodes_to(self, tmp_path):
+        path = tmp_path / "ground_truth.jsonl"
+        assert write_ground_truth(path, {"v2": 0, "v1": 1, "v\x00": 1}) == [path, columns_path(path)]
+        assert from_bundle(path, store._Label) == list(read_jsonl(path, store._Label))
+        assert read_ground_truth(path) == {"v1": 1, "v2": 0, "v\x00": 1}
 
     @pytest.mark.parametrize("reader", [read_likelihoods, read_ground_truth])
     @pytest.mark.parametrize("bad", ['{"video_id": "v2", "lab', '{"video_id": "v2"}', '["v2", 1]'])
