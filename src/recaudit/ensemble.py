@@ -641,7 +641,9 @@ def train_ensemble(
     trains = [examples] + [
         [examples[i] for i in _repetition_split(labels, split, seed, rep)[0]] for rep in range(repeats)
     ]
-    costs = [([text_hyper.epochs * n for n in _text_counts(train)], task == 0) for task, train in enumerate(trains)]
+    costs = [
+        ([text_hyper.epochs * n for n in _text_counts(train)], task == 0) for task, train in enumerate(trains)
+    ]
     final_layer, *repeat_results = run_shares(
         partial(_train_share, examples, labels, split, seed, repeats, text_hyper, l2), costs, _share_time
     )

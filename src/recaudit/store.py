@@ -504,6 +504,7 @@ def restore_columns(manifest_path: str | Path) -> None:
             continue
         cls, to_columns = _TO_COLUMNS[kind]
         save_columns(source, outputs[str(source)], kind, *to_columns(list(read_jsonl(source, cls))))
+        logger.info("rebuilt %s from %s", bundle, source)
         memo = _stage_memo.get()
         if memo is not None:
             memo.pop(bundle, None)

@@ -1331,7 +1331,6 @@ class TestParsedOnce:
             ("snowball", "videos.jsonl", corpus.VideoKey): 1,
         }
 
-
     def test_no_harvest_or_snowball_decodes_a_label(self, workspace, monkeypatch):
         seen = self.decodes(workspace, monkeypatch)
         assert not [key for key in seen if key[1] == "ground_truth.jsonl"]
@@ -1461,7 +1460,8 @@ class TestRebuiltBundle:
         assert run(cfg, "harvest", "--date", DAYS[0]) == 0
         assert "outputs are current, skipping" in capsys.readouterr().out
         assert bundle.read_bytes() == written
-        assert _digests(out / "snapshots", [f"{DAYS[0]}.jsonl"]) == {f"{DAYS[0]}.jsonl": HARVEST_DIGESTS[f"{DAYS[0]}.jsonl"]}
+        day = f"{DAYS[0]}.jsonl"
+        assert _digests(out / "snapshots", [day]) == {day: HARVEST_DIGESTS[day]}
 
     def test_simulate_rebuilds_its_bundles(self, workspace, capsys):
         tmp, cfg = workspace

@@ -685,9 +685,7 @@ class TestSharePlan:
     def test_train_ensemble_costs_each_task_by_its_steps(self, small_labeled, monkeypatch):
         plans, assign = [], parallel.assign
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-        monkeypatch.setattr(
-            parallel, "assign", lambda costs, n, cost=sum: plans.append((costs, cost)) or assign(costs, n, cost)
-        )
+        monkeypatch.setattr(parallel, "assign", lambda *args: plans.append(args[::2]) or assign(*args))
         train_ensemble(small_labeled, repeats=3, seed=3, text_hyper=SMALL_HYPER)
         ((costs, cost),) = plans
         assert cost is ensemble_module._share_time
@@ -721,7 +719,8 @@ class TestScoringShares:
     def test_a_single_batch_starts_no_helper(self, trained, labeled_fixture, monkeypatch):
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
         monkeypatch.setattr(parallel, "_start_helper", None)  # a fork would fail
-        assert len(classify_videos(trained, [ex.video for ex in labeled_fixture[:ensemble_module._VIDEO_BATCH]])) > 0
+        batch = [ex.video for ex in labeled_fixture[: ensemble_module._VIDEO_BATCH]]
+        assert len(classify_videos(trained, batch)) == len(batch)
         assert 0.0 <= classify_video(trained, labeled_fixture[0].video) <= 1.0
         assert classify_videos(trained, []) == []
 
