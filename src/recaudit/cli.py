@@ -80,15 +80,8 @@ def _text_hyper(config: PipelineConfig, seed: int) -> TextHyper:
 
 
 # The simulated platform on disk, in the order `_source` reads it; the state
-# file and the column bundles of the video and label files are optional.
-_PLATFORM_FILES = (
-    "channels.jsonl",
-    "videos.jsonl",
-    "ground_truth.jsonl",
-    "platform_state.json",
-    "videos.columns",
-    "ground_truth.columns",
-)
+# file is optional.
+_PLATFORM_FILES = ("channels.jsonl", "videos.jsonl", "ground_truth.jsonl", "platform_state.json")
 
 # The files of each input a stage declares in `_STAGES`, by name.
 _Inputs = dict[str, list[Path]]
@@ -99,13 +92,10 @@ def _files(config: PipelineConfig, args) -> _Inputs:
     manifest records the digests of the files its stage declares, and the
     rerun skip requires them to be the same files as the recorded ones, so
     a newly harvested day, another label file or a re-simulated platform
-    makes a stage stale. A JSONL file's column bundle (`store.columns_path`)
-    is an input of the stages that read its records from it."""
+    makes a stage stale. No column bundle is among them: a bundle is a cache
+    of its JSONL file that `store.read_records` rebuilds, so its state never
+    decides a rerun."""
     out = _out(config)
-    snapshots = sorted((out / "snapshots").glob("*.jsonl"))
-    # The simulator's video file plus one file per live harvest day.
-    videos = [out / "videos.jsonl", *sorted((out / "videos").glob("*.jsonl"))]
-    labels = [Path(args.labels) if getattr(args, "labels", None) else out / "ground_truth.jsonl"]
     return {
         "platform": [] if config.source == "live" else [out / name for name in _PLATFORM_FILES],
         "seed_list": [Path(config.snowball_seeds_path)],
@@ -113,14 +103,12 @@ def _files(config: PipelineConfig, args) -> _Inputs:
         "seeds": [out / "seeds.txt"],
         "labeled": [out / "labeled.jsonl"],
         "ensemble": [out / "ensemble.bin"],
-        "snapshots": snapshots,
-        "snapshot_columns": [store.columns_path(path) for path in snapshots],
-        "videos": videos,
-        "video_columns": [store.columns_path(path) for path in videos],
+        "snapshots": sorted((out / "snapshots").glob("*.jsonl")),
+        # The simulator's video file plus one file per live harvest day.
+        "videos": [out / "videos.jsonl", *sorted((out / "videos").glob("*.jsonl"))],
         "likelihoods": [out / "likelihoods.jsonl"],
         "calibration": [out / "calibration.csv"] if config.trends_calibrated else [],
-        "labels": labels,
-        "label_columns": [store.columns_path(path) for path in labels],
+        "labels": [Path(args.labels) if getattr(args, "labels", None) else out / "ground_truth.jsonl"],
         "channels": [out / "channels.jsonl"],
     }
 
@@ -128,12 +116,12 @@ def _files(config: PipelineConfig, args) -> _Inputs:
 def _source(config: PipelineConfig, paths: _Inputs):
     if config.source == "live":
         return LiveAdapter.from_env()
-    channels_path, videos_path, truth_path, state_path = paths["platform"][:4]
+    channels_path, videos_path, truth_path, state_path = paths["platform"]
     for path in (channels_path, videos_path, truth_path):
         _require(path, "simulate")
     channels = tuple(corpus.read_jsonl(channels_path, corpus.ChannelRecord))
     # A harvest or a snowball reads each video's id and channel only, and
-    # the labels, from the files' column bundles.
+    # the labels, through the files' column bundles.
     videos = tuple(store.read_records(videos_path, corpus.VideoKey))
     truth = store.read_ground_truth(truth_path)
     video_dates: dict[str, dt.date] = {}
@@ -229,9 +217,7 @@ def _cmd_simulate(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
     outputs = [
         "channels.jsonl",
         "videos.jsonl",
-        "videos.columns",
         "ground_truth.jsonl",
-        "ground_truth.columns",
         "labeled.jsonl",
         "seeds.txt",
         "platform_state.json",
@@ -329,7 +315,8 @@ def _cmd_harvest(config: PipelineConfig, args, paths: _Inputs) -> list[Path]:
         videos_path = out / "videos" / f"{day.isoformat()}.jsonl"
         corpus.write_jsonl(videos_path, fetched)
         outputs.append(videos_path)
-    outputs += store.write_snapshots(snap_path, [result.snapshot])
+    store.write_snapshots(snap_path, [result.snapshot])
+    outputs.append(snap_path)
 
     if result.failures:
         logger.warning("harvest %s: %d channels failed", day, len(result.failures))
@@ -389,7 +376,7 @@ def _trend_series(config: PipelineConfig, paths: _Inputs) -> TrendSeries:
     for path in paths["calibration"]:  # listed when trends.calibrated is set
         curve = store.read_calibration_csv(_require(path, "calibrate"))
         likelihoods = apply_calibration(likelihoods, curve)
-    videos = _read_videos(config, paths["videos"], corpus.VideoViews)
+    videos = _read_videos(config, paths["videos"], corpus.VideoKey)
     views = {vid: v.view_count for vid, v in videos.items()}
     try:
         frequencies = daily_frequencies([s.edges for s in snapshots], likelihoods, views, config.threshold)
@@ -563,14 +550,11 @@ _STAGES = {
     "snowball": (_cmd_snowball, ("seed_list", "manual_additions", "platform")),
     "harvest": (_cmd_harvest, ("seeds", "platform")),
     "train": (_cmd_train, ("labeled",)),
-    "score": (_cmd_score, ("ensemble", "snapshots", "snapshot_columns", "videos")),
-    "trends": (
-        _cmd_trends,
-        ("likelihoods", "calibration", "snapshots", "snapshot_columns", "videos", "video_columns"),
-    ),
-    "calibrate": (_cmd_calibrate, ("likelihoods", "labels", "label_columns")),
-    "bubble": (_cmd_bubble, ("likelihoods", "snapshots", "snapshot_columns")),
-    "topics": (_cmd_topics, ("likelihoods", "snapshots", "snapshot_columns", "videos")),
+    "score": (_cmd_score, ("ensemble", "snapshots", "videos")),
+    "trends": (_cmd_trends, ("likelihoods", "calibration", "snapshots", "videos")),
+    "calibrate": (_cmd_calibrate, ("likelihoods", "labels")),
+    "bubble": (_cmd_bubble, ("likelihoods", "snapshots")),
+    "topics": (_cmd_topics, ("likelihoods", "snapshots", "videos")),
     "validate": (_cmd_validate, ("channels", "videos", "labeled", "snapshots")),
 }
 
@@ -629,11 +613,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         paths = {name: files[name] for name in names}
         inputs = [path for name in names for path in paths[name]]
         with store.stage_digests():
-            if not args.overwrite:
-                store.restore_columns(manifest_path)
-                if store.outputs_are_current(manifest_path, config_digest, inputs):
-                    print(f"{args.command}: outputs are current, skipping (see {manifest_path})")
-                    return 0
+            if not args.overwrite and store.outputs_are_current(manifest_path, config_digest, inputs):
+                print(f"{args.command}: outputs are current, skipping (see {manifest_path})")
+                return 0
             with store.output_lock(manifest_path):
                 outputs = stage(config, args, paths)
                 manifest = store.build_manifest(
@@ -652,8 +634,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.exit_code
     except ValueError as exc:
         # A bad option or config value that a library call rejects. Data
-        # faults are typed; ROADMAP's contract leftovers list the data
-        # faults that still end here.
+        # faults are typed; ROADMAP item 11 sweeps for any that still end
+        # here, then deletes this branch.
         _report_error(args, exc)
         return 1
 

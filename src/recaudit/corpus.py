@@ -20,6 +20,7 @@ import dataclasses
 import datetime as dt
 import functools
 import hashlib
+import io
 import json
 import operator
 import os
@@ -127,24 +128,18 @@ class VideoRecord:
         )
 
 
-# Projections of a video file's lines: a stage that reads only these fields
-# decodes them alone, through the same codec, so each field keeps its JSON
-# type check and the rest of the line (comments included) goes unchecked.
+# The projection of a video file's lines: a stage that reads only these
+# fields decodes them alone, through the same codec, so each field keeps its
+# JSON type check and the rest of the line (comments included) goes unchecked.
 
 
 @dataclass(frozen=True)
 class VideoKey:
-    """A video and its channel: what the simulated platform reads."""
+    """A video, its channel and its view count: what the simulated platform
+    and ``trends`` read, and what the video file's column bundle holds."""
 
     video_id: str
     channel_id: str
-
-
-@dataclass(frozen=True)
-class VideoViews:
-    """A video and its view count: what ``trends`` reads."""
-
-    video_id: str
     view_count: int = 0
 
 
@@ -562,12 +557,12 @@ def write_jsonl(path: str | Path, records: Iterable) -> str:
     return digest.hexdigest()
 
 
-def read_jsonl(path: str | Path, cls) -> Iterator:
-    """The ``cls`` record on each non-blank line. A line that is not UTF-8,
-    does not parse or does not decode raises :class:`ArtifactCorruptError`
-    naming ``path:line``."""
+def read_jsonl(path: str | Path, cls, data: Optional[bytes] = None) -> Iterator:
+    """The ``cls`` record on each non-blank line of ``path``, or of ``data``,
+    its bytes already read. A line that is not UTF-8, does not parse or does
+    not decode raises :class:`ArtifactCorruptError` naming ``path:line``."""
     decode = _codec(cls)[1]
-    with open(path, "rb") as fh:
+    with open(path, "rb") if data is None else io.BytesIO(data) as fh:
         for number, line in enumerate(fh, start=1):
             if not line.isspace():
                 try:

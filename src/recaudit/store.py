@@ -1,5 +1,5 @@
 """Persistence: versioned binary bundles for models, run manifests, CSV and
-JSONL emitters for measurements, column bundles beside the JSONL files that
+JSONL emitters for measurements, column bundles that cache the JSONL files
 later stages read, and single-writer lock files.
 
 Bundle format, designed to be byte-stable and digest-checked:
@@ -14,12 +14,15 @@ partial object; a future schema_version is refused outright.
 
 A snapshot day and the simulator's ``videos.jsonl`` and
 ``ground_truth.jsonl`` each have a column bundle beside them
-(``<name>.columns``), written by the stage that writes the file. It holds
-the records later stages decode from the file, and its meta names the
-sha256 of the file's bytes. ``read_records`` takes the records from the
-bundle while that digest is the file's, and decodes the file otherwise:
-JSONL stays the interchange format and the one source of truth, and a
-missing, stale or damaged bundle costs only the decode it would have saved.
+(``<name>.columns``): a cache of the records later stages decode from the
+file, keyed by the sha256 of the file's bytes, that only this module knows
+of. The stage that writes the file writes the bundle right after it, but no
+manifest records a bundle, so its state never decides a rerun.
+``read_records`` takes the records from the bundle while its key is the
+file's digest. Otherwise it decodes the file once and rebuilds the bundle,
+keyed by the bytes it decoded. JSONL stays the interchange format and the
+one source of truth, and a missing, stale or damaged bundle costs one
+decode.
 
 While a stage runs (:func:`stage_digests`), each file it reads is hashed
 once: the rerun check, the column bundles' key check and the manifest share
@@ -51,7 +54,6 @@ from .corpus import (
     EdgeColumns,
     VideoKey,
     VideoRecord,
-    VideoViews,
     atomic_output,
     read_jsonl,
     write_jsonl,
@@ -177,13 +179,11 @@ def load_bundle(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Column bundles: a JSONL file's records, decoded once, beside the file. Ids
-# travel in the JSON meta, since a numpy unicode array drops a trailing NUL.
+# Column bundles: a cache of a JSONL file's records, decoded once, beside the
+# file. Ids travel in the JSON meta, since a numpy unicode array drops a
+# trailing NUL.
 # ---------------------------------------------------------------------------
 
-_SNAPSHOT_COLUMNS = "snapshot-columns"
-_VIDEO_COLUMNS = "video-columns"
-_LABEL_COLUMNS = "label-columns"
 _EDGE_ARRAYS = ("source", "recommended", "rank", "date")  # EdgeColumns' fields after ids
 
 
@@ -194,12 +194,10 @@ def columns_path(source: str | Path) -> Path:
 
 def save_columns(
     source: str | Path, source_sha256: str, kind: str, meta: dict, arrays: dict[str, np.ndarray]
-) -> Path:
+) -> None:
     """Write the column bundle of ``source``, keyed by ``source_sha256``, the
-    sha256 of the bytes just written to it. Returns the bundle's path."""
-    path = columns_path(source)
-    save_bundle(path, kind, {**meta, "source_sha256": source_sha256}, arrays)
-    return path
+    sha256 of the bytes its records were taken from."""
+    save_bundle(columns_path(source), kind, {**meta, "source_sha256": source_sha256}, arrays)
 
 
 def load_columns(source: str | Path, kind: str) -> Optional[tuple[dict, dict[str, np.ndarray]]]:
@@ -212,7 +210,7 @@ def load_columns(source: str | Path, kind: str) -> Optional[tuple[dict, dict[str
     try:
         meta, arrays = load_bundle(path, kind)
     except (RecauditError, OSError) as exc:
-        logger.warning("%s; decoding %s instead", exc, source)
+        logger.warning("%s; rebuilding it from %s", exc, source)
         return None
     if meta.get("source_sha256") != file_digest(source):
         return None
@@ -237,7 +235,19 @@ def _snapshot_columns(snapshots: Sequence[DailySnapshot]) -> tuple[dict, dict[st
     return meta, arrays
 
 
-def _video_columns(videos: Sequence[VideoRecord]) -> tuple[dict, dict[str, np.ndarray]]:
+def _snapshots(meta: dict, arrays: dict[str, np.ndarray]) -> list[DailySnapshot]:
+    return [
+        DailySnapshot(
+            date=dt.date.fromisoformat(snap["date"]),
+            edges=EdgeColumns(tuple(snap["ids"]), *(arrays[f"{i}.{name}"] for name in _EDGE_ARRAYS)),
+            retained_video_ids=frozenset(snap["retained_video_ids"]),
+            coverage=snap["coverage"],
+        )
+        for i, snap in enumerate(meta["snapshots"])
+    ]
+
+
+def _video_columns(videos: Sequence[VideoRecord | VideoKey]) -> tuple[dict, dict[str, np.ndarray]]:
     meta = {
         "video_ids": [v.video_id for v in videos],
         "channel_ids": [v.channel_id for v in videos],
@@ -260,74 +270,56 @@ def _label_columns(labels: Sequence[_Label]) -> tuple[dict, dict[str, np.ndarray
     return {"video_ids": [x.video_id for x in labels], "labels": [x.label for x in labels]}, {}
 
 
-# Each column bundle's kind: the records of the file it is built from, and
-# its meta and arrays made from them.
-_TO_COLUMNS = {
-    _SNAPSHOT_COLUMNS: (DailySnapshot, _snapshot_columns),
-    _VIDEO_COLUMNS: (VideoRecord, _video_columns),
-    _LABEL_COLUMNS: (_Label, _label_columns),
-}
-
-
-def _write_with_columns(path: str | Path, records: Sequence, kind: str) -> list[Path]:
-    """Write a JSONL file of ``records``, then its column bundle of ``kind``;
-    returns both paths."""
-    digest = write_jsonl(path, records)
-    return [Path(path), save_columns(path, digest, kind, *_TO_COLUMNS[kind][1](records))]
-
-
-def write_snapshots(path: str | Path, snapshots: Sequence[DailySnapshot]) -> list[Path]:
-    """Write a snapshot file, then its column bundle; returns both paths."""
-    return _write_with_columns(path, snapshots, _SNAPSHOT_COLUMNS)
-
-
-def write_videos(path: str | Path, videos: Sequence[VideoRecord]) -> list[Path]:
-    """Write a video file, then a column bundle of each video's id, channel
-    and view count; returns both paths."""
-    return _write_with_columns(path, videos, _VIDEO_COLUMNS)
-
-
-def _columns_kind(source: Path) -> Optional[str]:
-    """The kind of column bundle the stages write beside the JSONL file
-    ``source``, by its name (a snapshot day's by its directory); None for a
-    file written without one."""
-    if source.parent.name == "snapshots":
-        return _SNAPSHOT_COLUMNS
-    return {"videos.jsonl": _VIDEO_COLUMNS, "ground_truth.jsonl": _LABEL_COLUMNS}.get(source.name)
-
-
-def _snapshots(meta: dict, arrays: dict[str, np.ndarray]) -> list[DailySnapshot]:
-    return [
-        DailySnapshot(
-            date=dt.date.fromisoformat(snap["date"]),
-            edges=EdgeColumns(tuple(snap["ids"]), *(arrays[f"{i}.{name}"] for name in _EDGE_ARRAYS)),
-            retained_video_ids=frozenset(snap["retained_video_ids"]),
-            coverage=snap["coverage"],
-        )
-        for i, snap in enumerate(meta["snapshots"])
-    ]
-
-
-# Each record type a column bundle holds: the bundle's kind, and the records
-# from its meta and arrays.
-_FROM_COLUMNS = {
-    DailySnapshot: (_SNAPSHOT_COLUMNS, _snapshots),
-    VideoKey: (_VIDEO_COLUMNS, lambda meta, _: list(map(VideoKey, meta["video_ids"], meta["channel_ids"]))),
-    VideoViews: (
-        _VIDEO_COLUMNS,
-        lambda meta, _: list(map(VideoViews, meta["video_ids"], meta["view_counts"])),
+# Each record type a column bundle holds: the bundle's kind, its meta and
+# arrays made from the records, and the records made from them.
+_COLUMNS = {
+    DailySnapshot: ("snapshot-columns", _snapshot_columns, _snapshots),
+    VideoKey: (
+        "video-columns",
+        _video_columns,
+        lambda meta, _: list(map(VideoKey, meta["video_ids"], meta["channel_ids"], meta["view_counts"])),
     ),
-    _Label: (_LABEL_COLUMNS, lambda meta, _: list(map(_Label, meta["video_ids"], meta["labels"]))),
+    _Label: ("label-columns", _label_columns, lambda meta, _: list(map(_Label, meta["video_ids"], meta["labels"]))),
 }
+
+
+def _write_with_columns(path: str | Path, records: Sequence, cls) -> None:
+    """Write a JSONL file of ``records``, then its column bundle of ``cls``
+    records."""
+    kind, to_columns, _ = _COLUMNS[cls]
+    save_columns(path, write_jsonl(path, records), kind, *to_columns(records))
+
+
+def write_snapshots(path: str | Path, snapshots: Sequence[DailySnapshot]) -> None:
+    """Write a snapshot file, then its column bundle."""
+    _write_with_columns(path, snapshots, DailySnapshot)
+
+
+def write_videos(path: str | Path, videos: Sequence[VideoRecord]) -> None:
+    """Write a video file, then its column bundle of each video's id,
+    channel and view count."""
+    _write_with_columns(path, videos, VideoKey)
 
 
 def read_records(path: str | Path, cls) -> list:
-    """The ``cls`` records of the JSONL file ``path``: from its column bundle
-    when one holds them for the file's current bytes, else decoded from the
-    file, as :func:`corpus.read_jsonl` decodes them."""
-    kind, from_columns = _FROM_COLUMNS.get(cls, (None, None))
-    loaded = None if kind is None else load_columns(path, kind)
-    return list(read_jsonl(path, cls)) if loaded is None else from_columns(*loaded)
+    """The ``cls`` records of the JSONL file ``path``, as
+    :func:`corpus.read_jsonl` decodes them. Records a column bundle holds
+    come from the bundle while it is current. Otherwise the file is decoded
+    once and its bundle rebuilt, keyed by the sha256 of the bytes decoded;
+    a rebuild that cannot be written is logged as a warning, and the
+    records are returned all the same."""
+    if cls not in _COLUMNS:
+        return list(read_jsonl(path, cls))
+    kind, to_columns, from_columns = _COLUMNS[cls]
+    columns = load_columns(path, kind)
+    if columns is None:
+        data = Path(path).read_bytes()
+        columns = to_columns(list(read_jsonl(path, cls, data)))
+        try:
+            save_columns(path, sha256_bytes(data), kind, *columns)
+        except OSError as exc:
+            logger.warning("could not rebuild %s from %s: %s", columns_path(path), path, exc)
+    return from_columns(*columns)
 
 
 # ---------------------------------------------------------------------------
@@ -485,31 +477,6 @@ def outputs_are_current(manifest_path: str | Path, config_digest: str, inputs: l
     return all(_has_digest(path, digest) for path, digest in recorded.items())
 
 
-def restore_columns(manifest_path: str | Path) -> None:
-    """Rebuild each column bundle that the manifest at ``manifest_path``
-    records as an output and that is missing or holds other bytes than
-    recorded, while the JSONL file it was built from still holds its
-    recorded bytes. A bundle's bytes follow from its file's, so the rebuilt
-    one holds its recorded bytes again, and the rerun check can find the
-    stage current instead of running it again: for a harvest, that would
-    crawl the day anew."""
-    manifest = _read_manifest(manifest_path)
-    outputs = {} if manifest is None else manifest.outputs
-    for bundle, digest in outputs.items():
-        source = Path(bundle).with_suffix(".jsonl")
-        kind = _columns_kind(source)
-        if Path(bundle).suffix != ".columns" or kind is None or str(source) not in outputs:
-            continue
-        if _has_digest(bundle, digest) or not _has_digest(source, outputs[str(source)]):
-            continue
-        cls, to_columns = _TO_COLUMNS[kind]
-        save_columns(source, outputs[str(source)], kind, *to_columns(list(read_jsonl(source, cls))))
-        logger.info("rebuilt %s from %s", bundle, source)
-        memo = _stage_memo.get()
-        if memo is not None:
-            memo.pop(bundle, None)
-
-
 # ---------------------------------------------------------------------------
 # Measurement emitters (CSV rows are plot-ready and byte-stable)
 # ---------------------------------------------------------------------------
@@ -650,13 +617,13 @@ def read_likelihoods(path: str | Path) -> dict[str, Optional[float]]:
     return {line.video_id: line.likelihood for line in read_jsonl(path, _Likelihood)}
 
 
-def write_ground_truth(path: str | Path, truth: dict[str, int]) -> list[Path]:
-    """Write a label file, then its column bundle; returns both paths."""
-    return _write_with_columns(path, [_Label(vid, label) for vid, label in sorted(truth.items())], _LABEL_COLUMNS)
+def write_ground_truth(path: str | Path, truth: dict[str, int]) -> None:
+    """Write a label file, then its column bundle."""
+    _write_with_columns(path, [_Label(vid, label) for vid, label in sorted(truth.items())], _Label)
 
 
 def read_ground_truth(path: str | Path) -> dict[str, int]:
-    """Each video's label, from the file's column bundle while it is current
+    """Each video's label, through the file's column bundle
     (:func:`read_records`)."""
     return {line.video_id: line.label for line in read_records(path, _Label)}
 

@@ -267,6 +267,8 @@ class TestListedInputs:
             opened = {p for p in reads.pop(argv[0]) if p.startswith(str(tmp))}
             manifest = json.loads((out / "manifests" / f"{manifest_name}.json").read_text())
             listed = {os.path.abspath(p) for p in manifest["inputs"]}
+            # A column bundle is a cache of its JSONL file, which is listed.
+            opened = {p for p in opened if not (p.endswith(".columns") and p[: -len(".columns")] + ".jsonl" in listed)}
             assert opened <= listed, (argv, sorted(opened - listed))
             assert opened or argv[0] == "simulate", argv
 
@@ -281,6 +283,26 @@ class TestStageTable:
         declared = {name for _, names in cli._STAGES.values() for name in names}
         assert declared <= set(files), sorted(declared - set(files))
         assert set(files) <= declared, sorted(set(files) - declared)
+
+    def test_no_input_or_manifest_names_a_column_bundle(self, workspace, monkeypatch):
+        # A bundle is a cache that `store.read_records` rebuilds, so its state
+        # must never decide a rerun.
+        tmp, cfg = workspace
+        out = tmp / "out"
+        files = cli._files(load_config(cfg), argparse.Namespace(labels=str(tmp / "labels.jsonl")))
+        assert not [path for paths in files.values() for path in paths if path.suffix == ".columns"]
+        flow = [["simulate"], *(["harvest", "--date", day] for day in DAYS),
+                ["train"], ["score"], ["calibrate"], ["trends"], ["bubble"], ["topics"], ["validate"]]
+        for argv in flow:
+            assert run(cfg, *argv) == 0, argv
+        _configure_snowball(tmp, out, monkeypatch, [])
+        assert run(cfg, "snowball") == 0
+        manifests = sorted((out / "manifests").glob("*.json"))
+        assert len(manifests) == len(flow) + 1
+        assert list(out.rglob("*.columns"))
+        for path in manifests:
+            manifest = json.loads(path.read_text())
+            assert not [p for p in [*manifest["inputs"], *manifest["outputs"]] if p.endswith(".columns")], path
 
 
 # Every error type of the package, with the exit code its place in the
@@ -801,9 +823,10 @@ class TestCorruptArtifacts:
         err = capsys.readouterr().err
         assert f"{path}:3:" in err and field in err
 
-    def test_a_bad_comment_stops_the_stages_that_read_comments_only(self, workspace, capsys):
-        # Collection decodes each video's id, channel and views alone; the
-        # comments are checked by score, topics and validate, which read them.
+    def test_a_bad_comment_stops_the_stages_that_read_comments_only(self, workspace, capsys, deleted=False):
+        # Collection decodes each video's id, channel and views alone, also
+        # when it rebuilds their bundle; the comments are checked by score,
+        # topics and validate, which read them.
         tmp, cfg = workspace
         out = tmp / "out"
         assert run(cfg, "simulate") == 0
@@ -814,6 +837,8 @@ class TestCorruptArtifacts:
         doc = json.loads(path.read_text().splitlines()[1])
         doc["comments"][0]["attribute_scores"][0] = 1.5
         _edit_line(path, 2, "comments", doc["comments"])
+        if deleted:
+            store.columns_path(path).unlink()
         assert run(cfg, "harvest", "--date", "2019-05-02") == 0
         assert run(cfg, "trends") == 0
         for stage in ("score", "topics", "validate"):
@@ -821,6 +846,9 @@ class TestCorruptArtifacts:
             assert run(cfg, stage) == 2, stage
             err = capsys.readouterr().err
             assert f"{path}:2:" in err and "attribute scores outside [0, 1]" in err, stage
+
+    def test_a_bad_comment_stops_the_same_stages_with_the_video_bundle_deleted(self, workspace, capsys):
+        self.test_a_bad_comment_stops_the_stages_that_read_comments_only(workspace, capsys, deleted=True)
 
     @pytest.mark.parametrize(
         "state",
@@ -1291,9 +1319,9 @@ class TestParsedOnce:
         seen = collections.Counter()
         read = corpus.read_jsonl
 
-        def counted(path, cls):
+        def counted(path, cls, data=None):
             seen[stage[0], Path(path).relative_to(out).as_posix(), cls] += 1
-            return read(path, cls)
+            return read(path, cls, data)
 
         for module in (corpus, store):
             monkeypatch.setattr(module, "read_jsonl", counted)
@@ -1314,7 +1342,7 @@ class TestParsedOnce:
         seen = self.decodes(workspace, monkeypatch)
         days = {key: n for key, n in seen.items() if key[1].startswith("snapshots/")}
         assert days == {("validate", f"snapshots/{day}.jsonl", DailySnapshot): 1 for day in DAYS}
-        assert not [key for key in seen if key[2] in (corpus.VideoKey, corpus.VideoViews)]
+        assert not [key for key in seen if key[2] is corpus.VideoKey]
 
     def test_every_reader_decodes_a_file_whose_bundle_is_gone(self, workspace, monkeypatch):
         seen = self.decodes(workspace, monkeypatch, deleted=("videos.columns", f"snapshots/{DAYS[1]}.columns"))
@@ -1324,10 +1352,10 @@ class TestParsedOnce:
             for day in DAYS
             for stage in (("score", "trends", "bubble", "topics", "validate") if day == DAYS[1] else ("validate",))
         }
-        projections = {key: n for key, n in seen.items() if key[2] in (corpus.VideoKey, corpus.VideoViews)}
+        projections = {key: n for key, n in seen.items() if key[2] is corpus.VideoKey}
         assert projections == {
             ("harvest", "videos.jsonl", corpus.VideoKey): len(DAYS),
-            ("trends", "videos.jsonl", corpus.VideoViews): 1,
+            ("trends", "videos.jsonl", corpus.VideoKey): 1,
             ("snowball", "videos.jsonl", corpus.VideoKey): 1,
         }
 
@@ -1381,34 +1409,64 @@ BUNDLE_DAMAGE = {
 
 
 class TestColumnFallbacks:
-    """A column bundle is derived data: a damaged or missing one costs only
-    the decode it would have saved, and a damaged one is named in one
-    warning per stage that meets it. (A stale one, written for other bytes
-    than its file holds, is covered by `TestDaysThatDiffer`, which rewrites
-    days after their harvest.)"""
+    """A column bundle is a cache: a damaged or missing one costs one decode
+    of its file, by the next stage that reads it, which rebuilds it; a
+    damaged one is named in one warning. (A stale one, written for other
+    bytes than its file holds, is covered by `TestDaysThatDiffer`, which
+    rewrites days after their harvest.)"""
 
     @pytest.mark.parametrize("damage", BUNDLE_DAMAGE)
     def test_the_outputs_keep_their_bytes(self, workspace, caplog, damage):
         tmp, cfg = workspace
         out = tmp / "out"
         assert run(cfg, "simulate") == 0
-        bundles = {out / "videos.columns": 1 + len(DAYS)}  # each harvest, then trends
+        bundles = {out / "videos.columns": (out / "videos.columns").read_bytes()}
         BUNDLE_DAMAGE[damage](out / "videos.columns")
         for day in DAYS:
             assert run(cfg, "harvest", "--date", day) == 0
         for day in DAYS:
-            bundles[out / "snapshots" / f"{day}.columns"] = 4  # score, trends, bubble, topics
-            BUNDLE_DAMAGE[damage](out / "snapshots" / f"{day}.columns")
+            bundle = out / "snapshots" / f"{day}.columns"
+            bundles[bundle] = bundle.read_bytes()
+            BUNDLE_DAMAGE[damage](bundle)
         for stage in ("train", "score", "trends", "bubble", "topics"):
             assert run(cfg, stage) == 0, stage
         assert _digests(out / "snapshots", HARVEST_DIGESTS) == HARVEST_DIGESTS
         assert _digests(out, SCORED_DIGESTS) == SCORED_DIGESTS
+        assert {path: path.read_bytes() for path in bundles} == bundles
         warnings = [r.getMessage() for r in caplog.records if r.name == "recaudit.store"]
         if damage.startswith("missing"):
             assert warnings == []
-        else:
-            assert {path: sum(str(path) in w for w in warnings) for path in bundles} == bundles
-            assert len(warnings) == sum(bundles.values())
+        else:  # the first harvest for the videos, then `score` for each day
+            assert {path: sum(str(path) in w for w in warnings) for path in bundles} == dict.fromkeys(bundles, 1)
+            assert len(warnings) == len(bundles)
+
+    def test_a_rebuild_that_cannot_be_written_is_a_warning(self, workspace, monkeypatch, caplog):
+        # As for a snapshot archive kept read-only: the stage decodes the
+        # day, warns that its bundle could not be written, and goes on.
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        for day in DAYS:
+            assert run(cfg, "harvest", "--date", day) == 0
+        assert run(cfg, "train") == 0
+        bundles = [out / "snapshots" / f"{day}.columns" for day in DAYS]
+        for bundle in bundles:
+            bundle.unlink()
+
+        def refuse(*args):
+            raise PermissionError("read-only file system")
+
+        monkeypatch.setattr(store, "save_columns", refuse)
+        for stage in ("score", "trends", "bubble", "topics"):
+            caplog.clear()
+            assert run(cfg, stage) == 0, stage
+            warnings = [r for r in caplog.records if r.name == "recaudit.store"]
+            assert all(r.levelname == "WARNING" for r in warnings), stage
+            messages = [r.getMessage() for r in warnings]
+            assert [sum(str(bundle) in m for m in messages) for bundle in bundles] == [1] * len(DAYS), stage
+            assert len(messages) == len(DAYS), stage
+        assert _digests(out, SCORED_DIGESTS) == SCORED_DIGESTS
+        assert not [bundle for bundle in bundles if bundle.exists()]
 
 
 class TestCrashBetweenWrites:
@@ -1442,13 +1500,16 @@ class TestCrashBetweenWrites:
 
 
 class TestRebuiltBundle:
-    """A column bundle that its stage recorded, but that is gone or holds
-    other bytes now, is rebuilt from its file while that file holds its
-    recorded bytes, and the stage is current: a second `harvest` of a day
-    never asks for `--overwrite`, which would crawl the day anew."""
+    """A column bundle is a cache of its JSONL file that no manifest records,
+    so a missing or damaged one never makes a stage stale: a second `harvest`
+    of a day is current, and never asks for `--overwrite`, which would crawl
+    the day anew. The next stage that reads the file rebuilds the bundle,
+    byte for byte."""
 
     @pytest.mark.parametrize("damage", BUNDLE_DAMAGE)
-    def test_harvest_of_the_same_day_rebuilds_its_bundle(self, workspace, capsys, damage):
+    def test_harvest_of_the_same_day_is_current_and_the_next_reader_rebuilds_its_bundle(
+        self, workspace, capsys, damage
+    ):
         tmp, cfg = workspace
         out = tmp / "out"
         assert run(cfg, "simulate") == 0
@@ -1459,21 +1520,29 @@ class TestRebuiltBundle:
         capsys.readouterr()
         assert run(cfg, "harvest", "--date", DAYS[0]) == 0
         assert "outputs are current, skipping" in capsys.readouterr().out
-        assert bundle.read_bytes() == written
         day = f"{DAYS[0]}.jsonl"
         assert _digests(out / "snapshots", [day]) == {day: HARVEST_DIGESTS[day]}
+        _write_likelihoods(out, 0.5)
+        assert run(cfg, "bubble") == 0
+        assert bundle.read_bytes() == written
 
-    def test_simulate_rebuilds_its_bundles(self, workspace, capsys):
+    @pytest.mark.parametrize("damage", BUNDLE_DAMAGE)
+    @pytest.mark.parametrize("name", ["videos.columns", "ground_truth.columns"])
+    def test_a_damaged_platform_bundle_leaves_simulate_and_harvest_current(self, workspace, capsys, name, damage):
         tmp, cfg = workspace
         out = tmp / "out"
         assert run(cfg, "simulate") == 0
-        bundles = {name: (out / name).read_bytes() for name in ("videos.columns", "ground_truth.columns")}
-        for name in bundles:
-            (out / name).unlink()
-        capsys.readouterr()
-        assert run(cfg, "simulate") == 0
-        assert "outputs are current, skipping" in capsys.readouterr().out
-        assert {name: (out / name).read_bytes() for name in bundles} == bundles
+        assert run(cfg, "harvest", "--date", DAYS[0]) == 0
+        written = (out / name).read_bytes()
+        BUNDLE_DAMAGE[damage](out / name)
+        for argv in (["harvest", "--date", DAYS[0]], ["simulate"]):
+            capsys.readouterr()
+            assert run(cfg, *argv) == 0, argv
+            assert "outputs are current, skipping" in capsys.readouterr().out, argv
+        assert run(cfg, "harvest", "--date", DAYS[1]) == 0  # the next reader of the platform
+        assert (out / name).read_bytes() == written
+        harvested = [f"{day}.jsonl" for day in DAYS[:2]]
+        assert _digests(out / "snapshots", harvested) == {day: HARVEST_DIGESTS[day] for day in harvested}
 
     def test_a_day_whose_file_changed_is_not_rebuilt(self, workspace):
         tmp, cfg = workspace

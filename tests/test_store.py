@@ -1,5 +1,6 @@
 import dataclasses
 import datetime as dt
+import hashlib
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recaudit.corpus import DailySnapshot, EdgeColumns, VideoKey, VideoRecord, VideoViews, read_jsonl, write_jsonl
+from recaudit.corpus import DailySnapshot, EdgeColumns, VideoKey, VideoRecord, read_jsonl, write_jsonl
 from recaudit.errors import ArtifactCorruptError, ArtifactVersionError, ConfigError, HarvestExistsError
 from recaudit.ensemble import MODULE_NAMES, classify_video, classify_videos, train_ensemble
 from recaudit.metrics import CalibrationBin, CalibrationCurve, Period, FilterBubbleMatrix, TrendPoint, TrendSeries
@@ -191,7 +192,7 @@ class TestColumnBundles:
     def test_a_snapshot_bundle_holds_what_its_file_decodes_to(self, snapshots):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "2019-05-01.jsonl"
-            assert write_snapshots(path, snapshots) == [path, columns_path(path)]
+            write_snapshots(path, snapshots)
             loaded = from_bundle(path, DailySnapshot)
             assert list(map(_exactly, loaded)) == list(map(_exactly, read_jsonl(path, DailySnapshot)))
             for snapshot in loaded:
@@ -203,17 +204,47 @@ class TestColumnBundles:
     def test_a_video_bundle_holds_what_its_file_decodes_to(self, videos):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "videos.jsonl"
-            assert write_videos(path, videos) == [path, columns_path(path)]
-            for cls in (VideoKey, VideoViews):
-                assert from_bundle(path, cls) == list(read_jsonl(path, cls))
+            write_videos(path, videos)
+            assert from_bundle(path, VideoKey) == list(read_jsonl(path, VideoKey))
 
     def test_a_bundle_written_for_other_bytes_is_not_read(self, tmp_path):
+        # It is rebuilt for the bytes the file holds now.
         path = tmp_path / "videos.jsonl"
         write_videos(path, [VideoRecord("v1", "c1", view_count=3)])
         write_jsonl(path, [VideoRecord("v1", "c1", view_count=4)])
-        assert read_records(path, VideoViews) == [VideoViews("v1", 4)]
-        with pytest.raises(AssertionError, match="was decoded"):
-            from_bundle(path, VideoViews)
+        assert read_records(path, VideoKey) == [VideoKey("v1", "c1", 4)]
+        assert from_bundle(path, VideoKey) == [VideoKey("v1", "c1", 4)]
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    def test_the_next_read_rebuilds_a_bundle_byte_for_byte(self, tmp_path, damage):
+        path = tmp_path / "videos.jsonl"
+        write_videos(path, [VideoRecord("v1", "c1", title="t", view_count=3), VideoRecord("v2", "c1")])
+        written = columns_path(path).read_bytes()
+        if damage == "missing":
+            columns_path(path).unlink()
+        else:
+            columns_path(path).write_bytes(written[:-1])
+        assert read_records(path, VideoKey) == [VideoKey("v1", "c1", 3), VideoKey("v2", "c1", 0)]
+        assert columns_path(path).read_bytes() == written
+
+    def test_the_rebuild_is_keyed_by_the_bytes_it_decoded(self, tmp_path, monkeypatch):
+        # The file is replaced after the read that decodes it: the bundle
+        # must name the decoded bytes, so the new ones find it stale.
+        path = tmp_path / "videos.jsonl"
+        write_jsonl(path, [VideoRecord("v1", "c1", view_count=3)])
+        decoded = path.read_bytes()
+        read = store.read_jsonl
+
+        def then_replace(source, cls, data=None):
+            yield from read(source, cls, data)
+            write_jsonl(path, [VideoRecord("v1", "c1", view_count=4)])
+
+        monkeypatch.setattr(store, "read_jsonl", then_replace)
+        assert read_records(path, VideoKey) == [VideoKey("v1", "c1", 3)]
+        meta, _ = load_bundle(columns_path(path), "video-columns")
+        assert meta["source_sha256"] == hashlib.sha256(decoded).hexdigest()
+        monkeypatch.undo()
+        assert read_records(path, VideoKey) == [VideoKey("v1", "c1", 4)]
 
     def test_whole_records_are_always_decoded(self, tmp_path):
         path = tmp_path / "videos.jsonl"
@@ -397,7 +428,7 @@ class TestSidecars:
 
     def test_a_label_bundle_holds_what_its_file_decodes_to(self, tmp_path):
         path = tmp_path / "ground_truth.jsonl"
-        assert write_ground_truth(path, {"v2": 0, "v1": 1, "v\x00": 1}) == [path, columns_path(path)]
+        write_ground_truth(path, {"v2": 0, "v1": 1, "v\x00": 1})
         assert from_bundle(path, store._Label) == list(read_jsonl(path, store._Label))
         assert read_ground_truth(path) == {"v1": 1, "v2": 0, "v\x00": 1}
 
