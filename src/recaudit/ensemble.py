@@ -453,11 +453,6 @@ def _split_indices(
     raise DegenerateTrainingError("could not draw a split with both classes on both sides")
 
 
-def _repetition_split(labels: np.ndarray, split: float, seed: int, rep: int) -> tuple[np.ndarray, np.ndarray]:
-    """Repetition ``rep``'s training and held-out indices."""
-    return _split_indices(np.random.default_rng([seed, rep]), labels, split)
-
-
 def _text_counts(side: Sequence[tuple[VideoFeatures, int]]) -> list[int]:
     """The number of texts of each text module on a training side."""
     return [sum(len(f.texts[m]) for f, _ in side) for m in range(len(TEXT_FIELDS))]
@@ -547,8 +542,7 @@ def _fit_text_modules(
 
 def _train_share(
     examples: Sequence[tuple[VideoFeatures, int]],
-    labels: np.ndarray,
-    split: float,
+    splits: Sequence[tuple[np.ndarray, np.ndarray]],
     seed: int,
     repeats: int,
     text_hyper: TextHyper,
@@ -557,11 +551,12 @@ def _train_share(
 ) -> list:
     """The results of one process's share of the protocol's tasks. Task 0
     is the refit of the four modules on the full labeled set; its result is
-    that first layer. Task ``rep + 1`` is repetition ``rep``: the modules
-    fit on its ``split`` side score its held-out side, which gives the
-    repetition's standardization stats (:func:`_standardization`); its
-    result is the stacking layer fit on the standardized scores, as
-    ``(coefficients, bias, stats)``.
+    that first layer. Task ``rep + 1`` is repetition ``rep``, whose training
+    and held-out indices are ``splits[rep]``: the modules fit on its
+    training side score its held-out side, which gives the repetition's
+    standardization stats (:func:`_standardization`); its result is the
+    stacking layer fit on the standardized scores, as ``(coefficients,
+    bias, stats)``.
 
     Each text module is fit for the share's repetitions at once, and the
     refit's text modules in the longest of those loops
@@ -577,7 +572,7 @@ def _train_share(
             sides.append((examples, seed * repeats + repeats, None))
             continue
         rep = task - 1
-        train_idx, held_idx = _repetition_split(labels, split, seed, rep)
+        train_idx, held_idx = splits[rep]
         held = [examples[i] for i in held_idx]
         sides.append(([examples[i] for i in train_idx], seed * repeats + rep, held))
     held_scores = [
@@ -638,14 +633,13 @@ def train_ensemble(
 
     features = video_features([ex.video for ex in labeled], text_hyper)
     examples = [(f, ex.label) for f, ex in zip(features, labeled)]
-    trains = [examples] + [
-        [examples[i] for i in _repetition_split(labels, split, seed, rep)[0]] for rep in range(repeats)
-    ]
+    splits = [_split_indices(np.random.default_rng([seed, rep]), labels, split) for rep in range(repeats)]
+    trains = [examples] + [[examples[i] for i in train_idx] for train_idx, _ in splits]
     costs = [
         ([text_hyper.epochs * n for n in _text_counts(train)], task == 0) for task, train in enumerate(trains)
     ]
     final_layer, *repeat_results = run_shares(
-        partial(_train_share, examples, labels, split, seed, repeats, text_hyper, l2), costs, _share_time
+        partial(_train_share, examples, splits, seed, repeats, text_hyper, l2), costs, _share_time
     )
 
     coefs, biases, rep_stats = zip(*repeat_results)

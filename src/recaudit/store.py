@@ -9,15 +9,17 @@ Bundle format, designed to be byte-stable and digest-checked:
     payload: 8-byte big-endian meta length, JSON meta (with an array
              directory), then the raw C-order array bytes in directory order.
 
-A truncated payload or a digest mismatch loads as corruption, never as a
-partial object; a future schema_version is refused outright.
+A payload shorter or longer than its header says, or a digest mismatch,
+loads as corruption, never as a partial object; a future schema_version is
+refused outright.
 
 A snapshot day and the simulator's ``videos.jsonl`` and
 ``ground_truth.jsonl`` each have a column bundle beside them
 (``<name>.columns``): a cache of the records later stages decode from the
 file, keyed by the sha256 of the file's bytes, that only this module knows
-of. The stage that writes the file writes the bundle right after it, but no
-manifest records a bundle, so its state never decides a rerun.
+of. The stage that writes the file writes the bundle right after it, and a
+bundle that cannot be written is only a warning. No manifest records a
+bundle, so its state never decides a rerun.
 ``read_records`` takes the records from the bundle while its key is the
 file's digest. Otherwise it decodes the file once and rebuilds the bundle,
 keyed by the bytes it decoded. JSONL stays the interchange format and the
@@ -163,8 +165,10 @@ def load_bundle(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray
         if type(header.get("payload_size")) is not int or type(header.get("payload_sha256")) is not str:
             raise ArtifactCorruptError(f"{path}: header has no integer payload_size or string payload_sha256")
         payload = fh.read()
-    if len(payload) != header["payload_size"]:
+    if len(payload) < header["payload_size"]:
         raise ArtifactCorruptError(f"{path}: truncated payload")
+    if len(payload) > header["payload_size"]:
+        raise ArtifactCorruptError(f"{path}: {len(payload) - header['payload_size']} byte(s) after its payload")
     if sha256_bytes(payload) != header["payload_sha256"]:
         raise ArtifactCorruptError(f"{path}: payload digest mismatch")
     meta_len = int.from_bytes(payload[:8], "big")
@@ -198,6 +202,16 @@ def save_columns(
     """Write the column bundle of ``source``, keyed by ``source_sha256``, the
     sha256 of the bytes its records were taken from."""
     save_bundle(columns_path(source), kind, {**meta, "source_sha256": source_sha256}, arrays)
+
+
+def _cache_columns(source: str | Path, source_sha256: str, kind: str, columns: tuple[dict, dict]) -> None:
+    """:func:`save_columns`, for a cache: a bundle that cannot be written is
+    logged as a warning naming it, and the next reader of ``source``
+    decodes the file."""
+    try:
+        save_columns(source, source_sha256, kind, *columns)
+    except OSError as exc:
+        logger.warning("could not write %s for %s: %s", columns_path(source), source, exc)
 
 
 def load_columns(source: str | Path, kind: str) -> Optional[tuple[dict, dict[str, np.ndarray]]]:
@@ -285,9 +299,9 @@ _COLUMNS = {
 
 def _write_with_columns(path: str | Path, records: Sequence, cls) -> None:
     """Write a JSONL file of ``records``, then its column bundle of ``cls``
-    records."""
+    records (:func:`_cache_columns`)."""
     kind, to_columns, _ = _COLUMNS[cls]
-    save_columns(path, write_jsonl(path, records), kind, *to_columns(records))
+    _cache_columns(path, write_jsonl(path, records), kind, to_columns(records))
 
 
 def write_snapshots(path: str | Path, snapshots: Sequence[DailySnapshot]) -> None:
@@ -305,9 +319,8 @@ def read_records(path: str | Path, cls) -> list:
     """The ``cls`` records of the JSONL file ``path``, as
     :func:`corpus.read_jsonl` decodes them. Records a column bundle holds
     come from the bundle while it is current. Otherwise the file is decoded
-    once and its bundle rebuilt, keyed by the sha256 of the bytes decoded;
-    a rebuild that cannot be written is logged as a warning, and the
-    records are returned all the same."""
+    once and its bundle rebuilt (:func:`_cache_columns`), keyed by the
+    sha256 of the bytes decoded."""
     if cls not in _COLUMNS:
         return list(read_jsonl(path, cls))
     kind, to_columns, from_columns = _COLUMNS[cls]
@@ -315,10 +328,7 @@ def read_records(path: str | Path, cls) -> list:
     if columns is None:
         data = Path(path).read_bytes()
         columns = to_columns(list(read_jsonl(path, cls, data)))
-        try:
-            save_columns(path, sha256_bytes(data), kind, *columns)
-        except OSError as exc:
-            logger.warning("could not rebuild %s from %s: %s", columns_path(path), path, exc)
+        _cache_columns(path, sha256_bytes(data), kind, columns)
     return from_columns(*columns)
 
 

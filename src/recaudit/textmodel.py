@@ -309,11 +309,22 @@ def _model_params(model: TextModel) -> np.ndarray:
     return np.concatenate([model.head, model.bias[:, None]], axis=1)[None]
 
 
-# The most embedding values one call of _forward indexes: predict_proba's
-# documents and train_text_classifiers' lockstep SGD steps run in chunks
-# whose index arrays hold at most about this many elements (one document or
-# step more than that is a chunk of its own).
+# The most embedding values a chunk of predict_proba's documents or of
+# train_text_classifiers' lockstep SGD steps indexes (see _chunks).
 _STEP_ELEMENTS = 1 << 16
+
+
+def _chunks(cost: np.ndarray) -> list[int]:
+    """The bounds of consecutive runs of items, item i holding ``cost[i]``
+    embedding values: each run takes, from the item after the last run, the
+    most items whose values sum to at most ``_STEP_ELEMENTS``, and at least
+    one (an item above the bound is a run of its own)."""
+    ends = np.concatenate([[0], np.cumsum(cost)])
+    bounds = [0]
+    while bounds[-1] < len(cost):
+        lo = bounds[-1]
+        bounds.append(max(lo + 1, int(np.searchsorted(ends, ends[lo] + _STEP_ELEMENTS, side="right")) - 1))
+    return bounds
 
 
 def predict_proba(model: TextModel, features: Sequence[TextFeatures]) -> np.ndarray:
@@ -323,25 +334,19 @@ def predict_proba(model: TextModel, features: Sequence[TextFeatures]) -> np.ndar
     Class probabilities sum to one by softmax; an empty or all-unknown
     document scores from the bias alone.
 
-    The documents run through :func:`_forward` in order, in chunks of at
-    most ``_STEP_ELEMENTS`` embedding values, a document counting at least
-    one row (a document longer than that is a chunk of its own).
+    The documents run through :func:`_forward` in order, in the chunks of
+    :func:`_chunks`, a document holding ``dim`` values per embedding row
+    and at least one row.
     """
     rows, n_rows, n_ids = _rows(model, features)
     row_bounds = np.concatenate([[0], np.cumsum(n_rows)]).tolist()
-    cost = np.concatenate([[0], np.cumsum(np.maximum(n_rows, 1))])
+    bounds = _chunks(model.hyper.dim * np.maximum(n_rows, 1))
     out = np.empty(len(n_rows))
-    # A chunk holds at most this many documents, each counting one row or more.
-    per_chunk = max(1, _STEP_ELEMENTS // model.hyper.dim)
     params, onehot = _model_params(model), np.zeros((1, 2, 1))
-    work = _Workspace(params, min(len(out), per_chunk))
-    lo = 0
-    while lo < len(out):
-        # The chunk runs to the last document within the bound, at least one.
-        hi = max(lo + 1, int(np.searchsorted(cost, cost[lo] + per_chunk, side="right")) - 1)
+    work = _Workspace(params, int(np.diff(bounds).max(initial=0)))
+    for lo, hi in zip(bounds, bounds[1:]):
         args = _forward_args(model, rows[row_bounds[lo] : row_bounds[hi]], n_rows[lo:hi], n_ids[lo:hi])
         out[lo:hi] = _forward(*args, params, onehot, work)[1][:, 1, 0]
-        lo = hi
     return out
 
 
@@ -370,31 +375,6 @@ def train_text_classifier(
     return model
 
 
-class _EpochOrder:
-    """One job's documents in training order, epoch after epoch. Its
-    generator draws each epoch's shuffle when the steps first reach that
-    epoch, so the draws come in the order a loop over the job's steps makes
-    them. Document ids are offset by ``first``."""
-
-    def __init__(self, rng: np.random.Generator, n_docs: int, first: int):
-        self.rng, self.n_docs, self.first = rng, n_docs, first
-        self.shuffle = np.empty(0, np.int64)
-
-    def docs(self, start: int, stop: int) -> np.ndarray:
-        """The documents of steps ``start`` to ``stop`` (at least one step),
-        which must follow the steps asked for before."""
-        parts = []
-        step = start
-        while step < stop:
-            at = step % self.n_docs
-            if at == 0:
-                self.shuffle = self.rng.permutation(self.n_docs) + self.first
-            take = min(stop - step, self.n_docs - at)
-            parts.append(self.shuffle[at : at + take])
-            step += take
-        return np.concatenate(parts)
-
-
 def train_text_classifiers(
     jobs: Iterable[tuple[list[tuple[TextFeatures, int]], TextHyper]],
 ) -> list[Optional[TextModel]]:
@@ -406,10 +386,10 @@ def train_text_classifiers(
     Each job is deterministic given its ``hyper.seed``: its examples are
     brought to a canonical order, so permuting them yields an identical
     model. A generator seeded with ``hyper.seed`` draws the head, then one
-    shuffle of the examples per epoch. The learning rate decays linearly to
-    zero over the job's ``epochs × n`` steps. A caller fitting many models
-    on overlapping texts featurizes each text once; only the ``min_count``
-    vocabulary is built per job.
+    shuffle of the examples per epoch and nothing else. The learning rate
+    decays linearly to zero over the job's ``epochs × n`` steps. A caller
+    fitting many models on overlapping texts featurizes each text once;
+    only the ``min_count`` vocabulary is built per job.
 
     The jobs run in lockstep: global step s takes one SGD step of every job
     with more than s steps, one numpy call per operation for all of them
@@ -417,13 +397,16 @@ def train_text_classifiers(
     :class:`_Workspace` made for the call. Each job's embedding rows are a
     block of one array, updated by one flat ``np.add.at``, which applies a
     row listed twice twice, in order. Every model has the bits it gets
-    trained alone; the models' embeddings are views of that one array. The
-    steps' index arrays are built a chunk of steps at a time, bounded by
-    ``_STEP_ELEMENTS``; between chunks only each job's embedding row ids
-    are kept.
+    trained alone; the models' embeddings are views of that one array.
+
+    Every job's shuffles are drawn before the first step, into one int32
+    array, 4 bytes per job step. The steps' index arrays are built a chunk
+    of global steps at a time, in the chunks of :func:`_chunks`, a step
+    holding ``dim`` values per embedding row of each of its documents and
+    at least one row per document.
     """
     models: list[Optional[TextModel]] = []
-    fits = []  # (model index, vocab, hyper, observed ids, epoch order, head)
+    fits = []  # (model index, vocab, hyper, observed ids, generator, head, first doc, docs)
     rows, n_rows, labels = [], [], []  # each fit's, its docs in canonical order
     n_observed = n_docs = 0
     for examples, hyper in jobs:
@@ -441,7 +424,7 @@ def train_text_classifiers(
         labels.append(np.array([label for _, label in docs]))
         rng = np.random.default_rng(hyper.seed)
         head = rng.normal(0.0, 1.0 / np.sqrt(hyper.dim), size=(2, hyper.dim))
-        fits.append((len(models) - 1, vocab, hyper, observed, _EpochOrder(rng, len(docs), n_docs), head))
+        fits.append((len(models) - 1, vocab, hyper, observed, rng, head, n_docs, len(docs)))
         n_observed += len(observed)
         n_docs += len(docs)
     if not fits:
@@ -453,16 +436,28 @@ def train_text_classifiers(
 
     # Slot j is the fit with the j-th most steps, so the jobs a step
     # advances are always the first slots.
-    totals = np.array([hyper.epochs * order.n_docs for _, _, hyper, _, order, _ in fits])
+    totals = np.array([hyper.epochs * n for _, _, hyper, *_, n in fits])
     slots = np.argsort(-totals, kind="stable").tolist()
     totals = totals[slots]
+    first_step = np.cumsum(totals) - totals
     rates = np.array([fits[i][2].lr for i in slots])
-    orders = [fits[i][4] for i in slots]
-    longest = np.array([n.max() for n in n_rows])[slots]
     n_rows = np.concatenate(n_rows)
     first_row = np.cumsum(n_rows) - n_rows
     rows = np.concatenate(rows)
     labels = np.concatenate(labels)
+    # Slot j's document at step s is orders[first_step[j] + s]. Each
+    # generator has drawn only its head, so drawing the shuffles here, in
+    # slot order and straight into the one array, gives the values a loop
+    # over the job's steps draws. Each global step's values add up in cost.
+    orders = np.empty(totals.sum(), np.int32)
+    cost = np.zeros(totals[0], np.int64)
+    values = dim * np.maximum(n_rows, 1)
+    for j, i in enumerate(slots):
+        _, _, _, _, rng, _, first, n = fits[i]
+        own = orders[first_step[j] : first_step[j] + totals[j]]
+        for at in range(0, totals[j], n):
+            own[at : at + n] = rng.permutation(n) + first
+            cost[at : at + n] += values[own[at : at + n]]
     # Each slot's head, with its bias as one more column (see _forward).
     params = np.zeros((len(fits), 2, dim + 1))
     params[:, :, :-1] = [fits[i][5] for i in slots]
@@ -470,25 +465,19 @@ def train_text_classifiers(
     flat = embedding.reshape(-1)
     work = _Workspace(params, len(fits))
 
-    start = 0
-    while start < totals[0]:
-        active = int((totals > start).sum())
-        stop = min(totals[0], start + max(1, _STEP_ELEMENTS // max(1, dim * int(longest[:active].sum()))))
+    bounds = _chunks(cost)
+    for start, stop in zip(bounds, bounds[1:]):
         # The chunk's entries, step after step and each active slot in turn:
         # the document each takes, its embedding rows and its learning rate.
-        order = np.empty((active, stop - start), np.int64)
-        for j in range(active):
-            end = min(stop, totals[j])
-            order[j, : end - start] = orders[j].docs(start, end)
         steps = np.arange(start, stop)
         per_step = (totals[None, :] > steps[:, None]).sum(axis=1)
         entry_bounds = np.concatenate([[0], np.cumsum(per_step)])
         slot = np.arange(entry_bounds[-1]) - np.repeat(entry_bounds[:-1], per_step)
         step = np.repeat(steps, per_step)
-        doc = order[slot, step - start]
+        doc = orders[first_step[slot] + step]
         length = n_rows[doc]
         ends = np.cumsum(length)
-        at = np.arange(ends[-1] if len(ends) else 0) + np.repeat(first_row[doc] - (ends - length), length)
+        at = np.arange(ends[-1]) + np.repeat(first_row[doc] - (ends - length), length)
         elem, tgt = _element_indices(rows[at], np.repeat(slot, length), dim)
         sums = _sums(length, length, dim)
         onehot = np.zeros((len(doc), 2, 1))
@@ -511,11 +500,10 @@ def train_text_classifiers(
             np.subtract(v.P, v.g, out=v.P)
             np.multiply(v.dh, scale[e0:e1], out=v.dh)
             np.add.at(flat, step_elem, v.dh_flat[step_tgt])
-        start = stop
 
     slot_of = {i: j for j, i in enumerate(slots)}
     block = 0
-    for i, (index, vocab, hyper, observed, _, _) in enumerate(fits):
+    for i, (index, vocab, hyper, observed, *_) in enumerate(fits):
         models[index] = TextModel(
             vocab=vocab,
             hyper=hyper,

@@ -1440,6 +1440,19 @@ class TestColumnFallbacks:
             assert {path: sum(str(path) in w for w in warnings) for path in bundles} == dict.fromkeys(bundles, 1)
             assert len(warnings) == len(bundles)
 
+    def test_bytes_after_the_payload_are_named(self, workspace, caplog):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert run(cfg, "simulate") == 0
+        bundle = out / "ground_truth.columns"
+        written = bundle.read_bytes()
+        bundle.write_bytes(written + b"x")
+        caplog.clear()
+        assert run(cfg, "harvest", "--date", DAYS[0]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.name == "recaudit.store"]
+        assert warnings == [f"{bundle}: 1 byte(s) after its payload; rebuilding it from {out / 'ground_truth.jsonl'}"]
+        assert bundle.read_bytes() == written
+
     def test_a_rebuild_that_cannot_be_written_is_a_warning(self, workspace, monkeypatch, caplog):
         # As for a snapshot archive kept read-only: the stage decodes the
         # day, warns that its bundle could not be written, and goes on.
@@ -1470,7 +1483,9 @@ class TestColumnFallbacks:
 
 
 class TestCrashBetweenWrites:
-    def test_a_day_whose_bundle_was_not_written_is_decoded(self, workspace, monkeypatch):
+    def test_a_day_whose_bundle_was_not_written_is_decoded(self, workspace, monkeypatch, caplog, capsys):
+        # As for a disk that fills between the day's file and its bundle: the
+        # bundle is a cache, so harvest warns, records the day and exits 0.
         tmp, cfg = workspace
         out = tmp / "out"
         assert run(cfg, "simulate") == 0
@@ -1480,23 +1495,31 @@ class TestCrashBetweenWrites:
         def crash(*args, **kwargs):
             raise OSError("no space left for the bundle")
 
+        snap = out / "snapshots" / f"{DAYS[-1]}.jsonl"
+        caplog.clear()
         with monkeypatch.context() as patched:
             patched.setattr(store, "save_columns", crash)
-            with pytest.raises(OSError, match="no space left"):
-                run(cfg, "harvest", "--date", DAYS[-1])
-        snap = out / "snapshots" / f"{DAYS[-1]}.jsonl"
+            assert run(cfg, "harvest", "--date", DAYS[-1]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.name == "recaudit.store"]
+        assert len(warnings) == 1
+        assert str(store.columns_path(snap)) in warnings[0] and "no space left" in warnings[0]
+        assert (out / "manifests" / f"harvest-{DAYS[-1]}.json").exists()
         assert _digests(out / "snapshots", HARVEST_DIGESTS) == HARVEST_DIGESTS
         assert not store.columns_path(snap).exists()
         assert not list(out.rglob("*.lock"))
 
+        capsys.readouterr()
+        assert run(cfg, "harvest", "--date", DAYS[-1]) == 0
+        assert "outputs are current, skipping" in capsys.readouterr().out
         for stage in ("train", "score", "trends", "bubble", "topics"):
             assert run(cfg, stage) == 0, stage
         assert _digests(out, SCORED_DIGESTS) == SCORED_DIGESTS
-
-        assert run(cfg, "harvest", "--date", DAYS[-1]) == 2  # the day exists, its harvest did not finish
-        assert run(cfg, "harvest", "--date", DAYS[-1], "--overwrite") == 0
-        assert _digests(out / "snapshots", HARVEST_DIGESTS) == HARVEST_DIGESTS
-        assert from_bundle(snap, DailySnapshot) == list(corpus.read_jsonl(snap, DailySnapshot))
+        # The next reader rebuilt the bundle that harvest would have written.
+        written = tmp / "written" / snap.name
+        written.parent.mkdir()
+        store.write_snapshots(written, list(corpus.read_jsonl(snap, DailySnapshot)))
+        assert written.read_bytes() == snap.read_bytes()
+        assert store.columns_path(snap).read_bytes() == store.columns_path(written).read_bytes()
 
 
 class TestRebuiltBundle:

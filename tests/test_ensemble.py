@@ -756,9 +756,8 @@ class TestShareLayout:
 
         monkeypatch.setattr(ensemble_module, "train_text_classifiers", logged)
         labels = np.array([y for _, y in examples])
-        results = ensemble_module._train_share(
-            examples, labels, 0.6, self.SEED, self.REPEATS, SMALL_HYPER, 1e-3, share
-        )
+        splits = [_split_indices(np.random.default_rng([self.SEED, rep]), labels, 0.6) for rep in range(self.REPEATS)]
+        results = ensemble_module._train_share(examples, splits, self.SEED, self.REPEATS, SMALL_HYPER, 1e-3, share)
         # The refit's layer seed is SEED * REPEATS + REPEATS: task REPEATS + 1 above.
         calls = [[(m, 0 if task == self.REPEATS + 1 else task, n) for m, task, n in call] for call in calls]
         return results, calls

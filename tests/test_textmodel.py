@@ -1,9 +1,11 @@
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from recaudit import textmodel
 from recaudit.errors import DegenerateTrainingError
@@ -329,6 +331,51 @@ class TestOneForwardPass:
         calls = self.count_forward(monkeypatch)
         text_loss_and_grads(model, TOY)
         assert calls == [len(TOY)]
+
+
+class TestChunks:
+    """Scoring's documents and training's lockstep steps run in the chunks
+    of one rule: consecutive runs of items, each as long as the bound on
+    embedding values allows, or one item."""
+
+    @staticmethod
+    def assert_runs(costs, bounds, bound):
+        assert bounds[0] == 0 and bounds[-1] == len(costs)
+        runs = [costs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        for run, after in zip(runs, runs[1:] + [None]):
+            assert run and (sum(run) <= bound or len(run) == 1)
+            if after is not None:
+                assert sum(run) + after[0] > bound  # the run is maximal
+
+    @given(st.lists(st.integers(1, 300), max_size=60), st.integers(1, 1000))
+    def test_runs_are_as_long_as_the_bound_allows(self, costs, bound):
+        with mock.patch.object(textmodel, "_STEP_ELEMENTS", bound):
+            bounds = textmodel._chunks(np.array(costs, np.int64))
+        self.assert_runs(costs, bounds, bound)
+
+    def test_lockstep_steps_follow_the_rule(self, monkeypatch):
+        monkeypatch.setattr(textmodel, "_STEP_ELEMENTS", 200)
+        chunks = []  # each chunk's index arrays' length, and its steps' values
+        element_indices, forward = textmodel._element_indices, textmodel._forward
+
+        def indices(*args):
+            elem, tgt = element_indices(*args)
+            chunks.append((len(elem), []))
+            return elem, tgt
+
+        def step(embedding, elem, tgt, sums, *rest):
+            # dim values per embedding row of each document, at least one row.
+            chunks[-1][1].append((sums.shape[1] - 1) * int(sums[:, -1].sum()))
+            return forward(embedding, elem, tgt, sums, *rest)
+
+        monkeypatch.setattr(textmodel, "_element_indices", indices)
+        monkeypatch.setattr(textmodel, "_forward", step)
+        textmodel.train_text_classifiers(
+            [(featurize_examples(examples, hyper), hyper) for examples, hyper in TestLockstep.JOBS]
+        )
+        steps = [values for _, values in chunks]
+        self.assert_runs(sum(steps, []), np.cumsum([0] + list(map(len, steps))).tolist(), 200)
+        assert all(length <= 200 or len(values) == 1 for length, values in chunks)
 
 
 class TestPredict:
