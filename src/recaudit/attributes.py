@@ -44,7 +44,13 @@ class LexiconAttributeScorer:
         missing = set(ATTRIBUTE_NAMES) - set(lexicons)
         if missing:
             raise ValueError(f"missing lexicons for {sorted(missing)}")
-        self._lexicons = [lexicons[name] for name in ATTRIBUTE_NAMES]
+        ordered = [lexicons[name] for name in ATTRIBUTE_NAMES]
+        # One row of weights per lexicon token, an attribute per column.
+        self._weights = {
+            token: tuple(lexicon.get(token, 0.0) for lexicon in ordered) for token in set().union(*ordered)
+        }
+        self._unknown = (0.0,) * len(ordered)
+        self._caps = (1.0,) * len(ordered)
 
     @classmethod
     def bundled(cls) -> "LexiconAttributeScorer":
@@ -57,9 +63,13 @@ class LexiconAttributeScorer:
         return cls(lexicons)
 
     def score(self, comment: Comment) -> tuple[float, ...]:
-        tokens = tokenize(comment.text)
-        out = []
-        for lexicon in self._lexicons:
-            total = sum(lexicon.get(tok, 0.0) for tok in tokens)
-            out.append(min(1.0, total))
-        return tuple(out)
+        return self.score_tokens(tokenize(comment.text))
+
+    def score_tokens(self, tokens: list[str]) -> tuple[float, ...]:
+        """The scores of a comment with these tokens: per attribute, the
+        built-in ``sum`` of each token's weight in token order (0.0 for a
+        token its lexicon lacks), capped at 1."""
+        rows = [self._weights.get(token, self._unknown) for token in tokens]
+        if not rows:
+            return (min(1.0, 0),) * len(self._caps)  # the sum of no weights is the int 0
+        return tuple(map(min, self._caps, map(sum, zip(*rows))))

@@ -35,7 +35,6 @@ from .errors import (
     FetchError,
     RecauditError,
 )
-from .live import LiveAdapter
 from .metrics import (
     Period,
     TrendPoint,
@@ -115,6 +114,8 @@ def _files(config: PipelineConfig, args) -> _Inputs:
 
 def _source(config: PipelineConfig, paths: _Inputs):
     if config.source == "live":
+        from .live import LiveAdapter  # loads the HTTP stack, which no other source needs
+
         return LiveAdapter.from_env()
     channels_path, videos_path, truth_path, state_path = paths["platform"]
     for path in (channels_path, videos_path, truth_path):

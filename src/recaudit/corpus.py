@@ -33,7 +33,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import MALFORMED, ArtifactCorruptError
+from .errors import MALFORMED, ArtifactCorruptError, OutputWriteError
 
 ATTRIBUTE_NAMES = (
     "toxicity",
@@ -534,14 +534,24 @@ def atomic_output(path: str | Path) -> Iterator[BinaryIO]:
     digest, so a flush on every write would buy nothing for them. The one
     artifact that cannot be rebuilt is a live harvest's snapshot (with its
     video records); keeping those is left to a copy off the machine.
+
+    An ``OSError`` from creating the directory, writing the bytes or
+    replacing ``path`` is raised as :class:`OutputWriteError` naming
+    ``path``; the block must only write to the file it is given.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, "wb")
+    except OSError as exc:
+        raise OutputWriteError(f"cannot write {path}: {exc}") from exc
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OutputWriteError(f"cannot write {path}: {exc}") from exc
     finally:
         tmp.unlink(missing_ok=True)
 

@@ -18,6 +18,14 @@ class ConfigError(RecauditError):
     exit_code = 1
 
 
+class OutputWriteError(RecauditError):
+    """An output file, its directory or a stage's lock could not be written
+    (full disk, read-only directory, a regular file where a directory
+    belongs); the message names the path."""
+
+    exit_code = 1
+
+
 class FetchError(RecauditError):
     """A source could not serve one channel or video; a crawl skips that item."""
 

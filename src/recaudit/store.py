@@ -61,7 +61,14 @@ from .corpus import (
     write_jsonl,
 )
 from .ensemble import FirstLayer, StandardizationStats, TrainedEnsemble
-from .errors import ArtifactCorruptError, ArtifactVersionError, ConfigError, HarvestExistsError, RecauditError
+from .errors import (
+    ArtifactCorruptError,
+    ArtifactVersionError,
+    ConfigError,
+    HarvestExistsError,
+    OutputWriteError,
+    RecauditError,
+)
 from .metrics import CalibrationBin, CalibrationCurve, FilterBubbleMatrix, TrendSeries, rolling_mean
 from .textmodel import TextHyper, TextModel
 from .topics import TopicReport
@@ -210,7 +217,7 @@ def _cache_columns(source: str | Path, source_sha256: str, kind: str, columns: t
     decodes the file."""
     try:
         save_columns(source, source_sha256, kind, *columns)
-    except OSError as exc:
+    except (OSError, OutputWriteError) as exc:
         logger.warning("could not write %s for %s: %s", columns_path(source), source, exc)
 
 
@@ -671,16 +678,8 @@ def ensure_snapshot_writable(path: Path, overwrite: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def output_lock(path: str | Path):
-    """Hold the single-writer lock on ``path`` for the duration of the block.
-
-    The lock is an flock on ``<path>.lock``. The kernel drops it when its
-    holder exits, so the file a killed run leaves behind, with that run's PID
-    in it, is taken over by the next run rather than blocking it.
-    """
-    lock_path = Path(str(path) + ".lock")
-    lock_path.parent.mkdir(parents=True, exist_ok=True)
+def _take_lock(path: Path, lock_path: Path) -> int:
+    """The descriptor of ``lock_path``, flocked and holding this PID."""
     while True:
         fd = os.open(lock_path, os.O_CREAT | os.O_WRONLY)
         try:
@@ -694,6 +693,28 @@ def output_lock(path: str | Path):
     try:
         os.ftruncate(fd, 0)
         os.write(fd, str(os.getpid()).encode())
+    except OSError:
+        os.close(fd)
+        lock_path.unlink(missing_ok=True)
+        raise
+    return fd
+
+
+@contextmanager
+def output_lock(path: str | Path):
+    """Hold the single-writer lock on ``path`` for the duration of the block.
+
+    The lock is an flock on ``<path>.lock``. The kernel drops it when its
+    holder exits, so the file a killed run leaves behind, with that run's PID
+    in it, is taken over by the next run rather than blocking it.
+    """
+    lock_path = Path(str(path) + ".lock")
+    try:
+        lock_path.parent.mkdir(parents=True, exist_ok=True)
+        fd = _take_lock(path, lock_path)
+    except OSError as exc:
+        raise OutputWriteError(f"cannot write {lock_path}: {exc}") from exc
+    try:
         yield
     finally:
         lock_path.unlink(missing_ok=True)

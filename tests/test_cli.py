@@ -308,7 +308,10 @@ class TestStageTable:
 # Every error type of the package, with the exit code its place in the
 # hierarchy gives it, plus the bare ValueError of a bad option.
 EXIT_CODES = [
-    (cls, 1 if cls is errors.ConfigError else 3 if issubclass(cls, errors.FetchError) else 2)
+    (
+        cls,
+        1 if cls in (errors.ConfigError, errors.OutputWriteError) else 3 if issubclass(cls, errors.FetchError) else 2,
+    )
     for cls in vars(errors).values()
     if isinstance(cls, type) and issubclass(cls, errors.RecauditError)
 ] + [(ValueError, 1)]
@@ -1522,6 +1525,40 @@ class TestCrashBetweenWrites:
         assert store.columns_path(snap).read_bytes() == store.columns_path(written).read_bytes()
 
 
+class TestUnwritableOutput:
+    """An output that cannot be written (here: its directory is a regular
+    file, or the file is a directory) is a typed error naming the path, with
+    exit 1, and leaves no lock; never an `OSError` traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, before, blocker",
+        [
+            (["simulate"], [], "plain"),  # out.dir is below the regular file
+            (["harvest", "--date", DAYS[0]], [["simulate"]], "out/snapshots"),
+            (["score"], [["simulate"], ["harvest", "--date", DAYS[0]], ["train"]], "out/likelihoods.jsonl"),
+        ],
+        ids=["simulate", "harvest", "score"],
+    )
+    def test_is_a_typed_error_naming_the_path(self, workspace, capsys, argv, before, blocker):
+        tmp, cfg = workspace
+        for prior in before:
+            assert run(cfg, *prior) == 0
+        blocked = tmp / blocker
+        if argv == ["simulate"]:
+            blocked.write_text("a file, not a directory\n")
+            cfg.write_text(CFG.format(out=blocked / "out"))
+        elif argv == ["score"]:
+            (blocked / "a directory").mkdir(parents=True)
+        else:
+            blocked.write_text("a file, not a directory\n")
+        capsys.readouterr()
+        assert run(cfg, *argv, "--json-errors") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "OutputWriteError"
+        assert str(blocked) in err["message"]
+        assert not list(tmp.rglob("*.lock"))
+
+
 class TestRebuiltBundle:
     """A column bundle is a cache of its JSONL file that no manifest records,
     so a missing or damaged one never makes a stage stale: a second `harvest`
@@ -1576,3 +1613,11 @@ class TestRebuiltBundle:
         snap.write_bytes(snap.read_bytes() + b"\n")
         assert run(cfg, "harvest", "--date", DAYS[0]) == 2  # the day exists and differs from its record
         assert not store.columns_path(snap).exists()
+
+
+def test_importing_the_cli_does_not_load_the_http_stack():
+    # Only `source = live` needs `requests`; `_source` imports the adapter then.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = "import sys, recaudit.cli; print(sorted({'recaudit.live', 'requests'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

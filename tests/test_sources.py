@@ -1,11 +1,13 @@
 import dataclasses
 import datetime as dt
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recaudit import sources
-from recaudit.attributes import LexiconAttributeScorer, score_comment_attributes
+from recaudit.attributes import LexiconAttributeScorer, _parse_lexicon, score_comment_attributes
 from recaudit.corpus import ATTRIBUTE_NAMES, ChannelRecord, Comment, VideoRecord
 from recaudit.errors import (
     ChannelNotFoundError,
@@ -19,6 +21,7 @@ from recaudit.sources import (
     generate_labeled_set,
     generate_platform,
 )
+from recaudit.textmodel import tokenize
 
 
 class TestFetchLastVideo:
@@ -179,6 +182,37 @@ class TestAttributeScorer:
 
         with pytest.raises(ValueError):
             score_comment_attributes(Broken(), Comment(text="x"))
+
+
+def _bundled_lexicons() -> list[dict[str, float]]:
+    root = resources.files("recaudit").joinpath("data/lexicons")
+    return [_parse_lexicon(root.joinpath(f"{name}.txt").read_text(encoding="utf-8")) for name in ATTRIBUTE_NAMES]
+
+
+_LEXICON_TOKENS = sorted(set().union(*_bundled_lexicons()))
+
+
+class TestTokenScores:
+    """`score_tokens` reads one weight row per token, and must give what a
+    per-lexicon built-in `sum` over the tokens gives, bit for bit and type
+    for type (no tokens sum to the int 0)."""
+
+    @settings(deadline=None)
+    @given(st.lists(st.sampled_from(_LEXICON_TOKENS[:40] + ["zzunknown", "the", "hoax", "7"]), max_size=30))
+    def test_equals_the_per_lexicon_sum(self, tokens):
+        expected = tuple(
+            min(1.0, sum(lexicon.get(token, 0.0) for token in tokens)) for lexicon in _bundled_lexicons()
+        )
+        got = LexiconAttributeScorer.bundled().score_tokens(tokens)
+        assert [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in expected]
+
+    def test_no_tokens_score_the_int_zero(self):
+        assert [type(v) for v in LexiconAttributeScorer.bundled().score_tokens([])] == [int] * 7
+
+    def test_score_is_the_scores_of_the_tokens(self):
+        scorer = LexiconAttributeScorer.bundled()
+        text = "You IDIOT, spread lies!! damn damn"
+        assert scorer.score(Comment(text=text)) == scorer.score_tokens(tokenize(text))
 
 
 class TestGenerator:
@@ -365,3 +399,91 @@ def test_stream_choice_matches_generator():
 def test_stream_rejects_ranges_it_cannot_replay(low, high):
     with pytest.raises(ValueError, match="outside"):
         sources._PCG64Stream(0).integers(low, high)
+
+
+# ---------------------------------------------------------------------------
+# The bulk word pass against the per-word draws.
+# ---------------------------------------------------------------------------
+
+_REFERENCE_POOLS = {
+    1: [(sources._CONSPIRACY_WORDS, 0.7), (sources._FILLER_WORDS, 0.3)],
+    0: [(sources._NEUTRAL_WORDS, 0.7), (sources._FILLER_WORDS, 0.3)],
+}
+
+_STREAM_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("text"), st.sampled_from([0, 1]), st.integers(0, 80)),
+        st.tuples(st.just("random"), st.just(0)),
+        st.tuples(st.just("integers"), st.sampled_from([1, 2, 7, 12, 999_899, 2**31 + 1, 2**32 - 1])),
+    ),
+    max_size=40,
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ops=_STREAM_OPS,
+    block=st.sampled_from([5, 64, sources._PCG64Stream._BLOCK]),
+    per_pass=st.sampled_from([1, 3, sources._TEXTS_PER_PASS]),
+)
+def test_bulk_words_match_the_per_word_draws(seed, ops, block, per_pass):
+    # Texts of 0-80 words interleaved with control draws, so that skips
+    # start in both half states and cross blocks of raw words (small blocks
+    # make a skip cross several); the texts' words are computed in passes of
+    # `per_pass` texts.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sources._PCG64Stream, "_BLOCK", block)
+        patch.setattr(sources, "_TEXTS_PER_PASS", per_pass)
+        bulk = sources._BulkWords(sources._PCG64Stream(seed))
+        scalar = sources._Words(sources._PCG64Stream(seed))
+        rng = np.random.default_rng(seed)
+        texts = []
+        for kind, a, *b in ops:
+            if kind == "text":
+                bulk.draw(a, b[0])
+                scalar.draw(a, b[0])
+                texts.append((a, _reference_draw_words(rng, _REFERENCE_POOLS[a], b[0])))
+            elif kind == "random":
+                assert bulk.rng.random() == scalar.rng.random() == rng.random(), NUMPY_CHANGED
+            else:
+                assert bulk.rng.integers(0, a) == scalar.rng.integers(0, a) == rng.integers(a), NUMPY_CHANGED
+        assert bulk.finish()
+        for label, words in texts:
+            assert bulk.take(label, len(words)) == scalar.take(label, len(words)) == words, NUMPY_CHANGED
+        assert bulk.rng.random() == rng.random(), NUMPY_CHANGED
+        assert bulk.rng.integers(0, 1000) == rng.integers(1000), NUMPY_CHANGED
+        assert bulk.rng.integers(0, 1000) == rng.integers(1000), NUMPY_CHANGED
+
+
+def test_every_pool_draws_a_bounded_index_and_every_word_is_one_token():
+    # A one-word pool draws no integers(), which skip_words assumes it does;
+    # the generator scores a comment's words as its tokens.
+    for pools, _ in sources._POOLS.values():
+        for words in pools:
+            assert len(words) >= 2
+            assert all(tokenize(word) == [word] for word in words)
+    for extras in sources._COMMENT_EXTRAS.values():
+        assert all(tokenize(word) == [word] for word in extras)
+
+
+@pytest.mark.parametrize("seed, rejected", [(205_344, False), (205_345, True)], ids=["bulk", "fallback"])
+def test_a_rejected_word_draw_is_drawn_again_word_by_word(monkeypatch, seed, rejected):
+    """At seed 205 345 one word draw of this platform falls in Lemire's
+    rejection loop, so numpy redraws it and every later draw moves: the bulk
+    pass cannot follow, and the platform is drawn again one word at a time.
+    It is the first seed from 200 000 up whose 10 × 10 platform (other knobs
+    at their defaults) does so, found by running `sources._generate` with a
+    `_BulkWords` up to `finish` for each seed; seeds 0 to 80 000 have none,
+    as about one word draw in 2.4e8 is rejected. The seed before it takes
+    the bulk path and never draws word by word."""
+    spec = PlatformSpec(n_channels=10, videos_per_channel=10, seed=seed)
+    per_word = []
+    draw_words = sources._draw_words
+    monkeypatch.setattr(sources, "_draw_words", lambda *args: per_word.append(args[2]) or draw_words(*args))
+    replayed = generate_platform(spec)
+    assert bool(per_word) == rejected
+    reference = _reference_platform(spec)
+    assert replayed.channels == reference.channels, NUMPY_CHANGED
+    assert replayed.videos == reference.videos, NUMPY_CHANGED
+    assert replayed.ground_truth == reference.ground_truth, NUMPY_CHANGED
